@@ -10,7 +10,9 @@ the checkout, never an installed copy.
 
 --trace 0 measures the end-to-end metrics with tracing off: set-up time
 in fresh worker processes, then one worker running the mix back to back
-for --seconds.  --trace 1 alternates untraced and traced passes in one
+for --seconds.  The per-scenario time metrics are wall times scaled to a
+fixed host speed, read off a reference kernel timed around each scenario
+(hostspeed.py).  --trace 1 alternates untraced and traced passes in one
 worker and reports the per-layer metrics.  Either way every verdict,
 oracle and report-byte repeat is checked.
 
@@ -36,8 +38,8 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 
-# set-up is measured in this many fresh workers besides the measuring one
-SETUP_WORKERS = 4
+# set-up is measured in this many fresh workers
+SETUP_WORKERS = 9
 RUN_LIMIT_S = 170.0
 THREAD_CAPS = {
     "FINSLERGEO_THREADS": "1",
@@ -104,8 +106,9 @@ def tail_percentile(values: list):
     """Highest percentile with at least ten samples beyond it.
 
     Returns (value, percentile): the largest sample with ten larger ones.
-    Only failed scenarios can leave fewer than eleven samples; then the
-    slowest one stands in, and the run is marked incorrect anyway.
+    A run times every slot of its mix at least five times, so only failed
+    scenarios can leave fewer than eleven samples; then the slowest one
+    stands in, and the run is marked incorrect anyway.
     """
     ordered = sorted(values)
     count = len(ordered)
@@ -136,7 +139,6 @@ def measure(workload: str, seed: int, seconds: float, trace: int) -> tuple:
     run = _worker(run_args, deadline)
     env["loadavg_end"] = os.getloadavg()
     env.update(run["versions"])
-    setup.append(run["setup_s"])
 
     attempted = run["attempted"]
     failed = len(run["failures"])
@@ -147,17 +149,23 @@ def measure(workload: str, seed: int, seconds: float, trace: int) -> tuple:
         metrics = run["per_layer"]
         notes["passes"] = f"{len(run['traced_pass_s'])} traced, {len(run['untraced_pass_s'])} untraced"
     else:
-        times = run["scenario_s"]
-        tail, pct = tail_percentile(run["tail_sample_s"])
+        slots = run["scaled_s"]
+        scaled = [value for runs in slots for value in runs]
+        tail, pct = tail_percentile(scaled)
         metrics = {
-            "scenarios_per_s": run["pool_size"] * len(run["pass_s"]) / sum(run["pass_s"]),
-            "scenario_p50_s": statistics.median(times) if times else 0.0,
+            "scenarios_per_s": len(slots) / sum(statistics.median(runs) for runs in slots if runs),
+            "scenario_p50_s": statistics.median(scaled),
             "scenario_tail_s": tail,
             "peak_rss_mb": run["peak_rss_mb"],
             "setup_s": statistics.median(setup),
         }
-        notes["scenario_tail_s"] = f"p{pct:.1f} of {len(run['tail_sample_s'])} samples"
-        notes["scenarios_per_s"] = f"{len(run['pass_s'])} passes of {run['pool_size']} scenarios in {sum(run['pass_s']):.1f} s"
+        passes = run["pass_s"]
+        notes["scenarios_per_s"] = (
+            f"{len(slots)} slots over the sum of their median times; "
+            f"wall {run['pool_size'] * len(passes) / sum(passes):.4g}/s over {len(passes)} passes"
+        )
+        notes["scenario_p50_s"] = f"of {len(scaled)} runs; wall {statistics.median(s[1] for s in run['samples']):.4g} s"
+        notes["scenario_tail_s"] = f"p{pct:.1f} of {len(scaled)} runs"
         notes["setup_s"] = f"median of {len(setup)} fresh workers"
     record = {
         "workload": workload,
@@ -169,6 +177,10 @@ def measure(workload: str, seed: int, seconds: float, trace: int) -> tuple:
         "failures": run["failures"],
         "metrics": metrics,
     }
+    if not trace:
+        # [slot, wall s, kernel s before, after] per scenario run
+        record["samples"] = run["samples"]
+        record["setup_samples_s"] = setup
     with open(stem + ".json", "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)
     return record, attempted, failed

@@ -1,4 +1,4 @@
-"""Self-tests of the benchmark's generator and tracer.
+"""Self-tests of the benchmark's generator, tracer and host-speed scaling.
 
 Run from the root of a source checkout:
 
@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from finslergeo import cli, reports, scenario  # noqa: E402
 
+import hostspeed  # noqa: E402
 import metrics  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -119,6 +120,16 @@ class TracerTest(unittest.TestCase):
         self.assertEqual(totals["outer"]["self_s"], 7.0)
         self.assertEqual(totals["inner"]["rows"], 4)
         self.assertEqual(tracer.layer_time_excluding(spans, "outer", "inner"), 7.0)
+
+
+class HostSpeedTest(unittest.TestCase):
+    def test_scaling_divides_out_the_host_speed(self):
+        # a host at half speed doubles the scenario and the kernel alike
+        ref = hostspeed.REF_S
+        self.assertAlmostEqual(hostspeed.scaled(0.1, ref, ref), 0.1)
+        self.assertAlmostEqual(hostspeed.scaled(0.2, 2 * ref, 2 * ref), 0.1)
+        self.assertAlmostEqual(hostspeed.scaled(0.3, 2 * ref, 4 * ref), 0.1)
+        self.assertGreater(hostspeed.kernel_s(3), 0.0)
 
 
 class ContractTest(unittest.TestCase):

@@ -8,10 +8,10 @@ prints one JSON object as the last line of its standard output.
   --mode setup   import finslergeo, generate and validate the mix, report
                  the wall time of that set-up, exit
   --mode run     the same set-up, then whole passes over the mix until
-                 --seconds have gone by and at least the workload's
-                 TAIL_PASSES are done; with --trace 1 untraced and traced
-                 passes alternate and the traced ones record per-layer
-                 spans
+                 --seconds have gone by and at least MIN_PASSES are done,
+                 timing the reference kernel around every scenario
+                 (hostspeed.py); with --trace 1 untraced and traced passes
+                 alternate and the traced ones record per-layer spans
 
 Every scenario runs as the command line would run it:
 scenario.scenario_from_dict -> cli.run_scenario -> reports.machine_report.
@@ -31,11 +31,14 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 from metrics import PER_LAYER_UNITS  # noqa: E402
 
 # traced passes needed to check that per-layer counts repeat exactly
 MIN_TRACED_PASSES = 2
+# untraced passes behind every slot's median, however short --seconds is
+MIN_PASSES = 5
 
 
 def _problems(item, report) -> list:
@@ -79,24 +82,31 @@ class Runner:
         self.program = program  # the scenario, cli and reports modules
         self.attempted = 0
         self.failures = []
-        self.times = []  # one list of scenario timings per pass
+        # [slot, wall s, reference kernel s before, after] of every
+        # successful bracketed run, in the order they ran
+        self.samples = []
         self.digests = {}
 
-    def run_pass(self, tracer=None) -> float:
+    def run_pass(self, tracer=None, bracket=False) -> float:
+        """One pass over the mix; `bracket` times the reference kernel
+        around every scenario (see hostspeed.py)."""
         scenario, cli, reports = self.program
         start = time.perf_counter()
-        times = []
-        self.times.append(times)
+        before = after = 0.0
         for pos, item in enumerate(self.pool):
             self.attempted += 1
             if tracer is not None:
                 tracer.scenario = pos
             try:
                 scen = scenario.scenario_from_dict(copy.deepcopy(item["scenario"]))
+                if bracket:
+                    before = hostspeed.kernel_s()
                 t0 = time.perf_counter()
                 report = cli.run_scenario(scen)
                 body = reports.machine_report(report)
                 elapsed = time.perf_counter() - t0
+                if bracket:
+                    after = hostspeed.kernel_s()
             except Exception as exc:  # a raising scenario is a failed one
                 self.failures.append({"scenario": pos, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -106,8 +116,8 @@ class Runner:
                 problems.append("machine report bytes differ from an earlier run of this scenario")
             if problems:
                 self.failures.append({"scenario": pos, "error": "; ".join(problems)})
-            else:
-                times.append(elapsed)
+            elif bracket:
+                self.samples.append([pos, elapsed, before, after])
         return time.perf_counter() - start
 
 
@@ -173,17 +183,18 @@ def _run_traced(runner, seconds, spans_path):
     return {"per_layer": metrics, "traced_pass_s": traced, "untraced_pass_s": untraced}
 
 
-def _run_untraced(runner, seconds, tail_passes):
+def _run_untraced(runner, seconds):
+    """Whole passes over the mix for `seconds`, at least MIN_PASSES,
+    with every scenario bracketed by the reference kernel."""
     passes = []
     loop_start = time.perf_counter()
     while True:
-        passes.append(runner.run_pass())
-        if time.perf_counter() - loop_start >= seconds and len(passes) >= tail_passes:
-            return {
-                "pass_s": passes,
-                "scenario_s": [t for times in runner.times for t in times],
-                "tail_sample_s": [t for times in runner.times[:tail_passes] for t in times],
-            }
+        passes.append(runner.run_pass(bracket=True))
+        if time.perf_counter() - loop_start >= seconds and len(passes) >= MIN_PASSES:
+            scaled = [[] for _ in runner.pool]
+            for pos, *sample in runner.samples:
+                scaled[pos].append(hostspeed.scaled(*sample))
+            return {"pass_s": passes, "samples": runner.samples, "scaled_s": scaled}
 
 
 def main(argv=None) -> int:
@@ -211,7 +222,7 @@ def main(argv=None) -> int:
         if args.trace:
             result.update(_run_traced(runner, args.seconds, args.spans))
         else:
-            result.update(_run_untraced(runner, args.seconds, workloads.TAIL_PASSES[args.workload]))
+            result.update(_run_untraced(runner, args.seconds))
         import numpy
         import scipy
 

@@ -49,14 +49,11 @@ import random
 
 WORKLOADS = ("orbits", "zero-sets", "distortion")
 
-# Whole passes over the mix whose scenario timings give the tail
-# percentile.  A fixed sample count keeps that percentile on the same
-# slot of the mix in every run; each count puts at least ten samples
-# beyond it inside the costliest slots (zero-sets: the O(N^2) zero sets).
-TAIL_PASSES = {"orbits": 4, "zero-sets": 4, "distortion": 5}
-
 STEP = 1.0e-3
-ORBIT_T = 1.0
+# 50 RK4 steps: the chart spray's share of the time does not depend on it
+ORBIT_T = 0.05
+# the one long orbit of the mix, its slowest slot
+LONG_ORBIT_T = 0.25
 # the report tolerance of the orbit check; RK4 at STEP keeps the chart
 # error of the spray far below it
 HOMOGENEOUS_TOL = 1.0e-5
@@ -127,24 +124,39 @@ def _item(scenario, expect, basis, oracle=None):
 # ---------------------------------------------------------------- orbits
 
 
-def _orbits(rng):
-    items = []
-    samples = int(round(ORBIT_T / STEP)) + 1
+# Each mix repeats a block of slots, drawing new numbers every time, so a
+# run averages the cost over several draws.  Scenarios are short (tens of
+# ms to 0.5 s), so every slot runs many times within a run; see
+# hostspeed.py for why that matters on a shared host.
 
+
+def _orbits(rng):
+    # four blocks of six 50-step slots, then one 250-step orbit: the
+    # slowest slot, run once per pass, so the tail percentile of a run
+    # (ten runs beyond it) falls among its runs
+    items = [item for _ in range(4) for item in _orbit_block(rng)]
+    items.append(_su2_line(rng, LONG_ORBIT_T))
+    return items
+
+
+def _su2_line(rng, horizon):
     y0 = _scaled(rng, 0.5, 0.9)
-    items.append(
-        _item(
-            {
-                "task": "integrate-geodesic",
-                "model": "su2",
-                "norm": _euclidean(_identity()),
-                "params": {"y0": y0, "T": ORBIT_T, "step": STEP},
-            },
-            {"samples": samples},
-            "bi-invariant SU(2): the geodesic from (e, y0) is exp(t y0), the line t y0",
-            {"kind": "endpoint", "x": [ORBIT_T * c for c in y0], "y": y0, "tol": ENDPOINT_TOL},
-        )
+    return _item(
+        {
+            "task": "integrate-geodesic",
+            "model": "su2",
+            "norm": _euclidean(_identity()),
+            "params": {"y0": y0, "T": horizon, "step": STEP},
+        },
+        {"samples": int(round(horizon / STEP)) + 1},
+        "bi-invariant SU(2): the geodesic from (e, y0) is exp(t y0), the line t y0",
+        {"kind": "endpoint", "x": [horizon * c for c in y0], "y": y0, "tol": ENDPOINT_TOL},
     )
+
+
+def _orbit_block(rng):
+    items = [_su2_line(rng, ORBIT_T)]
+    samples = int(round(ORBIT_T / STEP)) + 1
 
     items.append(
         _item(
@@ -298,28 +310,41 @@ def _berwald(model, norm, x, berwald, basis):
 
 
 def _zero_sets(rng):
+    return [item for _ in range(2) for item in _zero_set_block(rng)]
+
+
+def _zero_set_block(rng):
     # Seed counts are per slot, so the O(N^2) dedup cost is the same for
-    # every seed; together they span 1024..4096.  The four curve and
-    # sphere zero sets at 2048 seeds (0.6-2 s each) are the costliest
-    # slots, and the two point zero sets (0.2-0.3 s) sit well below them,
-    # so the tail percentile of four passes falls inside the costly block.
-    # Six cheap checks (1-2 ms) balance the six solves, so the median of
-    # any number of passes falls in the middle of the three Berwald slots.
+    # every seed; together they span 1024..4096.  The two sphere zero
+    # sets at 2048 seeds (all converge, one cluster) are the costliest
+    # slots, about 0.5 s each, and with four per mix the tail percentile
+    # (ten runs beyond it) falls among their runs.  The curve zero sets
+    # at 1024 take 0.15-0.3 s and the point zero sets 0.04-0.15 s.  The
+    # H3 Randers zero sets leave a few of their 1024 seeds unconverged for
+    # almost every draw, so Newton runs all its iterations; fewer seeds
+    # would make that, and the cost, depend on the draw.  Seven cheap
+    # checks (1-2 ms) below three Berwald slots (2-3 ms) and seven solves
+    # put the median run on the middle Berwald slot.
     lam = sorted(rng.uniform(lo, hi) for lo, hi in ((0.8, 1.2), (1.6, 2.2), (2.6, 3.4)))
     rng.shuffle(lam)
     h3_a = _diag([rng.uniform(0.7, 1.5) for _ in range(3)])
     h3_a[0][1] = h3_a[1][0] = _r(rng.uniform(-0.2, 0.2))
     c = _sign(rng) * rng.uniform(0.2, 0.4)
+    mu = rng.uniform(0.5, 2.0)
     items = [
         _gv("su2", _euclidean(_identity()), 2048, 1, True,
             "bi-invariant SU(2): every vector is geodesic, one connected zero set"),
         _check("check-minkowski-lie", "su2", _euclidean(_identity()), True,
                "su(2) with a = I: ad_X is skew, the metric is bi-invariant"),
-        _gv("heisenberg3", _euclidean(h3_a), 2048, 2, False,
+        _gv("su2", _euclidean(_diag([mu] * 3)), 2048, 1, True,
+            "SU(2), a = mu I, a multiple of the bi-invariant metric: every vector is geodesic"),
+        _check("check-minkowski-lie", "su2", _euclidean(_diag([mu] * 3)), True,
+               "su(2) with a = mu I: ad_X is skew for a multiple of the bi-invariant metric"),
+        _gv("heisenberg3", _euclidean(h3_a), 1024, 2, False,
             "H3 Euclidean with a13 = a23 = 0: the great circle X3 = 0 and the poles +-e3"),
         _check("check-minkowski-lie", "heisenberg3", _euclidean(h3_a), False,
                "no norm on H3 is Ad-invariant: Ad(exp(t e1)) e2 = e2 + t e3"),
-        _gv("heisenberg3", _randers(_identity(), _vec([0.0, 0.0, c])), 2048, 2, False,
+        _gv("heisenberg3", _randers(_identity(), _vec([0.0, 0.0, c])), 1024, 2, False,
             "H3, a = I, b = c e3: the circle X3 = -c and the poles +-e3"),
         _check("check-minkowski-lie",
                {"dim": 4, "structure_constants": _U2_CONSTANTS},
@@ -328,7 +353,7 @@ def _zero_sets(rng):
                "u(2) = su(2) + R, a = lam I + mu e4 e4, b on the centre: Ad-invariant"),
         _gv("heisenberg3",
             _randers(_identity(), _vec([_sign(rng) * rng.uniform(0.2, 0.4), rng.uniform(-0.2, 0.2), 0.0])),
-            2048, 2, False,
+            1024, 2, False,
             "H3, a = I, b3 = 0: the great circle X3 = 0 and the poles +-e3"),
         _check("check-nat-reductive", "su2", _euclidean(_identity()), True,
                "su(2), m = g, a = I: the identity is the bi-invariance identity"),
@@ -375,8 +400,12 @@ def _s_item(model, norm, y0, T, stride, vanishing, basis, oracle=None):
 
 
 def _distortion(rng):
-    # T / (STEP * stride) = 100 in every slot: 101 sigma quadratures per
-    # path, while the integrated horizon varies from 0.2 to 0.5
+    return [item for _ in range(4) for item in _distortion_block(rng)]
+
+
+def _distortion_block(rng):
+    # T / (STEP * stride) = 10 in every slot: 11 sigma quadratures per
+    # path, while the integrated horizon varies from 0.02 to 0.05
     c = _r(_sign(rng) * rng.uniform(0.2, 0.4))
     y0 = _vec([rng.uniform(-0.6, 0.6), _sign(rng) * rng.uniform(0.3, 0.6), _sign(rng) * rng.uniform(0.3, 0.6)])
     b1 = _randers(_identity(), [c, 0.0, 0.0])
@@ -384,16 +413,16 @@ def _distortion(rng):
     s_start = -2.0 * c * y0[1] * y0[2] / (alpha + c * y0[0])
     return [
         _s_item("heisenberg3", _euclidean(_diag([rng.uniform(0.7, 1.5) for _ in range(3)])),
-                _scaled(rng, 0.5, 0.9), 0.2, 2, True, "Riemannian metrics have S = 0"),
+                _scaled(rng, 0.5, 0.9), 0.02, 2, True, "Riemannian metrics have S = 0"),
         _s_item("su2", _euclidean(_diag([rng.uniform(0.7, 1.5) for _ in range(3)])),
-                _scaled(rng, 0.5, 0.9), 0.3, 3, True, "Riemannian metrics have S = 0"),
+                _scaled(rng, 0.5, 0.9), 0.03, 3, True, "Riemannian metrics have S = 0"),
         _s_item("heisenberg3", _randers(_identity(), [0.0, 0.0, _r(_sign(rng) * rng.uniform(0.2, 0.4))]),
-                _scaled(rng, 0.5, 0.9), 0.5, 5, True, "H3, b along the centre e3 is Killing, so S = 0 (Deng)"),
-        _s_item("heisenberg3", b1, y0, 0.2, 2, False,
+                _scaled(rng, 0.5, 0.9), 0.05, 5, True, "H3, b along the centre e3 is Killing, so S = 0 (Deng)"),
+        _s_item("heisenberg3", b1, y0, 0.02, 2, False,
                 "H3, a = I, b = c e1 is not Killing: S(e, y) = -2 c y2 y3 / F(y) != 0",
                 {"kind": "s_at_start", "value": s_start, "tol": S_START_TOL}),
         _s_item("su2", _randers(_identity(), _randers_su2_b(rng)),
-                _scaled(rng, 0.5, 0.8), 0.3, 3, True,
+                _scaled(rng, 0.5, 0.8), 0.03, 3, True,
                 "bi-invariant SU(2): every left-invariant b is Killing, so S = 0 (Deng)"),
     ]
 
