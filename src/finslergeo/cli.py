@@ -196,12 +196,11 @@ def _run_s_curvature(scen, tol_override):
     horizon = float(params.get("T", 2.0))
     step = float(params.get("step", 1.0e-3))
     stride = int(params.get("stride", 50))
-    dt = float(params.get("dt", 1.0e-3))
     tol_s = tol_override if tol_override is not None else float(params.get("tol", 1.0e-3))
     tau_tol = float(params.get("tau_tol", 1.0e-6))
     path = geodesic_flow.integrate_geodesic(cm, x0, y0, T=horizon, step=step)
     profile = s_curvature.s_along_path(cm, _subsample_path(path, stride))
-    s_start = s_curvature.s_curvature(cm, x0, y0, dt=dt)
+    s_start = s_curvature.s_curvature(cm, x0, y0)
     max_s = float(np.max(np.abs(profile.s_values)))
     tau_drift = float(np.max(np.abs(profile.taus - profile.taus[0])))
     payload = {

@@ -1,13 +1,22 @@
 """Busemann volume factor, distortion, and S-curvature along geodesics.
 
-sigma(x) compares the volume of the metric's unit ball in the chart
-tangent space with the Euclidean unit ball, through the radial formula
-Vol{F < 1} = (1/n) * integral of F(x, theta)^(-n) over the unit sphere.
-The distortion is tau = ln(sqrt(det g_y) / sigma(x)) in the chart
-coordinate frame, and the S-curvature is the forward rate of change of
-tau along the geodesic through (x, y).  Quadrature levels refine until
-the node budget is met, and the refinement history must contract or the
-indicatrix is declared unusable.
+The metrics are left-invariant: F(x, y) = norm(u) with the body
+velocity u = A(x)·y, so every chart quantity reduces to the norm at u.
+
+- det g(x, y) = det A(x)² · det ĝ(u), where ĝ is the norm's fundamental
+  tensor, and the unit ball at x is the image of the one at e under
+  A(x)⁻¹, so sigma(x) = |det A(x)| · sigma_e.
+- The distortion tau = ln(sqrt(det g) / sigma) is therefore
+  ½ ln det ĝ(u) − ln sigma_e, with no x-dependence beyond u.
+- Along a geodesic the body velocity obeys the Euler–Poincaré equation
+  ĝ_u u̇ = ad*_u(ĝ_u u), and the S-curvature, the rate of change of tau,
+  is S = I_u(u̇) with I_k = ĝ^{ij} C_ijk the mean Cartan torsion.
+
+sigma_e = Vol(B^n) / Vol{F < 1} is the one quadrature, through the
+radial formula Vol{F < 1} = (1/n) * integral of F(theta)^(-n) over the
+unit sphere.  Quadrature levels refine until the node budget is met,
+and the refinement history must contract or the indicatrix is declared
+unusable.
 """
 
 from dataclasses import dataclass
@@ -16,10 +25,9 @@ import numpy as np
 
 from . import sphere
 from .errors import QuadratureDivergence, ZeroVector
-from .geodesic_flow import GeodesicPath, chart_fundamental_tensor, integrate_geodesic
+from .geodesic_flow import GeodesicPath
 
 MIN_NODES = 10000
-_CHUNK = 256
 
 
 @dataclass
@@ -45,34 +53,26 @@ class PathDistortion:
     sigma_errors: np.ndarray
 
 
-def _indicatrix_integrals(cm, xs: np.ndarray, level: int) -> np.ndarray:
-    """(1/n) * integral of F(x, theta)^(-n) per point, one grid level."""
-    n = cm.model.dim
+def _indicatrix_integral(norm, level: int) -> float:
+    """(1/n) * integral of F(theta)^(-n) over the unit sphere, one grid level."""
+    n = norm.dim
     nodes, weights = sphere.quad_grid(n, level)
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), _CHUNK):
-        block = xs[start : start + _CHUNK]
-        a = cm.model.body_jacobian(block)
-        body = np.einsum("cij,mj->cmi", a, nodes)
-        f = cm.norm.value(body)
-        out[start : start + _CHUNK] = (f ** (-float(n))) @ weights / n
-    return out
+    return float((norm.value(nodes) ** (-float(n))) @ weights / n)
 
 
-def _sigma_batch(cm, xs: np.ndarray, min_nodes: int = MIN_NODES):
-    """sigma, absolute error estimate, and node count for a batch of x."""
-    n = cm.model.dim
+def _sigma_identity(norm, min_nodes: int = MIN_NODES):
+    """sigma_e, its absolute error estimate, and the node count."""
+    n = norm.dim
     if n not in (2, 3, 4):
         raise ValueError(f"sphere quadrature covers dimensions 2..4, got {n}")
-    xs = np.asarray(xs, dtype=float)
     level = max(sphere.level_for(n, min_nodes), 2)
-    values = [_indicatrix_integrals(cm, xs, lv) for lv in (level - 2, level - 1, level)]
-    if not all(np.all(np.isfinite(v)) for v in values):
+    values = [_indicatrix_integral(norm, lv) for lv in (level - 2, level - 1, level)]
+    if not np.all(np.isfinite(values)):
         raise QuadratureDivergence("indicatrix integral is not finite; norm is not usable")
-    e_prev = np.abs(values[1] - values[0])
-    e_last = np.abs(values[2] - values[1])
-    floor = 5.0e-13 * np.abs(values[2])
-    if np.any(e_last > np.maximum(0.5 * e_prev, floor)):
+    e_prev = abs(values[1] - values[0])
+    e_last = abs(values[2] - values[1])
+    floor = 5.0e-13 * abs(values[2])
+    if e_last > max(0.5 * e_prev, floor):
         raise QuadratureDivergence(
             "sphere-grid refinement failed to contract; indicatrix looks irregular"
         )
@@ -83,17 +83,38 @@ def _sigma_batch(cm, xs: np.ndarray, min_nodes: int = MIN_NODES):
 def busemann_sigma(cm, x) -> VolumeFactor:
     """Busemann volume factor Vol(B^n) / Vol{y : F(x, y) < 1}."""
     x = np.asarray(x, dtype=float)
-    sigma, err, nodes = _sigma_batch(cm, x[None, :])
+    sigma, err, nodes = _sigma_identity(cm.norm)
+    scale = abs(float(np.linalg.det(cm.model.body_jacobian(x))))
     return VolumeFactor(
-        x=x, sigma=float(sigma[0]), quadrature_nodes=int(nodes), estimated_error=float(err[0])
+        x=x, sigma=scale * sigma, quadrature_nodes=int(nodes), estimated_error=scale * err
     )
 
 
+def _body_tensors(cm, xs, ys):
+    """Body velocities u = A(x)·y and the norm's fundamental tensors there."""
+    u = np.einsum("...ij,...j->...i", cm.model.body_jacobian(xs), ys)
+    return u, cm.norm.fundamental_matrix(u)
+
+
+def _tau_from_tensors(norm, g):
+    sigma, err, _ = _sigma_identity(norm)
+    tau = 0.5 * np.log(np.linalg.det(g)) - np.log(sigma)
+    return tau, np.full(np.shape(tau), err / sigma)
+
+
 def _tau_batch(cm, xs: np.ndarray, ys: np.ndarray):
-    g = chart_fundamental_tensor(cm, xs, ys)
-    det = np.linalg.det(g)
-    sigma, err, _ = _sigma_batch(cm, xs)
-    return 0.5 * np.log(det) - np.log(sigma), err / sigma
+    """tau and the relative sigma error at each (x, y), batched."""
+    _, g = _body_tensors(cm, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    return _tau_from_tensors(cm.norm, g)
+
+
+def _s_from_tensors(cm, u, g):
+    """S = I_u(u̇) with ĝ_u u̇ = ad*_u(ĝ_u u), batched over leading axes."""
+    mu = np.einsum("...ij,...j->...i", g, u)
+    coadjoint = np.einsum("ijk,...i,...k->...j", cm.model.algebra.c, u, mu)
+    u_dot = np.linalg.solve(g, coadjoint[..., None])[..., 0]
+    mean_torsion = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), cm.norm.cartan(u))
+    return np.einsum("...k,...k->...", mean_torsion, u_dot)
 
 
 def distortion(cm, x, y) -> DistortionSample:
@@ -106,35 +127,18 @@ def distortion(cm, x, y) -> DistortionSample:
     return DistortionSample(x=x, y=y, tau=float(tau[0]))
 
 
-def s_curvature(cm, x, y, dt: float = 1.0e-3) -> float:
-    """Forward rate of change of the distortion along the geodesic.
-
-    Integrates two RK4 steps of size dt from (x, y), evaluates tau at
-    t in {0, dt, 2*dt}, and returns the one-sided second-order quotient
-    (-3*tau0 + 4*tau1 - tau2) / (2*dt).  Backward evaluation is never
-    used; F is only positively homogeneous.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    path = integrate_geodesic(cm, x, y, T=2.0 * dt, step=dt)
-    taus, _ = _tau_batch(cm, path.points, path.velocities)
-    return float((-3.0 * taus[0] + 4.0 * taus[1] - taus[2]) / (2.0 * dt))
+def s_curvature(cm, x, y) -> float:
+    """Rate of change of the distortion along the geodesic through (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    cm.model.check_chart(x)
+    u, g = _body_tensors(cm, x, y)
+    return float(_s_from_tensors(cm, u, g))
 
 
 def s_along_path(cm, path: GeodesicPath) -> PathDistortion:
-    """tau at every path sample and the difference-quotient S sequence.
-
-    Interior samples use the forward one-sided second-order stencil;
-    the last two fall back to the matching backward stencil on the
-    already-computed tau sequence.
-    """
-    taus, errs = _tau_batch(cm, path.points, path.velocities)
-    count = len(taus)
-    if count < 3:
-        raise ValueError("need at least three samples for the S stencil")
-    dt = float(path.ts[1] - path.ts[0])
-    s = np.empty(count)
-    s[: count - 2] = (-3.0 * taus[: count - 2] + 4.0 * taus[1 : count - 1] - taus[2:]) / (2.0 * dt)
-    for i in (count - 2, count - 1):
-        s[i] = (3.0 * taus[i] - 4.0 * taus[i - 1] + taus[i - 2]) / (2.0 * dt)
+    """tau, S, and the relative sigma error at every path sample."""
+    u, g = _body_tensors(cm, path.points, path.velocities)
+    taus, errs = _tau_from_tensors(cm.norm, g)
+    s = _s_from_tensors(cm, u, g)
     return PathDistortion(ts=path.ts, taus=taus, s_values=s, sigma_errors=errs)

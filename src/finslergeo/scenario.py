@@ -19,17 +19,20 @@ import numpy as np
 from . import groups, lie, norms
 from .errors import NonConvexNorm, ParseError, ValidationError
 
-TASKS = (
-    "geodesic-vectors",
-    "check-nat-reductive",
-    "check-minkowski-lie",
-    "integrate-geodesic",
-    "check-homogeneous",
-    "s-curvature",
-    "berwald",
-)
 # tasks needing chart-level structure (a group model, not just an algebra)
 CHART_TASKS = ("integrate-geodesic", "check-homogeneous", "s-curvature", "berwald")
+# the expectations each task compares its verdict against; a key a task
+# does not read would otherwise be ignored and the run would pass
+EXPECTATIONS = {
+    "geodesic-vectors": ("expect_all_geodesic", "expect_branches"),
+    "check-nat-reductive": ("expect_passed",),
+    "check-minkowski-lie": ("expect_passed",),
+    "integrate-geodesic": (),
+    "check-homogeneous": ("expect_passed",),
+    "s-curvature": ("expect_vanishing",),
+    "berwald": ("expect_berwald",),
+}
+TASKS = tuple(EXPECTATIONS)
 
 
 @dataclass
@@ -127,6 +130,25 @@ def _parse_indices(block, dim: int, label: str) -> tuple:
     return tuple(out)
 
 
+def _check_expectations(task: str, params: dict) -> None:
+    known = EXPECTATIONS[task]
+    for key, value in params.items():
+        if not key.startswith("expect_"):
+            continue
+        if key not in known:
+            listed = ", ".join(known) if known else "none"
+            raise ValidationError(
+                f"params: task {task!r} has no expectation {key!r}; it checks: {listed}"
+            )
+        if key == "expect_branches":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValidationError(
+                    f"params: {key!r} must be a non-negative integer, got {value!r}"
+                )
+        elif not isinstance(value, bool):
+            raise ValidationError(f"params: {key!r} must be true or false, got {value!r}")
+
+
 def parse_scenario(path: str) -> Scenario:
     """Load, validate, and resolve a scenario file."""
     try:
@@ -176,6 +198,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("scenario: field 'params' must be an object")
+    _check_expectations(task, params)
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ParseError("scenario: field 'seed' must be a non-negative integer")

@@ -45,6 +45,23 @@ def test_expectation_mismatch_exits_two(capsys):
     assert "passed: no" in out
 
 
+def test_string_expectation_exits_one(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "task": "s-curvature",
+            "model": "su2",
+            "norm": {"kind": "euclidean", "a": I3},
+            "params": {"y0": [0.6, -0.3, 0.5], "T": 0.05, "expect_vanishing": "false"},
+        },
+    )
+    code = cli.main(["--scenario", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: ValidationError:" in err
+    assert "expect_vanishing" in err
+
+
 def test_missing_file_exits_one(capsys):
     code = cli.main(["--scenario", "/no/such/file.json"])
     err = capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import groups, norms, s_curvature
+from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, sphere
 from finslergeo.errors import QuadratureDivergence, ZeroVector
 
 
@@ -196,9 +196,82 @@ def test_tau_constant_along_homogeneous_geodesic():
     assert len(profile.s_values) == len(profile.ts)
 
 
-def test_s_along_path_needs_three_samples():
-    model = groups.Heisenberg3()
-    cm = groups.ChartMetric(model, norms.EuclideanNorm(np.eye(3)))
-    path = gf.integrate_geodesic(cm, np.zeros(3), np.array([1.0, 0.0, 0.0]), T=0.01, step=0.01)
-    with pytest.raises(ValueError):
-        s_curvature.s_along_path(cm, path)
+def randers_su2():
+    return groups.ChartMetric(
+        groups.SU2(), norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
+    )
+
+
+def randers_h3():
+    a = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
+    return groups.ChartMetric(groups.Heisenberg3(), norms.make_randers(a, np.array([0.4, 0.3, -0.5])))
+
+
+def test_s_matches_tau_stencil_along_integrated_path():
+    # the one-sided second-order quotient of tau, (-3 tau_i + 4 tau_i+1 - tau_i+2) / 2h,
+    # is the independent route to S = d tau / dt
+    h = 5.0e-4
+    for cm, x, y in (
+        (randers_h3(), np.array([0.4, -0.7, 0.3]), np.array([0.5, 0.8, -0.6])),
+        (randers_su2(), np.array([0.3, 0.5, -0.4]), np.array([-0.6, 0.4, 0.7])),
+    ):
+        path = gf.integrate_geodesic(cm, x, y, T=0.05, step=h)
+        profile = s_curvature.s_along_path(cm, path)
+        taus = profile.taus
+        stencil = (-3.0 * taus[:-2] + 4.0 * taus[1:-1] - taus[2:]) / (2.0 * h)
+        assert np.max(np.abs(profile.s_values)) > 1.0e-2
+        assert np.max(np.abs(profile.s_values[:-2] - stencil)) < 1.0e-6
+        assert abs(s_curvature.s_curvature(cm, x, y) - profile.s_values[0]) < 1.0e-12
+
+
+def test_s_h3_randers_closed_form():
+    # a = I, b = c e1 on H3: S(e, y) = -2 c y2 y3 / F(y)
+    c = 0.35
+    cm = h3_metric(norms.make_randers(np.eye(3), np.array([c, 0.0, 0.0])))
+    rng = np.random.RandomState(11)
+    for _ in range(10):
+        y = rng.standard_normal(3)
+        exact = -2.0 * c * y[1] * y[2] / (np.linalg.norm(y) + c * y[0])
+        assert abs(s_curvature.s_curvature(cm, np.zeros(3), y) - exact) < 1.0e-12
+
+
+def test_s_vanishes_at_found_geodesic_vectors():
+    # at a geodesic vector ad*_X(g_X X) = 0, so the body velocity is constant and S = 0
+    cases = [
+        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.2]))),
+        (groups.SU2(), norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0]))),
+        (groups.SU2(), norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.0]))),
+    ]
+    for model, norm in cases:
+        dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
+        found = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024)
+        assert len(found.representatives) > 0
+        cm = groups.ChartMetric(model, norm)
+        for X in found.representatives:
+            assert abs(s_curvature.s_curvature(cm, model.identity(), np.asarray(X))) <= 1.0e-12
+
+
+def test_sigma_randers_closed_form_general_a():
+    # Busemann-Hausdorff: sigma = sqrt(det a) (1 - b a^-1 b)^((n + 1) / 2)
+    rng = np.random.RandomState(17)
+    for n in (2, 3):
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + n * np.eye(n)
+        raw = rng.standard_normal(n)
+        b = raw * (0.5 / np.sqrt(raw @ np.linalg.solve(a, raw)))
+        cm = flat_metric(norms.make_randers(a, b), dim=n)
+        exact = np.sqrt(np.linalg.det(a)) * (1.0 - b @ np.linalg.solve(a, b)) ** ((n + 1) / 2.0)
+        factor = s_curvature.busemann_sigma(cm, np.zeros(n))
+        assert abs(factor.sigma - exact) < 1.0e-8
+
+
+def test_sigma_off_identity_matches_chart_quadrature():
+    cm = randers_su2()
+    x = np.array([0.7, -0.4, 0.9])
+    nodes, weights = sphere.quad_grid(3, 4)
+    volume = (cm.value(np.broadcast_to(x, nodes.shape), nodes) ** -3.0) @ weights / 3.0
+    direct = sphere.ball_volume(3) / volume
+    factor = s_curvature.busemann_sigma(cm, x)
+    assert abs(factor.sigma - direct) < 1.0e-8 * direct
+    assert abs(factor.sigma - s_curvature.busemann_sigma(cm, np.zeros(3)).sigma) > 1.0e-2
+

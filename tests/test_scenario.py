@@ -38,7 +38,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
 
 def test_bundled_scenarios_parse():
     paths = scenario.bundled_scenarios()
-    assert len(paths) == 13
+    assert len(paths) == 15
     tasks = set()
     for path in paths:
         scen = scenario.parse_scenario(path)
@@ -173,3 +173,43 @@ def test_missing_fields(tmp_path):
         scenario.parse_scenario(write_scenario(tmp_path, {"task": "berwald", "model": "su2"}))
     with pytest.raises(ParseError):
         scenario.parse_scenario(write_scenario(tmp_path, {"task": "berwald", "norm": {"kind": "euclidean", "a": I3}}))
+
+
+def test_string_expectations_rejected(tmp_path):
+    # bool("false") is True, so a string here would turn into a silent pass
+    cases = [
+        ("s-curvature", "expect_vanishing", "false"),
+        ("berwald", "expect_berwald", "no"),
+        ("check-nat-reductive", "expect_passed", 0),
+        ("geodesic-vectors", "expect_all_geodesic", "true"),
+    ]
+    for task, key, value in cases:
+        data = minimal(task=task, params={"y0": [1.0, 0.0, 0.0], key: value})
+        with pytest.raises(ValidationError) as err:
+            scenario.parse_scenario(write_scenario(tmp_path, data))
+        assert key in str(err.value)
+        assert "true or false" in str(err.value)
+
+
+def test_branch_count_expectation_must_be_count(tmp_path):
+    for value in (True, -1, 2.0, "2"):
+        data = minimal(task="geodesic-vectors", params={"expect_branches": value})
+        with pytest.raises(ValidationError) as err:
+            scenario.parse_scenario(write_scenario(tmp_path, data))
+        assert "non-negative integer" in str(err.value)
+    data = minimal(task="geodesic-vectors", params={"expect_branches": 0, "expect_all_geodesic": False})
+    scen = scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert scen.params["expect_branches"] == 0
+
+
+def test_unknown_expectation_rejected(tmp_path):
+    data = minimal(task="geodesic-vectors", params={"expect_branch": 7})
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert "expect_branch" in str(err.value)
+    assert "expect_branches" in str(err.value)
+    # an expectation of another task is not checked by this one
+    data = minimal(task="berwald", params={"expect_vanishing": True})
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert "expect_vanishing" in str(err.value)
