@@ -56,6 +56,17 @@ def _vector(params: dict, key: str, dim: int, default=None) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _number(params: dict, key: str, default, integer: bool = False):
+    if key not in params:
+        return default
+    value = params[key]
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"params: {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _chart(scen):
     return groups.induced_chart_metric(scen.model, scen.norm)
 
@@ -63,8 +74,8 @@ def _chart(scen):
 def _run_geodesic_vectors(scen, tol_override):
     dec = _decomposition(scen)
     params = scen.params
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-9))
-    samples = int(params.get("samples", 4096))
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-9)
+    samples = _number(params, "samples", 4096, integer=True)
     result = geodesic_vectors.find_geodesic_vectors(dec, scen.norm, samples=samples, tol=tol)
     seeds = sphere.seeds(len(dec.m_indices), samples)
     initial = geodesic_vectors.residual_batch(
@@ -96,9 +107,10 @@ def _run_geodesic_vectors(scen, tol_override):
 def _run_nat_reductive(scen, tol_override):
     dec = _decomposition(scen)
     params = scen.params
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-8))
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-8)
+    samples = _number(params, "samples", 200, integer=True)
     report = geodesic_vectors.check_naturally_reductive(
-        dec, scen.norm, samples=int(params.get("samples", 200)), seed=scen.seed, tol=tol
+        dec, scen.norm, samples=samples, seed=scen.seed, tol=tol
     )
     expect = bool(params.get("expect_passed", True))
     payload = {
@@ -112,9 +124,10 @@ def _run_nat_reductive(scen, tol_override):
 
 def _run_minkowski_lie(scen, tol_override):
     params = scen.params
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-10))
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-10)
+    samples = _number(params, "samples", 200, integer=True)
     report = geodesic_vectors.check_minkowski_lie_algebra(
-        scen.algebra, scen.norm, samples=int(params.get("samples", 200)), seed=scen.seed, tol=tol
+        scen.algebra, scen.norm, samples=samples, seed=scen.seed, tol=tol
     )
     expect = bool(params.get("expect_passed", True))
     payload = {
@@ -143,9 +156,9 @@ def _run_integrate(scen, tol_override):
     cm = _chart(scen)
     x0 = _vector(params, "x0", scen.model.dim, default=scen.model.identity())
     y0 = _vector(params, "y0", scen.model.dim)
-    horizon = float(params.get("T", 2.0))
-    step = float(params.get("step", 1.0e-3))
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-6))
+    horizon = _number(params, "T", 2.0)
+    step = _number(params, "step", 1.0e-3)
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-6)
     path = geodesic_flow.integrate_geodesic(cm, x0, y0, T=horizon, step=step)
     drift = float(np.max(np.abs(path.F_values - path.F_values[0])) / path.F_values[0])
     payload = {
@@ -162,9 +175,9 @@ def _run_integrate(scen, tol_override):
 def _run_homogeneous(scen, tol_override):
     params = scen.params
     X = _vector(params, "X", scen.model.dim)
-    horizon = float(params.get("T", 2.0))
-    step = float(params.get("step", 1.0e-3))
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-6))
+    horizon = _number(params, "T", 2.0)
+    step = _number(params, "step", 1.0e-3)
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-6)
     report = geodesic_flow.is_homogeneous_geodesic(
         scen.model, scen.norm, X, T=horizon, step=step, tol=tol
     )
@@ -193,11 +206,11 @@ def _run_s_curvature(scen, tol_override):
     cm = _chart(scen)
     x0 = _vector(params, "x0", scen.model.dim, default=scen.model.identity())
     y0 = _vector(params, "y0", scen.model.dim)
-    horizon = float(params.get("T", 2.0))
-    step = float(params.get("step", 1.0e-3))
-    stride = int(params.get("stride", 50))
-    tol_s = tol_override if tol_override is not None else float(params.get("tol", 1.0e-3))
-    tau_tol = float(params.get("tau_tol", 1.0e-6))
+    horizon = _number(params, "T", 2.0)
+    step = _number(params, "step", 1.0e-3)
+    stride = _number(params, "stride", 50, integer=True)
+    tol_s = tol_override if tol_override is not None else _number(params, "tol", 1.0e-3)
+    tau_tol = _number(params, "tau_tol", 1.0e-6)
     path = geodesic_flow.integrate_geodesic(cm, x0, y0, T=horizon, step=step)
     profile = s_curvature.s_along_path(cm, _subsample_path(path, stride))
     s_start = s_curvature.s_curvature(cm, x0, y0)
@@ -221,8 +234,8 @@ def _run_berwald(scen, tol_override):
     params = scen.params
     cm = _chart(scen)
     x0 = _vector(params, "x", scen.model.dim, default=scen.model.identity())
-    samples = int(params.get("samples", 8))
-    tol = tol_override if tol_override is not None else float(params.get("tol", 1.0e-5))
+    samples = _number(params, "samples", 8, integer=True)
+    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-5)
     report = geodesic_flow.berwald_test(cm, x=x0, samples=samples, tol=tol)
     expect = bool(params.get("expect_berwald", True))
     payload = {

@@ -1,14 +1,23 @@
-"""Chart-level tensors, the geodesic spray, flow integration, Berwald test.
+"""Left-invariant geodesic flow, chart tensors, Berwald test.
 
-The spray coefficients follow
-    G^j = 1/4 g^{jl} (2 dg_sl/dx^k - dg_sk/dx^l) y^s y^k
-with the fundamental tensor pulled back to the chart.  y-derivatives go
-through nilpotent jets (exact); x-derivatives go through central
-differences with one Richardson step, because the x-dependence flows
-through the group law.  The geodesic system xdot = y, ydot = -2G(x, y)
-is integrated with classical fixed-step Runge-Kutta; the metric value F
+The metrics are left-invariant: F(x, y) = norm(u) with the body velocity
+u = A(x)·y, so the geodesic flow reduces to the Lie algebra (Arnold's
+reduction; Marsden–Ratiu, Introduction to Mechanics and Symmetry,
+ch. 13).  With μ = ĝ_u u, where ĝ is the norm's fundamental tensor, the
+geodesic equations are
+
+    ẋ = A(x)⁻¹u,    μ̇ = ad*_u μ,    (ad*_u μ)_j = c_ij^k u^i μ_k.
+
+The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
+u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  Each evaluation needs one norm tensor and one
+body Jacobian, and no x-derivative of the chart metric.  The pair
+(x, u) is integrated with classical fixed-step Runge-Kutta; F = norm(u)
 is a first integral of the exact flow, so its drift along a numerical
-path measures integration error.
+path measures integration error.  At a geodesic vector X the right-hand
+side ad*_X(ĝ_X X) is the paper's criterion residual, so u stays put.
+
+The chart-level fundamental tensor g_ij(x, y) is kept for callers that
+want the pulled-back metric itself.
 """
 
 from dataclasses import dataclass, field
@@ -16,21 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets, lie, sphere
-from .errors import SingularTensor, StepRejected, ZeroVector
+from .errors import StepRejected, ZeroVector
 from .geodesic_vectors import geodesic_residual
 from .groups import ChartMetric, GroupModel, orbit_curve
 
-X_STEP = 1.0e-5
 DRIFT_LIMIT = 1.0e-3
-
-
-@dataclass
-class SprayEvaluation:
-    x: np.ndarray
-    y: np.ndarray
-    G: np.ndarray
-    g_matrix: np.ndarray
-    g_inverse: np.ndarray
 
 
 @dataclass
@@ -105,86 +104,73 @@ def chart_fundamental_tensor(cm: ChartMetric, x, y, generic: bool = False) -> np
     return np.einsum("...pi,...pq,...qj->...ij", a, ghat, a)
 
 
-def _x_derivatives(cm: ChartMetric, x, y, h: float = X_STEP) -> np.ndarray:
-    """dg[..., k, s, l] = dg_sl/dx^k by Richardson-extrapolated centrals."""
-    n = x.shape[-1]
-    steps = np.array([h, -h, 0.5 * h, -0.5 * h])
-    shifts = np.eye(n)[:, None, :] * steps[None, :, None]
-    xs = x[..., None, None, :] + shifts
-    ys = np.broadcast_to(y[..., None, None, :], xs.shape)
-    g = chart_fundamental_tensor(cm, xs, ys)
-    coarse = (g[..., 0, :, :] - g[..., 1, :, :]) / (2.0 * h)
-    fine = (g[..., 2, :, :] - g[..., 3, :, :]) / h
-    return (4.0 * fine - coarse) / 3.0
+def euler_poincare_rhs(algebra, norm, u, g=None) -> np.ndarray:
+    """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u.
+
+    (ad*_u μ)_j = c_ij^k u^i μ_k.  g, when given, is the norm's
+    fundamental tensor at u, so callers that already hold it skip the
+    second evaluation.
+    """
+    if g is None:
+        g = norm.fundamental_matrix(u)
+    mu = np.einsum("...ij,...j->...i", g, u)
+    coadjoint = np.einsum("ijk,...i,...k->...j", algebra.c, u, mu)
+    return np.linalg.solve(g, coadjoint[..., None])[..., 0]
 
 
-def _spray_raw(cm: ChartMetric, x, y):
-    """Spray coefficients and the fundamental matrix, batched."""
-    g = chart_fundamental_tensor(cm, x, y)
-    dg = _x_derivatives(cm, x, y)
-    lowered = 2.0 * np.einsum("...ksl,...s,...k->...l", dg, y, y) - np.einsum(
-        "...lsk,...s,...k->...l", dg, y, y
-    )
-    coeffs = 0.25 * np.linalg.solve(g, lowered[..., None])[..., 0]
-    return coeffs, g
-
-
-def spray_coefficients(cm: ChartMetric, x, y) -> SprayEvaluation:
-    x = np.asarray(x, dtype=float)
-    y = _require_nonzero_tangent(y)
-    coeffs, g = _spray_raw(cm, x, y)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise SingularTensor("fundamental tensor is not positive definite") from None
-    return SprayEvaluation(x=x, y=y, G=coeffs, g_matrix=g, g_inverse=np.linalg.inv(g))
+def _chart_velocity(model: GroupModel, x, u) -> np.ndarray:
+    """y = A(x)⁻¹u, batched."""
+    return np.linalg.solve(model.body_jacobian(x), u[..., None])[..., 0]
 
 
 def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.0e-3) -> GeodesicPath:
-    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y), forward in time.
+    """Fixed-step RK4 on xdot = A(x)⁻¹u, udot = ĝ_u⁻¹ ad*_u(ĝ_u u), forward in time.
 
     Batched over leading axes of (x0, y0); all trajectories advance in
-    lockstep.  Raises StepRejected when the relative drift of F across a
-    single step exceeds 1e-3, and ChartDomain when a point leaves the
-    model's chart.
+    lockstep.  Raises StepRejected when the relative drift of F = norm(u)
+    across a single step exceeds 1e-3, and ChartDomain when a point
+    leaves the model's chart.  Chart velocities are recovered from the
+    body velocities in one batched solve after the last step.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
-    x = np.array(x0, dtype=float)
-    y = _require_nonzero_tangent(y0).copy()
-    cm.model.check_chart(x)
+    model, norm = cm.model, cm.norm
+    y = _require_nonzero_tangent(y0)
+    x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
+    model.check_chart(x)
+    u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
     nsteps = max(1, int(round(T / step)))
     ts = np.arange(nsteps + 1) * step
     points = np.empty((nsteps + 1,) + x.shape)
-    velocities = np.empty_like(points)
+    body = np.empty_like(points)
     points[0] = x
-    velocities[0] = y
-    f_prev = cm.value(x, y)
+    body[0] = u
+    f_prev = norm.value(u)
 
-    def rhs(xc, yc):
-        coeffs, _ = _spray_raw(cm, xc, yc)
-        return yc, -2.0 * coeffs
+    def rhs(xc, uc):
+        return _chart_velocity(model, xc, uc), euler_poincare_rhs(model.algebra, norm, uc)
 
     for i in range(1, nsteps + 1):
-        k1x, k1y = rhs(x, y)
-        k2x, k2y = rhs(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
-        k3x, k3y = rhs(x + 0.5 * step * k2x, y + 0.5 * step * k2y)
-        k4x, k4y = rhs(x + step * k3x, y + step * k3y)
+        k1x, k1u = rhs(x, u)
+        k2x, k2u = rhs(x + 0.5 * step * k1x, u + 0.5 * step * k1u)
+        k3x, k3u = rhs(x + 0.5 * step * k2x, u + 0.5 * step * k2u)
+        k4x, k4u = rhs(x + step * k3x, u + step * k3u)
         x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (step / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        cm.model.check_chart(x)
-        f_now = cm.value(x, y)
+        u = u + (step / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        model.check_chart(x)
+        f_now = norm.value(u)
         if np.any(np.abs(f_now - f_prev) > DRIFT_LIMIT * np.abs(f_prev)):
             raise StepRejected(
                 f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
             )
         f_prev = f_now
         points[i] = x
-        velocities[i] = y
+        body[i] = u
 
-    f_values = cm.value(points, velocities)
+    velocities = _chart_velocity(model, points, body)
+    velocities[0] = y
     return GeodesicPath(
-        ts=ts, points=points, velocities=velocities, F_values=f_values, step=float(step)
+        ts=ts, points=points, velocities=velocities, F_values=norm.value(body), step=float(step)
     )
 
 
@@ -221,6 +207,44 @@ def is_homogeneous_geodesic(
     )
 
 
+def _reduced_spray(cm: ChartMetric, x, y) -> np.ndarray:
+    """G̃(x, y) = −½ A(x)⁻¹ u̇(A(x)y) at one point x, batched over y."""
+    a = cm.model.body_jacobian(x)
+    u = np.einsum("ij,...j->...i", a, y)
+    u_dot = euler_poincare_rhs(cm.model.algebra, cm.norm, u)
+    return -0.5 * np.linalg.solve(a, u_dot[..., None])[..., 0]
+
+
+def _spray_hessians(spray, ys: np.ndarray, h: float) -> np.ndarray:
+    """hess[s, j, a, b] ≈ ∂²G^j/∂y^a∂y^b at ys[s], by central differences.
+
+    spray maps a batch of directions (..., n) to coefficients (..., n).
+    """
+    samples, n = ys.shape
+    eye = np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    offsets = [np.zeros((1, n)), h * eye, -h * eye]
+    for a, b in pairs:
+        offsets.append(h * np.stack([eye[a] + eye[b], -(eye[a] + eye[b]), eye[a] - eye[b], eye[b] - eye[a]]))
+    offsets = np.concatenate(offsets, axis=0)
+    coeffs = spray(ys[:, None, :] + offsets[None, :, :])
+
+    center = coeffs[:, 0]
+    plus = coeffs[:, 1 : 1 + n]
+    minus = coeffs[:, 1 + n : 1 + 2 * n]
+    hess = np.empty((samples, n, n, n))
+    diag = (plus - 2.0 * center[:, None, :] + minus) / (h * h)
+    for a in range(n):
+        hess[:, :, a, a] = diag[:, a, :]
+    base = 1 + 2 * n
+    for pos, (a, b) in enumerate(pairs):
+        block = coeffs[:, base + 4 * pos : base + 4 * pos + 4]
+        mixed = (block[:, 0] + block[:, 1] - block[:, 2] - block[:, 3]) / (4.0 * h * h)
+        hess[:, :, a, b] = mixed
+        hess[:, :, b, a] = mixed
+    return hess
+
+
 def berwald_test(
     cm: ChartMetric,
     x=None,
@@ -232,40 +256,15 @@ def berwald_test(
 
     The spray is quadratic in y exactly when those Hessians do not
     depend on y; with them matching to tol the chart metric passes.
+    The Hessians are taken from the reduced part G̃ of the spray: the
+    chart spray is G = G̃ + ½A⁻¹(DA[y])y, and the last term is exactly
+    quadratic in y, so it shifts every Hessian by the same constant.
     Directions come from the deterministic low-discrepancy sphere set.
     """
     n = cm.model.dim
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     ys = sphere.seeds(n, samples)
-    eye = np.eye(n)
-    pair_rows = []
-    pair_cols = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair_rows.append(a)
-            pair_cols.append(b)
-    offsets = [np.zeros((1, n)), h * eye, -h * eye]
-    for a, b in zip(pair_rows, pair_cols):
-        offsets.append(h * np.stack([eye[a] + eye[b], -(eye[a] + eye[b]), eye[a] - eye[b], eye[b] - eye[a]]))
-    offsets = np.concatenate(offsets, axis=0)
-    probes = ys[:, None, :] + offsets[None, :, :]
-    coeffs, _ = _spray_raw(cm, np.broadcast_to(x, probes.shape).copy(), probes)
-
-    center = coeffs[:, 0]
-    plus = coeffs[:, 1 : 1 + n]
-    minus = coeffs[:, 1 + n : 1 + 2 * n]
-    # hess[s, j, a, b] approximates the second y-derivative of G^j
-    hess = np.empty((samples, n, n, n))
-    diag = (plus - 2.0 * center[:, None, :] + minus) / (h * h)
-    for a in range(n):
-        hess[:, :, a, a] = diag[:, a, :]
-    base = 1 + 2 * n
-    for pos, (a, b) in enumerate(zip(pair_rows, pair_cols)):
-        block = coeffs[:, base + 4 * pos : base + 4 * pos + 4]
-        mixed = (block[:, 0] + block[:, 1] - block[:, 2] - block[:, 3]) / (4.0 * h * h)
-        hess[:, :, a, b] = mixed
-        hess[:, :, b, a] = mixed
-
+    hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, h)
     deviation = np.abs(hess - hess[:1])
     worst = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
     return BerwaldReport(

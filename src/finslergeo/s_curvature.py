@@ -25,7 +25,7 @@ import numpy as np
 
 from . import sphere
 from .errors import QuadratureDivergence, ZeroVector
-from .geodesic_flow import GeodesicPath
+from .geodesic_flow import GeodesicPath, euler_poincare_rhs
 
 MIN_NODES = 10000
 
@@ -110,9 +110,7 @@ def _tau_batch(cm, xs: np.ndarray, ys: np.ndarray):
 
 def _s_from_tensors(cm, u, g):
     """S = I_u(u̇) with ĝ_u u̇ = ad*_u(ĝ_u u), batched over leading axes."""
-    mu = np.einsum("...ij,...j->...i", g, u)
-    coadjoint = np.einsum("ijk,...i,...k->...j", cm.model.algebra.c, u, mu)
-    u_dot = np.linalg.solve(g, coadjoint[..., None])[..., 0]
+    u_dot = euler_poincare_rhs(cm.model.algebra, cm.norm, u, g)
     mean_torsion = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), cm.norm.cartan(u))
     return np.einsum("...k,...k->...", mean_torsion, u_dot)
 

@@ -96,6 +96,28 @@ def test_missing_required_param_exits_one(tmp_path, capsys):
     assert "y0" in err
 
 
+@pytest.mark.parametrize(
+    "task, params, key",
+    [
+        ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": None}, "'T'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stride": "2"}, "'stride'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stride": 2.0}, "'stride'"),
+        ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "step": True}, "'step'"),
+        ("berwald", {"samples": "8"}, "'samples'"),
+    ],
+)
+def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):
+    path = write_scenario(
+        tmp_path,
+        {"task": task, "model": "su2", "norm": {"kind": "euclidean", "a": I3}, "params": params},
+    )
+    code = cli.main(["--scenario", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ValidationError:")
+    assert key in err
+
+
 def test_machine_bytes_stable(tmp_path, capsys):
     out_a = str(tmp_path / "a.json")
     out_b = str(tmp_path / "b.json")

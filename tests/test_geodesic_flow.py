@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import groups, norms
+from finslergeo import geodesic_vectors, groups, lie, norms
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
+
+import chart_spray
 
 
 def h3_euclid():
@@ -100,7 +102,7 @@ def test_zero_tangent_raises():
     with pytest.raises(ZeroVector):
         gf.chart_fundamental_tensor(cm, np.zeros(3), np.zeros(3))
     with pytest.raises(ZeroVector):
-        gf.spray_coefficients(cm, np.zeros(3), np.zeros(3))
+        chart_spray.spray_coefficients(cm, np.zeros(3), np.zeros(3))
     with pytest.raises(ZeroVector):
         gf.integrate_geodesic(cm, np.zeros(3), np.zeros(3), T=0.1, step=0.01)
 
@@ -109,7 +111,7 @@ def test_spray_vanishes_on_flat_model():
     cm = groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.4, 0.0, 0.0]))
     rng = np.random.RandomState(5)
     for _ in range(10):
-        ev = gf.spray_coefficients(cm, rng.standard_normal(3), rng.standard_normal(3))
+        ev = chart_spray.spray_coefficients(cm, rng.standard_normal(3), rng.standard_normal(3))
         assert np.max(np.abs(ev.G)) < 1.0e-12
 
 
@@ -119,8 +121,8 @@ def test_spray_homogeneity_degree_two():
     xs = rng.standard_normal((1000, 3))
     ys = rng.standard_normal((1000, 3))
     lam = rng.uniform(0.2, 5.0, size=1000)
-    base, _ = gf._spray_raw(cm, xs, ys)
-    scaled, _ = gf._spray_raw(cm, xs, lam[:, None] * ys)
+    base, _ = chart_spray._spray_raw(cm, xs, ys)
+    scaled, _ = chart_spray._spray_raw(cm, xs, lam[:, None] * ys)
     expected = lam[:, None] ** 2 * base
     denom = np.maximum(1.0, np.abs(expected))
     assert np.max(np.abs(scaled - expected) / denom) < 1.0e-8
@@ -137,7 +139,7 @@ def test_spray_matches_christoffel_oracle():
             np.einsum("skl->lsk", dg) + np.einsum("ksl->lsk", dg) - np.einsum("lsk->lsk", dg)
         )
         oracle = 0.5 * np.linalg.solve(g, np.einsum("lsk,s,k->l", gamma_low, y, y))
-        ev = gf.spray_coefficients(cm, x, y)
+        ev = chart_spray.spray_coefficients(cm, x, y)
         assert np.max(np.abs(ev.G - oracle)) < 1.0e-9
         assert np.max(np.abs(ev.g_matrix - g)) < 1.0e-12
         assert np.max(np.abs(ev.g_inverse @ g - np.eye(3))) < 1.0e-12
@@ -292,3 +294,78 @@ def test_berwald_matches_parallelism_of_drift_field():
         nabla = db - np.einsum("kij,k->ij", gamma, bx)
         worst = max(worst, np.max(np.abs(nabla)))
     assert worst > 0.2
+
+
+def oracle_cases():
+    """H3 Randers, SU(2) with a = diag(1, 2, 3), SU(2) Randers."""
+    a_h3 = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
+    a_su2 = np.diag([1.0, 2.0, 3.0])
+    return [
+        groups.ChartMetric(groups.Heisenberg3(), norms.make_randers(a_h3, np.array([0.4, 0.3, -0.5]))),
+        groups.ChartMetric(groups.SU2(), norms.EuclideanNorm(a_su2)),
+        groups.ChartMetric(groups.SU2(), norms.make_randers(a_su2, np.array([0.3, -0.4, 0.5]))),
+    ]
+
+
+def test_reduced_flow_matches_chart_spray():
+    # the same RK4 on xdot = y, ydot = -2G(x, y) with G from x-differences of the chart metric
+    x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
+    y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
+    for cm in oracle_cases():
+        path = gf.integrate_geodesic(cm, x0, y0, T=0.5, step=1.0e-3)
+        oracle = chart_spray.integrate_chart_spray(cm, x0, y0, T=0.5, step=1.0e-3)
+        assert np.max(np.abs(path.points - oracle.points)) <= 1.0e-10
+        assert np.max(np.abs(path.velocities - oracle.velocities)) <= 1.0e-10
+        assert np.max(np.abs(path.F_values - oracle.F_values)) <= 1.0e-10
+        assert np.max(np.abs(path.points[-1] - x0)) > 0.1
+
+
+def test_berwald_verdict_matches_chart_spray():
+    cases = [
+        (h3_euclid(), None),
+        (h3_euclid(), np.array([0.3, -0.2, 0.5])),
+        (su2_euclid(), None),
+        (groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.5, 0.0, 0.0])), None),
+        (h3_randers([0.0, 0.0, 0.5]), None),
+        (h3_randers([0.0, 0.0, 0.5]), np.array([0.3, -0.2, 0.5])),
+    ] + [(cm, np.array([0.3, 0.5, -0.4])) for cm in oracle_cases()]
+    verdicts = []
+    for cm, x in cases:
+        report = gf.berwald_test(cm, x=x, samples=6)
+        base = np.zeros(3) if x is None else x
+        oracle = chart_spray.berwald_deviation(cm, base, samples=6)
+        assert (oracle <= report.tolerance) == report.is_berwald
+        assert abs(oracle - report.max_deviation) <= 1.0e-6
+        verdicts.append(report.is_berwald)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_criterion_residual_is_coadjoint_of_flow():
+    # with m = g, r_j = g_X(X, [X, e_j]) = ad*_X(g_X X)_j = (g_X u̇(X))_j
+    rng = np.random.RandomState(23)
+    a = np.diag([1.0, 2.0, 3.0])
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
+        for norm in (norms.EuclideanNorm(a), norms.make_randers(a, np.array([0.3, -0.4, 0.5]))):
+            for X in rng.standard_normal((20, 3)):
+                residual = geodesic_vectors.geodesic_residual(dec, norm, X).residual
+                coadjoint = norm.fundamental_matrix(X) @ gf.euler_poincare_rhs(model.algebra, norm, X)
+                assert np.max(np.abs(residual - coadjoint)) <= 1.0e-12
+
+
+def test_body_velocity_frozen_from_geodesic_vectors():
+    a = np.diag([1.0, 2.0, 3.0])
+    cases = [
+        (groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3))),
+        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.2]))),
+        (groups.SU2(), norms.EuclideanNorm(a)),
+        (groups.SU2(), norms.make_randers(a, np.array([0.3, 0.0, 0.0]))),
+    ]
+    for model, norm in cases:
+        dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
+        reps = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024).representatives
+        assert len(reps) > 0
+        cm = groups.ChartMetric(model, norm)
+        path = gf.integrate_geodesic(cm, np.zeros_like(reps), reps, T=0.2, step=1.0e-3)
+        u = np.einsum("...ij,...j->...i", model.body_jacobian(path.points), path.velocities)
+        assert np.max(np.abs(gf.euler_poincare_rhs(model.algebra, norm, u))) <= 1.0e-12
