@@ -30,7 +30,7 @@ import time
 
 import numpy as np
 
-from . import geodesic_flow, geodesic_vectors, groups, lie, reports, s_curvature, scenario, sphere
+from . import geodesic_flow, geodesic_vectors, groups, lie, reports, s_curvature, scenario
 from .errors import FinslerGeoError, ValidationError
 
 
@@ -77,12 +77,8 @@ def _run_geodesic_vectors(scen, tol_override):
     tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-9)
     samples = _number(params, "samples", 4096, integer=True)
     result = geodesic_vectors.find_geodesic_vectors(dec, scen.norm, samples=samples, tol=tol)
-    seeds = sphere.seeds(len(dec.m_indices), samples)
-    initial = geodesic_vectors.residual_batch(
-        dec, scen.norm, geodesic_vectors._embed_m(dec, seeds)
-    )
-    all_geodesic = bool(np.all(np.linalg.norm(initial, axis=-1) <= tol))
-    branch_count = len(set(result.branch_labels))
+    all_geodesic = result.all_seeds_geodesic
+    branch_count = result.branch_count
     max_rep = float(np.max(result.residual_norms)) if len(result.residual_norms) else 0.0
     payload = {
         "seeds_total": result.seeds_total,

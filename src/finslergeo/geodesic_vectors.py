@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lie, norms, sphere
-from .errors import DegenerateVector
+from .errors import DegenerateVector, ValidationError
 
 DEFAULT_TOL = 1.0e-9
 NAT_RED_TOL = 1.0e-8
@@ -39,6 +39,8 @@ class GeodesicVectorSet:
     tolerance: float
     seeds_total: int
     converged_total: int
+    branch_count: int
+    all_seeds_geodesic: bool
 
 
 @dataclass
@@ -92,12 +94,17 @@ def geodesic_residual(dec, norm, X, generic=False) -> GeodesicResidual:
     return GeodesicResidual(X=X, residual=r, norm_used=norm)
 
 
+def _residual_m(dec, norm, Xm):
+    """Residual in m-coordinates with the tensor g and ad block it used."""
+    g = norm.fundamental_matrix(Xm)
+    sub = _ad_sub(dec, _embed_m(dec, Xm))
+    r = np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
+    return r, g, sub
+
+
 def _residual_and_jacobian(dec, norm, Xm):
     """Residual and its exact Jacobian in m-coordinates, batched."""
-    Xs = _embed_m(dec, Xm)
-    g = norm.fundamental_matrix(Xm)
-    sub = _ad_sub(dec, Xs)
-    r = np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
+    r, g, sub = _residual_m(dec, norm, Xm)
     idx = list(dec.m_indices)
     c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
     yg = np.einsum("...p,...pq->...q", Xm, g)
@@ -119,19 +126,30 @@ def find_geodesic_vectors(
 ) -> GeodesicVectorSet:
     """Zero set of the criterion on the unit sphere of m.
 
-    Seeds a low-discrepancy sphere set, runs damped Newton restricted to
-    the sphere in lockstep over all seeds, keeps the converged ones,
-    re-verifies them through the generic tensor path, deduplicates by
-    angular distance, and groups what remains into branches by
-    single-linkage angular clustering (antipodal branches that both
-    verify are merged).  Zero sets here are generically positive
-    dimensional, so convergence means residual below tol, never step
-    collapse; seeds that fail to converge are only counted.
+    Seeds a low-discrepancy sphere set and runs damped Newton restricted
+    to the sphere in lockstep over all seeds; whether every seed already
+    solves the criterion is read off the first residual.  Seeds whose
+    residual ends below tol are candidates, and a candidate is kept only
+    if the generic tensor path also puts it below tol.  The survivors
+    are sorted lexicographically and deduplicated greedily: a vector is
+    kept when it is more than dedup_angle from every vector kept before
+    it.  The representatives are grouped into branches by single-linkage
+    clustering on the angle between lines, so two representatives within
+    branch_angle of each other or of each other's negative share a
+    branch; branches are named by size, largest first.  At most
+    max_representatives are returned, taken round-robin over the
+    branches in that order, and branch_count counts the branches before
+    the cap.  Zero sets here are generically positive dimensional, so
+    convergence means residual below tol, never step collapse; seeds
+    that fail to converge are only counted.
     """
+    if branch_angle >= 0.5 * np.pi:
+        raise ValidationError("branch_angle must be below pi/2")
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
+    r, jac = _residual_and_jacobian(dec, norm, X)
+    all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
     for _ in range(newton_iters):
-        r, jac = _residual_and_jacobian(dec, norm, X)
         rnorm = np.linalg.norm(r, axis=-1)
         if np.all(rnorm <= tol):
             break
@@ -143,8 +161,7 @@ def find_geodesic_vectors(
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_r, _ = _residual_and_jacobian(dec, norm, trial)
-            trial_norm = np.linalg.norm(trial_r, axis=-1)
+            trial_norm = np.linalg.norm(_residual_m(dec, norm, trial)[0], axis=-1)
             improved = trial_norm <= rnorm
             best = np.where(improved[:, None], trial, best)
             rnorm = np.where(improved, trial_norm, rnorm)
@@ -152,9 +169,8 @@ def find_geodesic_vectors(
             if np.all(improved):
                 break
         X = best
-    r, _ = _residual_and_jacobian(dec, norm, X)
-    rnorm = np.linalg.norm(r, axis=-1)
-    converged = rnorm <= tol
+        r, jac = _residual_and_jacobian(dec, norm, X)
+    converged = np.linalg.norm(r, axis=-1) <= tol
     candidates = X[converged]
 
     # soundness gate: the generic tensor path must agree
@@ -163,15 +179,9 @@ def find_geodesic_vectors(
         keep = np.linalg.norm(gen, axis=-1) <= tol
         candidates = candidates[keep]
 
-    order = np.lexsort(candidates.T[::-1]) if len(candidates) else []
-    candidates = candidates[order] if len(candidates) else candidates
-    kept = []
-    for vec in candidates:
-        if not kept or np.min(np.arccos(np.clip(np.asarray(kept) @ vec, -1.0, 1.0))) > dedup_angle:
-            kept.append(vec)
-    reps = np.asarray(kept) if kept else np.zeros((0, m_dim))
-
+    reps = _dedup(candidates, dedup_angle)
     labels = _branch_labels(reps, branch_angle)
+    branch_count = len(set(labels))
     if max_representatives is not None and len(reps) > max_representatives:
         reps, labels = _cap_round_robin(reps, labels, max_representatives)
     rep_residuals = (
@@ -186,51 +196,69 @@ def find_geodesic_vectors(
         tolerance=tol,
         seeds_total=samples,
         converged_total=int(converged.sum()),
+        branch_count=branch_count,
+        all_seeds_geodesic=all_seeds_geodesic,
     )
 
 
+def _dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
+    """Greedy angular dedup of unit vectors in lexicographic order."""
+    if not len(candidates):
+        return np.zeros((0, candidates.shape[-1]))
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    buf = np.empty_like(candidates)
+    count = 0
+    for vec in candidates:
+        if not count or np.min(np.arccos(np.clip(buf[:count] @ vec, -1.0, 1.0))) > dedup_angle:
+            buf[count] = vec
+            count += 1
+    return buf[:count].copy()
+
+
 def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
-    if not len(reps):
-        return []
+    """Single-linkage branches of unit vectors by the angle between lines.
+
+    The components are labelled by frontier search from the lowest
+    unlabelled index, so each component's root is its minimum index.
+    Folding d and -d into arccos(|d|) is exact for branch_angle < pi/2.
+    """
     count = len(reps)
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    dots = np.clip(reps @ reps.T, -1.0, 1.0)
-    near = np.arccos(dots) < branch_angle
-    anti = np.arccos(np.clip(-dots, -1.0, 1.0)) < branch_angle
-    linked = np.triu(near | anti, k=1)
-    for i, j in np.argwhere(linked):
-        union(int(i), int(j))
-    roots = [find(i) for i in range(count)]
-    sizes = {}
-    for root in roots:
-        sizes[root] = sizes.get(root, 0) + 1
-    ordered = sorted(sizes, key=lambda root: (-sizes[root], root))
-    names = {root: f"branch-{pos + 1}" for pos, root in enumerate(ordered)}
-    return [names[root] for root in roots]
+    if not count:
+        return []
+    angles = reps @ reps.T
+    np.abs(angles, out=angles)
+    np.clip(angles, -1.0, 1.0, out=angles)
+    np.arccos(angles, out=angles)
+    # only the upper triangle is read, like a union over the pairs i < j
+    linked = np.triu(angles < branch_angle, k=1)
+    del angles
+    linked |= linked.T
+    roots = np.full(count, -1)
+    for root in range(count):
+        if roots[root] >= 0:
+            continue
+        roots[root] = root
+        frontier = np.arange(count) == root
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & (roots < 0)
+            roots[frontier] = root
+    heads, sizes = np.unique(roots, return_counts=True)
+    ordered = sorted(zip(heads.tolist(), sizes.tolist()), key=lambda hs: (-hs[1], hs[0]))
+    names = {head: f"branch-{pos + 1}" for pos, (head, _) in enumerate(ordered)}
+    return [names[head] for head in roots.tolist()]
 
 
 def _cap_round_robin(reps, labels, cap):
     by_branch = {}
     for pos, label in enumerate(labels):
         by_branch.setdefault(label, []).append(pos)
+    # rank order: largest branch first, ties by the lowest member index
+    queues = sorted(by_branch.values(), key=lambda queue: (-len(queue), queue[0]))
     picked = []
     cursor = 0
     while len(picked) < cap:
         progressed = False
-        for label in sorted(by_branch):
-            queue = by_branch[label]
+        for queue in queues:
             if cursor < len(queue):
                 picked.append(queue[cursor])
                 progressed = True

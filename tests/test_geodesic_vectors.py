@@ -1,11 +1,12 @@
 """Criterion residuals, the sphere solver, and structure checks."""
 
+import cluster_oracle
 import numpy as np
 import pytest
 
 from finslergeo import geodesic_vectors as gv
-from finslergeo import lie, norms
-from finslergeo.errors import DegenerateVector
+from finslergeo import lie, norms, sphere
+from finslergeo.errors import DegenerateVector, ValidationError
 
 
 def h3_dec():
@@ -121,6 +122,127 @@ def test_solver_cap_keeps_all_branches():
     result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024, max_representatives=16)
     assert len(result.representatives) == 16
     assert len(set(result.branch_labels)) == 2
+    assert result.branch_count == 2
+
+
+def test_branch_count_is_taken_before_the_cap():
+    result = gv.find_geodesic_vectors(h3_dec(), eucl3(), samples=1024, max_representatives=1)
+    assert result.branch_labels == ["branch-1"]
+    assert result.branch_count == 2
+
+
+def test_cap_walks_branches_in_rank_order():
+    # 100 lines pi/100 apart on a great circle: 100 singleton branches
+    theta = np.pi * np.arange(100) / 100
+    reps = np.stack([np.cos(theta), np.sin(theta), np.zeros(100)], axis=1)
+    labels = gv._branch_labels(reps, 0.03)
+    assert len(set(labels)) == 100
+    _, capped = gv._cap_round_robin(reps, labels, 64)
+    assert capped == [f"branch-{k}" for k in range(1, 65)]
+
+
+def test_all_seeds_geodesic_matches_seed_residuals():
+    randers = norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0]))
+    cases = [(su2_dec(), eucl3(), True), (h3_dec(), eucl3(), False), (su2_dec(), randers, False)]
+    for dec, norm, expected in cases:
+        result = gv.find_geodesic_vectors(dec, norm, samples=256)
+        seeds = gv._embed_m(dec, sphere.seeds(len(dec.m_indices), 256))
+        initial = np.linalg.norm(gv.residual_batch(dec, norm, seeds), axis=-1)
+        direct = bool(np.all(initial <= 1.0e-9))
+        assert result.all_seeds_geodesic is direct is expected
+
+
+def test_branch_angle_at_right_angle_rejected():
+    with pytest.raises(ValidationError):
+        gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=16, branch_angle=0.5 * np.pi)
+
+
+def _rotated(v, angle, rng):
+    """Unit vector at the given angle from the unit vector v."""
+    p = rng.standard_normal(v.shape)
+    p -= (p @ v) * v
+    p /= np.linalg.norm(p)
+    return np.cos(angle) * v + np.sin(angle) * p
+
+
+def _assert_matches_oracle(candidates, dedup_angle=1.0e-3, branch_angle=0.3):
+    kept = gv._dedup(candidates, dedup_angle)
+    assert np.array_equal(kept, cluster_oracle.dedup(candidates, dedup_angle))
+    assert kept.shape[1:] == candidates.shape[1:]
+    labels = gv._branch_labels(kept, branch_angle)
+    assert labels == cluster_oracle.branch_labels(kept, branch_angle)
+    return kept, labels
+
+
+def test_dedup_matches_oracle_at_the_threshold():
+    rng = np.random.RandomState(5)
+    bases = sphere.seeds(3, 40)
+    near, far = [], []
+    for v in bases:
+        # opposite sides of v in one plane, so near and far are 2e-3 apart
+        p = _rotated(v, 0.5 * np.pi, rng)
+        near.append(np.cos(1.0e-3 * (1.0 - 1.0e-6)) * v + np.sin(1.0e-3 * (1.0 - 1.0e-6)) * p)
+        far.append(np.cos(1.0e-3 * (1.0 + 1.0e-6)) * v - np.sin(1.0e-3 * (1.0 + 1.0e-6)) * p)
+    candidates = np.concatenate([bases, near, far])[rng.permutation(120)]
+    kept, _ = _assert_matches_oracle(candidates)
+    assert len(kept) == 80
+
+
+def test_branches_match_oracle_across_antipodes():
+    rng = np.random.RandomState(9)
+    v = np.array([0.0, 0.6, 0.8])
+    joined = np.stack([v, -_rotated(v, 0.3 * (1.0 - 1.0e-6), rng)])
+    split = np.stack([v, -_rotated(v, 0.3 * (1.0 + 1.0e-6), rng)])
+    assert _assert_matches_oracle(joined)[1] == ["branch-1"] * 2
+    assert _assert_matches_oracle(split)[1] == ["branch-1", "branch-2"]
+    pairs = []
+    for w in sphere.seeds(3, 12):
+        pairs += [w, -_rotated(w, 0.3 * (1.0 + rng.choice([-1.0e-6, 1.0e-6])), rng)]
+    _assert_matches_oracle(np.array(pairs))
+
+
+def test_branches_match_oracle_on_rings():
+    rng = np.random.RandomState(2)
+    u, w = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    theta = 2.0 * np.pi * np.arange(1024) / 1024
+    ring = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * w
+    assert set(_assert_matches_oracle(ring)[1]) == {"branch-1"}
+    # arcs of equal and unequal length: ties are ranked by their lowest index
+    arcs = ring[(theta % (np.pi / 2)) < 0.9]
+    _, labels = _assert_matches_oracle(arcs[rng.permutation(len(arcs))], branch_angle=0.05)
+    assert len(set(labels)) == 2
+
+
+def test_branches_match_oracle_on_jittered_antipodes():
+    rng = np.random.RandomState(4)
+    b = np.array([0.3, -0.4, 0.5]) / np.linalg.norm([0.3, -0.4, 0.5])
+    copies = np.where(rng.rand(4096, 1) < 0.5, b, -b) + 5.0e-4 * rng.standard_normal((4096, 3))
+    copies /= np.linalg.norm(copies, axis=-1, keepdims=True)
+    kept, labels = _assert_matches_oracle(copies)
+    assert 2 < len(kept) < 4096 and set(labels) == {"branch-1"}
+    subset = copies[:256]
+    assert gv._branch_labels(subset, 0.3) == cluster_oracle.branch_labels(subset, 0.3)
+
+
+def test_branches_match_oracle_on_singletons():
+    theta = np.pi * np.arange(200) / 200
+    lines = np.stack([np.cos(theta), np.zeros(200), np.sin(theta)], axis=1)
+    lines = lines[np.random.RandomState(1).permutation(200)]
+    kept, labels = _assert_matches_oracle(lines, branch_angle=0.01)
+    assert len(kept) == 200 and len(set(labels)) == 200
+
+
+def test_dedup_and_branches_match_oracle_on_tiny_inputs():
+    kept, labels = _assert_matches_oracle(np.zeros((0, 3)))
+    assert kept.shape == (0, 3) and labels == []
+    kept, labels = _assert_matches_oracle(np.array([[0.0, 1.0, 0.0]]))
+    assert len(kept) == 1 and labels == ["branch-1"]
+
+
+def test_whole_sphere_at_scale_is_one_branch():
+    result = gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=4096, max_representatives=None)
+    assert len(result.representatives) == 4096
+    assert set(result.branch_labels) == {"branch-1"} and result.branch_count == 1
 
 
 def test_grid_scan_h3_zero_set():
