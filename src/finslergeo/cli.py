@@ -40,31 +40,8 @@ def _decomposition(scen):
     )
 
 
-def _vector(params: dict, key: str, dim: int, default=None) -> np.ndarray:
-    if key not in params:
-        if default is None:
-            raise ValidationError(f"params: missing required vector {key!r}")
-        return np.asarray(default, dtype=float)
-    value = params[key]
-    ok = (
-        isinstance(value, list)
-        and len(value) == dim
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
-    if not ok:
-        raise ValidationError(f"params: {key!r} must be a list of {dim} numbers")
-    return np.asarray(value, dtype=float)
-
-
-def _number(params: dict, key: str, default, integer: bool = False):
-    if key not in params:
-        return default
-    value = params[key]
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"params: {key!r} must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
+def _tol(scen, tol_override) -> float:
+    return scen.params["tol"] if tol_override is None else tol_override
 
 
 def _chart(scen):
@@ -72,11 +49,11 @@ def _chart(scen):
 
 
 def _run_geodesic_vectors(scen, tol_override):
-    dec = _decomposition(scen)
-    params = scen.params
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-9)
-    samples = _number(params, "samples", 4096, integer=True)
-    result = geodesic_vectors.find_geodesic_vectors(dec, scen.norm, samples=samples, tol=tol)
+    p = scen.params
+    tol = _tol(scen, tol_override)
+    result = geodesic_vectors.find_geodesic_vectors(
+        _decomposition(scen), scen.norm, samples=p["samples"], tol=tol
+    )
     all_geodesic = result.all_seeds_geodesic
     branch_count = result.branch_count
     max_rep = float(np.max(result.residual_norms)) if len(result.residual_norms) else 0.0
@@ -91,24 +68,16 @@ def _run_geodesic_vectors(scen, tol_override):
         "max_representative_residual": max_rep,
     }
     passed = len(result.representatives) > 0 and max_rep <= tol
-    if "expect_all_geodesic" in params:
-        payload["expected_all_geodesic"] = bool(params["expect_all_geodesic"])
-        passed = passed and all_geodesic == bool(params["expect_all_geodesic"])
-    if "expect_branches" in params:
-        payload["expected_branches"] = int(params["expect_branches"])
-        passed = passed and branch_count == int(params["expect_branches"])
+    if "expect_all_geodesic" in p:
+        payload["expected_all_geodesic"] = p["expect_all_geodesic"]
+        passed = passed and all_geodesic == p["expect_all_geodesic"]
+    if "expect_branches" in p:
+        payload["expected_branches"] = p["expect_branches"]
+        passed = passed and branch_count == p["expect_branches"]
     return payload, {"residual": tol}, passed, {}
 
 
-def _run_nat_reductive(scen, tol_override):
-    dec = _decomposition(scen)
-    params = scen.params
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-8)
-    samples = _number(params, "samples", 200, integer=True)
-    report = geodesic_vectors.check_naturally_reductive(
-        dec, scen.norm, samples=samples, seed=scen.seed, tol=tol
-    )
-    expect = bool(params.get("expect_passed", True))
+def _structure_check(report, expect, tol):
     payload = {
         "max_residual": report.max_residual,
         "check_passed": report.passed,
@@ -116,23 +85,22 @@ def _run_nat_reductive(scen, tol_override):
         "witness": report.witness,
     }
     return payload, {"residual": tol}, report.passed == expect, {}
+
+
+def _run_nat_reductive(scen, tol_override):
+    tol = _tol(scen, tol_override)
+    report = geodesic_vectors.check_naturally_reductive(
+        _decomposition(scen), scen.norm, samples=scen.params["samples"], seed=scen.seed, tol=tol
+    )
+    return _structure_check(report, scen.params["expect_passed"], tol)
 
 
 def _run_minkowski_lie(scen, tol_override):
-    params = scen.params
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-10)
-    samples = _number(params, "samples", 200, integer=True)
+    tol = _tol(scen, tol_override)
     report = geodesic_vectors.check_minkowski_lie_algebra(
-        scen.algebra, scen.norm, samples=samples, seed=scen.seed, tol=tol
+        scen.algebra, scen.norm, samples=scen.params["samples"], seed=scen.seed, tol=tol
     )
-    expect = bool(params.get("expect_passed", True))
-    payload = {
-        "max_residual": report.max_residual,
-        "check_passed": report.passed,
-        "expected_passed": expect,
-        "witness": report.witness,
-    }
-    return payload, {"residual": tol}, report.passed == expect, {}
+    return _structure_check(report, scen.params["expect_passed"], tol)
 
 
 def _trajectory_table(path) -> dict:
@@ -148,14 +116,9 @@ def _trajectory_table(path) -> dict:
 
 
 def _run_integrate(scen, tol_override):
-    params = scen.params
-    cm = _chart(scen)
-    x0 = _vector(params, "x0", scen.model.dim, default=scen.model.identity())
-    y0 = _vector(params, "y0", scen.model.dim)
-    horizon = _number(params, "T", 2.0)
-    step = _number(params, "step", 1.0e-3)
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-6)
-    path = geodesic_flow.integrate_geodesic(cm, x0, y0, T=horizon, step=step)
+    p = scen.params
+    tol = _tol(scen, tol_override)
+    path = geodesic_flow.integrate_geodesic(_chart(scen), p["x0"], p["y0"], T=p["T"], step=p["step"])
     drift = float(np.max(np.abs(path.F_values - path.F_values[0])) / path.F_values[0])
     payload = {
         "samples": len(path.ts),
@@ -169,22 +132,18 @@ def _run_integrate(scen, tol_override):
 
 
 def _run_homogeneous(scen, tol_override):
-    params = scen.params
-    X = _vector(params, "X", scen.model.dim)
-    horizon = _number(params, "T", 2.0)
-    step = _number(params, "step", 1.0e-3)
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-6)
+    p = scen.params
+    tol = _tol(scen, tol_override)
     report = geodesic_flow.is_homogeneous_geodesic(
-        scen.model, scen.norm, X, T=horizon, step=step, tol=tol
+        scen.model, scen.norm, p["X"], T=p["T"], step=p["step"], tol=tol
     )
-    expect = bool(params.get("expect_passed", True))
     payload = {
         "sup_distance": report.sup_distance,
         "residual_norm": report.residual_norm,
         "check_passed": report.passed,
-        "expected_passed": expect,
+        "expected_passed": p["expect_passed"],
     }
-    return payload, {"sup_distance": tol}, report.passed == expect, {}
+    return payload, {"sup_distance": tol}, report.passed == p["expect_passed"], {}
 
 
 def _subsample_path(path, stride: int):
@@ -198,18 +157,13 @@ def _subsample_path(path, stride: int):
 
 
 def _run_s_curvature(scen, tol_override):
-    params = scen.params
+    p = scen.params
     cm = _chart(scen)
-    x0 = _vector(params, "x0", scen.model.dim, default=scen.model.identity())
-    y0 = _vector(params, "y0", scen.model.dim)
-    horizon = _number(params, "T", 2.0)
-    step = _number(params, "step", 1.0e-3)
-    stride = _number(params, "stride", 50, integer=True)
-    tol_s = tol_override if tol_override is not None else _number(params, "tol", 1.0e-3)
-    tau_tol = _number(params, "tau_tol", 1.0e-6)
-    path = geodesic_flow.integrate_geodesic(cm, x0, y0, T=horizon, step=step)
-    profile = s_curvature.s_along_path(cm, _subsample_path(path, stride))
-    s_start = s_curvature.s_curvature(cm, x0, y0)
+    tol_s = _tol(scen, tol_override)
+    tau_tol = p["tau_tol"]
+    path = geodesic_flow.integrate_geodesic(cm, p["x0"], p["y0"], T=p["T"], step=p["step"])
+    profile = s_curvature.s_along_path(cm, _subsample_path(path, p["stride"]))
+    s_start = s_curvature.s_curvature(cm, p["x0"], p["y0"])
     max_s = float(np.max(np.abs(profile.s_values)))
     tau_drift = float(np.max(np.abs(profile.taus - profile.taus[0])))
     payload = {
@@ -217,29 +171,24 @@ def _run_s_curvature(scen, tol_override):
         "max_abs_s": max_s,
         "tau_drift": tau_drift,
         "samples": len(profile.ts),
+        "expected_vanishing": p["expect_vanishing"],
     }
     vanishes = max_s <= tol_s and tau_drift <= tau_tol and abs(s_start) <= tol_s
-    expect = bool(params.get("expect_vanishing", True))
-    payload["expected_vanishing"] = expect
     rows = np.column_stack([profile.ts, profile.taus, profile.s_values, profile.sigma_errors])
     tables = {"distortion_profile": {"columns": ["t", "tau", "S", "sigma_error"], "rows": rows}}
-    return payload, {"abs_s": tol_s, "tau_drift": tau_tol}, vanishes == expect, tables
+    return payload, {"abs_s": tol_s, "tau_drift": tau_tol}, vanishes == p["expect_vanishing"], tables
 
 
 def _run_berwald(scen, tol_override):
-    params = scen.params
-    cm = _chart(scen)
-    x0 = _vector(params, "x", scen.model.dim, default=scen.model.identity())
-    samples = _number(params, "samples", 8, integer=True)
-    tol = tol_override if tol_override is not None else _number(params, "tol", 1.0e-5)
-    report = geodesic_flow.berwald_test(cm, x=x0, samples=samples, tol=tol)
-    expect = bool(params.get("expect_berwald", True))
+    p = scen.params
+    tol = _tol(scen, tol_override)
+    report = geodesic_flow.berwald_test(_chart(scen), x=p["x"], samples=p["samples"], tol=tol)
     payload = {
         "max_hessian_deviation": report.max_deviation,
         "is_berwald": report.is_berwald,
-        "expected_berwald": expect,
+        "expected_berwald": p["expect_berwald"],
     }
-    return payload, {"hessian_deviation": tol}, report.is_berwald == expect, {}
+    return payload, {"hessian_deviation": tol}, report.is_berwald == p["expect_berwald"], {}
 
 
 _TASK_RUNNERS = {
@@ -285,6 +234,8 @@ def main(argv=None) -> int:
                 raise ValidationError("--seed must be non-negative")
             scen.seed = args.seed
             scen.raw["seed"] = args.seed
+        if args.tol is not None and not args.tol >= 0.0:
+            raise ValidationError("--tol must be non-negative")
         report = run_scenario(scen, tol_override=args.tol)
     except (FinslerGeoError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

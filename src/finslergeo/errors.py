@@ -50,10 +50,6 @@ class StepRejected(FinslerGeoError):
     """An integration step produced more norm drift than the per-step bound."""
 
 
-class NoConvergence(FinslerGeoError):
-    """An iterative solve failed to reach tolerance within its iteration cap."""
-
-
 class QuadratureDivergence(FinslerGeoError):
     """Sphere-grid refinement failed to contract; the integrand is suspect."""
 

@@ -20,7 +20,7 @@ The chart-level fundamental tensor g_ij(x, y) is kept for callers that
 want the pulled-back metric itself.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +39,13 @@ class GeodesicPath:
     velocities: np.ndarray
     F_values: np.ndarray
     step: float
-    method: str = "rk4"
-
-    @property
-    def samples(self):
-        return list(zip(self.ts, self.points, self.velocities))
 
 
 @dataclass
 class HomogeneousGeodesicReport:
-    X: np.ndarray
     sup_distance: float
     residual_norm: float
     tolerance: float
-    horizon: float
-    step: float
 
     @property
     def passed(self) -> bool:
@@ -62,11 +54,8 @@ class HomogeneousGeodesicReport:
 
 @dataclass
 class BerwaldReport:
-    base_point: np.ndarray
-    samples: int
     max_deviation: float
     tolerance: float
-    witness_directions: dict = field(default_factory=dict)
 
     @property
     def is_berwald(self) -> bool:
@@ -198,12 +187,7 @@ def is_homogeneous_geodesic(
     dec = lie.ReductiveDecomposition(model.algebra, m_indices=tuple(range(model.dim)))
     residual = geodesic_residual(dec, norm, X).residual
     return HomogeneousGeodesicReport(
-        X=X,
-        sup_distance=sup,
-        residual_norm=float(np.linalg.norm(residual)),
-        tolerance=tol,
-        horizon=float(T),
-        step=float(step),
+        sup_distance=sup, residual_norm=float(np.linalg.norm(residual)), tolerance=tol
     )
 
 
@@ -265,12 +249,4 @@ def berwald_test(
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     ys = sphere.seeds(n, samples)
     hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, h)
-    deviation = np.abs(hess - hess[:1])
-    worst = np.unravel_index(int(np.argmax(deviation)), deviation.shape)
-    return BerwaldReport(
-        base_point=x,
-        samples=samples,
-        max_deviation=float(deviation[worst]),
-        tolerance=tol,
-        witness_directions={"reference": ys[0], "compared": ys[worst[0]]},
-    )
+    return BerwaldReport(max_deviation=float(np.max(np.abs(hess - hess[:1]))), tolerance=tol)

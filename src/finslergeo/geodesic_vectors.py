@@ -26,9 +26,7 @@ NAT_RED_TOL = 1.0e-8
 
 @dataclass
 class GeodesicResidual:
-    X: np.ndarray
     residual: np.ndarray
-    norm_used: norms.MinkowskiNorm
 
 
 @dataclass
@@ -89,9 +87,7 @@ def residual_batch(dec, norm, Xs, generic=False) -> np.ndarray:
 
 def geodesic_residual(dec, norm, X, generic=False) -> GeodesicResidual:
     """r_j = g_{X_m}(X_m, [X, e_j]_m) over the m-basis."""
-    X = np.asarray(X, dtype=float)
-    r = residual_batch(dec, norm, X, generic=generic)
-    return GeodesicResidual(X=X, residual=r, norm_used=norm)
+    return GeodesicResidual(residual=residual_batch(dec, norm, X, generic=generic))
 
 
 def _residual_m(dec, norm, Xm):

@@ -35,19 +35,12 @@ class GroupModel:
     def multiply(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inverse(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def exp_map(self, X: np.ndarray, t) -> np.ndarray:
         """Chart coordinates of exp(tX); t may be a scalar or an array."""
         raise NotImplementedError
 
     def body_jacobian(self, x: np.ndarray) -> np.ndarray:
         """A(x) = d(L_{x^{-1}})_x, batched over leading axes of x."""
-        raise NotImplementedError
-
-    def dleft(self, p: np.ndarray, v: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
-        """Differential of L_p at the base point, applied to v."""
         raise NotImplementedError
 
     def check_chart(self, x: np.ndarray) -> None:
@@ -74,9 +67,6 @@ class Heisenberg3(GroupModel):
         out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
         return out
 
-    def inverse(self, p):
-        return -np.asarray(p, dtype=float)
-
     def exp_map(self, X, t):
         X = np.asarray(X, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -90,14 +80,6 @@ class Heisenberg3(GroupModel):
         out[..., 2, 2] = 1.0
         out[..., 2, 0] = 0.5 * x[..., 1]
         out[..., 2, 1] = -0.5 * x[..., 0]
-        return out
-
-    def dleft(self, p, v, base=None):
-        # the differential of L_p does not depend on the base point here
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = v.copy()
-        out[..., 2] += 0.5 * (p[..., 0] * v[..., 1] - p[..., 1] * v[..., 0])
         return out
 
     def orbit(self, X, p, ts):
@@ -168,9 +150,6 @@ class SU2(GroupModel):
         self.check_chart(out)
         return out
 
-    def inverse(self, p):
-        return -np.asarray(p, dtype=float)
-
     def exp_map(self, X, t):
         X = np.asarray(X, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -200,16 +179,6 @@ class SU2(GroupModel):
         k[..., 2, 1] = x[..., 0]
         eye = np.broadcast_to(np.eye(3), k.shape)
         return eye - c1[..., None, None] * k + c2[..., None, None] * (k @ k)
-
-    def dleft(self, p, v, base=None):
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if base is None:
-            base = np.zeros(3)
-        base = np.asarray(base, dtype=float)
-        target = self.multiply(p, base)
-        rhs = np.einsum("...ij,...j->...i", self.body_jacobian(base), v)
-        return np.linalg.solve(self.body_jacobian(target), rhs[..., None])[..., 0]
 
     def check_chart(self, x):
         x = np.asarray(x, dtype=float)
@@ -254,9 +223,6 @@ class Abelian(GroupModel):
     def multiply(self, p, q):
         return np.asarray(p, dtype=float) + np.asarray(q, dtype=float)
 
-    def inverse(self, p):
-        return -np.asarray(p, dtype=float)
-
     def exp_map(self, X, t):
         X = np.asarray(X, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -265,9 +231,6 @@ class Abelian(GroupModel):
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def dleft(self, p, v, base=None):
-        return np.asarray(v, dtype=float).copy()
 
     def orbit(self, X, p, ts):
         X = np.asarray(X, dtype=float)

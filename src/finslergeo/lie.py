@@ -1,4 +1,4 @@
-"""Lie algebras via structure constants, reductive splits, adjoint flows.
+"""Lie algebras via structure constants, and reductive splits g = h + m.
 
 Conventions: c[i, j, k] is the e_k coefficient of [e_i, e_j], so the
 bracket of coordinate vectors is X^i Y^j c[i, j, k].  Indices are
@@ -6,10 +6,9 @@ bracket of coordinate vectors is X^i Y^j c[i, j, k].  Indices are
 parsing boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch
 
@@ -18,14 +17,11 @@ from .errors import DimensionMismatch
 class LieAlgebraData:
     dim: int
     c: np.ndarray
-    basis_names: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if self.c.shape != (self.dim,) * 3:
             raise DimensionMismatch(self.dim, self.c.shape[0], "structure constants")
-        if not self.basis_names:
-            object.__setattr__(self, "basis_names", tuple(f"e{i+1}" for i in range(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -37,23 +33,6 @@ class ReductiveDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "m_indices", tuple(self.m_indices))
         object.__setattr__(self, "h_indices", tuple(self.h_indices))
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    magnitude: float
-    witness: tuple = ()
-
-
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def bracket(alg: LieAlgebraData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -95,75 +74,6 @@ def project_m(dec: ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate(dec: ReductiveDecomposition) -> ValidationReport:
-    """Per-invariant pass/fail report; run before any solve."""
-    alg = dec.algebra
-    c = alg.c
-    report = ValidationReport()
-
-    both = sorted(dec.m_indices) + sorted(dec.h_indices)
-    partition_ok = sorted(both) == list(range(alg.dim))
-    report.checks.append(
-        CheckResult("m and h partition the index range", partition_ok, 0.0 if partition_ok else 1.0)
-    )
-
-    anti = c + np.swapaxes(c, 0, 1)
-    idx = np.unravel_index(np.argmax(np.abs(anti)), anti.shape)
-    mag = float(np.abs(anti[idx]))
-    report.checks.append(CheckResult("bracket antisymmetry", mag <= 1.0e-12, mag, idx))
-
-    mag, idx = jacobi_residual(alg)
-    report.checks.append(CheckResult("Jacobi identity", mag <= 1.0e-12, mag, idx))
-
-    h = list(dec.h_indices)
-    m = list(dec.m_indices)
-    mag = 0.0
-    witness = ()
-    for i in h:
-        for j in m:
-            for k in h:
-                if abs(c[i, j, k]) > mag:
-                    mag, witness = abs(c[i, j, k]), (i, j, k)
-    report.checks.append(CheckResult("[h, m] contained in m", mag <= 1.0e-12, float(mag), witness))
-
-    mag = 0.0
-    witness = ()
-    for i in h:
-        for j in h:
-            for k in m:
-                if abs(c[i, j, k]) > mag:
-                    mag, witness = abs(c[i, j, k]), (i, j, k)
-    report.checks.append(CheckResult("h is a subalgebra", mag <= 1.0e-12, float(mag), witness))
-    return report
-
-
-def _nilpotency_degree(mat: np.ndarray, cap: int):
-    power = np.eye(mat.shape[0])
-    for k in range(1, cap + 2):
-        power = power @ mat
-        if np.all(power == 0.0):
-            return k
-    return None
-
-
-def ad_exp(alg: LieAlgebraData, x: np.ndarray, t: float) -> np.ndarray:
-    """Matrix of Ad(exp(tx)) = exp(t·ad_x).
-
-    Nilpotent ad_x short-circuits to the finite series, which is exact;
-    otherwise scaling-and-squaring does the job.
-    """
-    adx = ad(alg, x)
-    degree = _nilpotency_degree(adx, alg.dim)
-    if degree is not None:
-        out = np.eye(alg.dim)
-        term = np.eye(alg.dim)
-        for k in range(1, degree):
-            term = term @ (t * adx) / k
-            out = out + term
-        return out
-    return expm(t * adx)
-
-
 def heisenberg3() -> LieAlgebraData:
     """[e1, e2] = e3, the rest zero: the 3-dim Heisenberg algebra."""
     c = np.zeros((3, 3, 3))
@@ -179,16 +89,6 @@ def su2() -> LieAlgebraData:
         c[i, j, k] = 1.0
         c[j, i, k] = -1.0
     return LieAlgebraData(3, c)
-
-
-def direct_sum(first: LieAlgebraData, second: LieAlgebraData) -> LieAlgebraData:
-    """Direct sum with block-diagonal structure constants."""
-    n1, n2 = first.dim, second.dim
-    c = np.zeros((n1 + n2,) * 3)
-    c[:n1, :n1, :n1] = first.c
-    c[n1:, n1:, n1:] = second.c
-    names = tuple(f"a.{x}" for x in first.basis_names) + tuple(f"b.{x}" for x in second.basis_names)
-    return LieAlgebraData(n1 + n2, c, names)
 
 
 def abelian(dim: int) -> LieAlgebraData:

@@ -12,24 +12,10 @@ Randers norms additionally carry closed forms used by hot loops; the two
 routes are cross-checked in the test-suite, never collapsed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import jets
 from .errors import DimensionMismatch, NonConvexNorm, NotPositiveDefinite, SingularTensor, ZeroVector
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    base_y: np.ndarray
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class CartanTensor:
-    base_y: np.ndarray
-    tensor: np.ndarray
 
 
 def _check_spd(mat: np.ndarray, what: str) -> None:
@@ -47,8 +33,6 @@ def _check_spd(mat: np.ndarray, what: str) -> None:
 
 class MinkowskiNorm:
     """Base class: value routes plus jet-based derivative machinery."""
-
-    kind = "abstract"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -105,14 +89,9 @@ class MinkowskiNorm:
         f2 = self.value2_jet(vj)
         return 0.25 * f2.coeff(0b111)
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class EuclideanNorm(MinkowskiNorm):
     """F(y) = sqrt(y·a y) for a symmetric positive definite a."""
-
-    kind = "euclidean"
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -136,9 +115,6 @@ class EuclideanNorm(MinkowskiNorm):
         n = self.dim
         return np.zeros(y.shape[:-1] + (n, n, n))
 
-    def to_dict(self) -> dict:
-        return {"kind": "euclidean", "a": self.a.tolist()}
-
 
 class RandersNorm(MinkowskiNorm):
     """F(y) = sqrt(y·a y) + b·y with ‖b‖_a < 1.
@@ -151,8 +127,6 @@ class RandersNorm(MinkowskiNorm):
 
     where Sym₃ symmetrizes over the three slots.
     """
-
-    kind = "randers"
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         a = np.asarray(a, dtype=float)
@@ -212,9 +186,6 @@ class RandersNorm(MinkowskiNorm):
         uh = u[..., :, None, None] * h[..., None, :, :]
         return 0.5 * (uh + np.moveaxis(uh, -3, -2) + np.moveaxis(uh, -3, -1))
 
-    def to_dict(self) -> dict:
-        return {"kind": "randers", "a": self.a.tolist(), "b": self.b.tolist()}
-
 
 class CustomNorm(MinkowskiNorm):
     """Norm given by a callable evaluating F² on jet vectors.
@@ -223,8 +194,6 @@ class CustomNorm(MinkowskiNorm):
     build its result from jet arithmetic: +, -, *, /, ** and
     finslergeo.jets.sqrt.  Third derivatives then come out exact.
     """
-
-    kind = "custom"
 
     def __init__(self, dim: int, f2):
         super().__init__(dim)
@@ -254,45 +223,7 @@ class CustomNorm(MinkowskiNorm):
                 ) from None
         return g
 
-    def to_dict(self) -> dict:
-        return {"kind": "custom", "dim": self.dim}
-
-
-def eval_norm(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
-    """F(y); F(0) = 0 by the homogeneity limit."""
-    return norm.value(y)
-
-
-def fundamental_tensor(norm: MinkowskiNorm, y: np.ndarray) -> FundamentalTensor:
-    """g_y as a matrix, with a positive-definiteness guarantee."""
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y) == 0.0:
-        raise ZeroVector("fundamental tensor needs y != 0")
-    matrix = norm.fundamental_matrix(y)
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise SingularTensor("fundamental tensor is not positive definite at this y") from None
-    return FundamentalTensor(base_y=y, matrix=matrix)
-
-
-def cartan_tensor(norm: MinkowskiNorm, y: np.ndarray) -> CartanTensor:
-    """C_y as a fully symmetric 3-tensor."""
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y) == 0.0:
-        raise ZeroVector("Cartan tensor needs y != 0")
-    return CartanTensor(base_y=y, tensor=norm.cartan(y))
-
 
 def make_randers(a: np.ndarray, b: np.ndarray) -> RandersNorm:
     """Randers norm from Riemannian data a and a drift covector b."""
     return RandersNorm(a, b)
-
-
-def norm_from_dict(data: dict) -> MinkowskiNorm:
-    kind = data.get("kind")
-    if kind == "euclidean":
-        return EuclideanNorm(np.asarray(data["a"], dtype=float))
-    if kind == "randers":
-        return RandersNorm(np.asarray(data["a"], dtype=float), np.asarray(data["b"], dtype=float))
-    raise ValueError(f"unknown norm kind {kind!r}")

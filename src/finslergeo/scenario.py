@@ -1,16 +1,24 @@
-"""Scenario files: schema, parsing, validation, canonical serialization.
+"""Scenario files: schema, parsing, validation, the digested form.
 
 A scenario is a JSON object selecting a model (a built-in group by name,
 or an inline Lie algebra given by structure constants), a norm block, a
 task name, task parameters, and a seed.  Indices inside scenario files
 are 1-based, matching the basis labels e1, e2, ...; everything internal
-is 0-based.  The canonical serialized form (defaults filled, keys
-sorted) is what run reports digest, so identical scenarios hash
-identically.
+is 0-based.
+
+`TASKS` declares, for every task, whether it needs a named group, whether
+it reads the reductive split g = h + m, and the parameters it takes.
+Parsing checks `params` against that table: an undeclared key, a value
+of the wrong kind or one out of range is a ValidationError.
+`Scenario.params` holds the typed values with defaults filled in;
+`Scenario.raw` keeps the parameters exactly as given (with the seed and
+the split made explicit) and is what run reports digest, so identical
+scenarios hash identically.
 """
 
 import glob
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -19,20 +27,85 @@ import numpy as np
 from . import groups, lie, norms
 from .errors import NonConvexNorm, ParseError, ValidationError
 
-# tasks needing chart-level structure (a group model, not just an algebra)
-CHART_TASKS = ("integrate-geodesic", "check-homogeneous", "s-curvature", "berwald")
-# the expectations each task compares its verdict against; a key a task
-# does not read would otherwise be ignored and the run would pass
-EXPECTATIONS = {
-    "geodesic-vectors": ("expect_all_geodesic", "expect_branches"),
-    "check-nat-reductive": ("expect_passed",),
-    "check-minkowski-lie": ("expect_passed",),
-    "integrate-geodesic": (),
-    "check-homogeneous": ("expect_passed",),
-    "s-curvature": ("expect_vanishing",),
-    "berwald": ("expect_berwald",),
+REQUIRED = "required"  # the scenario must give the value
+ABSENT = "absent"  # no default: an absent value stays out of the typed params
+IDENTITY = "identity"  # a vector defaulting to the model's identity
+
+
+@dataclass(frozen=True)
+class Param:
+    """A task parameter.
+
+    kind is "number" (int or float, read as float), "count" (an int),
+    "vector" (a list of dim numbers) or "flag" (true or false).  A
+    positive number is > 0 and a positive count is >= 1; otherwise both
+    are >= 0.
+    """
+
+    kind: str
+    default: object
+    positive: bool = False
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    needs_group: bool  # chart-level work: a named group, not an inline algebra
+    reads_split: bool  # works on m of g = h + m, with the norm given on m
+    params: dict
+
+
+_T = Param("number", 2.0, positive=True)
+_STEP = Param("number", 1.0e-3, positive=True)
+_EXPECT_TRUE = Param("flag", True)
+
+TASKS = {
+    "geodesic-vectors": TaskSpec(needs_group=False, reads_split=True, params={
+        "samples": Param("count", 4096, positive=True),
+        "tol": Param("number", 1.0e-9),
+        "expect_all_geodesic": Param("flag", ABSENT),
+        "expect_branches": Param("count", ABSENT),
+    }),
+    "check-nat-reductive": TaskSpec(needs_group=False, reads_split=True, params={
+        "samples": Param("count", 200, positive=True),
+        "tol": Param("number", 1.0e-8),
+        "expect_passed": _EXPECT_TRUE,
+    }),
+    "check-minkowski-lie": TaskSpec(needs_group=False, reads_split=False, params={
+        "samples": Param("count", 200, positive=True),
+        "tol": Param("number", 1.0e-10),
+        "expect_passed": _EXPECT_TRUE,
+    }),
+    "integrate-geodesic": TaskSpec(needs_group=True, reads_split=False, params={
+        "x0": Param("vector", IDENTITY),
+        "y0": Param("vector", REQUIRED),
+        "T": _T,
+        "step": _STEP,
+        "tol": Param("number", 1.0e-6),
+    }),
+    "check-homogeneous": TaskSpec(needs_group=True, reads_split=False, params={
+        "X": Param("vector", REQUIRED),
+        "T": _T,
+        "step": _STEP,
+        "tol": Param("number", 1.0e-6),
+        "expect_passed": _EXPECT_TRUE,
+    }),
+    "s-curvature": TaskSpec(needs_group=True, reads_split=False, params={
+        "x0": Param("vector", IDENTITY),
+        "y0": Param("vector", REQUIRED),
+        "T": _T,
+        "step": _STEP,
+        "stride": Param("count", 50, positive=True),
+        "tol": Param("number", 1.0e-3),
+        "tau_tol": Param("number", 1.0e-6),
+        "expect_vanishing": _EXPECT_TRUE,
+    }),
+    "berwald": TaskSpec(needs_group=True, reads_split=False, params={
+        "x": Param("vector", IDENTITY),
+        "samples": Param("count", 8, positive=True),
+        "tol": Param("number", 1.0e-5),
+        "expect_berwald": _EXPECT_TRUE,
+    }),
 }
-TASKS = tuple(EXPECTATIONS)
 
 
 @dataclass
@@ -97,20 +170,20 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
     return algebra
 
 
-def _parse_norm(block: dict, dim: int) -> norms.MinkowskiNorm:
+def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
     kind = _require(block, "kind", str, "norm block")
     if kind not in ("euclidean", "randers"):
         raise ValidationError(f"norm block: unknown kind {kind!r}; use 'euclidean' or 'randers'")
     a = np.asarray(_require(block, "a", list, "norm block"), dtype=float)
     if a.shape != (dim, dim):
         raise ValidationError(
-            f"norm block: matrix a has shape {a.shape}, model dimension is {dim}"
+            f"norm block: matrix a has shape {a.shape}, {where} is {dim}"
         )
     if kind == "euclidean":
         return norms.EuclideanNorm(a)
     b = np.asarray(_require(block, "b", list, "norm block"), dtype=float)
     if b.shape != (dim,):
-        raise ValidationError(f"norm block: covector b has shape {b.shape}, model dimension is {dim}")
+        raise ValidationError(f"norm block: covector b has shape {b.shape}, {where} is {dim}")
     try:
         return norms.make_randers(a, b)
     except NonConvexNorm as exc:
@@ -130,23 +203,64 @@ def _parse_indices(block, dim: int, label: str) -> tuple:
     return tuple(out)
 
 
-def _check_expectations(task: str, params: dict) -> None:
-    known = EXPECTATIONS[task]
-    for key, value in params.items():
-        if not key.startswith("expect_"):
-            continue
-        if key not in known:
-            listed = ", ".join(known) if known else "none"
-            raise ValidationError(
-                f"params: task {task!r} has no expectation {key!r}; it checks: {listed}"
-            )
-        if key == "expect_branches":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValidationError(
-                    f"params: {key!r} must be a non-negative integer, got {value!r}"
-                )
-        elif not isinstance(value, bool):
+def _numeric(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _typed(key: str, param: Param, value, dim: int):
+    """The value of one declared parameter, checked and cast."""
+    if param.kind == "vector":
+        if not (isinstance(value, list) and len(value) == dim and all(map(_numeric, value))):
+            raise ValidationError(f"params: {key!r} must be a list of {dim} numbers, got {value!r}")
+        return np.asarray(value, dtype=float)
+    if param.kind == "flag":
+        if not isinstance(value, bool):
             raise ValidationError(f"params: {key!r} must be true or false, got {value!r}")
+        return value
+    count = param.kind == "count"
+    ok = _numeric(value) and (isinstance(value, int) or not count)
+    if not (ok and (value > 0 if param.positive else value >= 0)):
+        sign = "positive" if param.positive else "non-negative"
+        raise ValidationError(
+            f"params: {key!r} must be a {sign} {'integer' if count else 'number'}, got {value!r}"
+        )
+    return int(value) if count else float(value)
+
+
+def _typed_params(task: str, params: dict, model, dim: int) -> dict:
+    """params checked against the task's table, with defaults filled in."""
+    declared = TASKS[task].params
+    for key in params:
+        if key not in declared:
+            raise ValidationError(
+                f"params: task {task!r} has no parameter {key!r}; it takes: {', '.join(declared)}"
+            )
+    out = {}
+    for key, param in declared.items():
+        if key in params:
+            out[key] = _typed(key, param, params[key], dim)
+        elif param.default is REQUIRED:
+            raise ValidationError(f"params: task {task!r} needs {key!r}")
+        elif param.default is IDENTITY:
+            out[key] = model.identity()
+        elif param.default is not ABSENT:
+            out[key] = param.default
+    return out
+
+
+def _check_split(c: np.ndarray, m: tuple, h: tuple) -> None:
+    """[h, m] must lie in m and [h, h] in h, or the split is not reductive."""
+    for first, second, leak, rule in ((h, m, h, "[h, m] in m"), (h, h, m, "[h, h] in h")):
+        block = np.abs(c[np.ix_(first, second, leak)])
+        if block.size and block.max() > 1.0e-12:
+            i, j, k = np.unravel_index(int(np.argmax(block)), block.shape)
+            raise ValidationError(
+                f"scenario: the split is not reductive, it needs {rule}: "
+                f"[e{first[i] + 1}, e{second[j] + 1}] has e{leak[k] + 1} component "
+                f"{c[first[i], second[j], leak[k]]:g}"
+            )
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -169,6 +283,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     task = _require(data, "task", str, "scenario")
     if task not in TASKS:
         raise ValidationError(f"scenario: unknown task {task!r}; available: {', '.join(TASKS)}")
+    spec = TASKS[task]
 
     model_block = data.get("model")
     model = None
@@ -181,7 +296,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         model_name = model_block
         algebra = model.algebra
     elif isinstance(model_block, dict):
-        if task in CHART_TASKS:
+        if spec.needs_group:
             raise ValidationError(
                 f"scenario: task {task!r} needs a named group model; an inline algebra only "
                 "supports the algebra-level tasks"
@@ -190,25 +305,31 @@ def scenario_from_dict(data: dict) -> Scenario:
     else:
         raise ParseError("scenario: field 'model' must be a model name or an inline algebra block")
 
-    norm_block = data.get("norm")
-    if not isinstance(norm_block, dict):
-        raise ParseError("scenario: field 'norm' must be an object")
-    norm = _parse_norm(norm_block, algebra.dim)
-
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError("scenario: field 'params' must be an object")
-    _check_expectations(task, params)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParseError("scenario: field 'seed' must be a non-negative integer")
-
     m_indices = _parse_indices(data.get("m_indices", list(range(1, algebra.dim + 1))), algebra.dim, "m_indices")
     h_indices = _parse_indices(data.get("h_indices", []), algebra.dim, "h_indices")
     if sorted(m_indices + h_indices) != list(range(algebra.dim)):
         raise ValidationError(
             f"scenario: m_indices and h_indices must partition 1..{algebra.dim}"
         )
+    if h_indices and not spec.reads_split:
+        split_tasks = ", ".join(name for name, other in TASKS.items() if other.reads_split)
+        raise ValidationError(
+            f"scenario: task {task!r} works on the whole algebra; h_indices is read only by {split_tasks}"
+        )
+    _check_split(algebra.c, m_indices, h_indices)
+
+    norm_block = data.get("norm")
+    if not isinstance(norm_block, dict):
+        raise ParseError("scenario: field 'norm' must be an object")
+    # a task that reads the split evaluates the norm on m
+    norm = _parse_norm(norm_block, len(m_indices), "dim m" if h_indices else "model dimension")
+
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError("scenario: field 'params' must be an object")
+    seed = data.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParseError("scenario: field 'seed' must be a non-negative integer")
 
     return Scenario(
         task=task,
@@ -218,15 +339,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         norm=norm,
         m_indices=m_indices,
         h_indices=h_indices,
-        params=dict(params),
+        params=_typed_params(task, params, model, algebra.dim),
         seed=seed,
         raw=_canonical_dict(data, algebra.dim),
     )
 
 
 def _canonical_dict(data: dict, dim: int) -> dict:
-    """The scenario with defaults made explicit; the digested form."""
-    out = {
+    """The digested form: params as given, the seed and the split made explicit."""
+    return {
         "task": data["task"],
         "model": data["model"],
         "norm": data["norm"],
@@ -235,11 +356,6 @@ def _canonical_dict(data: dict, dim: int) -> dict:
         "m_indices": list(data.get("m_indices", list(range(1, dim + 1)))),
         "h_indices": list(data.get("h_indices", [])),
     }
-    return out
-
-
-def serialize_scenario(scenario: Scenario) -> dict:
-    return json.loads(json.dumps(scenario.raw))
 
 
 def bundled_scenarios() -> list:

@@ -219,11 +219,10 @@ def test_criterion_06_first_integral_on_bundled_scenarios():
         if scen.task not in ("integrate-geodesic", "s-curvature", "check-homogeneous"):
             continue
         cm = groups.induced_chart_metric(scen.model, scen.norm)
-        y0 = np.asarray(scen.params.get("y0", scen.params.get("X")), dtype=float)
-        x0 = np.asarray(scen.params.get("x0", scen.model.identity()), dtype=float)
-        gp = geodesic_flow.integrate_geodesic(
-            cm, x0, y0, T=float(scen.params.get("T", 2.0)), step=float(scen.params.get("step", 1.0e-3))
-        )
+        p = scen.params
+        # the orbit check starts at the identity with velocity X
+        x0, y0 = (p["x0"], p["y0"]) if "y0" in p else (scen.model.identity(), p["X"])
+        gp = geodesic_flow.integrate_geodesic(cm, x0, y0, T=p["T"], step=p["step"])
         drifts[path.rsplit("/", 1)[-1]] = float(
             np.max(np.abs(gp.F_values - gp.F_values[0])) / gp.F_values[0]
         )

@@ -1,0 +1,42 @@
+"""The benchmark's scenario mixes and tracer against the current package.
+
+The benchmark under perfbench/ feeds generated scenarios through
+`scenario_from_dict` and wraps named functions with its tracer.  A
+parameter table stricter than those scenarios, or a deleted traced
+name, fails here instead of in a benchmark run.
+"""
+
+import copy
+import os
+import sys
+
+from finslergeo import scenario
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_benchmark_scenarios_parse():
+    count = 0
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for item in workloads.generate(workload, seed):
+                scenario.scenario_from_dict(copy.deepcopy(item["scenario"]))
+                count += 1
+    for path in scenario.bundled_scenarios():
+        scenario.parse_scenario(path)
+    assert count > 0
+
+
+def test_tracer_installs_and_uninstalls():
+    targets = tracer._targets()
+    originals = [vars(owner)[attr] for _, owner, attr, _ in targets]
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        assert all(vars(owner)[attr] is not fn for (_, owner, attr, _), fn in zip(targets, originals))
+    finally:
+        probe.uninstall()
+    assert all(vars(owner)[attr] is fn for (_, owner, attr, _), fn in zip(targets, originals))

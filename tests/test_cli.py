@@ -104,6 +104,15 @@ def test_missing_required_param_exits_one(tmp_path, capsys):
         ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stride": 2.0}, "'stride'"),
         ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "step": True}, "'step'"),
         ("berwald", {"samples": "8"}, "'samples'"),
+        # out of range, or not declared by the task
+        ("geodesic-vectors", {"samples": -5}, "'samples'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stride": -1}, "'stride'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stride": 0}, "'stride'"),
+        ("berwald", {"samples": 0}, "'samples'"),
+        ("check-minkowski-lie", {"samples": 0}, "'samples'"),
+        ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "tol": -1}, "'tol'"),
+        ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stide": 2}, "'stide'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "dt": 1.0e-3}, "'dt'"),
     ],
 )
 def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):
@@ -116,6 +125,32 @@ def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):
     assert code == 1
     assert err.startswith("error: ValidationError:")
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "task, params, verdict",
+    [
+        ("check-nat-reductive", {"expect_passed": True}, "check_passed"),
+        ("geodesic-vectors", {"samples": 256, "expect_all_geodesic": True}, "all_sampled_vectors_geodesic"),
+    ],
+)
+def test_reductive_split_exits_zero(tmp_path, capsys, task, params, verdict):
+    # SU(2)/U(1): m = {e1, e2}, h = {e3}, the round 2-sphere
+    path = write_scenario(
+        tmp_path,
+        {
+            "task": task,
+            "model": "su2",
+            "norm": {"kind": "euclidean", "a": [[1.0, 0.0], [0.0, 1.0]]},
+            "m_indices": [1, 2],
+            "h_indices": [3],
+            "params": params,
+        },
+    )
+    code = cli.main(["--scenario", path, "--format", "machine"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["payload"][verdict] is True
 
 
 def test_machine_bytes_stable(tmp_path, capsys):
@@ -157,6 +192,8 @@ def test_tol_override_lands_in_report(capsys):
     assert cli.main(["--scenario", scen, "--format", "machine", "--tol", "1e-4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tolerances"]["residual"] == 1.0e-4
+    assert cli.main(["--scenario", scen, "--tol", "-1"]) == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_trajectory_table_format(tmp_path, capsys):

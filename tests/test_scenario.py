@@ -6,6 +6,7 @@ import pytest
 from finslergeo import lie, norms, scenario
 from finslergeo.errors import ParseError, ValidationError
 
+I2 = [[1.0, 0.0], [0.0, 1.0]]
 I3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
@@ -27,7 +28,8 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     assert scen.model_name == "su2"
     assert scen.model is not None
     assert scen.seed == 0
-    assert scen.params == {}
+    assert scen.params == {"samples": 200, "tol": 1.0e-10, "expect_passed": True}
+    assert scen.raw["params"] == {}
     assert scen.m_indices == (0, 1, 2)
     assert scen.h_indices == ()
     assert scen.raw["seed"] == 0
@@ -135,6 +137,7 @@ def test_round_trip_preserves_canonical_form(tmp_path):
     data = minimal(
         task="check-nat-reductive",
         model="su2",
+        norm={"kind": "euclidean", "a": I2},
         params={"samples": 50, "expect_passed": True},
         seed=3,
         m_indices=[1, 2],
@@ -143,7 +146,7 @@ def test_round_trip_preserves_canonical_form(tmp_path):
     scen = scenario.parse_scenario(write_scenario(tmp_path, data))
     assert scen.m_indices == (0, 1)
     assert scen.h_indices == (2,)
-    again = scenario.parse_scenario(write_scenario(tmp_path, scenario.serialize_scenario(scen), "b.json"))
+    again = scenario.parse_scenario(write_scenario(tmp_path, scen.raw, "b.json"))
     assert again.raw == scen.raw
 
 
@@ -184,7 +187,8 @@ def test_string_expectations_rejected(tmp_path):
         ("geodesic-vectors", "expect_all_geodesic", "true"),
     ]
     for task, key, value in cases:
-        data = minimal(task=task, params={"y0": [1.0, 0.0, 0.0], key: value})
+        params = {"y0": [1.0, 0.0, 0.0]} if task == "s-curvature" else {}
+        data = minimal(task=task, params={**params, key: value})
         with pytest.raises(ValidationError) as err:
             scenario.parse_scenario(write_scenario(tmp_path, data))
         assert key in str(err.value)
@@ -213,3 +217,97 @@ def test_unknown_expectation_rejected(tmp_path):
     with pytest.raises(ValidationError) as err:
         scenario.parse_scenario(write_scenario(tmp_path, data))
     assert "expect_vanishing" in str(err.value)
+    # so is any other key the task does not declare: a typo or a leftover
+    for task, key in (("integrate-geodesic", "stide"), ("s-curvature", "dt")):
+        data = minimal(task=task, params={"y0": [1.0, 0.0, 0.0], key: 2})
+        with pytest.raises(ValidationError) as err:
+            scenario.parse_scenario(write_scenario(tmp_path, data))
+        assert repr(key) in str(err.value)
+        assert ", ".join(scenario.TASKS[task].params) in str(err.value)
+
+
+# every default the task runners used before the table, and the
+# vectors a task cannot run without
+DEFAULTS = {
+    "geodesic-vectors": ({}, {"samples": 4096, "tol": 1.0e-9}),
+    "check-nat-reductive": ({}, {"samples": 200, "tol": 1.0e-8, "expect_passed": True}),
+    "check-minkowski-lie": ({}, {"samples": 200, "tol": 1.0e-10, "expect_passed": True}),
+    "integrate-geodesic": (
+        {"y0": [1.0, 0.0, 0.0]},
+        {"x0": [0.0, 0.0, 0.0], "y0": [1.0, 0.0, 0.0], "T": 2.0, "step": 1.0e-3, "tol": 1.0e-6},
+    ),
+    "check-homogeneous": (
+        {"X": [1.0, 0.0, 0.0]},
+        {"X": [1.0, 0.0, 0.0], "T": 2.0, "step": 1.0e-3, "tol": 1.0e-6, "expect_passed": True},
+    ),
+    "s-curvature": (
+        {"y0": [1.0, 0.0, 0.0]},
+        {"x0": [0.0, 0.0, 0.0], "y0": [1.0, 0.0, 0.0], "T": 2.0, "step": 1.0e-3, "stride": 50,
+         "tol": 1.0e-3, "tau_tol": 1.0e-6, "expect_vanishing": True},
+    ),
+    "berwald": ({}, {"x": [0.0, 0.0, 0.0], "samples": 8, "tol": 1.0e-5, "expect_berwald": True}),
+}
+
+
+def test_param_table_fills_defaults():
+    assert set(DEFAULTS) == set(scenario.TASKS)
+    for task, (given, expected) in DEFAULTS.items():
+        scen = scenario.scenario_from_dict(minimal(task=task, params=given))
+        typed = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in scen.params.items()}
+        assert typed == expected, task
+        assert all(type(typed[key]) is type(value) for key, value in expected.items()), task
+        assert scen.raw["params"] == given
+    # ints read as floats; counts and flags keep their types
+    scen = scenario.scenario_from_dict(minimal(task="s-curvature", params={"y0": [1, 0, 0], "T": 1, "stride": 2}))
+    assert scen.params["T"] == 1.0 and isinstance(scen.params["T"], float)
+    assert scen.params["y0"].dtype == np.float64
+    assert scen.params["stride"] == 2 and isinstance(scen.params["stride"], int)
+
+
+BAD_VALUES = {
+    "number": [None, True, "1", [1.0], float("nan"), float("inf"), -1, -1.0e-12],
+    "count": [None, True, "2", 2.0, -1, -5],
+    "vector": [None, "e1", [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, True, 0.0], [1.0, "0", 0.0],
+               [float("nan"), 0.0, 0.0]],
+    "flag": [None, 0, 1, "true", "false"],
+}
+
+
+def test_param_table_rejects_bad_values():
+    # every declared parameter of every task refuses the wrong kind and
+    # every value out of its range; among them the repros tol = -1,
+    # samples = -5 and 0, stride = -1 and 0
+    for task, (given, _) in DEFAULTS.items():
+        for key, param in scenario.TASKS[task].params.items():
+            bad = list(BAD_VALUES[param.kind])
+            if param.positive:
+                bad += [0, 0.0] if param.kind == "number" else [0]
+            for value in bad:
+                data = minimal(task=task, params={**given, key: value})
+                with pytest.raises(ValidationError) as err:
+                    scenario.scenario_from_dict(data)
+                assert repr(key) in str(err.value), (task, key, value)
+    # a required vector may not be left out
+    for task, key in (("integrate-geodesic", "y0"), ("check-homogeneous", "X"), ("s-curvature", "y0")):
+        with pytest.raises(ValidationError) as err:
+            scenario.scenario_from_dict(minimal(task=task))
+        assert repr(key) in str(err.value)
+
+
+def test_split_only_for_tasks_that_read_it():
+    for task in scenario.TASKS:
+        spec = scenario.TASKS[task]
+        data = minimal(task=task, params=DEFAULTS[task][0], norm={"kind": "euclidean", "a": I2},
+                       m_indices=[1, 2], h_indices=[3])
+        if spec.reads_split:
+            assert scenario.scenario_from_dict(data).norm.dim == 2
+        else:
+            with pytest.raises(ValidationError) as err:
+                scenario.scenario_from_dict(data)
+            assert "h_indices" in str(err.value)
+    # with a split the norm is given on m, not on the whole algebra
+    data = minimal(task="geodesic-vectors", m_indices=[1, 2], h_indices=[3])
+    with pytest.raises(ValidationError) as err:
+        scenario.scenario_from_dict(data)
+    assert "dim m is 2" in str(err.value)
