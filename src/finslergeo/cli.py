@@ -151,6 +151,7 @@ def _subsample_path(path, stride: int):
         ts=path.ts[::stride],
         points=path.points[::stride],
         velocities=path.velocities[::stride],
+        body=path.body[::stride],
         F_values=path.F_values[::stride],
         step=path.step * stride,
     )

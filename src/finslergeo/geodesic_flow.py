@@ -6,15 +6,20 @@ reduction; Marsden–Ratiu, Introduction to Mechanics and Symmetry,
 ch. 13).  With μ = ĝ_u u, where ĝ is the norm's fundamental tensor, the
 geodesic equations are
 
-    ẋ = A(x)⁻¹u,    μ̇ = ad*_u μ,    (ad*_u μ)_j = c_ij^k u^i μ_k.
+    ġ = g·u,    μ̇ = ad*_u μ,    (ad*_u μ)_j = c_ij^k u^i μ_k.
 
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
-u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  Each evaluation needs one norm tensor and one
-body Jacobian, and no x-derivative of the chart metric.  The pair
-(x, u) is integrated with classical fixed-step Runge-Kutta; F = norm(u)
-is a first integral of the exact flow, so its drift along a numerical
-path measures integration error.  At a geodesic vector X the right-hand
-side ad*_X(ĝ_X X) is the paper's criterion residual, so u stays put.
+u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  Each evaluation needs one norm tensor, and no
+x-derivative of the chart metric.  u is integrated with classical
+fixed-step Runge-Kutta, and the group element is carried along on the
+group itself by the Runge–Kutta–Munthe-Kaas step built from the same
+stages (Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000),
+so a path may wind past the edge of any chart.  Chart coordinates and
+chart velocities y = A(x)⁻¹u are read off once, after the last step.
+F = norm(u) is a first integral of the exact flow, so its drift along a
+numerical path measures integration error.  At a geodesic vector X the
+right-hand side ad*_X(ĝ_X X) is the paper's criterion residual, so u
+stays put.
 
 The chart-level fundamental tensor g_ij(x, y) is kept for callers that
 want the pulled-back metric itself.
@@ -37,6 +42,7 @@ class GeodesicPath:
     ts: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
+    body: np.ndarray  # body velocities u = A(x)·y
     F_values: np.ndarray
     step: float
 
@@ -64,7 +70,7 @@ class BerwaldReport:
 
 def _require_nonzero_tangent(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if np.any(np.linalg.norm(y, axis=-1) == 0.0):
+    if (np.einsum("...i,...i->...", y, y) == 0.0).any():
         raise ZeroVector("chart tangent must be nonzero")
     return y
 
@@ -113,53 +119,79 @@ def _chart_velocity(model: GroupModel, x, u) -> np.ndarray:
 
 
 def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.0e-3) -> GeodesicPath:
-    """Fixed-step RK4 on xdot = A(x)⁻¹u, udot = ĝ_u⁻¹ ad*_u(ĝ_u u), forward in time.
+    """Fixed-step integration of ġ = g·u, u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), forward in time.
+
+    u advances by classical RK4 with stage values U_1 = u,
+    U_2 = u + ½hk_1, U_3 = u + ½hk_2, U_4 = u + hk_3.  The group element
+    advances by the 4th-order RKMK step on the same stages,
+    g ← g·exp(h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4]).
+    This is the classical RKMK4 in the one-commutator form of
+    Munthe-Kaas and Owren (Phil. Trans. R. Soc. A 357, 1999), with the
+    bracket's sign flipped for right multiplication; its stage
+    commutators drop out because u̇ does not depend on g.  Keeping only
+    ½[Θ_i, U_i] of dexp⁻¹ in each stage would be third order: the dropped
+    (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).
 
     Batched over leading axes of (x0, y0); all trajectories advance in
-    lockstep.  Raises StepRejected when the relative drift of F = norm(u)
-    across a single step exceeds 1e-3, and ChartDomain when a point
-    leaves the model's chart.  Chart velocities are recovered from the
-    body velocities in one batched solve after the last step.
+    lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
+    the path itself may leave it, and only a sample whose chart
+    coordinates are undefined raises ChartDomain.  Raises StepRejected
+    when the relative drift of F = norm(u) across a single step exceeds
+    1e-3.  Chart points and velocities are computed once, after the last
+    step.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
     model, norm = cm.model, cm.norm
+    c = model.algebra.c
     y = _require_nonzero_tangent(y0)
     x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
+    g = model.to_group(x)
     nsteps = max(1, int(round(T / step)))
     ts = np.arange(nsteps + 1) * step
-    points = np.empty((nsteps + 1,) + x.shape)
-    body = np.empty_like(points)
-    points[0] = x
+    elements = np.empty((nsteps + 1,) + g.shape)
+    body = np.empty((nsteps + 1,) + u.shape)
+    elements[0] = g
     body[0] = u
     f_prev = norm.value(u)
 
-    def rhs(xc, uc):
-        return _chart_velocity(model, xc, uc), euler_poincare_rhs(model.algebra, norm, uc)
+    def rhs(uc):
+        return euler_poincare_rhs(model.algebra, norm, uc)
 
     for i in range(1, nsteps + 1):
-        k1x, k1u = rhs(x, u)
-        k2x, k2u = rhs(x + 0.5 * step * k1x, u + 0.5 * step * k1u)
-        k3x, k3u = rhs(x + 0.5 * step * k2x, u + 0.5 * step * k2u)
-        k4x, k4u = rhs(x + step * k3x, u + step * k3u)
-        x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        k1u = rhs(u)
+        u2 = u + 0.5 * step * k1u
+        k2u = rhs(u2)
+        u3 = u + 0.5 * step * k2u
+        k3u = rhs(u3)
+        u4 = u + step * k3u
+        k4u = rhs(u4)
+        commutator = np.einsum("ijk,...i,...j->...k", c, u, u4)
+        theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
+        g = model.right_exp(g, theta)
         u = u + (step / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        model.check_chart(x)
         f_now = norm.value(u)
         if np.any(np.abs(f_now - f_prev) > DRIFT_LIMIT * np.abs(f_prev)):
             raise StepRejected(
                 f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
             )
         f_prev = f_now
-        points[i] = x
+        elements[i] = g
         body[i] = u
 
+    points = model.to_chart(elements)
+    points[0] = x
     velocities = _chart_velocity(model, points, body)
     velocities[0] = y
     return GeodesicPath(
-        ts=ts, points=points, velocities=velocities, F_values=norm.value(body), step=float(step)
+        ts=ts,
+        points=points,
+        velocities=velocities,
+        body=body,
+        F_values=norm.value(body),
+        step=float(step),
     )
 
 

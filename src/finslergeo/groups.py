@@ -3,10 +3,15 @@
 Both built-in models have trivial isotropy, so the homogeneous space is
 the group itself and the algebra coincides with the tangent space at
 the identity.  Heisenberg H3 uses global exponential coordinates with a
-polynomial group law.  SU(2) uses the 3-dim exponential chart around
-the identity (radius strictly below 2π), with unit quaternions as the
-internal representation for composing group elements; all tensor
-calculus happens in the chart.
+polynomial group law.  SU(2) is stored as unit quaternions and reported
+in the 3-dim exponential chart around the identity; the principal log
+covers every element but the antipode −1, and chart inputs must lie
+strictly inside radius 2π.
+
+Each model holds group elements in its own representation: `to_group`
+enters it from chart coordinates, `right_exp` moves an element by
+g ↦ g·exp(θ), and `to_chart` leaves it again.  Geodesics are stepped on
+the group with these and read off in the chart once.
 
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
@@ -45,6 +50,21 @@ class GroupModel:
 
     def check_chart(self, x: np.ndarray) -> None:
         """Raise ChartDomain when x leaves the chart's validity region."""
+
+    # The defaults serve global exponential coordinates, where a group
+    # element is its own chart point and exp(θ) has coordinates θ.
+
+    def to_group(self, x: np.ndarray) -> np.ndarray:
+        """The group element at chart point x, batched."""
+        return np.array(x, dtype=float)
+
+    def right_exp(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """g·exp(θ) for group elements g and algebra vectors θ, batched."""
+        return self.multiply(g, theta)
+
+    def to_chart(self, g: np.ndarray) -> np.ndarray:
+        """Chart coordinates of group elements, batched."""
+        return g
 
     def orbit(self, X: np.ndarray, p: np.ndarray, ts: np.ndarray):
         """Points and chart velocities of t -> exp(tX)·p."""
@@ -95,14 +115,26 @@ class Heisenberg3(GroupModel):
         return points, velocities
 
 
+def _quaternion_table() -> np.ndarray:
+    """T[a, b, c]: the e_c coefficient of e_a·e_b for the basis 1, i, j, k."""
+    table = np.zeros((4, 4, 4))
+    table[0, 0, 0] = 1.0
+    for a in (1, 2, 3):
+        table[0, a, a] = table[a, 0, a] = 1.0
+        table[a, a, 0] = -1.0
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        table[a, b, c] = 1.0
+        table[b, a, c] = -1.0
+    return table.reshape(4, 16)
+
+
+_QUAT_TABLE = _quaternion_table()
+
+
 def _hamilton(q, r):
-    w = q[..., 0] * r[..., 0] - np.einsum("...i,...i->...", q[..., 1:], r[..., 1:])
-    v = (
-        q[..., :1] * r[..., 1:]
-        + r[..., :1] * q[..., 1:]
-        + np.cross(q[..., 1:], r[..., 1:])
-    )
-    return np.concatenate([w[..., None], v], axis=-1)
+    """Quaternion product q·r, batched, as two small matrix products."""
+    left = (q @ _QUAT_TABLE).reshape(q.shape[:-1] + (4, 4))
+    return (r[..., None, :] @ left)[..., 0, :]
 
 
 class SU2(GroupModel):
@@ -114,7 +146,8 @@ class SU2(GroupModel):
     def __init__(self):
         self.algebra = lie.su2()
 
-    def _to_quat(self, x):
+    def to_group(self, x):
+        """The unit quaternion exp(x)."""
         x = np.asarray(x, dtype=float)
         theta = np.linalg.norm(x, axis=-1)
         w = np.cos(0.5 * theta)
@@ -122,7 +155,8 @@ class SU2(GroupModel):
         factor = 0.5 * np.sinc(theta / (2.0 * np.pi))
         return np.concatenate([w[..., None], factor[..., None] * x], axis=-1)
 
-    def _to_chart(self, q):
+    def to_chart(self, q):
+        """The principal log; ChartDomain at the antipode, where it is undefined."""
         w = q[..., 0]
         v = q[..., 1:]
         s = np.linalg.norm(v, axis=-1)
@@ -144,9 +178,11 @@ class SU2(GroupModel):
             q = q / norm
         return q
 
+    def right_exp(self, q, theta):
+        return self._renormalize(_hamilton(q, self.to_group(theta)))
+
     def multiply(self, p, q):
-        prod = self._renormalize(_hamilton(self._to_quat(p), self._to_quat(q)))
-        out = self._to_chart(prod)
+        out = self.to_chart(self.right_exp(self.to_group(p), q))
         self.check_chart(out)
         return out
 
@@ -195,7 +231,6 @@ class SU2(GroupModel):
         ts = np.asarray(ts, dtype=float)
         if np.max(np.abs(p)) == 0.0:
             points = ts[:, None] * X
-            self.check_chart(points)
             velocities = np.broadcast_to(X, points.shape).copy()
             return points, velocities
         points = self.multiply(np.broadcast_to(ts[:, None] * X, (len(ts), 3)).copy(), np.broadcast_to(p, (len(ts), 3)).copy())

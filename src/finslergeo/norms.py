@@ -62,7 +62,7 @@ class MinkowskiNorm:
 
     def _require_nonzero(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
-        if np.any(np.linalg.norm(y, axis=-1) == 0.0):
+        if (np.einsum("...i,...i->...", y, y) == 0.0).any():
             raise ZeroVector("derivative operations need y != 0")
         return y
 

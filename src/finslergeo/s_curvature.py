@@ -135,8 +135,12 @@ def s_curvature(cm, x, y) -> float:
 
 
 def s_along_path(cm, path: GeodesicPath) -> PathDistortion:
-    """tau, S, and the relative sigma error at every path sample."""
-    u, g = _body_tensors(cm, path.points, path.velocities)
+    """tau, S, and the relative sigma error at every path sample.
+
+    Both depend on the body velocity alone, so the path's u is used as is.
+    """
+    u = path.body
+    g = cm.norm.fundamental_matrix(u)
     taus, errs = _tau_from_tensors(cm.norm, g)
     s = _s_from_tensors(cm, u, g)
     return PathDistortion(ts=path.ts, taus=taus, s_values=s, sigma_errors=errs)

@@ -92,6 +92,7 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
         ts=np.arange(nsteps + 1) * step,
         points=points,
         velocities=velocities,
+        body=np.einsum("...ij,...j->...i", cm.model.body_jacobian(points), velocities),
         F_values=cm.value(points, velocities),
         step=float(step),
     )

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from finslergeo import cli, scenario
@@ -247,3 +248,15 @@ def test_every_bundled_scenario_exits_zero(capsys):
         report = json.loads(capsys.readouterr().out)
         assert code == 0, path
         assert report["passed"] is True, path
+
+
+def test_past_antipode_scenario_meets_closed_form():
+    # bi-invariant geodesics are cosets of one-parameter subgroups, so from
+    # the identity the path is exp(t·e1); at t = 7 > 2π it has wound past
+    # the antipode and its principal log is (7 − 4π)·e1
+    scen = scenario.parse_scenario(bundled("su2_biinvariant_past_antipode"))
+    report = cli.run_scenario(scen)
+    assert report.passed
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert np.max(np.abs(np.asarray(report.payload["endpoint_x"]) - (7.0 - 4.0 * np.pi) * e1)) <= 1.0e-10
+    assert np.max(np.abs(np.asarray(report.payload["endpoint_y"]) - e1)) <= 1.0e-10

@@ -185,11 +185,72 @@ def test_step_rejection_on_coarse_steps():
         gf.integrate_geodesic(cm, np.zeros(3), np.array([8.0, -8.0, 8.0]), T=3.0, step=0.5)
 
 
-def test_chart_exit_raises():
+def test_chart_checked_at_start_only():
+    # x0 must lie in the chart; the path may cross the guard band and the
+    # antipode, and still follows exp(x0 + t·e1) on the group
     cm = su2_euclid()
-    x0 = np.array([2.0 * np.pi - 0.07, 0.0, 0.0])
+    model = cm.model
+    e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ChartDomain):
-        gf.integrate_geodesic(cm, x0, np.array([1.0, 0.0, 0.0]), T=0.1, step=1.0e-3)
+        gf.integrate_geodesic(cm, (2.0 * np.pi - 0.03) * e1, e1, T=0.1, step=1.0e-3)
+    # samples sit 5e-4 off the antipode at t = 0.0705
+    x0 = (2.0 * np.pi - 0.0705) * e1
+    path = gf.integrate_geodesic(cm, x0, e1, T=0.1, step=1.0e-3)
+    radii = np.linalg.norm(path.points, axis=-1)
+    assert radii.max() > 2.0 * np.pi - 0.01
+    exact = model.to_group(x0 + path.ts[:, None] * e1)
+    assert np.max(np.abs(model.to_group(path.points) - exact)) <= 1.0e-12
+
+
+def test_biinvariant_su2_orbit_closes_at_4pi():
+    # bi-invariant geodesics are one-parameter subgroups, and exp(4πX) = e
+    # for a unit X; an odd step count keeps every sample off the antipode
+    cm = su2_euclid()
+    rng = np.random.RandomState(31)
+    y0 = rng.standard_normal(3)
+    y0 /= np.linalg.norm(y0)
+    path = gf.integrate_geodesic(cm, np.zeros(3), y0, T=4.0 * np.pi, step=4.0 * np.pi / 1001)
+    assert len(path.ts) == 1002
+    assert np.max(np.abs(path.points[-1])) <= 1.0e-10
+    assert np.max(np.abs(path.velocities[-1] - y0)) <= 1.0e-10
+
+
+def test_group_reconstruction_fourth_order():
+    # a step/8 reference on SU(2) Randers, where u varies and brackets matter
+    a = np.diag([1.0, 2.0, 3.0])
+    cm = groups.ChartMetric(groups.SU2(), norms.make_randers(a, np.array([0.3, -0.4, 0.5])))
+    x0 = np.array([0.4, -0.7, 0.3])
+    y0 = np.array([-0.6, 0.4, 0.7])
+    coarse = 0.1
+    ref = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=coarse / 8.0).points
+    errors = []
+    for k in (8, 4, 2):
+        points = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=k * coarse / 8.0).points
+        errors.append(np.max(np.abs(points - ref[::k])))
+    assert errors[0] / errors[1] >= 12.0
+    assert errors[1] / errors[2] >= 12.0
+
+
+def test_chart_work_does_not_grow_with_steps():
+    # timer-free cost guard: chart work is per call, never per step
+    def counted_calls(T):
+        model = groups.SU2()
+        counts = {"body_jacobian": 0, "check_chart": 0}
+        for name in counts:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            setattr(model, name, counted)
+        cm = groups.ChartMetric(model, norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2])))
+        gf.integrate_geodesic(cm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3)
+        return counts
+
+    short, long = counted_calls(0.05), counted_calls(0.5)
+    assert short == long
+    assert short["check_chart"] == 1
 
 
 def test_homogeneous_geodesics_su2_random():

@@ -62,7 +62,7 @@ def test_su2_quaternion_scalar_part():
     X = np.array([0.3, -1.1, 0.7])
     w = np.linalg.norm(X)
     for t in (0.3, 1.0, 2.5):
-        q = model._to_quat(model.exp_map(X, t))
+        q = model.to_group(model.exp_map(X, t))
         assert abs(q[0] - np.cos(0.5 * w * t)) < 1.0e-12
 
 

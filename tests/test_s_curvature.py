@@ -23,6 +23,7 @@ def subsample(path, every):
         ts=path.ts[::every],
         points=path.points[::every],
         velocities=path.velocities[::every],
+        body=path.body[::every],
         F_values=path.F_values[::every],
         step=path.step * every,
     )

@@ -40,7 +40,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
 
 def test_bundled_scenarios_parse():
     paths = scenario.bundled_scenarios()
-    assert len(paths) == 15
+    assert len(paths) == 16
     tasks = set()
     for path in paths:
         scen = scenario.parse_scenario(path)
