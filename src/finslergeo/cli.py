@@ -45,7 +45,7 @@ def _tol(scen, tol_override) -> float:
 
 
 def _chart(scen):
-    return groups.induced_chart_metric(scen.model, scen.norm)
+    return groups.ChartMetric(scen.model, scen.norm)
 
 
 def _run_geodesic_vectors(scen, tol_override):

@@ -205,17 +205,20 @@ def is_homogeneous_geodesic(
 ) -> HomogeneousGeodesicReport:
     """Integrate from (e, X) and compare with the orbit of exp(tX).
 
-    The sup-distance over [0, T] in chart coordinates decides pass or
-    fail; the algebraic criterion residual for X rides along so callers
-    can confirm the two verdicts agree.
+    The comparison is on the group: the sup-distance over [0, T] between
+    the path's group elements and exp(tX), in the model's representation
+    (chart coordinates on H3, unit quaternions on SU(2)), decides pass or
+    fail.  So an orbit may wind past the edge of the chart.  The
+    algebraic criterion residual for X rides along so callers can
+    confirm the two verdicts agree.
     """
     X = np.asarray(X, dtype=float)
     if np.linalg.norm(X) == 0.0:
         raise ZeroVector("direction must be nonzero")
     cm = ChartMetric(model, norm)
     path = integrate_geodesic(cm, model.identity(), X, T=T, step=step)
-    orbit_points, _ = orbit_curve(model, X, model.identity(), path.ts)
-    sup = float(np.max(np.abs(path.points - orbit_points)))
+    orbit = orbit_curve(model, X, path.ts)
+    sup = float(np.max(np.abs(model.to_group(path.points) - orbit)))
     dec = lie.ReductiveDecomposition(model.algebra, m_indices=tuple(range(model.dim)))
     residual = geodesic_residual(dec, norm, X).residual
     return HomogeneousGeodesicReport(

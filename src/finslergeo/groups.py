@@ -2,16 +2,19 @@
 
 Both built-in models have trivial isotropy, so the homogeneous space is
 the group itself and the algebra coincides with the tangent space at
-the identity.  Heisenberg H3 uses global exponential coordinates with a
-polynomial group law.  SU(2) is stored as unit quaternions and reported
-in the 3-dim exponential chart around the identity; the principal log
+the identity.  Every model's chart is exponential coordinates: the chart
+point θ is the group element exp(θ), so `to_group(θ)` is exp(θ) and the
+one-parameter subgroup exp(tX) is the chart line tX.  Heisenberg H3 and
+the vector group are covered by that chart globally, with a polynomial
+group law.  SU(2) is stored as unit quaternions; the principal log
 covers every element but the antipode −1, and chart inputs must lie
 strictly inside radius 2π.
 
 Each model holds group elements in its own representation: `to_group`
 enters it from chart coordinates, `right_exp` moves an element by
 g ↦ g·exp(θ), and `to_chart` leaves it again.  Geodesics are stepped on
-the group with these and read off in the chart once.
+the group with these and read off in the chart once, and orbits of
+one-parameter subgroups are compared with them on the group.
 
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
@@ -40,10 +43,6 @@ class GroupModel:
     def multiply(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def exp_map(self, X: np.ndarray, t) -> np.ndarray:
-        """Chart coordinates of exp(tX); t may be a scalar or an array."""
-        raise NotImplementedError
-
     def body_jacobian(self, x: np.ndarray) -> np.ndarray:
         """A(x) = d(L_{x^{-1}})_x, batched over leading axes of x."""
         raise NotImplementedError
@@ -55,7 +54,7 @@ class GroupModel:
     # element is its own chart point and exp(θ) has coordinates θ.
 
     def to_group(self, x: np.ndarray) -> np.ndarray:
-        """The group element at chart point x, batched."""
+        """exp(x), the group element at chart point x, batched."""
         return np.array(x, dtype=float)
 
     def right_exp(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -65,10 +64,6 @@ class GroupModel:
     def to_chart(self, g: np.ndarray) -> np.ndarray:
         """Chart coordinates of group elements, batched."""
         return g
-
-    def orbit(self, X: np.ndarray, p: np.ndarray, ts: np.ndarray):
-        """Points and chart velocities of t -> exp(tX)·p."""
-        raise NotImplementedError
 
 
 class Heisenberg3(GroupModel):
@@ -87,11 +82,6 @@ class Heisenberg3(GroupModel):
         out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
         return out
 
-    def exp_map(self, X, t):
-        X = np.asarray(X, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return t[..., None] * X if t.ndim else t * X
-
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (3, 3))
@@ -101,18 +91,6 @@ class Heisenberg3(GroupModel):
         out[..., 2, 0] = 0.5 * x[..., 1]
         out[..., 2, 1] = -0.5 * x[..., 0]
         return out
-
-    def orbit(self, X, p, ts):
-        X = np.asarray(X, dtype=float)
-        p = np.asarray(p, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        points = self.multiply(np.broadcast_to(ts[:, None] * X, (len(ts), 3)).copy(), np.broadcast_to(p, (len(ts), 3)).copy())
-        vel = np.empty(3)
-        vel[0] = X[0]
-        vel[1] = X[1]
-        vel[2] = X[2] + 0.5 * (X[0] * p[1] - X[1] * p[0])
-        velocities = np.broadcast_to(vel, (len(ts), 3)).copy()
-        return points, velocities
 
 
 def _quaternion_table() -> np.ndarray:
@@ -186,13 +164,6 @@ class SU2(GroupModel):
         self.check_chart(out)
         return out
 
-    def exp_map(self, X, t):
-        X = np.asarray(X, dtype=float)
-        t = np.asarray(t, dtype=float)
-        out = t[..., None] * X if t.ndim else t * X
-        self.check_chart(out)
-        return out
-
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)
         theta2 = np.einsum("...i,...i->...", x, x)
@@ -225,22 +196,6 @@ class SU2(GroupModel):
                 f"coordinate radius {worst} exceeds the chart bound {_SU2_CHART_RADIUS}"
             )
 
-    def orbit(self, X, p, ts):
-        X = np.asarray(X, dtype=float)
-        p = np.asarray(p, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        if np.max(np.abs(p)) == 0.0:
-            points = ts[:, None] * X
-            velocities = np.broadcast_to(X, points.shape).copy()
-            return points, velocities
-        points = self.multiply(np.broadcast_to(ts[:, None] * X, (len(ts), 3)).copy(), np.broadcast_to(p, (len(ts), 3)).copy())
-        h = 1.0e-5
-        stencil = []
-        for off in (2.0 * h, h, -h, -2.0 * h):
-            stencil.append(self.multiply((ts[:, None] + off) * X, np.broadcast_to(p, (len(ts), 3)).copy()))
-        velocities = (-stencil[0] + 8.0 * stencil[1] - 8.0 * stencil[2] + stencil[3]) / (12.0 * h)
-        return points, velocities
-
 
 class Abelian(GroupModel):
     """Vector group R^n under addition; the flat translation model.
@@ -258,22 +213,9 @@ class Abelian(GroupModel):
     def multiply(self, p, q):
         return np.asarray(p, dtype=float) + np.asarray(q, dtype=float)
 
-    def exp_map(self, X, t):
-        X = np.asarray(X, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return t[..., None] * X if t.ndim else t * X
-
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def orbit(self, X, p, ts):
-        X = np.asarray(X, dtype=float)
-        p = np.asarray(p, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        points = p + ts[:, None] * X
-        velocities = np.broadcast_to(X, points.shape).copy()
-        return points, velocities
 
 
 _MODELS = {"heisenberg3": Heisenberg3, "su2": SU2}
@@ -307,16 +249,13 @@ class ChartMetric:
         return self.norm.value2_jet(jets.matvec(a, yj))
 
 
-def induced_chart_metric(model: GroupModel, norm) -> ChartMetric:
-    return ChartMetric(model, norm)
+def orbit_curve(model: GroupModel, X: np.ndarray, ts) -> np.ndarray:
+    """Group elements exp(tX) for each t in ts, in the model's representation.
 
-
-def orbit_curve(model: GroupModel, X: np.ndarray, p: np.ndarray, ts):
-    """Points and velocities of the one-parameter orbit exp(tX)·p."""
+    The chart is exponential coordinates, so exp(tX) is the group
+    element at the chart point tX; no chart bound applies.
+    """
     X = np.asarray(X, dtype=float)
     if np.linalg.norm(X) == 0.0:
         raise ZeroVector("orbit direction must be nonzero")
-    ts = np.asarray(ts, dtype=float)
-    points, velocities = model.orbit(X, np.asarray(p, dtype=float), ts)
-    model.check_chart(points)
-    return points, velocities
+    return model.to_group(np.asarray(ts, dtype=float)[:, None] * X)

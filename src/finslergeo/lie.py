@@ -63,17 +63,6 @@ def jacobi_residual(alg: LieAlgebraData):
     return float(np.abs(total[idx])), idx
 
 
-def project_m(dec: ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
-    """Zero out the h components of X; batched."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] != dec.algebra.dim:
-        raise DimensionMismatch(dec.algebra.dim, X.shape[-1])
-    out = np.zeros_like(X)
-    idx = list(dec.m_indices)
-    out[..., idx] = X[..., idx]
-    return out
-
-
 def heisenberg3() -> LieAlgebraData:
     """[e1, e2] = e3, the rest zero: the 3-dim Heisenberg algebra."""
     c = np.zeros((3, 3, 3))

@@ -223,7 +223,3 @@ class CustomNorm(MinkowskiNorm):
                 ) from None
         return g
 
-
-def make_randers(a: np.ndarray, b: np.ndarray) -> RandersNorm:
-    """Randers norm from Riemannian data a and a drift covector b."""
-    return RandersNorm(a, b)

@@ -9,7 +9,9 @@ is 0-based.
 `TASKS` declares, for every task, whether it needs a named group, whether
 it reads the reductive split g = h + m, and the parameters it takes.
 Parsing checks `params` against that table: an undeclared key, a value
-of the wrong kind or one out of range is a ValidationError.
+of the wrong kind or one out of range is a ValidationError, and so is a
+top-level key other than the seven of `_TOP_LEVEL_KEYS`, so an
+expectation placed beside `params` is never silently dropped.
 `Scenario.params` holds the typed values with defaults filled in;
 `Scenario.raw` keeps the parameters exactly as given (with the seed and
 the split made explicit) and is what run reports digest, so identical
@@ -26,6 +28,8 @@ import numpy as np
 
 from . import groups, lie, norms
 from .errors import NonConvexNorm, ParseError, ValidationError
+
+_TOP_LEVEL_KEYS = ("task", "model", "norm", "params", "seed", "m_indices", "h_indices")
 
 REQUIRED = "required"  # the scenario must give the value
 ABSENT = "absent"  # no default: an absent value stays out of the typed params
@@ -185,7 +189,7 @@ def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
     if b.shape != (dim,):
         raise ValidationError(f"norm block: covector b has shape {b.shape}, {where} is {dim}")
     try:
-        return norms.make_randers(a, b)
+        return norms.RandersNorm(a, b)
     except NonConvexNorm as exc:
         raise ValidationError(
             f"norm block: Randers data violates ‖b‖ < 1 (computed ‖b‖_a = {exc.b_norm:.6f})"
@@ -280,6 +284,11 @@ def parse_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
+    if unknown:
+        raise ValidationError(
+            f"scenario: unknown top-level key {unknown[0]!r}; allowed keys: {', '.join(_TOP_LEVEL_KEYS)}"
+        )
     task = _require(data, "task", str, "scenario")
     if task not in TASKS:
         raise ValidationError(f"scenario: unknown task {task!r}; available: {', '.join(TASKS)}")

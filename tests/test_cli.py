@@ -260,3 +260,47 @@ def test_past_antipode_scenario_meets_closed_form():
     e1 = np.array([1.0, 0.0, 0.0])
     assert np.max(np.abs(np.asarray(report.payload["endpoint_x"]) - (7.0 - 4.0 * np.pi) * e1)) <= 1.0e-10
     assert np.max(np.abs(np.asarray(report.payload["endpoint_y"]) - e1)) <= 1.0e-10
+
+
+@pytest.mark.parametrize(
+    "a, X, code",
+    [
+        # bi-invariant: exp(t·e1) is the geodesic, also past the chart edge at 2π
+        (I3, [1.0, 0.0, 0.0], 0),
+        # an off-axis X of diag(1, 2, 3) is no geodesic vector; the orbit
+        # check fails instead of leaving the chart
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], [0.6, 0.8, 0.0], 2),
+    ],
+)
+def test_homogeneous_check_runs_past_chart_edge(tmp_path, capsys, a, X, code):
+    path = write_scenario(
+        tmp_path,
+        {
+            "task": "check-homogeneous",
+            "model": "su2",
+            "norm": {"kind": "euclidean", "a": a},
+            "params": {"X": X, "T": 7.0, "step": 0.01},
+        },
+    )
+    assert cli.main(["--scenario", path, "--format", "machine"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["check_passed"] is (code == 0)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"task": "check-homogeneous", "model": "heisenberg3", "params": {"X": [1.0, 0.0, 1.0]},
+         "expect_passed": False},
+        # the Riemannian H3 metric is Berwald, so the dropped key would pass
+        {"task": "berwald", "model": "heisenberg3", "expect_berwald": False},
+    ],
+)
+def test_top_level_unknown_key_exits_one(tmp_path, capsys, extra):
+    path = write_scenario(tmp_path, {"norm": {"kind": "euclidean", "a": I3}, **extra})
+    code = cli.main(["--scenario", path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ValidationError:")
+    assert repr(next(key for key in extra if key.startswith("expect_"))) in err
+    assert "task, model, norm, params, seed, m_indices, h_indices" in err

@@ -15,7 +15,7 @@ def h3_euclid():
 
 
 def h3_randers(b):
-    return groups.ChartMetric(groups.Heisenberg3(), norms.make_randers(np.eye(3), np.asarray(b)))
+    return groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.asarray(b)))
 
 
 def su2_euclid():
@@ -108,7 +108,7 @@ def test_zero_tangent_raises():
 
 
 def test_spray_vanishes_on_flat_model():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.4, 0.0, 0.0]))
+    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.4, 0.0, 0.0]))
     rng = np.random.RandomState(5)
     for _ in range(10):
         ev = chart_spray.spray_coefficients(cm, rng.standard_normal(3), rng.standard_normal(3))
@@ -146,7 +146,7 @@ def test_spray_matches_christoffel_oracle():
 
 
 def test_integrate_flat_model_straight_line():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.2, 0.1, 0.0]))
+    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.2, 0.1, 0.0]))
     x0 = np.array([1.0, -2.0, 0.5])
     y0 = np.array([0.3, 0.7, -0.2])
     path = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=0.01)
@@ -218,7 +218,7 @@ def test_biinvariant_su2_orbit_closes_at_4pi():
 def test_group_reconstruction_fourth_order():
     # a step/8 reference on SU(2) Randers, where u varies and brackets matter
     a = np.diag([1.0, 2.0, 3.0])
-    cm = groups.ChartMetric(groups.SU2(), norms.make_randers(a, np.array([0.3, -0.4, 0.5])))
+    cm = groups.ChartMetric(groups.SU2(), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5])))
     x0 = np.array([0.4, -0.7, 0.3])
     y0 = np.array([-0.6, 0.4, 0.7])
     coarse = 0.1
@@ -232,8 +232,17 @@ def test_group_reconstruction_fourth_order():
 
 
 def test_chart_work_does_not_grow_with_steps():
-    # timer-free cost guard: chart work is per call, never per step
-    def counted_calls(T):
+    # timer-free cost guard: chart work is per call, never per step; the
+    # orbit check compares on the group, so it adds no chart check
+    norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
+    runs = (
+        lambda model, T: gf.integrate_geodesic(
+            groups.ChartMetric(model, norm), np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
+        ),
+        lambda model, T: gf.is_homogeneous_geodesic(model, norm, np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3),
+    )
+
+    def counted_calls(run, T):
         model = groups.SU2()
         counts = {"body_jacobian": 0, "check_chart": 0}
         for name in counts:
@@ -244,13 +253,13 @@ def test_chart_work_does_not_grow_with_steps():
                 return _original(*args, **kwargs)
 
             setattr(model, name, counted)
-        cm = groups.ChartMetric(model, norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2])))
-        gf.integrate_geodesic(cm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3)
+        run(model, T)
         return counts
 
-    short, long = counted_calls(0.05), counted_calls(0.5)
-    assert short == long
-    assert short["check_chart"] == 1
+    for run in runs:
+        short, long = counted_calls(run, 0.05), counted_calls(run, 0.5)
+        assert short == long
+        assert short["check_chart"] == 1
 
 
 def test_homogeneous_geodesics_su2_random():
@@ -318,7 +327,7 @@ def test_berwald_riemannian_passes():
 
 
 def test_berwald_flat_minkowski_passes():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.5, 0.0, 0.0]))
+    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0]))
     report = gf.berwald_test(cm, samples=6)
     assert report.max_deviation < 1.0e-12
 
@@ -362,9 +371,9 @@ def oracle_cases():
     a_h3 = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
     a_su2 = np.diag([1.0, 2.0, 3.0])
     return [
-        groups.ChartMetric(groups.Heisenberg3(), norms.make_randers(a_h3, np.array([0.4, 0.3, -0.5]))),
+        groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(a_h3, np.array([0.4, 0.3, -0.5]))),
         groups.ChartMetric(groups.SU2(), norms.EuclideanNorm(a_su2)),
-        groups.ChartMetric(groups.SU2(), norms.make_randers(a_su2, np.array([0.3, -0.4, 0.5]))),
+        groups.ChartMetric(groups.SU2(), norms.RandersNorm(a_su2, np.array([0.3, -0.4, 0.5]))),
     ]
 
 
@@ -386,7 +395,7 @@ def test_berwald_verdict_matches_chart_spray():
         (h3_euclid(), None),
         (h3_euclid(), np.array([0.3, -0.2, 0.5])),
         (su2_euclid(), None),
-        (groups.ChartMetric(groups.Abelian(3), norms.make_randers(np.eye(3), [0.5, 0.0, 0.0])), None),
+        (groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0])), None),
         (h3_randers([0.0, 0.0, 0.5]), None),
         (h3_randers([0.0, 0.0, 0.5]), np.array([0.3, -0.2, 0.5])),
     ] + [(cm, np.array([0.3, 0.5, -0.4])) for cm in oracle_cases()]
@@ -407,7 +416,7 @@ def test_criterion_residual_is_coadjoint_of_flow():
     a = np.diag([1.0, 2.0, 3.0])
     for model in (groups.Heisenberg3(), groups.SU2()):
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
-        for norm in (norms.EuclideanNorm(a), norms.make_randers(a, np.array([0.3, -0.4, 0.5]))):
+        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5]))):
             for X in rng.standard_normal((20, 3)):
                 residual = geodesic_vectors.geodesic_residual(dec, norm, X).residual
                 coadjoint = norm.fundamental_matrix(X) @ gf.euler_poincare_rhs(model.algebra, norm, X)
@@ -418,9 +427,9 @@ def test_body_velocity_frozen_from_geodesic_vectors():
     a = np.diag([1.0, 2.0, 3.0])
     cases = [
         (groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3))),
-        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.2]))),
+        (groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.2]))),
         (groups.SU2(), norms.EuclideanNorm(a)),
-        (groups.SU2(), norms.make_randers(a, np.array([0.3, 0.0, 0.0]))),
+        (groups.SU2(), norms.RandersNorm(a, np.array([0.3, 0.0, 0.0]))),
     ]
     for model, norm in cases:
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))

@@ -54,7 +54,7 @@ def test_degenerate_vector_raises():
 
 def test_scaling_invariance_of_zero_set():
     dec = h3_dec()
-    norm = norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.0]))
+    norm = norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.0]))
     rng = np.random.RandomState(12)
     for _ in range(100):
         lam = rng.uniform(0.1, 9.0)
@@ -70,7 +70,7 @@ def test_scaling_invariance_of_zero_set():
 
 def test_jacobian_matches_finite_differences():
     dec = su2_dec()
-    norm = norms.make_randers(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.1, 0.0]))
+    norm = norms.RandersNorm(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.1, 0.0]))
     rng = np.random.RandomState(7)
     h = 1.0e-6
     eye = np.eye(3)
@@ -142,7 +142,7 @@ def test_cap_walks_branches_in_rank_order():
 
 
 def test_all_seeds_geodesic_matches_seed_residuals():
-    randers = norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0]))
+    randers = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0]))
     cases = [(su2_dec(), eucl3(), True), (h3_dec(), eucl3(), False), (su2_dec(), randers, False)]
     for dec, norm, expected in cases:
         result = gv.find_geodesic_vectors(dec, norm, samples=256)
@@ -267,7 +267,7 @@ def test_minkowski_lie_checker():
     assert not report.passed
     assert report.max_residual > 1.0e-2
     assert set(report.witness) == {"y", "x", "u", "v"}
-    randers = norms.make_randers(np.eye(3), np.array([0.2, 0.2, 0.0]))
+    randers = norms.RandersNorm(np.eye(3), np.array([0.2, 0.2, 0.0]))
     report = gv.check_minkowski_lie_algebra(lie.abelian(3), randers, samples=100, seed=1)
     assert report.max_residual == 0.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslergeo import groups, lie, norms
-from finslergeo.errors import ChartDomain, DimensionMismatch
+from finslergeo.errors import ChartDomain, DimensionMismatch, ZeroVector
 
 from group_oracle import dleft
 
@@ -36,24 +36,29 @@ def test_group_axioms():
 
 
 def test_exp_map_additivity():
+    # the chart is exponential coordinates: exp(sX)·exp(tX) = exp((s+t)X)
     rng = np.random.RandomState(31)
     for model in (h3(), su2()):
         for _ in range(50):
             X = rng.standard_normal(3)
             X /= np.linalg.norm(X)
             s, t = rng.uniform(-1.2, 1.2, size=2)
-            lhs = model.exp_map(X, s + t)
-            rhs = model.multiply(model.exp_map(X, s), model.exp_map(X, t))
-            assert np.max(np.abs(lhs - rhs)) < 1.0e-10
+            lhs = model.multiply(s * X, t * X)
+            assert np.max(np.abs(lhs - (s + t) * X)) < 1.0e-10
 
 
 def test_exp_map_initial_velocity():
-    h = 1.0e-6
+    # d/dt exp(tX) = exp(tX)·X, so the chart line tX has body velocity X
+    rng = np.random.RandomState(5)
+    X = rng.standard_normal(3)
     for model in (h3(), su2()):
-        rng = np.random.RandomState(5)
-        X = rng.standard_normal(3)
-        fd = (model.exp_map(X, h) - model.exp_map(X, -h)) / (2.0 * h)
-        assert np.max(np.abs(fd - X)) < 1.0e-9
+        for t in (0.0, 0.7, 2.5):
+            assert np.max(np.abs(model.body_jacobian(t * X) @ X - X)) < 1.0e-12
+    # the unit quaternion exp(tX) leaves 1 with velocity X/2 in i, j, k
+    h = 1.0e-6
+    model = su2()
+    fd = (model.to_group(h * X) - model.to_group(-h * X)) / (2.0 * h)
+    assert np.max(np.abs(fd - np.concatenate([[0.0], 0.5 * X]))) < 1.0e-9
 
 
 def test_su2_quaternion_scalar_part():
@@ -62,7 +67,7 @@ def test_su2_quaternion_scalar_part():
     X = np.array([0.3, -1.1, 0.7])
     w = np.linalg.norm(X)
     for t in (0.3, 1.0, 2.5):
-        q = model.to_group(model.exp_map(X, t))
+        q = model.to_group(t * X)
         assert abs(q[0] - np.cos(0.5 * w * t)) < 1.0e-12
 
 
@@ -78,47 +83,24 @@ def test_su2_chart_domain():
         model.multiply(np.array([np.pi, 0.0, 0.0]), np.array([np.pi - 0.01, 0.0, 0.0]))
 
 
-def test_h3_orbit_closed_form():
-    model = h3()
-    X = np.array([0.4, -0.3, 0.9])
-    ts = np.linspace(0.0, 2.0, 9)
-    points, velocities = groups.orbit_curve(model, X, model.identity(), ts)
-    assert np.max(np.abs(points - ts[:, None] * X)) < 1.0e-14
-    assert np.max(np.abs(velocities - X)) < 1.0e-14
-    # through a general point the velocity comes from the group law
-    p = np.array([0.5, 1.0, -0.2])
-    points, velocities = groups.orbit_curve(model, X, p, ts)
-    h = 1.0e-6
-    plus, _ = groups.orbit_curve(model, X, p, ts + h)
-    minus, _ = groups.orbit_curve(model, X, p, ts - h)
-    fd = (plus - minus) / (2.0 * h)
-    assert np.max(np.abs(velocities - fd)) < 1.0e-8
-
-
-def test_su2_orbit_matches_quaternion_flow():
-    model = su2()
+def test_orbit_curve_matches_right_exp_steps():
+    # exp(tX) by repeated right translation g ← g·exp(hX) from e; on SU(2)
+    # the orbit runs past the chart edge at |tX| = 2π
     rng = np.random.RandomState(13)
-    X = rng.standard_normal(3)
-    X /= np.linalg.norm(X)
-    ts = np.linspace(0.0, 2.0, 21)
-    points, velocities = groups.orbit_curve(model, X, model.identity(), ts)
-    assert np.max(np.abs(points - ts[:, None] * X)) < 1.0e-12
-    assert np.max(np.abs(velocities - X)) < 1.0e-12
-    p = rng.standard_normal(3) * 0.4
-    points, velocities = groups.orbit_curve(model, X, p, ts)
-    h = 1.0e-6
-    plus, _ = groups.orbit_curve(model, X, p, ts + h)
-    minus, _ = groups.orbit_curve(model, X, p, ts - h)
-    fd = (plus - minus) / (2.0 * h)
-    assert np.max(np.abs(velocities - fd)) < 1.0e-7
-
-
-def test_orbit_velocity_at_identity_is_dleft():
+    h, steps = 0.05, 200
+    ts = np.arange(steps + 1) * h
     for model in (h3(), su2()):
-        X = np.array([0.2, 0.5, -0.8])
-        points, velocities = groups.orbit_curve(model, X, model.identity(), np.array([0.0]))
-        expected = dleft(model, model.identity(), X)
-        assert np.max(np.abs(velocities[0] - expected)) < 1.0e-12
+        X = rng.standard_normal(3)
+        X /= np.linalg.norm(X)
+        orbit = groups.orbit_curve(model, X, ts)
+        g = model.to_group(model.identity())
+        worst = np.max(np.abs(orbit[0] - g))
+        for k in range(1, steps + 1):
+            g = model.right_exp(g, h * X)
+            worst = max(worst, np.max(np.abs(orbit[k] - g)))
+        assert worst < 1.0e-12
+    with pytest.raises(ZeroVector):
+        groups.orbit_curve(su2(), np.zeros(3), ts)
 
 
 def test_dleft_matches_group_law_differential():
@@ -151,9 +133,9 @@ def test_body_jacobian_left_trivialization():
 
 def test_chart_metric_left_invariance():
     rng = np.random.RandomState(666)
-    norm = norms.make_randers(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.0, 0.2]))
+    norm = norms.RandersNorm(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.0, 0.2]))
     for model, scale in ((h3(), 1.2), (su2(), 0.6)):
-        cm = groups.induced_chart_metric(model, norm)
+        cm = groups.ChartMetric(model, norm)
         worst = 0.0
         for _ in range(1000):
             p = rng.standard_normal(3) * scale
@@ -166,9 +148,9 @@ def test_chart_metric_left_invariance():
 
 
 def test_chart_metric_identity_reduces_to_norm():
-    norm = norms.make_randers(np.eye(3), np.array([0.2, 0.1, 0.0]))
+    norm = norms.RandersNorm(np.eye(3), np.array([0.2, 0.1, 0.0]))
     for model in (h3(), su2()):
-        cm = groups.induced_chart_metric(model, norm)
+        cm = groups.ChartMetric(model, norm)
         rng = np.random.RandomState(8)
         for _ in range(20):
             y = rng.standard_normal(3)
@@ -177,7 +159,7 @@ def test_chart_metric_identity_reduces_to_norm():
 
 def test_chart_metric_dim_check():
     with pytest.raises(DimensionMismatch):
-        groups.induced_chart_metric(h3(), norms.EuclideanNorm(np.eye(2)))
+        groups.ChartMetric(h3(), norms.EuclideanNorm(np.eye(2)))
 
 
 def test_model_by_name():

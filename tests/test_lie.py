@@ -72,22 +72,6 @@ def test_jacobi_residual_builtins():
         assert mag <= 1.0e-14
 
 
-def test_project_m():
-    dec = lie.ReductiveDecomposition(lie.su2(), m_indices=(0, 1), h_indices=(2,))
-    x = np.array([1.0, 2.0, 3.0])
-    p = lie.project_m(dec, x)
-    assert np.array_equal(p, np.array([1.0, 2.0, 0.0]))
-    assert np.array_equal(lie.project_m(dec, p), p)
-    h_only = np.array([0.0, 0.0, 5.0])
-    assert np.array_equal(lie.project_m(dec, h_only), np.zeros(3))
-    rng = np.random.RandomState(1)
-    a, b = rng.standard_normal(2)
-    x, y = rng.standard_normal((2, 3))
-    lhs = lie.project_m(dec, a * x + b * y)
-    rhs = a * lie.project_m(dec, x) + b * lie.project_m(dec, y)
-    assert np.max(np.abs(lhs - rhs)) < 1.0e-15
-
-
 def test_validate_trivial_isotropy():
     for task in ("geodesic-vectors", "check-nat-reductive"):
         scen = scenario.scenario_from_dict(split_scenario("heisenberg3", [1, 2, 3], [], task))

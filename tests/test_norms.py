@@ -23,7 +23,7 @@ def random_randers(rng, n, b_cap=0.9):
     direction = rng.standard_normal(n)
     b_sharp = direction / np.sqrt(direction @ a @ direction)
     b = a @ b_sharp * rng.uniform(0.2, b_cap)
-    return norms.make_randers(a, b)
+    return norms.RandersNorm(a, b)
 
 
 def random_y(rng, n):
@@ -89,7 +89,7 @@ def quartic_norm():
 def test_known_values():
     e2 = norms.EuclideanNorm(np.eye(2))
     assert e2.value(np.array([3.0, 4.0])) == 5.0
-    r = norms.make_randers(np.eye(2), np.array([0.5, 0.0]))
+    r = norms.RandersNorm(np.eye(2), np.array([0.5, 0.0]))
     assert abs(r.value(np.array([1.0, 0.0])) - 1.5) < 1.0e-15
     g = r.fundamental_matrix(np.array([1.0, 0.0]))
     y = np.array([1.0, 0.0])
@@ -113,7 +113,7 @@ def test_homogeneity():
 
 
 def test_zero_vector_conventions():
-    r = norms.make_randers(np.eye(2), np.array([0.3, 0.1]))
+    r = norms.RandersNorm(np.eye(2), np.array([0.3, 0.1]))
     assert r.value(np.zeros(2)) == 0.0
     with pytest.raises(ZeroVector):
         r.fundamental_matrix(np.zeros(2))
@@ -152,7 +152,7 @@ def test_randers_closed_form_vs_jet_path():
 
 def test_randers_cartan_vs_fd_oracle():
     # mild instance: absolute agreement
-    norm = norms.make_randers(np.eye(2), np.array([0.5, 0.0]))
+    norm = norms.RandersNorm(np.eye(2), np.array([0.5, 0.0]))
     y = np.array([1.0, 1.0])
     closed = norm.cartan(y)
     oracle = fd_third_quarter_f2(norm, y)
@@ -217,16 +217,16 @@ def test_cartan_symmetry_and_radial_vanishing():
             assert np.max(np.abs(radial)) <= 1.0e-10 * np.max(np.abs(g))
 
 
-def test_make_randers_validation():
-    accepted = norms.make_randers(np.diag([4.0, 1.0]), np.array([0.9, 0.0]))
+def test_randers_validation():
+    accepted = norms.RandersNorm(np.diag([4.0, 1.0]), np.array([0.9, 0.0]))
     assert abs(accepted.b_norm - 0.45) < 1.0e-15
     with pytest.raises(NonConvexNorm) as info:
-        norms.make_randers(np.eye(2), np.array([1.0, 0.0]))
+        norms.RandersNorm(np.eye(2), np.array([1.0, 0.0]))
     assert "‖b‖ < 1" in str(info.value)
     assert info.value.b_norm >= 1.0
     with pytest.raises(NotPositiveDefinite):
-        norms.make_randers(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
-    riemannian = norms.make_randers(np.eye(3), np.zeros(3))
+        norms.RandersNorm(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+    riemannian = norms.RandersNorm(np.eye(3), np.zeros(3))
     y = np.array([0.3, -1.2, 0.4])
     assert np.max(np.abs(riemannian.cartan(y))) < 1.0e-14
     assert abs(riemannian.value(y) - np.linalg.norm(y)) < 1.0e-15

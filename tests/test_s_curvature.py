@@ -57,7 +57,7 @@ def test_sigma_riemannian_is_volume_density():
 
 def test_sigma_randers_translated_disc():
     b = np.array([0.5, 0.0])
-    cm = flat_metric(norms.make_randers(np.eye(2), b), dim=2)
+    cm = flat_metric(norms.RandersNorm(np.eye(2), b), dim=2)
     factor = s_curvature.busemann_sigma(cm, np.zeros(2))
     # brute-force area of the indicatrix by dense radial sampling
     thetas = np.linspace(0.0, 2.0 * np.pi, 1000001)[:-1]
@@ -70,7 +70,7 @@ def test_sigma_randers_translated_disc():
 
 
 def test_sigma_randers_closed_form_3d():
-    cm = flat_metric(norms.make_randers(np.eye(3), np.array([0.0, 0.5, 0.0])))
+    cm = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.0, 0.5, 0.0])))
     factor = s_curvature.busemann_sigma(cm, np.zeros(3))
     assert abs(factor.sigma - (1.0 - 0.25) ** 2) < 1.0e-8
 
@@ -122,7 +122,7 @@ def test_distortion_riemannian_zero():
 
 
 def test_distortion_zero_homogeneous():
-    cm = h3_metric(norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.2])))
+    cm = h3_metric(norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.2])))
     rng = np.random.RandomState(7)
     for _ in range(5):
         x = rng.standard_normal(3)
@@ -140,8 +140,8 @@ def test_distortion_rejects_zero_vector():
 
 def test_distortion_left_invariance():
     cases = [
-        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.25, 0.1, 0.0]))),
-        (groups.SU2(), norms.make_randers(np.diag([1.0, 1.0, 1.5]), np.array([0.0, 0.0, 0.3]))),
+        (groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.array([0.25, 0.1, 0.0]))),
+        (groups.SU2(), norms.RandersNorm(np.diag([1.0, 1.0, 1.5]), np.array([0.0, 0.0, 0.3]))),
     ]
     rng = np.random.RandomState(5)
     for model, norm in cases:
@@ -158,7 +158,7 @@ def test_distortion_left_invariance():
 
 
 def test_s_flat_minkowski_zero():
-    cm = flat_metric(norms.make_randers(np.eye(3), np.array([0.4, 0.1, 0.0])))
+    cm = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.4, 0.1, 0.0])))
     rng = np.random.RandomState(3)
     for _ in range(3):
         x = rng.standard_normal(3)
@@ -180,7 +180,7 @@ def test_s_vanishes_for_geodesic_vectors():
         (groups.SU2(), norms.EuclideanNorm(np.eye(3)), np.array([1.0, 0.0, 0.0])),
         (groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3)), np.array([1.0, 0.0, 0.0])),
         (groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3)), np.array([0.0, 0.0, 1.0])),
-        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.4, 0.0, 0.0])), np.array([0.0, 0.0, 1.0])),
+        (groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.array([0.4, 0.0, 0.0])), np.array([0.0, 0.0, 1.0])),
     ]
     for model, norm, X in cases:
         cm = groups.ChartMetric(model, norm)
@@ -201,13 +201,13 @@ def test_tau_constant_along_homogeneous_geodesic():
 
 def randers_su2():
     return groups.ChartMetric(
-        groups.SU2(), norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
+        groups.SU2(), norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
     )
 
 
 def randers_h3():
     a = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
-    return groups.ChartMetric(groups.Heisenberg3(), norms.make_randers(a, np.array([0.4, 0.3, -0.5])))
+    return groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(a, np.array([0.4, 0.3, -0.5])))
 
 
 def test_s_matches_tau_stencil_along_integrated_path():
@@ -230,7 +230,7 @@ def test_s_matches_tau_stencil_along_integrated_path():
 def test_s_h3_randers_closed_form():
     # a = I, b = c e1 on H3: S(e, y) = -2 c y2 y3 / F(y)
     c = 0.35
-    cm = h3_metric(norms.make_randers(np.eye(3), np.array([c, 0.0, 0.0])))
+    cm = h3_metric(norms.RandersNorm(np.eye(3), np.array([c, 0.0, 0.0])))
     rng = np.random.RandomState(11)
     for _ in range(10):
         y = rng.standard_normal(3)
@@ -241,9 +241,9 @@ def test_s_h3_randers_closed_form():
 def test_s_vanishes_at_found_geodesic_vectors():
     # at a geodesic vector ad*_X(g_X X) = 0, so the body velocity is constant and S = 0
     cases = [
-        (groups.Heisenberg3(), norms.make_randers(np.eye(3), np.array([0.3, 0.0, 0.2]))),
+        (groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.2]))),
         (groups.SU2(), norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0]))),
-        (groups.SU2(), norms.make_randers(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.0]))),
+        (groups.SU2(), norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.0]))),
     ]
     for model, norm in cases:
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
@@ -262,7 +262,7 @@ def test_sigma_randers_closed_form_general_a():
         a = m @ m.T + n * np.eye(n)
         raw = rng.standard_normal(n)
         b = raw * (0.5 / np.sqrt(raw @ np.linalg.solve(a, raw)))
-        cm = flat_metric(norms.make_randers(a, b), dim=n)
+        cm = flat_metric(norms.RandersNorm(a, b), dim=n)
         exact = np.sqrt(np.linalg.det(a)) * (1.0 - b @ np.linalg.solve(a, b)) ** ((n + 1) / 2.0)
         factor = s_curvature.busemann_sigma(cm, np.zeros(n))
         assert abs(factor.sigma - exact) < 1.0e-8
