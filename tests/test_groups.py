@@ -83,6 +83,58 @@ def test_su2_chart_domain():
         model.multiply(np.array([np.pi, 0.0, 0.0]), np.array([np.pi - 0.01, 0.0, 0.0]))
 
 
+def test_h3_orbit_closed_form():
+    model = h3()
+    X = np.array([0.4, -0.3, 0.9])
+    ts = np.linspace(0.0, 2.0, 9)
+    points = groups.orbit_curve(model, X, ts)
+    assert np.max(np.abs(points - ts[:, None] * X)) < 1.0e-14
+    # through a general point p the orbit p·exp(tX) moves along the
+    # left-invariant field of X: its chart velocity is dL_{p·exp(tX)} X
+    p = np.array([0.5, 1.0, -0.2])
+    h = 1.0e-6
+    plus = model.multiply(p, groups.orbit_curve(model, X, ts + h))
+    minus = model.multiply(p, groups.orbit_curve(model, X, ts - h))
+    fd = (plus - minus) / (2.0 * h)
+    expected = dleft(model, model.multiply(p, points), np.tile(X, (len(ts), 1)))
+    assert np.max(np.abs(expected - fd)) < 1.0e-8
+
+
+def test_su2_orbit_matches_quaternion_flow():
+    model = su2()
+    rng = np.random.RandomState(13)
+    X = rng.standard_normal(3)
+    X /= np.linalg.norm(X)
+    # exp(tX) = cos(t/2) + sin(t/2)·X for unit X, also past the chart edge
+    ts = np.linspace(0.0, 8.0, 41)
+    q = groups.orbit_curve(model, X, ts)
+    closed = np.concatenate(
+        [np.cos(0.5 * ts)[:, None], np.sin(0.5 * ts)[:, None] * X], axis=1
+    )
+    assert np.max(np.abs(q - closed)) < 1.0e-12
+    # through p ≠ e inside the chart: the chart velocity of p·exp(tX)
+    # has body velocity X
+    ts = np.linspace(0.0, 2.0, 21)
+    p = rng.standard_normal(3) * 0.4
+    h = 1.0e-6
+    plus = model.multiply(p, model.to_chart(groups.orbit_curve(model, X, ts + h)))
+    minus = model.multiply(p, model.to_chart(groups.orbit_curve(model, X, ts - h)))
+    fd = (plus - minus) / (2.0 * h)
+    points = model.multiply(p, ts[:, None] * X)
+    body = np.einsum("...ij,...j->...i", model.body_jacobian(points), fd)
+    assert np.max(np.abs(body - X)) < 1.0e-7
+
+
+def test_orbit_velocity_at_identity_is_dleft():
+    h = 1.0e-6
+    for model in (h3(), su2()):
+        X = np.array([0.2, 0.5, -0.8])
+        ends = model.to_chart(groups.orbit_curve(model, X, np.array([h, -h])))
+        velocity = (ends[0] - ends[1]) / (2.0 * h)
+        expected = dleft(model, model.identity(), X)
+        assert np.max(np.abs(velocity - expected)) < 1.0e-9
+
+
 def test_orbit_curve_matches_right_exp_steps():
     # exp(tX) by repeated right translation g ← g·exp(hX) from e; on SU(2)
     # the orbit runs past the chart edge at |tX| = 2π
