@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from . import geodesic_flow, geodesic_vectors, groups, lie, reports, s_curvature, scenario
-from .errors import FinslerGeoError, ValidationError
+from .errors import FinslerGeoError
 
 
 def _decomposition(scen):
@@ -40,17 +40,13 @@ def _decomposition(scen):
     )
 
 
-def _tol(scen, tol_override) -> float:
-    return scen.params["tol"] if tol_override is None else tol_override
-
-
 def _chart(scen):
     return groups.ChartMetric(scen.model, scen.norm)
 
 
-def _run_geodesic_vectors(scen, tol_override):
+def _run_geodesic_vectors(scen):
     p = scen.params
-    tol = _tol(scen, tol_override)
+    tol = p["tol"]
     result = geodesic_vectors.find_geodesic_vectors(
         _decomposition(scen), scen.norm, samples=p["samples"], tol=tol
     )
@@ -87,16 +83,16 @@ def _structure_check(report, expect, tol):
     return payload, {"residual": tol}, report.passed == expect, {}
 
 
-def _run_nat_reductive(scen, tol_override):
-    tol = _tol(scen, tol_override)
+def _run_nat_reductive(scen):
+    tol = scen.params["tol"]
     report = geodesic_vectors.check_naturally_reductive(
         _decomposition(scen), scen.norm, samples=scen.params["samples"], seed=scen.seed, tol=tol
     )
     return _structure_check(report, scen.params["expect_passed"], tol)
 
 
-def _run_minkowski_lie(scen, tol_override):
-    tol = _tol(scen, tol_override)
+def _run_minkowski_lie(scen):
+    tol = scen.params["tol"]
     report = geodesic_vectors.check_minkowski_lie_algebra(
         scen.algebra, scen.norm, samples=scen.params["samples"], seed=scen.seed, tol=tol
     )
@@ -115,9 +111,9 @@ def _trajectory_table(path) -> dict:
     return {"columns": columns, "rows": rows}
 
 
-def _run_integrate(scen, tol_override):
+def _run_integrate(scen):
     p = scen.params
-    tol = _tol(scen, tol_override)
+    tol = p["tol"]
     path = geodesic_flow.integrate_geodesic(_chart(scen), p["x0"], p["y0"], T=p["T"], step=p["step"])
     drift = float(np.max(np.abs(path.F_values - path.F_values[0])) / path.F_values[0])
     payload = {
@@ -131,9 +127,9 @@ def _run_integrate(scen, tol_override):
     return payload, {"relative_F_drift": tol}, drift <= tol, {"trajectory": _trajectory_table(path)}
 
 
-def _run_homogeneous(scen, tol_override):
+def _run_homogeneous(scen):
     p = scen.params
-    tol = _tol(scen, tol_override)
+    tol = p["tol"]
     report = geodesic_flow.is_homogeneous_geodesic(
         scen.model, scen.norm, p["X"], T=p["T"], step=p["step"], tol=tol
     )
@@ -157,10 +153,10 @@ def _subsample_path(path, stride: int):
     )
 
 
-def _run_s_curvature(scen, tol_override):
+def _run_s_curvature(scen):
     p = scen.params
     cm = _chart(scen)
-    tol_s = _tol(scen, tol_override)
+    tol_s = p["tol"]
     tau_tol = p["tau_tol"]
     path = geodesic_flow.integrate_geodesic(cm, p["x0"], p["y0"], T=p["T"], step=p["step"])
     profile = s_curvature.s_along_path(cm, _subsample_path(path, p["stride"]))
@@ -180,9 +176,9 @@ def _run_s_curvature(scen, tol_override):
     return payload, {"abs_s": tol_s, "tau_drift": tau_tol}, vanishes == p["expect_vanishing"], tables
 
 
-def _run_berwald(scen, tol_override):
+def _run_berwald(scen):
     p = scen.params
-    tol = _tol(scen, tol_override)
+    tol = p["tol"]
     report = geodesic_flow.berwald_test(_chart(scen), x=p["x"], samples=p["samples"], tol=tol)
     payload = {
         "max_hessian_deviation": report.max_deviation,
@@ -203,9 +199,9 @@ _TASK_RUNNERS = {
 }
 
 
-def run_scenario(scen, tol_override=None) -> reports.RunReport:
+def run_scenario(scen) -> reports.RunReport:
     start = time.perf_counter()
-    payload, tolerances, passed, tables = _TASK_RUNNERS[scen.task](scen, tol_override)
+    payload, tolerances, passed, tables = _TASK_RUNNERS[scen.task](scen)
     return reports.RunReport(
         digest=reports.scenario_digest(scen.raw),
         task=scen.task,
@@ -229,15 +225,16 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, help="override the task's main tolerance")
     args = parser.parse_args(argv)
     try:
-        scen = scenario.parse_scenario(args.scenario)
+        data = scenario.load_scenario(args.scenario)
+        # overrides are written into the scenario, so they are checked and
+        # digested like the values a file gives
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValidationError("--seed must be non-negative")
-            scen.seed = args.seed
-            scen.raw["seed"] = args.seed
-        if args.tol is not None and not args.tol >= 0.0:
-            raise ValidationError("--tol must be non-negative")
-        report = run_scenario(scen, tol_override=args.tol)
+            data["seed"] = args.seed
+        if args.tol is not None:
+            params = data.setdefault("params", {})
+            if isinstance(params, dict):
+                params["tol"] = args.tol
+        report = run_scenario(scenario.scenario_from_dict(data))
     except (FinslerGeoError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -21,20 +21,23 @@ numerical path measures integration error.  At a geodesic vector X the
 right-hand side ad*_X(ĝ_X X) is the paper's criterion residual, so u
 stays put.
 
-The chart-level fundamental tensor g_ij(x, y) is kept for callers that
-want the pulled-back metric itself.
+The chart-level fundamental tensor g_ij(x, y) = A(x)ᵀ ĝ(A(x)y) A(x) is
+kept for callers that want the pulled-back metric itself.  It is
+computed by that congruence alone; the route that differentiates
+F(x, ·)² with jets is a test oracle (tests/chart_spray.py).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, lie, sphere
+from . import lie, sphere
 from .errors import StepRejected, ZeroVector
-from .geodesic_vectors import geodesic_residual
+from .geodesic_vectors import residual_batch
 from .groups import ChartMetric, GroupModel, orbit_curve
 
 DRIFT_LIMIT = 1.0e-3
+BERWALD_STEP = 1.0e-2  # central-difference step of the spray's y-Hessians
 
 
 @dataclass
@@ -75,24 +78,14 @@ def _require_nonzero_tangent(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def chart_fundamental_tensor(cm: ChartMetric, x, y, generic: bool = False) -> np.ndarray:
+def chart_fundamental_tensor(cm: ChartMetric, x, y) -> np.ndarray:
     """g_ij(x, y) of the chart metric, batched over leading axes.
 
-    The default route pushes y to the body frame and conjugates the
-    norm's fundamental tensor with the body Jacobian; the generic route
-    differentiates F(x, .)^2 with order-2 jets and exists to cross-check
-    the congruence.
+    y is pushed to the body frame and the norm's fundamental tensor there
+    is conjugated with the body Jacobian.
     """
     x = np.asarray(x, dtype=float)
     y = _require_nonzero_tangent(y)
-    if generic:
-        n = y.shape[-1]
-        eye = np.eye(n)
-        yb = np.broadcast_to(y[..., None, None, :], y.shape[:-1] + (n, n, n))
-        u = np.broadcast_to(eye[:, None, :], (n, n, n))
-        v = np.broadcast_to(eye[None, :, :], (n, n, n))
-        f2 = cm.value2_jet(x, jets.variable(yb, [u, v]))
-        return 0.5 * f2.coeff(0b11)
     a = cm.model.body_jacobian(x)
     body_y = np.einsum("...ij,...j->...i", a, y)
     ghat = cm.norm.fundamental_matrix(body_y)
@@ -220,7 +213,7 @@ def is_homogeneous_geodesic(
     orbit = orbit_curve(model, X, path.ts)
     sup = float(np.max(np.abs(model.to_group(path.points) - orbit)))
     dec = lie.ReductiveDecomposition(model.algebra, m_indices=tuple(range(model.dim)))
-    residual = geodesic_residual(dec, norm, X).residual
+    residual = residual_batch(dec, norm, X)
     return HomogeneousGeodesicReport(
         sup_distance=sup, residual_norm=float(np.linalg.norm(residual)), tolerance=tol
     )
@@ -264,13 +257,7 @@ def _spray_hessians(spray, ys: np.ndarray, h: float) -> np.ndarray:
     return hess
 
 
-def berwald_test(
-    cm: ChartMetric,
-    x=None,
-    samples: int = 8,
-    h: float = 1.0e-2,
-    tol: float = 1.0e-5,
-) -> BerwaldReport:
+def berwald_test(cm: ChartMetric, x=None, samples: int = 8, tol: float = 1.0e-5) -> BerwaldReport:
     """Agreement of the y-Hessians of G^i across unit-sphere directions.
 
     The spray is quadratic in y exactly when those Hessians do not
@@ -283,5 +270,5 @@ def berwald_test(
     n = cm.model.dim
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     ys = sphere.seeds(n, samples)
-    hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, h)
+    hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, BERWALD_STEP)
     return BerwaldReport(max_deviation=float(np.max(np.abs(hess - hess[:1]))), tolerance=tol)

@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lie, norms, sphere
-from .errors import DegenerateVector, ValidationError
+from . import lie, sphere
+from .errors import DegenerateVector
 
 DEFAULT_TOL = 1.0e-9
 NAT_RED_TOL = 1.0e-8
-
-
-@dataclass
-class GeodesicResidual:
-    residual: np.ndarray
+NEWTON_ITERS = 25
+DEDUP_ANGLE = 1.0e-3
+# Branches link lines, folding d and -d into arccos(|d·d'|); that fold
+# is exact only while the angle stays below pi/2.
+BRANCH_ANGLE = 0.3
+MAX_REPRESENTATIVES = 64
 
 
 @dataclass
@@ -70,36 +71,25 @@ def _ad_sub(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
     return admat[..., idx, :][..., idx]
 
 
-def residual_batch(dec, norm, Xs, generic=False) -> np.ndarray:
-    """Residual vectors for a batch of algebra vectors, shape (..., m)."""
+def residual_batch(dec, norm, Xs) -> np.ndarray:
+    """r_j = g_{X_m}(X_m, [X, e_j]_m) over the m-basis, batched: shape (..., m)."""
     Xs = np.asarray(Xs, dtype=float)
     ym = _m_coords(dec, Xs)
     if np.any(np.linalg.norm(ym, axis=-1) == 0.0):
         raise DegenerateVector("criterion needs a nonzero m-component")
-    if generic:
-        g = norms.MinkowskiNorm._generic_fundamental(norm, ym)
-    else:
-        g = norm.fundamental_matrix(ym)
-    sub = _ad_sub(dec, Xs)
-    return np.einsum("...p,...pq,...qj->...j", ym, g, sub)
+    return np.einsum("...p,...pq,...qj->...j", ym, norm.fundamental_matrix(ym), _ad_sub(dec, Xs))
 
 
-def geodesic_residual(dec, norm, X, generic=False) -> GeodesicResidual:
-    """r_j = g_{X_m}(X_m, [X, e_j]_m) over the m-basis."""
-    return GeodesicResidual(residual=residual_batch(dec, norm, X, generic=generic))
-
-
-def _residual_m(dec, norm, Xm):
-    """Residual in m-coordinates with the tensor g and ad block it used."""
-    g = norm.fundamental_matrix(Xm)
+def _residual_m(dec, Xm, g):
+    """Residual at m-coordinates Xm with the tensor g there, and the ad block it used."""
     sub = _ad_sub(dec, _embed_m(dec, Xm))
-    r = np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
-    return r, g, sub
+    return np.einsum("...p,...pq,...qj->...j", Xm, g, sub), sub
 
 
 def _residual_and_jacobian(dec, norm, Xm):
     """Residual and its exact Jacobian in m-coordinates, batched."""
-    r, g, sub = _residual_m(dec, norm, Xm)
+    g = norm.fundamental_matrix(Xm)
+    r, sub = _residual_m(dec, Xm, g)
     idx = list(dec.m_indices)
     c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
     yg = np.einsum("...p,...pq->...q", Xm, g)
@@ -109,42 +99,32 @@ def _residual_and_jacobian(dec, norm, Xm):
     return r, term1 + term2
 
 
-def find_geodesic_vectors(
-    dec,
-    norm,
-    samples: int = 4096,
-    newton_iters: int = 25,
-    tol: float = DEFAULT_TOL,
-    dedup_angle: float = 1.0e-3,
-    branch_angle: float = 0.3,
-    max_representatives: int | None = 64,
-) -> GeodesicVectorSet:
+def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_TOL) -> GeodesicVectorSet:
     """Zero set of the criterion on the unit sphere of m.
 
-    Seeds a low-discrepancy sphere set and runs damped Newton restricted
-    to the sphere in lockstep over all seeds; whether every seed already
-    solves the criterion is read off the first residual.  Seeds whose
-    residual ends below tol are candidates, and a candidate is kept only
-    if the generic tensor path also puts it below tol.  The survivors
-    are sorted lexicographically and deduplicated greedily: a vector is
-    kept when it is more than dedup_angle from every vector kept before
-    it.  The representatives are grouped into branches by single-linkage
+    Seeds a low-discrepancy sphere set and runs at most NEWTON_ITERS
+    steps of damped Newton restricted to the sphere in lockstep over all
+    seeds; whether every seed already solves the criterion is read off
+    the first residual.  Seeds whose residual ends below tol are
+    candidates, and a candidate is kept only if the norm's generic jet
+    tensor also puts it below tol.  The survivors are sorted
+    lexicographically and deduplicated greedily: a vector is kept when
+    it is more than DEDUP_ANGLE from every vector kept before it.  The
+    representatives are grouped into branches by single-linkage
     clustering on the angle between lines, so two representatives within
-    branch_angle of each other or of each other's negative share a
+    BRANCH_ANGLE of each other or of each other's negative share a
     branch; branches are named by size, largest first.  At most
-    max_representatives are returned, taken round-robin over the
+    MAX_REPRESENTATIVES are returned, taken round-robin over the
     branches in that order, and branch_count counts the branches before
     the cap.  Zero sets here are generically positive dimensional, so
     convergence means residual below tol, never step collapse; seeds
     that fail to converge are only counted.
     """
-    if branch_angle >= 0.5 * np.pi:
-        raise ValidationError("branch_angle must be below pi/2")
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
     r, jac = _residual_and_jacobian(dec, norm, X)
     all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         rnorm = np.linalg.norm(r, axis=-1)
         if np.all(rnorm <= tol):
             break
@@ -156,7 +136,8 @@ def find_geodesic_vectors(
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_norm = np.linalg.norm(_residual_m(dec, norm, trial)[0], axis=-1)
+            trial_r, _ = _residual_m(dec, trial, norm.fundamental_matrix(trial))
+            trial_norm = np.linalg.norm(trial_r, axis=-1)
             improved = trial_norm <= rnorm
             best = np.where(improved[:, None], trial, best)
             rnorm = np.where(improved, trial_norm, rnorm)
@@ -168,17 +149,16 @@ def find_geodesic_vectors(
     converged = np.linalg.norm(r, axis=-1) <= tol
     candidates = X[converged]
 
-    # soundness gate: the generic tensor path must agree
+    # soundness gate: the generic jet tensor must agree
     if len(candidates):
-        gen = residual_batch(dec, norm, _embed_m(dec, candidates), generic=True)
-        keep = np.linalg.norm(gen, axis=-1) <= tol
-        candidates = candidates[keep]
+        gen, _ = _residual_m(dec, candidates, norm._generic_fundamental(candidates))
+        candidates = candidates[np.linalg.norm(gen, axis=-1) <= tol]
 
-    reps = _dedup(candidates, dedup_angle)
-    labels = _branch_labels(reps, branch_angle)
+    reps = _dedup(candidates, DEDUP_ANGLE)
+    labels = _branch_labels(reps, BRANCH_ANGLE)
     branch_count = len(set(labels))
-    if max_representatives is not None and len(reps) > max_representatives:
-        reps, labels = _cap_round_robin(reps, labels, max_representatives)
+    if len(reps) > MAX_REPRESENTATIVES:
+        reps, labels = _cap_round_robin(reps, labels, MAX_REPRESENTATIVES)
     rep_residuals = (
         np.linalg.norm(residual_batch(dec, norm, _embed_m(dec, reps)), axis=-1)
         if len(reps)
@@ -315,29 +295,3 @@ def check_minkowski_lie_algebra(alg, norm, samples=200, seed=0, tol=1.0e-10) -> 
     dec = lie.ReductiveDecomposition(alg, m_indices=tuple(range(alg.dim)))
     return check_naturally_reductive(dec, norm, samples=samples, seed=seed, tol=tol)
 
-
-def randers_residual_identity(dec, a, Xfield, y, z):
-    """Both sides of the Randers residual factorization.
-
-    For F = sqrt(ã(·,·)) + ã(X, ·) on m the criterion residual factors
-    through the Riemannian data:
-
-      g_{y_m}(y_m, w) = ã(y_m, w)·F(y_m)/√ã(y_m, y_m) + ã(X, w)·F(y_m)
-
-    with w = [y, z]_m.  The left side is evaluated through the generic
-    tensor path, the right side assembled from ã alone; their agreement
-    is what makes the F- and ã-criteria co-vanish when ã(X, w) = 0.
-    """
-    a = np.asarray(a, dtype=float)
-    Xfield = np.asarray(Xfield, dtype=float)
-    ym = _m_coords(dec, np.asarray(y, dtype=float))
-    if np.linalg.norm(ym) == 0.0:
-        raise DegenerateVector("identity needs a nonzero m-component")
-    w = _m_coords(dec, lie.bracket(dec.algebra, np.asarray(y, dtype=float), np.asarray(z, dtype=float)))
-    norm = norms.RandersNorm(a, a @ Xfield)
-    g = norms.MinkowskiNorm._generic_fundamental(norm, ym)
-    lhs = float(ym @ g @ w)
-    alpha = float(np.sqrt(ym @ a @ ym))
-    f = alpha + float((a @ Xfield) @ ym)
-    rhs = float((a @ ym) @ w) * f / alpha + float((a @ Xfield) @ w) * f
-    return lhs, rhs

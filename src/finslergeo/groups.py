@@ -24,7 +24,7 @@ metric is F(x, v) = norm(A(x)·v).
 
 import numpy as np
 
-from . import jets, lie
+from . import lie
 from .errors import ChartDomain, DimensionMismatch, ZeroVector
 
 _QUAT_DRIFT = 1.0e-13
@@ -240,13 +240,6 @@ class ChartMetric:
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         a = self.model.body_jacobian(x)
         return self.norm.value(np.einsum("...ij,...j->...i", a, y))
-
-    def value2_jet(self, x: np.ndarray, yj: jets.Jet) -> jets.Jet:
-        a = self.model.body_jacobian(x)
-        extra = yj.c.ndim - 2 - a.ndim + 2  # batch axes yj carries beyond x's
-        if extra > 0:
-            a = a.reshape(a.shape[:-2] + (1,) * extra + a.shape[-2:])
-        return self.norm.value2_jet(jets.matvec(a, yj))
 
 
 def orbit_curve(model: GroupModel, X: np.ndarray, ts) -> np.ndarray:

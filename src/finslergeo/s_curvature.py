@@ -1,4 +1,4 @@
-"""Busemann volume factor, distortion, and S-curvature along geodesics.
+"""Distortion and S-curvature along geodesics.
 
 The metrics are left-invariant: F(x, y) = norm(u) with the body
 velocity u = A(x)·y, so every chart quantity reduces to the norm at u.
@@ -24,25 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .errors import QuadratureDivergence, ZeroVector
+from .errors import QuadratureDivergence
 from .geodesic_flow import GeodesicPath, euler_poincare_rhs
 
 MIN_NODES = 10000
-
-
-@dataclass
-class VolumeFactor:
-    x: np.ndarray
-    sigma: float
-    quadrature_nodes: int
-    estimated_error: float
-
-
-@dataclass
-class DistortionSample:
-    x: np.ndarray
-    y: np.ndarray
-    tau: float
 
 
 @dataclass
@@ -60,12 +45,12 @@ def _indicatrix_integral(norm, level: int) -> float:
     return float((norm.value(nodes) ** (-float(n))) @ weights / n)
 
 
-def _sigma_identity(norm, min_nodes: int = MIN_NODES):
+def _sigma_identity(norm):
     """sigma_e, its absolute error estimate, and the node count."""
     n = norm.dim
     if n not in (2, 3, 4):
         raise ValueError(f"sphere quadrature covers dimensions 2..4, got {n}")
-    level = max(sphere.level_for(n, min_nodes), 2)
+    level = max(sphere.level_for(n, MIN_NODES), 2)
     values = [_indicatrix_integral(norm, lv) for lv in (level - 2, level - 1, level)]
     if not np.all(np.isfinite(values)):
         raise QuadratureDivergence("indicatrix integral is not finite; norm is not usable")
@@ -80,16 +65,6 @@ def _sigma_identity(norm, min_nodes: int = MIN_NODES):
     return sigma, sigma * e_last / values[2], sphere.grid_size(n, level)
 
 
-def busemann_sigma(cm, x) -> VolumeFactor:
-    """Busemann volume factor Vol(B^n) / Vol{y : F(x, y) < 1}."""
-    x = np.asarray(x, dtype=float)
-    sigma, err, nodes = _sigma_identity(cm.norm)
-    scale = abs(float(np.linalg.det(cm.model.body_jacobian(x))))
-    return VolumeFactor(
-        x=x, sigma=scale * sigma, quadrature_nodes=int(nodes), estimated_error=scale * err
-    )
-
-
 def _body_tensors(cm, xs, ys):
     """Body velocities u = A(x)·y and the norm's fundamental tensors there."""
     u = np.einsum("...ij,...j->...i", cm.model.body_jacobian(xs), ys)
@@ -102,27 +77,11 @@ def _tau_from_tensors(norm, g):
     return tau, np.full(np.shape(tau), err / sigma)
 
 
-def _tau_batch(cm, xs: np.ndarray, ys: np.ndarray):
-    """tau and the relative sigma error at each (x, y), batched."""
-    _, g = _body_tensors(cm, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return _tau_from_tensors(cm.norm, g)
-
-
 def _s_from_tensors(cm, u, g):
     """S = I_u(u̇) with ĝ_u u̇ = ad*_u(ĝ_u u), batched over leading axes."""
     u_dot = euler_poincare_rhs(cm.model.algebra, cm.norm, u, g)
     mean_torsion = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), cm.norm.cartan(u))
     return np.einsum("...k,...k->...", mean_torsion, u_dot)
-
-
-def distortion(cm, x, y) -> DistortionSample:
-    """tau(x, y) = ln(sqrt(det g_y) / sigma(x)) in the chart frame."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.linalg.norm(y) == 0.0:
-        raise ZeroVector("distortion needs y != 0")
-    tau, _ = _tau_batch(cm, x[None, :], y[None, :])
-    return DistortionSample(x=x, y=y, tau=float(tau[0]))
 
 
 def s_curvature(cm, x, y) -> float:

@@ -267,8 +267,8 @@ def _check_split(c: np.ndarray, m: tuple, h: tuple) -> None:
             )
 
 
-def parse_scenario(path: str) -> Scenario:
-    """Load, validate, and resolve a scenario file."""
+def load_scenario(path: str) -> dict:
+    """The JSON object of a scenario file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -280,7 +280,12 @@ def parse_scenario(path: str) -> Scenario:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return scenario_from_dict(data)
+    return data
+
+
+def parse_scenario(path: str) -> Scenario:
+    """Load, validate, and resolve a scenario file."""
+    return scenario_from_dict(load_scenario(path))
 
 
 def scenario_from_dict(data: dict) -> Scenario:

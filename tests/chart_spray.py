@@ -8,6 +8,10 @@ x-dependence flows through the group law.  The geodesic system
 xdot = y, ydot = -2G(x, y) is integrated with the same classical RK4 as
 the library's Euler–Poincaré flow, so the two routes must agree to
 rounding plus the truncation error of the x-differences.
+
+`jet_chart_tensor` is the independent route to the chart tensor: it
+differentiates F(x, ·)² with order-2 jets instead of conjugating the
+norm's tensor with the body Jacobian.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import sphere
+from finslergeo import jets, sphere
 from finslergeo.errors import SingularTensor
 
 X_STEP = 1.0e-5
@@ -28,6 +32,28 @@ class SprayEvaluation:
     G: np.ndarray
     g_matrix: np.ndarray
     g_inverse: np.ndarray
+
+
+def chart_value2_jet(cm, x, yj: jets.Jet) -> jets.Jet:
+    """F(x, ·)² of the chart metric on a jet vector yj."""
+    a = cm.model.body_jacobian(x)
+    extra = yj.c.ndim - 2 - a.ndim + 2  # batch axes yj carries beyond x's
+    if extra > 0:
+        a = a.reshape(a.shape[:-2] + (1,) * extra + a.shape[-2:])
+    return cm.norm.value2_jet(jets.matvec(a, yj))
+
+
+def jet_chart_tensor(cm, x, y) -> np.ndarray:
+    """g_ij(x, y) as half the y-Hessian of F(x, ·)², batched."""
+    x = np.asarray(x, dtype=float)
+    y = gf._require_nonzero_tangent(y)
+    n = y.shape[-1]
+    eye = np.eye(n)
+    yb = np.broadcast_to(y[..., None, None, :], y.shape[:-1] + (n, n, n))
+    u = np.broadcast_to(eye[:, None, :], (n, n, n))
+    v = np.broadcast_to(eye[None, :, :], (n, n, n))
+    f2 = chart_value2_jet(cm, x, jets.variable(yb, [u, v]))
+    return 0.5 * f2.coeff(0b11)
 
 
 def _x_derivatives(cm, x, y, h: float = X_STEP) -> np.ndarray:

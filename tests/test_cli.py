@@ -186,15 +186,22 @@ def test_seed_override_changes_digest(capsys):
     assert cli.main(["--scenario", scen, "--format", "machine", "--seed", "0"]) == 0
     same = json.loads(capsys.readouterr().out)
     assert same["digest"] == base["digest"]
+    assert cli.main(["--scenario", scen, "--seed", "-1"]) == 1
+    assert "'seed'" in capsys.readouterr().err
 
 
 def test_tol_override_lands_in_report(capsys):
     scen = bundled("su2_biinvariant_minkowski_lie")
+    assert cli.main(["--scenario", scen, "--format", "machine"]) == 0
+    base = json.loads(capsys.readouterr().out)
     assert cli.main(["--scenario", scen, "--format", "machine", "--tol", "1e-4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tolerances"]["residual"] == 1.0e-4
-    assert cli.main(["--scenario", scen, "--tol", "-1"]) == 1
-    assert "--tol" in capsys.readouterr().err
+    assert report["digest"] != base["digest"]
+    for bad in ("-1", "inf"):
+        assert cli.main(["--scenario", scen, "--tol", bad]) == 1
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "'tol'" in err
 
 
 def test_trajectory_table_format(tmp_path, capsys):

@@ -3,10 +3,11 @@
 import cluster_oracle
 import numpy as np
 import pytest
+from randers_oracle import randers_residual_identity
 
 from finslergeo import geodesic_vectors as gv
 from finslergeo import lie, norms, sphere
-from finslergeo.errors import DegenerateVector, ValidationError
+from finslergeo.errors import DegenerateVector
 
 
 def h3_dec():
@@ -24,15 +25,15 @@ def eucl3():
 def test_h3_hand_residuals():
     dec = h3_dec()
     norm = eucl3()
-    r = gv.geodesic_residual(dec, norm, np.array([0.0, 0.0, 1.0])).residual
+    r = gv.residual_batch(dec, norm, np.array([0.0, 0.0, 1.0]))
     assert np.max(np.abs(r)) == 0.0
-    r = gv.geodesic_residual(dec, norm, np.array([1.0, 0.0, 1.0])).residual
+    r = gv.residual_batch(dec, norm, np.array([1.0, 0.0, 1.0]))
     assert np.array_equal(r, np.array([0.0, 1.0, 0.0]))
     # general pattern: r = (−x2·x3, x1·x3, 0)
     rng = np.random.RandomState(666)
     for _ in range(50):
         x = rng.standard_normal(3)
-        r = gv.geodesic_residual(dec, norm, x).residual
+        r = gv.residual_batch(dec, norm, x)
         expected = np.array([-x[1] * x[2], x[0] * x[2], 0.0])
         assert np.max(np.abs(r - expected)) < 1.0e-14
 
@@ -49,7 +50,7 @@ def test_su2_biinvariant_residuals_vanish():
 def test_degenerate_vector_raises():
     dec = lie.ReductiveDecomposition(lie.su2(), m_indices=(0, 1), h_indices=(2,))
     with pytest.raises(DegenerateVector):
-        gv.geodesic_residual(dec, norms.EuclideanNorm(np.eye(2)), np.array([0.0, 0.0, 1.0]))
+        gv.residual_batch(dec, norms.EuclideanNorm(np.eye(2)), np.array([0.0, 0.0, 1.0]))
 
 
 def test_scaling_invariance_of_zero_set():
@@ -59,12 +60,12 @@ def test_scaling_invariance_of_zero_set():
     for _ in range(100):
         lam = rng.uniform(0.1, 9.0)
         x_zero = np.array([rng.standard_normal(), rng.standard_normal(), 0.0])
-        r = gv.geodesic_residual(dec, norm, lam * x_zero).residual
-        r1 = gv.geodesic_residual(dec, norm, x_zero).residual
+        r = gv.residual_batch(dec, norm, lam * x_zero)
+        r1 = gv.residual_batch(dec, norm, x_zero)
         assert (np.linalg.norm(r1) < 1.0e-12) == (np.linalg.norm(r) < 1.0e-11)
         x_bad = rng.standard_normal(3) + np.array([0.0, 0.0, 2.0])
-        r = gv.geodesic_residual(dec, norm, lam * x_bad).residual
-        r1 = gv.geodesic_residual(dec, norm, x_bad).residual
+        r = gv.residual_batch(dec, norm, lam * x_bad)
+        r1 = gv.residual_batch(dec, norm, x_bad)
         assert np.linalg.norm(r1) > 1.0e-6 and np.linalg.norm(r) > 1.0e-6
 
 
@@ -109,24 +110,27 @@ def test_solver_recovers_h3_branches():
     assert len(axis_labels) == 1 and len(plane_labels) == 1
 
 
-def test_solver_whole_sphere_su2():
+def test_solver_whole_sphere_su2(monkeypatch):
+    monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 512)
     dec = su2_dec()
-    result = gv.find_geodesic_vectors(dec, eucl3(), samples=512, max_representatives=None)
+    result = gv.find_geodesic_vectors(dec, eucl3(), samples=512)
     assert result.converged_total == 512
     assert len(set(result.branch_labels)) == 1
     assert np.all(result.residual_norms <= 1.0e-9)
 
 
-def test_solver_cap_keeps_all_branches():
+def test_solver_cap_keeps_all_branches(monkeypatch):
+    monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 16)
     dec = h3_dec()
-    result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024, max_representatives=16)
+    result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024)
     assert len(result.representatives) == 16
     assert len(set(result.branch_labels)) == 2
     assert result.branch_count == 2
 
 
-def test_branch_count_is_taken_before_the_cap():
-    result = gv.find_geodesic_vectors(h3_dec(), eucl3(), samples=1024, max_representatives=1)
+def test_branch_count_is_taken_before_the_cap(monkeypatch):
+    monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 1)
+    result = gv.find_geodesic_vectors(h3_dec(), eucl3(), samples=1024)
     assert result.branch_labels == ["branch-1"]
     assert result.branch_count == 2
 
@@ -150,11 +154,6 @@ def test_all_seeds_geodesic_matches_seed_residuals():
         initial = np.linalg.norm(gv.residual_batch(dec, norm, seeds), axis=-1)
         direct = bool(np.all(initial <= 1.0e-9))
         assert result.all_seeds_geodesic is direct is expected
-
-
-def test_branch_angle_at_right_angle_rejected():
-    with pytest.raises(ValidationError):
-        gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=16, branch_angle=0.5 * np.pi)
 
 
 def _rotated(v, angle, rng):
@@ -239,8 +238,9 @@ def test_dedup_and_branches_match_oracle_on_tiny_inputs():
     assert len(kept) == 1 and labels == ["branch-1"]
 
 
-def test_whole_sphere_at_scale_is_one_branch():
-    result = gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=4096, max_representatives=None)
+def test_whole_sphere_at_scale_is_one_branch(monkeypatch):
+    monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 4096)
+    result = gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=4096)
     assert len(result.representatives) == 4096
     assert set(result.branch_labels) == {"branch-1"} and result.branch_count == 1
 
@@ -313,7 +313,7 @@ def test_randers_identity_random_tuples():
         xfield = direction / xnorm * rng.uniform(0.1, 0.9)
         y = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        lhs, rhs = gv.randers_residual_identity(dec, a, xfield, y, z)
+        lhs, rhs = randers_residual_identity(dec, a, xfield, y, z)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1.0e-9
 
@@ -324,17 +324,17 @@ def test_randers_identity_degenerate_cases():
     # [y, z] = 0 makes both sides vanish
     y = np.array([0.0, 0.0, 1.3])
     z = np.array([0.2, -0.4, 0.9])
-    lhs, rhs = gv.randers_residual_identity(dec, a, np.array([0.3, 0.0, 0.0]), y, z)
+    lhs, rhs = randers_residual_identity(dec, a, np.array([0.3, 0.0, 0.0]), y, z)
     assert lhs == 0.0 and rhs == 0.0
     # zero field reduces to the Riemannian inner product
     y = np.array([1.0, 0.5, -0.3])
     z = np.array([0.4, 1.0, 0.0])
-    lhs, rhs = gv.randers_residual_identity(dec, a, np.zeros(3), y, z)
+    lhs, rhs = randers_residual_identity(dec, a, np.zeros(3), y, z)
     w = lie.bracket(dec.algebra, y, z)
     assert abs(lhs - y @ w) < 1.0e-12
     assert abs(rhs - y @ w) < 1.0e-12
     with pytest.raises(DegenerateVector):
-        gv.randers_residual_identity(
+        randers_residual_identity(
             lie.ReductiveDecomposition(lie.su2(), (0, 1), (2,)),
             np.eye(2),
             np.zeros(2),

