@@ -105,11 +105,18 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
     Seeds a low-discrepancy sphere set and runs at most NEWTON_ITERS
     steps of damped Newton restricted to the sphere in lockstep over all
     seeds; whether every seed already solves the criterion is read off
-    the first residual.  Seeds whose residual ends below tol are
-    candidates, and a candidate is kept only if the norm's generic jet
-    tensor also puts it below tol.  The survivors are sorted
-    lexicographically and deduplicated greedily: a vector is kept when
-    it is more than DEDUP_ANGLE from every vector kept before it.  The
+    the first residual.  A seed whose step leaves it bit for bit where it
+    was is at a fixed point: every later step would repeat the same
+    solve and the same line search, so it leaves the batch and keeps its
+    residual.  Seeds whose residual ends below tol are candidates, and a
+    candidate is kept only if the norm's generic jet tensor also puts it
+    below tol.  The survivors are sorted lexicographically and
+    deduplicated greedily: a vector is kept when it is more than
+    DEDUP_ANGLE from every vector kept before it.  The greedy pass never
+    compares against a vector it drops, so when every kept vector passes
+    the jet tensor, gating every candidate first would keep the same
+    vectors, and the jet tensor runs on the kept vectors only; if one
+    fails, every candidate is gated and the dedup runs again.  The
     representatives are grouped into branches by single-linkage
     clustering on the angle between lines, so two representatives within
     BRANCH_ANGLE of each other or of each other's negative share a
@@ -123,38 +130,27 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
     r, jac = _residual_and_jacobian(dec, norm, X)
-    all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
+    rnorm = np.linalg.norm(r, axis=-1)
+    all_seeds_geodesic = bool(np.all(rnorm <= tol))
+    moving = np.arange(samples)
     for _ in range(NEWTON_ITERS):
-        rnorm = np.linalg.norm(r, axis=-1)
-        if np.all(rnorm <= tol):
+        if np.all(rnorm <= tol) or not len(moving):
             break
-        aug = np.concatenate([jac, X[:, None, :]], axis=1)
-        rhs = np.concatenate([-r, np.zeros((len(X), 1))], axis=1)
+        here = X[moving]
+        aug = np.concatenate([jac, here[:, None, :]], axis=1)
+        rhs = np.concatenate([-r, np.zeros((len(here), 1))], axis=1)
         step = np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
-        scale = np.ones(len(X))
-        best = X
-        for _ in range(5):
-            trial = X + scale[:, None] * step
-            trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_r, _ = _residual_m(dec, trial, norm.fundamental_matrix(trial))
-            trial_norm = np.linalg.norm(trial_r, axis=-1)
-            improved = trial_norm <= rnorm
-            best = np.where(improved[:, None], trial, best)
-            rnorm = np.where(improved, trial_norm, rnorm)
-            scale = np.where(improved, scale, scale * 0.5)
-            if np.all(improved):
-                break
-        X = best
-        r, jac = _residual_and_jacobian(dec, norm, X)
-    converged = np.linalg.norm(r, axis=-1) <= tol
+        best = _line_search(dec, norm, here, step, rnorm[moving])
+        X[moving] = best
+        moving = _two_rows(moving[np.any(best != here, axis=-1)], samples)
+        r, jac = _residual_and_jacobian(dec, norm, X[moving])
+        rnorm[moving] = np.linalg.norm(r, axis=-1)
+    converged = rnorm <= tol
     candidates = X[converged]
-
-    # soundness gate: the generic jet tensor must agree
-    if len(candidates):
-        gen, _ = _residual_m(dec, candidates, norm._generic_fundamental(candidates))
-        candidates = candidates[np.linalg.norm(gen, axis=-1) <= tol]
-
     reps = _dedup(candidates, DEDUP_ANGLE)
+    gated = _two_rows(reps, len(candidates))
+    if len(reps) and not _gate(dec, norm, gated, tol)[: len(reps)].all():
+        reps = _dedup(candidates[_gate(dec, norm, candidates, tol)], DEDUP_ANGLE)
     labels = _branch_labels(reps, BRANCH_ANGLE)
     branch_count = len(set(labels))
     if len(reps) > MAX_REPRESENTATIVES:
@@ -176,18 +172,106 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
     )
 
 
+def _two_rows(rows: np.ndarray, total: int) -> np.ndarray:
+    """rows twice over when it holds one row of a batch of total > 1.
+
+    numpy sends a one-row batch through other BLAS kernels (dot, gemv)
+    than a larger one, and they can round the last bit apart; every row
+    of a larger batch rounds the same whatever the other rows are.  The
+    copy's result equals the row's and is dropped or written twice.
+    """
+    return np.concatenate([rows, rows]) if len(rows) == 1 and total > 1 else rows
+
+
+def _gate(dec, norm, Xm, tol):
+    """Soundness gate: whether the generic jet tensor also puts each
+    residual at or below tol; a NaN residual fails."""
+    gen, _ = _residual_m(dec, Xm, norm._generic_fundamental(Xm))
+    return np.linalg.norm(gen, axis=-1) <= tol
+
+
+def _line_search(dec, norm, X, step, rnorm):
+    """Newton's damped update: each seed's step is halved up to four times
+    until the residual norm does not grow; seeds that never improve stay.
+
+    Only seeds that have not yet improved are tried again, since a seed
+    that improved would repeat the same trial.  rnorm is overwritten.
+    """
+    best = X.copy()
+    scale = np.ones(len(X))
+    todo = np.arange(len(X))
+    for _ in range(5):
+        rows = _two_rows(todo, len(X))
+        trial = X[rows] + scale[rows, None] * step[rows]
+        trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial_r, _ = _residual_m(dec, trial, norm.fundamental_matrix(trial))
+        trial_norm = np.linalg.norm(trial_r, axis=-1)
+        improved = trial_norm <= rnorm[rows]
+        best[rows[improved]] = trial[improved]
+        rnorm[rows[improved]] = trial_norm[improved]
+        scale[rows[~improved]] *= 0.5
+        todo = rows[~improved]
+        if not len(todo):
+            break
+    return best
+
+
+# A dot within this of the cosine of a threshold angle is decided by
+# arccos, as every pair once was; farther out the two tests agree.
+_BAND = 1.0e-9
+# frontier vectors per block of dots in _branch_labels
+_BLOCK = 256
+
+
 def _dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
-    """Greedy angular dedup of unit vectors in lexicographic order."""
+    """Greedy angular dedup of unit vectors in lexicographic order.
+
+    Each kept vector removes the later candidates within dedup_angle of
+    it.  The sort puts the first coordinate in ascending order, and two
+    unit vectors that close differ in it by at most their chord, so only
+    the window of later candidates within twice that chord is compared;
+    when the windows hold few pairs, only heads with a pair near the
+    band are visited.  Dots beyond _BAND of cos(dedup_angle) are decided
+    by the dot itself; inside the band by arccos(dot) <= dedup_angle,
+    with the dot taken the way the greedy loop took it against its
+    buffer of kept vectors: by a vector dot while the buffer held one
+    vector, and by a matrix-vector product after, since the two kernels
+    can round apart.
+    """
     if not len(candidates):
         return np.zeros((0, candidates.shape[-1]))
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
-    buf = np.empty_like(candidates)
-    count = 0
-    for vec in candidates:
-        if not count or np.min(np.arccos(np.clip(buf[:count] @ vec, -1.0, 1.0))) > dedup_angle:
-            buf[count] = vec
-            count += 1
-    return buf[:count].copy()
+    cands = candidates[np.lexsort(candidates.T[::-1])]
+    count = len(cands)
+    cos_angle = np.cos(dedup_angle)
+    reach = 2.0 * np.sqrt(2.0 * (1.0 - cos_angle + _BAND))
+    ends = np.searchsorted(cands[:, 0], cands[:, 0] + reach, side="right")
+    heads = np.flatnonzero(ends > np.arange(count) + 1)
+    widths = ends[heads] - heads - 1
+    # a tight cluster puts O(count^2) pairs in reach, but its first
+    # vector removes the rest in one visit
+    if widths.sum() <= 16 * count:
+        first = np.repeat(heads, widths)
+        second = np.arange(len(first)) + np.repeat(heads + 1 - (np.cumsum(widths) - widths), widths)
+        near = np.einsum("ij,ij->i", cands[first], cands[second]) >= cos_angle - 2.0 * _BAND
+        heads = np.unique(first[near])
+    alive = np.ones(count, dtype=bool)
+    for head in heads:
+        if not alive[head]:
+            continue
+        window = cands[head + 1 : ends[head]]
+        dots = window @ cands[head]
+        dup = dots > cos_angle
+        band = np.flatnonzero(np.abs(dots - cos_angle) <= _BAND)
+        if len(band):
+            pair = cands[[head, head]]
+            # the buffer held the first vector alone until a second was kept
+            by_dot = head == 0
+            for pos in band:
+                by_dot = by_dot and dup[:pos].all()
+                d = cands[head] @ window[pos] if by_dot else (pair @ window[pos])[0]
+                dup[pos] = np.arccos(np.clip(d, -1.0, 1.0)) <= dedup_angle
+        alive[head + 1 : ends[head]] &= ~dup
+    return cands[alive]
 
 
 def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
@@ -196,31 +280,49 @@ def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
     The components are labelled by frontier search from the lowest
     unlabelled index, so each component's root is its minimum index.
     Folding d and -d into arccos(|d|) is exact for branch_angle < pi/2.
+    Each layer takes the dots between the unlabelled vectors and the
+    frontier in blocks of _BLOCK, never the whole angle matrix; a dot
+    beyond _BAND of cos(branch_angle) is decided by the dot itself, one
+    inside by arccos(|d|) < branch_angle.
     """
     count = len(reps)
     if not count:
         return []
-    angles = reps @ reps.T
-    np.abs(angles, out=angles)
-    np.clip(angles, -1.0, 1.0, out=angles)
-    np.arccos(angles, out=angles)
-    # only the upper triangle is read, like a union over the pairs i < j
-    linked = np.triu(angles < branch_angle, k=1)
-    del angles
-    linked |= linked.T
+    cos_angle = np.cos(branch_angle)
     roots = np.full(count, -1)
-    for root in range(count):
-        if roots[root] >= 0:
-            continue
+    open_ = np.arange(count)
+    while len(open_):
+        root, open_ = open_[0], open_[1:]
         roots[root] = root
-        frontier = np.arange(count) == root
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & (roots < 0)
+        frontier = np.array([root])
+        while len(frontier) and len(open_):
+            hit = np.zeros(len(open_), dtype=bool)
+            for start in range(0, len(frontier), _BLOCK):
+                hit |= _linked(reps, open_, frontier[start : start + _BLOCK], cos_angle, branch_angle)
+            frontier, open_ = open_[hit], open_[~hit]
             roots[frontier] = root
     heads, sizes = np.unique(roots, return_counts=True)
     ordered = sorted(zip(heads.tolist(), sizes.tolist()), key=lambda hs: (-hs[1], hs[0]))
     names = {head: f"branch-{pos + 1}" for pos, (head, _) in enumerate(ordered)}
     return [names[head] for head in roots.tolist()]
+
+
+def _linked(reps, rows, cols, cos_angle, angle):
+    """Whether each of reps[rows] lies within angle of some reps[cols] line.
+
+    The dots come from one matrix product of at least two rows and two
+    columns, whose entries equal those of the full Gram matrix bit for
+    bit.  A row whose largest |dot| falls inside the band is decided by
+    arccos over all its dots.
+    """
+    dots = (_two_rows(reps[rows], len(reps)) @ _two_rows(reps[cols], len(reps)).T)[: len(rows), : len(cols)]
+    np.abs(dots, out=dots)
+    best = dots.max(axis=1)
+    linked = best > cos_angle + _BAND
+    unsure = np.flatnonzero(~linked & (best >= cos_angle - _BAND))
+    if len(unsure):
+        linked[unsure] = (np.arccos(np.minimum(dots[unsure], 1.0)) < angle).any(axis=1)
+    return linked
 
 
 def _cap_round_robin(reps, labels, cap):

@@ -1,9 +1,13 @@
 """List-based dedup and union-find branch labels, kept as an oracle.
 
-These are the loops `find_geodesic_vectors` used before its dedup wrote
-into a preallocated buffer and its branches were labelled by frontier
-search.  The library routes must give exactly the same kept vectors and
-labels.
+These are the loops `find_geodesic_vectors` used before its dedup became a
+sweep of each kept vector over a window of later candidates and its
+branches were labelled by frontier search over blocks of dots.  Here every
+pair is decided by arccos of its dot, the dedup against all vectors kept so
+far and the branches over the whole N x N angle matrix.  The library
+decides by the dot itself outside a 1e-9 band around the threshold cosine
+and by arccos inside it, and must give exactly the same kept vectors and
+labels, also for dots that land within rounding of the threshold.
 """
 
 import numpy as np

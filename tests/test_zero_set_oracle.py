@@ -1,0 +1,206 @@
+"""The zero-set solver against its full-batch oracle, bit for bit.
+
+`newton_oracle` steps every seed in every Newton iteration and gates every
+candidate before the dedup; `cluster_oracle` compares every pair by arccos.
+The library skips work whose result it already knows, and must still give
+the same bytes, also where the jet gate fails and where a dot lands within
+rounding of a threshold angle.
+"""
+
+import tracemalloc
+
+import cluster_oracle
+import newton_oracle
+import numpy as np
+import pytest
+
+from finslergeo import geodesic_vectors as gv
+from finslergeo import lie, norms, sphere
+
+FIELDS = ("representatives", "residual_norms", "branch_labels", "converged_total", "all_seeds_geodesic")
+
+
+def h3(m=(0, 1, 2)):
+    return lie.ReductiveDecomposition(lie.heisenberg3(), m)
+
+
+def su2(m=(0, 1, 2), h=()):
+    return lie.ReductiveDecomposition(lie.su2(), m, h)
+
+
+def u2():
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = lie.su2().c
+    return lie.ReductiveDecomposition(lie.LieAlgebraData(4, c), (0, 1, 2, 3))
+
+
+CASES = {
+    "h3-euclidean-a12": (h3(), norms.EuclideanNorm(np.array([[1.0, 0.15, 0.0], [0.15, 1.3, 0.0], [0.0, 0.0, 0.9]]))),
+    "h3-randers-b-on-e3": (h3(), norms.RandersNorm(np.eye(3), np.array([0.0, 0.0, 0.3]))),
+    "h3-randers-b3-zero": (h3(), norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0]))),
+    "su2-diag-distinct": (su2(), norms.EuclideanNorm(np.diag([0.9, 2.0, 3.1]))),
+    "su2-randers": (su2(), norms.RandersNorm(np.eye(3), np.array([0.2, -0.3, 0.1]))),
+    "su2-u1-split": (su2((0, 1), (2,)), norms.RandersNorm(np.diag([1.0, 1.7]), np.array([0.2, -0.1]))),
+    "u2-m-is-g": (u2(), norms.RandersNorm(np.diag([1.0, 2.0, 3.0, 1.5]), np.array([0.1, 0.0, 0.0, 0.2]))),
+}
+
+
+def assert_same(dec, norm, samples=512):
+    found = gv.find_geodesic_vectors(dec, norm, samples=samples)
+    expected = newton_oracle.find_geodesic_vectors(dec, norm, samples=samples)
+    for name in FIELDS:
+        assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+    assert found.branch_count == expected.branch_count
+    return found
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_solver_matches_full_batch_oracle(case):
+    assert_same(*CASES[case])
+
+
+def test_solver_matches_oracle_on_tiny_seed_sets():
+    # one-row batches: numpy takes other BLAS kernels for them, so the
+    # solver must run one row exactly when the full batch had one
+    for dec, norm in CASES.values():
+        for samples in (1, 2, 3):
+            assert_same(dec, norm, samples=samples)
+
+
+class SkewedRanders(norms.RandersNorm):
+    """A Randers norm whose closed-form tensor is wrong where y1 > 0.3."""
+
+    def fundamental_matrix(self, y):
+        g = super().fundamental_matrix(y)
+        bump = 1.0e-3 * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        return g + np.where((np.asarray(y)[..., 0] > 0.3)[..., None, None], bump, 0.0)
+
+
+class NaNJetRanders(norms.RandersNorm):
+    """A Randers norm whose jet tensor is NaN where y1 > 0.5."""
+
+    def _generic_fundamental(self, y):
+        g = super()._generic_fundamental(y)
+        return np.where((np.asarray(y)[..., 0] > 0.5)[..., None, None], np.nan, g)
+
+
+def dedups_during(monkeypatch, dec, norm):
+    sizes = []
+    dedup = gv._dedup
+
+    def counted(candidates, angle):
+        sizes.append(len(candidates))
+        return dedup(candidates, angle)
+
+    monkeypatch.setattr(gv, "_dedup", counted)
+    return assert_same(dec, norm), sizes
+
+
+def test_gate_failure_on_kept_vectors_matches_oracle(monkeypatch):
+    dec = su2()
+    a, b = np.diag([1.0, 2.0, 3.0]), np.array([0.1, 0.0, 0.0])
+    found, sizes = dedups_during(monkeypatch, dec, SkewedRanders(a, b))
+    # kept vectors failed the gate, so every candidate was gated and deduplicated again
+    assert len(sizes) == 2 and sizes[1] < sizes[0]
+    assert len(found.representatives) and np.all(found.representatives[:, 0] <= 0.3)
+    _, sizes = dedups_during(monkeypatch, dec, norms.RandersNorm(a, b))
+    assert len(sizes) == 1
+
+
+def test_nan_gate_residual_drops_the_vector(monkeypatch):
+    found, sizes = dedups_during(monkeypatch, su2(), NaNJetRanders(np.eye(3), np.array([0.2, -0.3, 0.1])))
+    assert len(sizes) == 2
+    assert len(found.representatives) and np.all(found.representatives[:, 0] <= 0.5)
+
+
+def _rotated(v, angle, rng):
+    p = rng.standard_normal(v.shape)
+    p -= (p @ v) * v
+    p /= np.linalg.norm(p)
+    return np.cos(angle) * v + np.sin(angle) * p
+
+
+def _copies(v, angle, rng, count):
+    """Vectors at angle (1 - 1e-12) or angle (1 + 1e-12) from v, each
+    with a larger first coordinate than v when v's is negative."""
+    out = []
+    for _ in range(count):
+        w = _rotated(v, angle * (1.0 + rng.choice([-1.0e-12, 1.0e-12])), rng)
+        out.append(w if w[0] >= v[0] else 2.0 * np.cos(angle) * v - w)
+    return out
+
+
+def test_dedup_in_the_rounding_band_matches_oracle():
+    rng = np.random.RandomState(17)
+    first = np.array([-0.9, 0.3, 0.3]) / np.linalg.norm([-0.9, 0.3, 0.3])
+    # far from the first vector but sorted among its copies: the greedy
+    # loop dotted the first vector with a vector dot until a second one
+    # was kept, and by a matrix-vector product after
+    second = np.array([first[0] + 3.0e-4, -0.3, 0.0])
+    second[2] = np.sqrt(1.0 - second @ second)
+    bases = [first, second] + [w for w in sphere.seeds(3, 16) if w[0] > -0.5][:8]
+    for _ in range(20):
+        vectors = [w for v in bases for w in [v] + _copies(v, gv.DEDUP_ANGLE, rng, 6)]
+        candidates = np.array(vectors)[rng.permutation(len(vectors))]
+        assert gv._dedup(candidates, gv.DEDUP_ANGLE)[0] @ first == 1.0
+        near = np.abs(np.concatenate([candidates @ v for v in bases]) - np.cos(gv.DEDUP_ANGLE)) <= 1.0e-15
+        assert np.sum(near) >= 6 * len(bases)
+        kept = gv._dedup(candidates, gv.DEDUP_ANGLE)
+        assert np.array_equal(kept, cluster_oracle.dedup(candidates, gv.DEDUP_ANGLE))
+
+
+@pytest.mark.parametrize("margin", [-1.0e-12, 0.0, 1.0e-12])
+def test_branches_in_the_rounding_band_match_oracle(margin):
+    # at 1 +- 1e-12 the band must not change a link; at the angle itself
+    # only the last bit of each dot decides it
+    rng = np.random.RandomState(23)
+    angle = gv.BRANCH_ANGLE
+    for _ in range(20):
+        pairs = []
+        for w in sphere.seeds(3, 12):
+            pairs += [w, rng.choice([-1.0, 1.0]) * _rotated(w, angle * (1.0 + margin), rng)]
+        reps = np.array(pairs)
+        assert gv._branch_labels(reps, angle) == cluster_oracle.branch_labels(reps, angle)
+    # a chain of lines with every link in the band, searched one line at a time
+    chain = [np.array([0.0, 0.6, 0.8])]
+    for _ in range(40):
+        chain.append(-_rotated(chain[-1], angle * (1.0 + margin), rng))
+    chain = np.array(chain)
+    assert gv._branch_labels(chain, angle) == cluster_oracle.branch_labels(chain, angle)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_dots_at_the_threshold_cosine_are_decided_by_arccos(ulps):
+    # the dot of e1 and (d, s, 0) is d exactly; at d = fl(cos(angle))
+    # arccos and a plain comparison of the dot disagree for these angles
+    for angle in (gv.DEDUP_ANGLE, 0.05, gv.BRANCH_ANGLE):
+        d = np.cos(angle) + ulps * np.spacing(np.cos(angle))
+        pair = np.array([[1.0, 0.0, 0.0], [d, np.sqrt(1.0 - d * d), 0.0]])
+        assert np.array_equal(gv._dedup(pair, angle), cluster_oracle.dedup(pair, angle))
+        assert gv._branch_labels(pair, angle) == cluster_oracle.branch_labels(pair, angle)
+
+
+def test_branch_labels_stay_below_64_mb():
+    reps = sphere.seeds(3, 4096)
+    tracemalloc.start()
+    try:
+        gv._branch_labels(reps, gv.BRANCH_ANGLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
+    sizes = []
+    solve = gv._residual_and_jacobian
+
+    def counted(dec, norm, Xm):
+        sizes.append(len(Xm))
+        return solve(dec, norm, Xm)
+
+    monkeypatch.setattr(gv, "_residual_and_jacobian", counted)
+    gv.find_geodesic_vectors(h3(), norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0])), samples=1024)
+    assert sizes[0] == 1024 and len(sizes) > 2
+    assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert sizes[-1] < 256
