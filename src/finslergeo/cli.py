@@ -6,24 +6,6 @@ agreed with its expectation, 2 means some check failed, 1 means the run
 errored before producing a verdict.
 """
 
-import os
-
-
-def _cap_threads():
-    cap = os.environ.get("FINSLERGEO_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
 import argparse
 import sys
 import time
@@ -149,7 +131,6 @@ def _subsample_path(path, stride: int):
         velocities=path.velocities[::stride],
         body=path.body[::stride],
         F_values=path.F_values[::stride],
-        step=path.step * stride,
     )
 
 

@@ -47,7 +47,6 @@ class GeodesicPath:
     velocities: np.ndarray
     body: np.ndarray  # body velocities u = A(x)·y
     F_values: np.ndarray
-    step: float
 
 
 @dataclass
@@ -184,7 +183,6 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.
         velocities=velocities,
         body=body,
         F_values=norm.value(body),
-        step=float(step),
     )
 
 

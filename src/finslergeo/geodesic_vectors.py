@@ -35,7 +35,6 @@ class GeodesicVectorSet:
     representatives: np.ndarray
     residual_norms: np.ndarray
     branch_labels: list
-    tolerance: float
     seeds_total: int
     converged_total: int
     branch_count: int
@@ -164,7 +163,6 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
         representatives=_embed_m(dec, reps) if len(reps) else np.zeros((0, dec.algebra.dim)),
         residual_norms=rep_residuals,
         branch_labels=labels,
-        tolerance=tol,
         seeds_total=samples,
         converged_total=int(converged.sum()),
         branch_count=branch_count,

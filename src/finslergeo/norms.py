@@ -213,13 +213,11 @@ class CustomNorm(MinkowskiNorm):
 
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
         g = self._generic_fundamental(y)
-        flat = g.reshape(-1, self.dim, self.dim)
-        for k in range(flat.shape[0]):
-            try:
-                np.linalg.cholesky(flat[k])
-            except np.linalg.LinAlgError:
-                raise SingularTensor(
-                    "fundamental tensor is not positive definite; the evaluator is not strongly convex"
-                ) from None
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise SingularTensor(
+                "fundamental tensor is not positive definite; the evaluator is not strongly convex"
+            ) from None
         return g
 

@@ -3,11 +3,15 @@
 Two families: quadrature grids (nodes + weights summing to the sphere
 area, refinable by level) and low-discrepancy seed sets for solvers.
 Everything here is a pure function of its arguments, so repeated calls
-are bit-identical.
+are bit-identical.  Grids are cached per (dim, level) and handed out
+read-only: every call with the same arguments returns the same arrays.
 """
 
+from functools import lru_cache
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import ndtri, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -27,8 +31,16 @@ def level_for(dim: int, min_nodes: int) -> int:
     return level
 
 
+@lru_cache(maxsize=None)
 def quad_grid(dim: int, level: int):
-    """Nodes (N, dim) and weights (N,) integrating over S^{dim-1}."""
+    """Nodes (N, dim) and weights (N,) integrating over S^{dim-1}; read-only."""
+    nodes, weights = _build_grid(dim, level)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _build_grid(dim: int, level: int):
     if dim == 2:
         n = _BASE_AXES[2][0] << level
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -37,7 +49,7 @@ def quad_grid(dim: int, level: int):
         return nodes, weights
     if dim == 3:
         nu, nphi = (n << level for n in _BASE_AXES[3])
-        u, wu = roots_legendre(nu)
+        u, wu = leggauss(nu)
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
         s = np.sqrt(1.0 - u**2)
         nodes = np.empty((nu, nphi, 3))
@@ -48,10 +60,10 @@ def quad_grid(dim: int, level: int):
         return nodes.reshape(-1, 3), weights.reshape(-1).copy()
     if dim == 4:
         npsi, nu, nphi = (n << level for n in _BASE_AXES[4])
-        xi, wxi = roots_legendre(npsi)
+        xi, wxi = leggauss(npsi)
         psi = 0.5 * np.pi * (xi + 1.0)
         wpsi = wxi * (0.5 * np.pi) * np.sin(psi) ** 2
-        u, wu = roots_legendre(nu)
+        u, wu = leggauss(nu)
         phi = 2.0 * np.pi * np.arange(nphi) / nphi
         s = np.sqrt(1.0 - u**2)
         nodes = np.empty((npsi, nu, nphi, 4))
@@ -97,6 +109,7 @@ def seeds(dim: int, count: int) -> np.ndarray:
         s = np.sqrt(np.maximum(0.0, 1.0 - z**2))
         return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
     if dim == 4:
-        g = np.stack([ndtri(_halton(count, b)) for b in (2, 3, 5, 7)], axis=1)
+        inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+        g = np.stack([inv_cdf(_halton(count, b)) for b in (2, 3, 5, 7)], axis=1)
         return g / np.linalg.norm(g, axis=1, keepdims=True)
     raise ValueError(f"sphere seeds support dim 2..4, got {dim}")

@@ -120,7 +120,6 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
         velocities=velocities,
         body=np.einsum("...ij,...j->...i", cm.model.body_jacobian(points), velocities),
         F_values=cm.value(points, velocities),
-        step=float(step),
     )
 
 

@@ -61,7 +61,6 @@ def find_geodesic_vectors(dec, norm, samples=4096, tol=gv.DEFAULT_TOL):
         representatives=gv._embed_m(dec, reps) if len(reps) else np.zeros((0, dec.algebra.dim)),
         residual_norms=rep_residuals,
         branch_labels=labels,
-        tolerance=tol,
         seeds_total=samples,
         converged_total=int(converged.sum()),
         branch_count=branch_count,

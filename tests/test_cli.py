@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,3 +314,29 @@ def test_top_level_unknown_key_exits_one(tmp_path, capsys, extra):
     assert err.startswith("error: ValidationError:")
     assert repr(next(key for key in extra if key.startswith("expect_"))) in err
     assert "task, model, norm, params, seed, m_indices, h_indices" in err
+
+
+_NO_SCIPY = """
+import importlib, os, pkgutil, sys
+sys.modules["scipy"] = None
+import finslergeo
+for info in pkgutil.iter_modules(finslergeo.__path__):
+    importlib.import_module("finslergeo." + info.name)
+from finslergeo import cli, sphere
+code = cli.main(["--scenario", sys.argv[1], "--format", "machine", "--out", os.devnull])
+assert code == 0, code
+assert sphere.seeds(4, 512).shape == (512, 4)
+"""
+
+
+def test_package_runs_without_scipy():
+    # finslergeo depends on numpy alone; a scipy import anywhere fails here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, bundled("h3_randers_scurvature_e1")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

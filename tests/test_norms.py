@@ -257,6 +257,10 @@ def test_custom_norm_rejects_nonconvex():
     norm = norms.CustomNorm(2, bad_f2)
     with pytest.raises(SingularTensor):
         norm.fundamental_matrix(np.array([1.0, 0.05]))
+    # one indefinite point in a batch rejects the whole batch
+    assert np.linalg.eigvalsh(norm.fundamental_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))).min() > 0.0
+    with pytest.raises(SingularTensor):
+        norm.fundamental_matrix(np.array([[1.0, 1.0], [1.0, 0.05], [1.0, -1.0]]))
 
 
 def test_batched_matches_single():

@@ -26,7 +26,6 @@ def subsample(path, every):
         velocities=path.velocities[::every],
         body=path.body[::every],
         F_values=path.F_values[::every],
-        step=path.step * every,
     )
 
 

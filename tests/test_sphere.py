@@ -1,8 +1,9 @@
 """Sphere grids against closed-form surface integrals."""
 
 import numpy as np
+import pytest
 
-from finslergeo import sphere
+from finslergeo import s_curvature, sphere
 
 
 def test_weights_sum_to_sphere_area():
@@ -43,6 +44,27 @@ def test_refinement_contracts_on_smooth_integrand():
             assert e1 <= e0 / 4.0 + 1.0e-13 * abs(vals[-1])
 
 
+def test_exponential_integral_at_production_level():
+    # int_{S^2} exp(a.x) dA = 4 pi sinh|a| / |a|
+    a = np.array([0.7, 0.0, -0.4])
+    r = np.linalg.norm(a)
+    nodes, weights = sphere.quad_grid(3, sphere.level_for(3, s_curvature.MIN_NODES))
+    val = weights @ np.exp(nodes @ a)
+    exact = 4.0 * np.pi * np.sinh(r) / r
+    assert abs(val - exact) < 1.0e-13 * exact
+
+
+def test_grids_cached_and_read_only():
+    for dim in (2, 3, 4):
+        nodes, weights = sphere.quad_grid(dim, 1)
+        again = sphere.quad_grid(dim, 1)
+        assert nodes.tobytes() == again[0].tobytes()
+        assert weights.tobytes() == again[1].tobytes()
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_ball_volume_values():
     assert abs(sphere.ball_volume(2) - np.pi) < 1.0e-14
     assert abs(sphere.ball_volume(3) - 4.0 * np.pi / 3.0) < 1.0e-14
@@ -56,8 +78,10 @@ def test_seeds_unit_and_deterministic():
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1.0e-12
         again = sphere.seeds(dim, 512)
         assert pts.tobytes() == again.tobytes()
-        # crude equidistribution: the mean should be near the origin
+        # crude equidistribution: the mean should be near the origin, and
+        # each coordinate's mean square near 1/dim
         assert np.max(np.abs(pts.mean(axis=0))) < 0.05
+        assert np.max(np.abs((pts**2).mean(axis=0) - 1.0 / dim)) < 0.02
 
 
 def test_level_for_monotone():
