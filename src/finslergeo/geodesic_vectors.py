@@ -24,8 +24,9 @@ DEFAULT_TOL = 1.0e-9
 NAT_RED_TOL = 1.0e-8
 NEWTON_ITERS = 25
 DEDUP_ANGLE = 1.0e-3
-# Branches link lines, folding d and -d into arccos(|d·d'|); that fold
-# is exact only while the angle stays below pi/2.
+# Branches link lines, folding d and -d into |d·d'|; comparing that
+# with cos(BRANCH_ANGLE) tests the angle between lines only while the
+# angle stays below pi/2.
 BRANCH_ANGLE = 0.3
 MAX_REPRESENTATIVES = 64
 
@@ -110,19 +111,18 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
     residual.  Seeds whose residual ends below tol are candidates, and a
     candidate is kept only if the norm's generic jet tensor also puts it
     below tol.  The survivors are sorted lexicographically and
-    deduplicated greedily: a vector is kept when it is more than
-    DEDUP_ANGLE from every vector kept before it.  The greedy pass never
-    compares against a vector it drops, so when every kept vector passes
-    the jet tensor, gating every candidate first would keep the same
-    vectors, and the jet tensor runs on the kept vectors only; if one
-    fails, every candidate is gated and the dedup runs again.  The
+    deduplicated greedily: a vector is kept when its dot with every
+    vector kept before it is below cos(DEDUP_ANGLE).  The greedy pass
+    never compares against a vector it drops, so when every kept vector
+    passes the jet tensor, gating every candidate first would keep the
+    same vectors, and the jet tensor runs on the kept vectors only; if
+    one fails, every candidate is gated and the dedup runs again.  The
     representatives are grouped into branches by single-linkage
-    clustering on the angle between lines, so two representatives within
-    BRANCH_ANGLE of each other or of each other's negative share a
-    branch; branches are named by size, largest first.  At most
-    MAX_REPRESENTATIVES are returned, taken round-robin over the
-    branches in that order, and branch_count counts the branches before
-    the cap.  Zero sets here are generically positive dimensional, so
+    clustering of lines, so two representatives whose dot exceeds
+    cos(BRANCH_ANGLE) in magnitude share a branch; branches are named
+    by size, largest first.  At most MAX_REPRESENTATIVES are returned,
+    taken round-robin over the branches in that order, and branch_count
+    counts the branches before the cap.  Zero sets here are generically positive dimensional, so
     convergence means residual below tol, never step collapse; seeds
     that fail to converge are only counted.
     """
@@ -141,14 +141,13 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
         step = np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
         best = _line_search(dec, norm, here, step, rnorm[moving])
         X[moving] = best
-        moving = _two_rows(moving[np.any(best != here, axis=-1)], samples)
+        moving = moving[np.any(best != here, axis=-1)]
         r, jac = _residual_and_jacobian(dec, norm, X[moving])
         rnorm[moving] = np.linalg.norm(r, axis=-1)
     converged = rnorm <= tol
     candidates = X[converged]
     reps = _dedup(candidates, DEDUP_ANGLE)
-    gated = _two_rows(reps, len(candidates))
-    if len(reps) and not _gate(dec, norm, gated, tol)[: len(reps)].all():
+    if len(reps) and not _gate(dec, norm, reps, tol).all():
         reps = _dedup(candidates[_gate(dec, norm, candidates, tol)], DEDUP_ANGLE)
     labels = _branch_labels(reps, BRANCH_ANGLE)
     branch_count = len(set(labels))
@@ -170,17 +169,6 @@ def find_geodesic_vectors(dec, norm, samples: int = 4096, tol: float = DEFAULT_T
     )
 
 
-def _two_rows(rows: np.ndarray, total: int) -> np.ndarray:
-    """rows twice over when it holds one row of a batch of total > 1.
-
-    numpy sends a one-row batch through other BLAS kernels (dot, gemv)
-    than a larger one, and they can round the last bit apart; every row
-    of a larger batch rounds the same whatever the other rows are.  The
-    copy's result equals the row's and is dropped or written twice.
-    """
-    return np.concatenate([rows, rows]) if len(rows) == 1 and total > 1 else rows
-
-
 def _gate(dec, norm, Xm, tol):
     """Soundness gate: whether the generic jet tensor also puts each
     residual at or below tol; a NaN residual fails."""
@@ -199,23 +187,24 @@ def _line_search(dec, norm, X, step, rnorm):
     scale = np.ones(len(X))
     todo = np.arange(len(X))
     for _ in range(5):
-        rows = _two_rows(todo, len(X))
-        trial = X[rows] + scale[rows, None] * step[rows]
+        trial = X[todo] + scale[todo, None] * step[todo]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
         trial_r, _ = _residual_m(dec, trial, norm.fundamental_matrix(trial))
         trial_norm = np.linalg.norm(trial_r, axis=-1)
-        improved = trial_norm <= rnorm[rows]
-        best[rows[improved]] = trial[improved]
-        rnorm[rows[improved]] = trial_norm[improved]
-        scale[rows[~improved]] *= 0.5
-        todo = rows[~improved]
+        improved = trial_norm <= rnorm[todo]
+        best[todo[improved]] = trial[improved]
+        rnorm[todo[improved]] = trial_norm[improved]
+        scale[todo[~improved]] *= 0.5
+        todo = todo[~improved]
         if not len(todo):
             break
     return best
 
 
-# A dot within this of the cosine of a threshold angle is decided by
-# arccos, as every pair once was; farther out the two tests agree.
+# A conservative margin on the two filters that only skip pairs, the
+# dedup window's reach and its prefilter: widened by it, neither skips a
+# pair the cosine rule would catch, even where their dots round apart
+# from the rule's own.  It never decides a pair.
 _BAND = 1.0e-9
 # frontier vectors per block of dots in _branch_labels
 _BLOCK = 256
@@ -224,17 +213,12 @@ _BLOCK = 256
 def _dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
     """Greedy angular dedup of unit vectors in lexicographic order.
 
-    Each kept vector removes the later candidates within dedup_angle of
-    it.  The sort puts the first coordinate in ascending order, and two
-    unit vectors that close differ in it by at most their chord, so only
-    the window of later candidates within twice that chord is compared;
-    when the windows hold few pairs, only heads with a pair near the
-    band are visited.  Dots beyond _BAND of cos(dedup_angle) are decided
-    by the dot itself; inside the band by arccos(dot) <= dedup_angle,
-    with the dot taken the way the greedy loop took it against its
-    buffer of kept vectors: by a vector dot while the buffer held one
-    vector, and by a matrix-vector product after, since the two kernels
-    can round apart.
+    Each kept vector removes every later candidate whose dot with it is
+    at least cos(dedup_angle).  The sort puts the first coordinate in
+    ascending order, and two unit vectors that close differ in it by at
+    most their chord, so only the window of later candidates within
+    twice that chord is compared; when the windows hold few pairs, only
+    heads with a pair near the threshold are visited.
     """
     if not len(candidates):
         return np.zeros((0, candidates.shape[-1]))
@@ -254,34 +238,19 @@ def _dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
         heads = np.unique(first[near])
     alive = np.ones(count, dtype=bool)
     for head in heads:
-        if not alive[head]:
-            continue
-        window = cands[head + 1 : ends[head]]
-        dots = window @ cands[head]
-        dup = dots > cos_angle
-        band = np.flatnonzero(np.abs(dots - cos_angle) <= _BAND)
-        if len(band):
-            pair = cands[[head, head]]
-            # the buffer held the first vector alone until a second was kept
-            by_dot = head == 0
-            for pos in band:
-                by_dot = by_dot and dup[:pos].all()
-                d = cands[head] @ window[pos] if by_dot else (pair @ window[pos])[0]
-                dup[pos] = np.arccos(np.clip(d, -1.0, 1.0)) <= dedup_angle
-        alive[head + 1 : ends[head]] &= ~dup
+        if alive[head]:
+            alive[head + 1 : ends[head]] &= cands[head + 1 : ends[head]] @ cands[head] < cos_angle
     return cands[alive]
 
 
 def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
-    """Single-linkage branches of unit vectors by the angle between lines.
+    """Single-linkage branches of unit vectors as lines.
 
-    The components are labelled by frontier search from the lowest
-    unlabelled index, so each component's root is its minimum index.
-    Folding d and -d into arccos(|d|) is exact for branch_angle < pi/2.
-    Each layer takes the dots between the unlabelled vectors and the
-    frontier in blocks of _BLOCK, never the whole angle matrix; a dot
-    beyond _BAND of cos(branch_angle) is decided by the dot itself, one
-    inside by arccos(|d|) < branch_angle.
+    Two vectors are linked when their dot exceeds cos(branch_angle) in
+    magnitude.  The components are labelled by frontier search from the
+    lowest unlabelled index, so each component's root is its minimum
+    index; each layer takes the dots between the unlabelled vectors and
+    the frontier in blocks of _BLOCK, never the whole Gram matrix.
     """
     count = len(reps)
     if not count:
@@ -294,9 +263,13 @@ def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
         roots[root] = root
         frontier = np.array([root])
         while len(frontier) and len(open_):
+            rows = reps[open_]
             hit = np.zeros(len(open_), dtype=bool)
             for start in range(0, len(frontier), _BLOCK):
-                hit |= _linked(reps, open_, frontier[start : start + _BLOCK], cos_angle, branch_angle)
+                dots = rows @ reps[frontier[start : start + _BLOCK]].T
+                hit |= np.abs(dots, out=dots).max(axis=1) > cos_angle
+                # one block of dots at a time: free it before the next
+                del dots
             frontier, open_ = open_[hit], open_[~hit]
             roots[frontier] = root
     heads, sizes = np.unique(roots, return_counts=True)
@@ -305,44 +278,19 @@ def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
     return [names[head] for head in roots.tolist()]
 
 
-def _linked(reps, rows, cols, cos_angle, angle):
-    """Whether each of reps[rows] lies within angle of some reps[cols] line.
-
-    The dots come from one matrix product of at least two rows and two
-    columns, whose entries equal those of the full Gram matrix bit for
-    bit.  A row whose largest |dot| falls inside the band is decided by
-    arccos over all its dots.
-    """
-    dots = (_two_rows(reps[rows], len(reps)) @ _two_rows(reps[cols], len(reps)).T)[: len(rows), : len(cols)]
-    np.abs(dots, out=dots)
-    best = dots.max(axis=1)
-    linked = best > cos_angle + _BAND
-    unsure = np.flatnonzero(~linked & (best >= cos_angle - _BAND))
-    if len(unsure):
-        linked[unsure] = (np.arccos(np.minimum(dots[unsure], 1.0)) < angle).any(axis=1)
-    return linked
-
-
 def _cap_round_robin(reps, labels, cap):
-    by_branch = {}
+    """The first cap representatives taken round-robin over the branches.
+
+    Round k takes the k-th member of every branch in rank order, and
+    branch-r is the r-th branch in rank order, so one sort by (depth in
+    branch, rank, position) lists the picks.
+    """
+    depth = {}
+    order = []
     for pos, label in enumerate(labels):
-        by_branch.setdefault(label, []).append(pos)
-    # rank order: largest branch first, ties by the lowest member index
-    queues = sorted(by_branch.values(), key=lambda queue: (-len(queue), queue[0]))
-    picked = []
-    cursor = 0
-    while len(picked) < cap:
-        progressed = False
-        for queue in queues:
-            if cursor < len(queue):
-                picked.append(queue[cursor])
-                progressed = True
-                if len(picked) == cap:
-                    break
-        if not progressed:
-            break
-        cursor += 1
-    picked.sort()
+        depth[label] = depth.get(label, -1) + 1
+        order.append((depth[label], int(label.removeprefix("branch-")), pos))
+    picked = sorted(pos for _, _, pos in sorted(order)[:cap])
     return reps[picked], [labels[pos] for pos in picked]
 
 

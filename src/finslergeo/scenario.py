@@ -11,7 +11,9 @@ it reads the reductive split g = h + m, and the parameters it takes.
 Parsing checks `params` against that table: an undeclared key, a value
 of the wrong kind or one out of range is a ValidationError, and so is a
 top-level key other than the seven of `_TOP_LEVEL_KEYS`, so an
-expectation placed beside `params` is never silently dropped.
+expectation placed beside `params` is never silently dropped.  Two
+rules span keys: `berwald` compares at least two directions, and a
+horizon `T` is a whole number of `step`s, so a run ends where asked.
 `Scenario.params` holds the typed values with defaults filled in;
 `Scenario.raw` keeps the parameters exactly as given (with the seed and
 the split made explicit) and is what run reports digest, so identical
@@ -251,6 +253,18 @@ def _typed_params(task: str, params: dict, model, dim: int) -> dict:
             out[key] = model.identity()
         elif param.default is not ABSENT:
             out[key] = param.default
+    if task == "berwald" and out["samples"] < 2:
+        raise ValidationError(
+            f"params: 'samples' = {out['samples']} is below 2; task 'berwald' compares the "
+            "Hessians of distinct directions"
+        )
+    if "T" in out:
+        steps = round(out["T"] / out["step"])
+        # a relative 1e-9 absorbs the rounding of T / step, never a part step
+        if steps < 1 or abs(out["T"] - steps * out["step"]) > 1.0e-9 * out["T"]:
+            raise ValidationError(
+                f"params: 'T' = {out['T']!r} is not a whole number of steps of 'step' = {out['step']!r}"
+            )
     return out
 
 

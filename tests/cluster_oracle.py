@@ -2,12 +2,15 @@
 
 These are the loops `find_geodesic_vectors` used before its dedup became a
 sweep of each kept vector over a window of later candidates and its
-branches were labelled by frontier search over blocks of dots.  Here every
-pair is decided by arccos of its dot, the dedup against all vectors kept so
-far and the branches over the whole N x N angle matrix.  The library
-decides by the dot itself outside a 1e-9 band around the threshold cosine
-and by arccos inside it, and must give exactly the same kept vectors and
-labels, also for dots that land within rounding of the threshold.
+branches were labelled by frontier search over blocks of dots.  Here the
+dedup compares each candidate with every vector kept so far and the
+branches come from the whole N x N Gram matrix.  Every pair is decided by
+the same cosine rule as in the library: a candidate is a duplicate when
+its dot with a kept vector is at least cos(dedup_angle), and two lines
+are linked when their dot exceeds cos(branch_angle) in magnitude.  The
+library must give exactly the same kept vectors and labels, also for
+dots that land within rounding of the threshold cosine.  `cap_round_robin`
+is the round-robin loop the library's cap replaced by one sort.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ def dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
     candidates = candidates[order] if len(candidates) else candidates
     kept = []
     for vec in candidates:
-        if not kept or np.min(np.arccos(np.clip(np.asarray(kept) @ vec, -1.0, 1.0))) > dedup_angle:
+        if not kept or np.max(np.asarray(kept) @ vec) < np.cos(dedup_angle):
             kept.append(vec)
     return np.asarray(kept) if kept else np.zeros((0, m_dim))
 
@@ -43,10 +46,7 @@ def branch_labels(reps: np.ndarray, branch_angle: float) -> list:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    dots = np.clip(reps @ reps.T, -1.0, 1.0)
-    near = np.arccos(dots) < branch_angle
-    anti = np.arccos(np.clip(-dots, -1.0, 1.0)) < branch_angle
-    linked = np.triu(near | anti, k=1)
+    linked = np.triu(np.abs(reps @ reps.T) > np.cos(branch_angle), k=1)
     for i, j in np.argwhere(linked):
         union(int(i), int(j))
     roots = [find(i) for i in range(count)]
@@ -56,3 +56,27 @@ def branch_labels(reps: np.ndarray, branch_angle: float) -> list:
     ordered = sorted(sizes, key=lambda root: (-sizes[root], root))
     names = {root: f"branch-{pos + 1}" for pos, root in enumerate(ordered)}
     return [names[root] for root in roots]
+
+
+def cap_round_robin(reps, labels, cap):
+    """Round-robin picks over the branches, largest first, one queue each."""
+    by_branch = {}
+    for pos, label in enumerate(labels):
+        by_branch.setdefault(label, []).append(pos)
+    # rank order: largest branch first, ties by the lowest member index
+    queues = sorted(by_branch.values(), key=lambda queue: (-len(queue), queue[0]))
+    picked = []
+    cursor = 0
+    while len(picked) < cap:
+        progressed = False
+        for queue in queues:
+            if cursor < len(queue):
+                picked.append(queue[cursor])
+                progressed = True
+                if len(picked) == cap:
+                    break
+        if not progressed:
+            break
+        cursor += 1
+    picked.sort()
+    return reps[picked], [labels[pos] for pos in picked]

@@ -2,17 +2,20 @@
 
 The benchmark under perfbench/ feeds generated scenarios through
 `scenario_from_dict` and wraps named functions with its tracer.  A
-parameter table stricter than those scenarios, or a deleted traced
-name, fails here instead of in a benchmark run.
+parameter table stricter than those scenarios, a deleted traced name, or
+a traced layer the mixes no longer reach, fails here instead of in a
+benchmark run.
 """
 
 import copy
 import os
+import subprocess
 import sys
 
 from finslergeo import scenario
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
@@ -40,3 +43,14 @@ def test_tracer_installs_and_uninstalls():
     finally:
         probe.uninstall()
     assert all(vars(owner)[attr] is fn for (_, owner, attr, _), fn in zip(targets, originals))
+
+
+def test_benchmark_selftest_passes():
+    # its own process: the self-test imports finslergeo from src/ and
+    # installs the tracer over the whole package
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "selftest.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -117,6 +117,12 @@ def test_missing_required_param_exits_one(tmp_path, capsys):
         ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "tol": -1}, "'tol'"),
         ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "stide": 2}, "'stide'"),
         ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "dt": 1.0e-3}, "'dt'"),
+        # one direction reads every metric as Berwald
+        ("berwald", {"samples": 1}, "'samples'"),
+        # a horizon that is not a whole number of steps
+        ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 1.0, "step": 0.3}, "'T'"),
+        ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "T": 0.01, "step": 0.03}, "'T'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "step": 0.02}, "'T'"),
     ],
 )
 def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):

@@ -295,6 +295,19 @@ def test_param_table_rejects_bad_values():
         assert repr(key) in str(err.value)
 
 
+def test_cross_key_rules_accept_their_boundaries():
+    scen = scenario.scenario_from_dict(minimal(task="berwald", params={"samples": 2}))
+    assert scen.params["samples"] == 2
+    # 0.9 / 0.3 rounds to 3.0000000000000004: three whole steps
+    scen = scenario.scenario_from_dict(
+        minimal(task="integrate-geodesic", params={"y0": [1, 0, 0], "T": 0.9, "step": 0.3})
+    )
+    assert scen.params["T"] == 0.9
+    for T in (0.3, 0.6000001, 0.1):
+        with pytest.raises(ValidationError, match="'T'"):
+            scenario.scenario_from_dict(minimal(task="s-curvature", params={"y0": [1, 0, 0], "T": T, "step": 0.2}))
+
+
 def test_split_only_for_tasks_that_read_it():
     for task in scenario.TASKS:
         spec = scenario.TASKS[task]
