@@ -14,8 +14,10 @@ x-derivative of the chart metric.  u is integrated with classical
 fixed-step Runge-Kutta, and the group element is carried along on the
 group itself by the Runge–Kutta–Munthe-Kaas step built from the same
 stages (Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000),
-so a path may wind past the edge of any chart.  Chart coordinates and
-chart velocities y = A(x)⁻¹u are read off once, after the last step.
+so a path may wind past the edge of any chart.  A path holds group
+elements and body velocities only; chart coordinates and chart
+velocities y = A(x)⁻¹u are read off by `chart_coordinates`, for the
+report that prints them.
 F = norm(u) is a first integral of the exact flow, so its drift along a
 numerical path measures integration error.  At a geodesic vector X the
 right-hand side ad*_X(ĝ_X X) is the paper's criterion residual, so u
@@ -43,8 +45,9 @@ BERWALD_STEP = 1.0e-2  # central-difference step of the spray's y-Hessians
 @dataclass
 class GeodesicPath:
     ts: np.ndarray
+    # group elements in the model's representation, as groups.orbit_curve
+    # returns them: chart coordinates on H3 and Abelian, unit quaternions on SU(2)
     points: np.ndarray
-    velocities: np.ndarray
     body: np.ndarray  # body velocities u = A(x)·y
     F_values: np.ndarray
 
@@ -105,9 +108,17 @@ def euler_poincare_rhs(algebra, norm, u, g=None) -> np.ndarray:
     return np.linalg.solve(g, coadjoint[..., None])[..., 0]
 
 
-def _chart_velocity(model: GroupModel, x, u) -> np.ndarray:
-    """y = A(x)⁻¹u, batched."""
-    return np.linalg.solve(model.body_jacobian(x), u[..., None])[..., 0]
+def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
+    """Chart points x and chart velocities y = A(x)⁻¹u at every path sample.
+
+    Row 0 is (x0, y0) exactly.  Raises ChartDomain when a sample has no
+    chart coordinates, as at the antipode of SU(2).
+    """
+    points = model.to_chart(path.points)
+    points[0] = x0
+    velocities = np.linalg.solve(model.body_jacobian(points), path.body[..., None])[..., 0]
+    velocities[0] = y0
+    return points, velocities
 
 
 def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.0e-3) -> GeodesicPath:
@@ -126,11 +137,10 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.
 
     Batched over leading axes of (x0, y0); all trajectories advance in
     lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
-    the path itself may leave it, and only a sample whose chart
-    coordinates are undefined raises ChartDomain.  Raises StepRejected
-    when the relative drift of F = norm(u) across a single step exceeds
-    1e-3.  Chart points and velocities are computed once, after the last
-    step.
+    the path itself may leave it.  Raises StepRejected when the relative
+    drift of F = norm(u) across a single step exceeds 1e-3.  The path
+    holds the group elements and body velocities as stepped; no sample
+    is read off in the chart.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
@@ -173,17 +183,7 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float = 2.0, step: float = 1.
         elements[i] = g
         body[i] = u
 
-    points = model.to_chart(elements)
-    points[0] = x
-    velocities = _chart_velocity(model, points, body)
-    velocities[0] = y
-    return GeodesicPath(
-        ts=ts,
-        points=points,
-        velocities=velocities,
-        body=body,
-        F_values=norm.value(body),
-    )
+    return GeodesicPath(ts=ts, points=elements, body=body, F_values=norm.value(body))
 
 
 def is_homogeneous_geodesic(
@@ -197,9 +197,10 @@ def is_homogeneous_geodesic(
     """Integrate from (e, X) and compare with the orbit of exp(tX).
 
     The comparison is on the group: the sup-distance over [0, T] between
-    the path's group elements and exp(tX), in the model's representation
-    (chart coordinates on H3, unit quaternions on SU(2)), decides pass or
-    fail.  So an orbit may wind past the edge of the chart.  The
+    the path's group elements and exp(tX), both in the model's
+    representation (chart coordinates on H3, unit quaternions on SU(2)),
+    decides pass or fail.  No sample is read off in the chart, so an
+    orbit may wind past the chart's edge and through the antipode.  The
     algebraic criterion residual for X rides along so callers can
     confirm the two verdicts agree.
     """
@@ -209,7 +210,7 @@ def is_homogeneous_geodesic(
     cm = ChartMetric(model, norm)
     path = integrate_geodesic(cm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
-    sup = float(np.max(np.abs(model.to_group(path.points) - orbit)))
+    sup = float(np.max(np.abs(path.points - orbit)))
     dec = lie.ReductiveDecomposition(model.algebra, m_indices=tuple(range(model.dim)))
     residual = residual_batch(dec, norm, X)
     return HomogeneousGeodesicReport(
@@ -267,6 +268,7 @@ def berwald_test(cm: ChartMetric, x=None, samples: int = 8, tol: float = 1.0e-5)
     """
     n = cm.model.dim
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
+    cm.model.check_chart(x)
     ys = sphere.seeds(n, samples)
     hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, BERWALD_STEP)
     return BerwaldReport(max_deviation=float(np.max(np.abs(hess - hess[:1]))), tolerance=tol)

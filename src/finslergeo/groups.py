@@ -12,9 +12,9 @@ strictly inside radius 2π.
 
 Each model holds group elements in its own representation: `to_group`
 enters it from chart coordinates, `right_exp` moves an element by
-g ↦ g·exp(θ), and `to_chart` leaves it again.  Geodesics are stepped on
-the group with these and read off in the chart once, and orbits of
-one-parameter subgroups are compared with them on the group.
+g ↦ g·exp(θ), and `to_chart` leaves it again.  Geodesics are stepped and
+stored on the group, orbits of one-parameter subgroups are compared with
+them there, and chart coordinates are read off only for output.
 
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
@@ -63,7 +63,7 @@ class GroupModel:
 
     def to_chart(self, g: np.ndarray) -> np.ndarray:
         """Chart coordinates of group elements, batched."""
-        return g
+        return np.array(g, dtype=float)
 
 
 class Heisenberg3(GroupModel):
@@ -158,11 +158,6 @@ class SU2(GroupModel):
 
     def right_exp(self, q, theta):
         return self._renormalize(_hamilton(q, self.to_group(theta)))
-
-    def multiply(self, p, q):
-        out = self.to_chart(self.right_exp(self.to_group(p), q))
-        self.check_chart(out)
-        return out
 
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)

@@ -92,7 +92,11 @@ def spray_coefficients(cm, x, y) -> SprayEvaluation:
 
 
 def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
-    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y), batched over leading axes."""
+    """Fixed-step RK4 on xdot = y, ydot = -2G(x, y), batched over leading axes.
+
+    The chart samples are handed out as a path like any other: group
+    elements exp(x) and body velocities A(x)·y.
+    """
     x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
     nsteps = max(1, int(round(T / step)))
     points = np.empty((nsteps + 1,) + x.shape)
@@ -116,8 +120,7 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
         velocities[i] = y
     return gf.GeodesicPath(
         ts=np.arange(nsteps + 1) * step,
-        points=points,
-        velocities=velocities,
+        points=cm.model.to_group(points),
         body=np.einsum("...ij,...j->...i", cm.model.body_jacobian(points), velocities),
         F_values=cm.value(points, velocities),
     )

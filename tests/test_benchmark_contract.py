@@ -12,7 +12,9 @@ import os
 import subprocess
 import sys
 
-from finslergeo import scenario
+import numpy as np
+
+from finslergeo import geodesic_flow, groups, norms, scenario
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -43,6 +45,16 @@ def test_tracer_installs_and_uninstalls():
     finally:
         probe.uninstall()
     assert all(vars(owner)[attr] is fn for (_, owner, attr, _), fn in zip(targets, originals))
+
+
+def test_tracer_counts_trajectory_steps():
+    # geodesic_flow.step_us divides by this count: steps times the paths
+    # advanced in lockstep, whatever the representation of a path's points
+    cm = groups.ChartMetric(groups.SU2(), norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0])))
+    y0 = np.random.RandomState(3).standard_normal((5, 3))
+    with tracer.Tracer() as probe:
+        geodesic_flow.integrate_geodesic(cm, np.zeros((5, 3)), y0, T=0.1, step=0.01)
+    assert tracer.layer_totals(probe.spans)["geodesic_flow.integrate"]["steps"] == 50
 
 
 def test_benchmark_selftest_passes():

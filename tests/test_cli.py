@@ -278,29 +278,70 @@ def test_past_antipode_scenario_meets_closed_form():
     assert np.max(np.abs(np.asarray(report.payload["endpoint_y"]) - e1)) <= 1.0e-10
 
 
+# T = 4π in 1000 steps: sample 500 is exp(2π·e1) = −1, the antipode of the chart
+ANTIPODE_RUN = {"T": 4.0 * np.pi, "step": 4.0 * np.pi / 1000}
+
+
 @pytest.mark.parametrize(
-    "a, X, code",
+    "a, X, run, code",
     [
         # bi-invariant: exp(t·e1) is the geodesic, also past the chart edge at 2π
-        (I3, [1.0, 0.0, 0.0], 0),
+        pytest.param(I3, [1.0, 0.0, 0.0], {"T": 7.0, "step": 0.01}, 0, id="a0-X0-0"),
         # an off-axis X of diag(1, 2, 3) is no geodesic vector; the orbit
         # check fails instead of leaving the chart
-        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], [0.6, 0.8, 0.0], 2),
+        pytest.param([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], [0.6, 0.8, 0.0],
+                     {"T": 7.0, "step": 0.01}, 2, id="a1-X1-2"),
+        # the comparison is on the group, so the antipode itself is no obstacle
+        pytest.param(I3, [1.0, 0.0, 0.0], ANTIPODE_RUN, 0, id="a0-X0-antipode"),
     ],
 )
-def test_homogeneous_check_runs_past_chart_edge(tmp_path, capsys, a, X, code):
+def test_homogeneous_check_runs_past_chart_edge(tmp_path, capsys, a, X, run, code):
     path = write_scenario(
         tmp_path,
         {
             "task": "check-homogeneous",
             "model": "su2",
             "norm": {"kind": "euclidean", "a": a},
-            "params": {"X": X, "T": 7.0, "step": 0.01},
+            "params": {"X": X, **run},
         },
     )
     assert cli.main(["--scenario", path, "--format", "machine"]) == code
     report = json.loads(capsys.readouterr().out)
     assert report["payload"]["check_passed"] is (code == 0)
+
+
+def test_path_tasks_at_the_antipode(tmp_path, capsys):
+    # S and tau read the body velocity alone, so s-curvature runs through
+    # −1; integrate-geodesic prints chart points, which −1 does not have
+    data = {
+        "model": "su2",
+        "norm": {"kind": "euclidean", "a": I3},
+        "params": {"y0": [1.0, 0.0, 0.0], **ANTIPODE_RUN},
+    }
+    path = write_scenario(tmp_path, {"task": "s-curvature", **data})
+    assert cli.main(["--scenario", path, "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["max_abs_s"] <= 1.0e-12
+    path = write_scenario(tmp_path, {"task": "integrate-geodesic", **data})
+    assert cli.main(["--scenario", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ChartDomain:")
+
+
+@pytest.mark.parametrize("x", [[2.0 * np.pi, 0.0, 0.0], [7.0, 0.0, 0.0]])
+def test_berwald_base_point_outside_chart_exits_one(tmp_path, capsys, x):
+    # 2π·e1 is −1, where A(x) is singular; 7·e1 lies past the chart bound
+    a = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    path = write_scenario(
+        tmp_path,
+        {
+            "task": "berwald",
+            "model": "su2",
+            "norm": {"kind": "euclidean", "a": a},
+            "params": {"x": x, "expect_berwald": True},
+        },
+    )
+    assert cli.main(["--scenario", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ChartDomain:")
 
 
 @pytest.mark.parametrize(

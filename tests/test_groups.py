@@ -6,7 +6,7 @@ import pytest
 from finslergeo import groups, lie, norms
 from finslergeo.errors import ChartDomain, DimensionMismatch, ZeroVector
 
-from group_oracle import dleft
+from group_oracle import dleft, multiply
 
 
 def h3():
@@ -27,11 +27,11 @@ def test_group_axioms():
         e = model.identity()
         for _ in range(100):
             p, q, r = random_points(rng, model, 3, scale)
-            assert np.max(np.abs(model.multiply(p, -p) - e)) < 1.0e-12
-            assert np.max(np.abs(model.multiply(p, e) - p)) < 1.0e-12
-            assert np.max(np.abs(model.multiply(e, p) - p)) < 1.0e-12
-            lhs = model.multiply(model.multiply(p, q), r)
-            rhs = model.multiply(p, model.multiply(q, r))
+            assert np.max(np.abs(multiply(model, p, -p) - e)) < 1.0e-12
+            assert np.max(np.abs(multiply(model, p, e) - p)) < 1.0e-12
+            assert np.max(np.abs(multiply(model, e, p) - p)) < 1.0e-12
+            lhs = multiply(model, multiply(model, p, q), r)
+            rhs = multiply(model, p, multiply(model, q, r))
             assert np.max(np.abs(lhs - rhs)) < 1.0e-10
 
 
@@ -43,7 +43,7 @@ def test_exp_map_additivity():
             X = rng.standard_normal(3)
             X /= np.linalg.norm(X)
             s, t = rng.uniform(-1.2, 1.2, size=2)
-            lhs = model.multiply(s * X, t * X)
+            lhs = multiply(model, s * X, t * X)
             assert np.max(np.abs(lhs - (s + t) * X)) < 1.0e-10
 
 
@@ -77,10 +77,10 @@ def test_su2_chart_domain():
         model.check_chart(np.array([2.0 * np.pi, 0.0, 0.0]))
     # rotations compose modulo 4π and re-enter the chart when they can;
     # only products landing next to the antipode are rejected
-    wrapped = model.multiply(np.array([3.0, 0.0, 0.0]), np.array([6.0, 0.0, 0.0]))
+    wrapped = multiply(model, np.array([3.0, 0.0, 0.0]), np.array([6.0, 0.0, 0.0]))
     assert np.linalg.norm(wrapped) < 2.0 * np.pi
     with pytest.raises(ChartDomain):
-        model.multiply(np.array([np.pi, 0.0, 0.0]), np.array([np.pi - 0.01, 0.0, 0.0]))
+        multiply(model, np.array([np.pi, 0.0, 0.0]), np.array([np.pi - 0.01, 0.0, 0.0]))
 
 
 def test_h3_orbit_closed_form():
@@ -93,10 +93,10 @@ def test_h3_orbit_closed_form():
     # left-invariant field of X: its chart velocity is dL_{p·exp(tX)} X
     p = np.array([0.5, 1.0, -0.2])
     h = 1.0e-6
-    plus = model.multiply(p, groups.orbit_curve(model, X, ts + h))
-    minus = model.multiply(p, groups.orbit_curve(model, X, ts - h))
+    plus = multiply(model, p, groups.orbit_curve(model, X, ts + h))
+    minus = multiply(model, p, groups.orbit_curve(model, X, ts - h))
     fd = (plus - minus) / (2.0 * h)
-    expected = dleft(model, model.multiply(p, points), np.tile(X, (len(ts), 1)))
+    expected = dleft(model, multiply(model, p, points), np.tile(X, (len(ts), 1)))
     assert np.max(np.abs(expected - fd)) < 1.0e-8
 
 
@@ -117,10 +117,10 @@ def test_su2_orbit_matches_quaternion_flow():
     ts = np.linspace(0.0, 2.0, 21)
     p = rng.standard_normal(3) * 0.4
     h = 1.0e-6
-    plus = model.multiply(p, model.to_chart(groups.orbit_curve(model, X, ts + h)))
-    minus = model.multiply(p, model.to_chart(groups.orbit_curve(model, X, ts - h)))
+    plus = multiply(model, p, model.to_chart(groups.orbit_curve(model, X, ts + h)))
+    minus = multiply(model, p, model.to_chart(groups.orbit_curve(model, X, ts - h)))
     fd = (plus - minus) / (2.0 * h)
-    points = model.multiply(p, ts[:, None] * X)
+    points = multiply(model, p, ts[:, None] * X)
     body = np.einsum("...ij,...j->...i", model.body_jacobian(points), fd)
     assert np.max(np.abs(body - X)) < 1.0e-7
 
@@ -163,7 +163,7 @@ def test_dleft_matches_group_law_differential():
             base = rng.standard_normal(3) * scale
             v = rng.standard_normal(3)
             h = 1.0e-6
-            fd = (model.multiply(p, base + h * v) - model.multiply(p, base - h * v)) / (2.0 * h)
+            fd = (multiply(model, p, base + h * v) - multiply(model, p, base - h * v)) / (2.0 * h)
             an = dleft(model, p, v, base)
             assert np.max(np.abs(fd - an)) < 1.0e-8
 
@@ -178,7 +178,7 @@ def test_body_jacobian_left_trivialization():
             v = rng.standard_normal(3)
             h = 1.0e-6
             xinv = -x  # exponential coordinates
-            fd = (model.multiply(xinv, x + h * v) - model.multiply(xinv, x - h * v)) / (2.0 * h)
+            fd = (multiply(model, xinv, x + h * v) - multiply(model, xinv, x - h * v)) / (2.0 * h)
             an = model.body_jacobian(x) @ v
             assert np.max(np.abs(fd - an)) < 1.0e-8
 
@@ -194,7 +194,7 @@ def test_chart_metric_left_invariance():
             x = rng.standard_normal(3) * scale
             y = rng.standard_normal(3)
             fx = cm.value(x, y)
-            moved = cm.value(model.multiply(p, x), dleft(model, p, y, x))
+            moved = cm.value(multiply(model, p, x), dleft(model, p, y, x))
             worst = max(worst, abs(moved - fx) / max(1.0, fx))
         assert worst < 1.0e-10
 

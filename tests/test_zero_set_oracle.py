@@ -195,7 +195,9 @@ def test_cap_matches_round_robin_oracle():
             assert np.array_equal(got, want) and got_labels == want_labels
 
 
-def test_branch_labels_stay_below_64_mb():
+def test_branch_labels_stay_below_10_mb():
+    # the blockwise labels peak near 7 MB at 4096 seeds; a version that
+    # keeps each block of dots alive into the next peaks above 13 MB
     reps = sphere.seeds(3, 4096)
     tracemalloc.start()
     try:
@@ -203,7 +205,7 @@ def test_branch_labels_stay_below_64_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 10 * 2**20
 
 
 def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
