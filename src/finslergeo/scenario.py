@@ -22,8 +22,8 @@ scenarios hash identically.
 
 import glob
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +117,6 @@ TASKS = {
 @dataclass
 class Scenario:
     task: str
-    model_name: str | None
     model: groups.GroupModel | None
     algebra: lie.LieAlgebraData
     norm: norms.MinkowskiNorm
@@ -141,6 +140,8 @@ def _require(data: dict, key: str, kind, where: str):
 
 def _inline_algebra(block: dict) -> lie.LieAlgebraData:
     dim = _require(block, "dim", int, "model block")
+    if isinstance(dim, bool) or dim < 1:
+        raise ValidationError(f"model block: dim must be a positive integer, got {dim!r}")
     entries = _require(block, "structure_constants", list, "model block")
     c = np.zeros((dim, dim, dim))
     seen = set()
@@ -151,10 +152,14 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
             )
         i, j, k, value = entry
         for label, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 1 <= idx <= dim:
+            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:
                 raise ValidationError(
                     f"model block: structure_constants[{pos}].{label} = {idx!r} is outside 1..{dim}"
                 )
+        if not _numeric(value):
+            raise ValidationError(
+                f"model block: structure_constants[{pos}] value {value!r} is not a finite number"
+            )
         if i == j:
             raise ValidationError(
                 f"model block: structure_constants[{pos}] sets [e{i}, e{i}], which is always zero"
@@ -164,8 +169,8 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
         if key in seen or mirror in seen:
             raise ValidationError(f"model block: duplicate structure constant for [e{i}, e{j}] -> e{k}")
         seen.add(key)
-        c[key] = float(value)
-        c[mirror] = -float(value)
+        c[key] = value
+        c[mirror] = -value
     algebra = lie.LieAlgebraData(dim=dim, c=c)
     residual, witness = lie.jacobi_residual(algebra)
     if residual > 1.0e-10:
@@ -176,20 +181,25 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
     return algebra
 
 
+def _norm_entries(block: dict, key: str, shape: tuple, what: str, where: str) -> np.ndarray:
+    """The norm block's array `key`, with the given shape and finite numbers only."""
+    value = np.asarray(_require(block, key, list, "norm block"), dtype=object)
+    if value.shape != shape:
+        raise ValidationError(f"norm block: {what} {key} has shape {value.shape}, {where} is {shape[0]}")
+    bad = [entry for entry in value.ravel() if not _numeric(entry)]
+    if bad:
+        raise ValidationError(f"norm block: {what} {key} must hold finite numbers, got {bad[0]!r}")
+    return value.astype(float)
+
+
 def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
     kind = _require(block, "kind", str, "norm block")
     if kind not in ("euclidean", "randers"):
         raise ValidationError(f"norm block: unknown kind {kind!r}; use 'euclidean' or 'randers'")
-    a = np.asarray(_require(block, "a", list, "norm block"), dtype=float)
-    if a.shape != (dim, dim):
-        raise ValidationError(
-            f"norm block: matrix a has shape {a.shape}, {where} is {dim}"
-        )
+    a = _norm_entries(block, "a", (dim, dim), "matrix", where)
     if kind == "euclidean":
         return norms.EuclideanNorm(a)
-    b = np.asarray(_require(block, "b", list, "norm block"), dtype=float)
-    if b.shape != (dim,):
-        raise ValidationError(f"norm block: covector b has shape {b.shape}, {where} is {dim}")
+    b = _norm_entries(block, "b", (dim,), "covector", where)
     try:
         return norms.RandersNorm(a, b)
     except NonConvexNorm as exc:
@@ -201,7 +211,7 @@ def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
 def _parse_indices(block, dim: int, label: str) -> tuple:
     out = []
     for idx in block:
-        if not isinstance(idx, int) or not 1 <= idx <= dim:
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:
             raise ValidationError(f"{label}: index {idx!r} is outside 1..{dim}")
         out.append(idx - 1)
     if len(set(out)) != len(out):
@@ -210,9 +220,11 @@ def _parse_indices(block, dim: int, label: str) -> tuple:
 
 
 def _numeric(value) -> bool:
+    """Whether value is an int or a float that is a finite float: NaN,
+    infinities and ints beyond the float range are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or math.isfinite(value)
+    return abs(value) <= sys.float_info.max
 
 
 def _typed(key: str, param: Param, value, dim: int):
@@ -315,13 +327,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     model_block = data.get("model")
     model = None
-    model_name = None
     if isinstance(model_block, str):
         try:
             model = groups.model_by_name(model_block)
         except ValueError as exc:
             raise ValidationError(f"scenario: {exc}") from None
-        model_name = model_block
         algebra = model.algebra
     elif isinstance(model_block, dict):
         if spec.needs_group:
@@ -345,6 +355,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"scenario: task {task!r} works on the whole algebra; h_indices is read only by {split_tasks}"
         )
     _check_split(algebra.c, m_indices, h_indices)
+    if task == "geodesic-vectors" and not 2 <= len(m_indices) <= 4:
+        raise ValidationError(
+            f"scenario: task 'geodesic-vectors' seeds the unit sphere of m, which is done for "
+            f"dim m 2..4; this split has dim m {len(m_indices)}"
+        )
 
     norm_block = data.get("norm")
     if not isinstance(norm_block, dict):
@@ -356,12 +371,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(params, dict):
         raise ParseError("scenario: field 'params' must be an object")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParseError("scenario: field 'seed' must be a non-negative integer")
+    # the checks seed numpy's RandomState, which takes 0..2**32 - 1
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**32:
+        raise ParseError("scenario: field 'seed' must be an integer in 0..2**32 - 1")
 
     return Scenario(
         task=task,
-        model_name=model_name,
         model=model,
         algebra=algebra,
         norm=norm,

@@ -15,7 +15,7 @@ from finslergeo import geodesic_vectors as gv
 from finslergeo import sphere
 
 
-def find_geodesic_vectors(dec, norm, samples=4096, tol=gv.DEFAULT_TOL):
+def find_geodesic_vectors(dec, norm, samples, tol):
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
     r, jac = gv._residual_and_jacobian(dec, norm, X)

@@ -12,9 +12,9 @@ place of its report.  BLAS runs on one thread, as in the benchmark.  Run
 it once per tree, each in its own process.
 
 `compare` reads two such dumps.  It prints how many reports are byte
-identical, the largest |delta| of every numeric leaf that moved, keyed by
-(workload, JSON path) with the row index of a table or a vector list
-written as [*], and every non-numeric change: a verdict, a key, a
+identical; for every numeric leaf that moved, keyed by (workload, JSON
+path) with the row index of a table or a vector list written as [*], how
+many reports moved it and its largest |delta|; and every non-numeric change: a verdict, a key, a
 length, a string or a missing report.  It exits 1 if there is any
 non-numeric change and 0 otherwise.
 """
@@ -119,11 +119,11 @@ def compare(first: str, second: str) -> int:
         _diff(old, new, "", found, local)
         changes += [f"{name}: {line}" for line in local]
         for path, delta in found.items():
-            key = (workload, path)
-            moved[key] = max(moved.get(key, 0.0), delta)
+            count, largest = moved.get((workload, path), (0, 0.0))
+            moved[(workload, path)] = (count + 1, max(largest, delta))
     print(f"{same}/{len(names)} reports byte-identical")
-    for (workload, path), delta in sorted(moved.items()):
-        print(f"moved {workload} {path}: max |delta| {delta:.3e}")
+    for (workload, path), (count, delta) in sorted(moved.items()):
+        print(f"moved {workload} {path}: {count} report{'s' if count > 1 else ''}, max |delta| {delta:.3e}")
     for line in changes:
         print(f"changed {line}")
     return 1 if changes else 0

@@ -123,6 +123,8 @@ def test_missing_required_param_exits_one(tmp_path, capsys):
         ("integrate-geodesic", {"y0": [0.6, -0.3, 0.5], "T": 1.0, "step": 0.3}, "'T'"),
         ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "T": 0.01, "step": 0.03}, "'T'"),
         ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "step": 0.02}, "'T'"),
+        # an int beyond the float range
+        ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "T": 10**400}, "'T'"),
     ],
 )
 def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):
@@ -135,6 +137,61 @@ def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):
     assert code == 1
     assert err.startswith("error: ValidationError:")
     assert key in err
+
+
+def with_entry(matrix, row, col, value):
+    out = [list(r) for r in matrix]
+    out[row][col] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a NaN or infinite entry read as a failed check, so an expected
+        # failure exited 0; a string or boolean entry was cast to a number
+        {"task": "check-minkowski-lie", "model": "su2",
+         "norm": {"kind": "euclidean", "a": with_entry(I3, 0, 0, float("nan"))},
+         "params": {"expect_passed": False}},
+        {"task": "check-minkowski-lie", "model": {"dim": 3, "structure_constants": [[1, 2, 3, float("nan")]]},
+         "norm": {"kind": "euclidean", "a": I3}, "params": {"expect_passed": False}},
+        {"task": "check-nat-reductive", "model": "su2",
+         "norm": {"kind": "euclidean", "a": with_entry(I3, 0, 0, float("inf"))}},
+        {"task": "berwald", "model": "heisenberg3",
+         "norm": {"kind": "randers", "a": I3, "b": [float("nan"), 0.0, 0.0]},
+         "params": {"expect_berwald": False}},
+        {"task": "check-minkowski-lie", "model": "su2",
+         "norm": {"kind": "euclidean", "a": with_entry(I3, 0, 0, "1")}},
+        {"task": "check-minkowski-lie", "model": "su2",
+         "norm": {"kind": "euclidean", "a": with_entry(I3, 0, 0, True)}},
+        {"task": "check-minkowski-lie", "model": {"dim": 3, "structure_constants": [[1, 2, 3, "1"]]},
+         "norm": {"kind": "euclidean", "a": I3}},
+        {"task": "check-minkowski-lie", "model": {"dim": 3, "structure_constants": [[True, 2, 3, 1.0]]},
+         "norm": {"kind": "euclidean", "a": I3}},
+        # an int beyond the float range raised an untyped OverflowError
+        {"task": "check-minkowski-lie", "model": "su2",
+         "norm": {"kind": "euclidean", "a": with_entry(I3, 0, 0, 10**400)}},
+    ],
+    ids=["a-nan", "c-nan", "a-infinity", "b-nan", "a-string", "a-true", "c-string", "c-true-index",
+         "a-huge-int"],
+)
+def test_norm_and_structure_constants_must_be_finite_numbers(tmp_path, capsys, data):
+    code = cli.main(["--scenario", write_scenario(tmp_path, data)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
+def test_geodesic_vectors_split_without_seed_set_exits_one(tmp_path, capsys):
+    # su(2) + R^2 with m the whole 5-dim algebra: the seeds cover dim m 2..4
+    data = {
+        "task": "geodesic-vectors",
+        "model": {"dim": 5, "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]},
+        "norm": {"kind": "euclidean", "a": np.eye(5).tolist()},
+    }
+    code = cli.main(["--scenario", write_scenario(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ValidationError:") and "dim m 5" in err
 
 
 @pytest.mark.parametrize(
@@ -197,6 +254,9 @@ def test_seed_override_changes_digest(capsys):
     assert same["digest"] == base["digest"]
     assert cli.main(["--scenario", scen, "--seed", "-1"]) == 1
     assert "'seed'" in capsys.readouterr().err
+    # numpy's RandomState raised an untyped ValueError for this seed
+    assert cli.main(["--scenario", scen, "--seed", str(2**32)]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError:")
 
 
 def test_tol_override_lands_in_report(capsys):
@@ -258,12 +318,88 @@ def test_scurvature_profile_table(tmp_path, capsys):
     assert len(lines[header + 2:]) == 5
 
 
+def _derived_verdict(task, payload, tol):
+    """The report's verdict recomputed from its payload and tolerances alone."""
+    if task == "geodesic-vectors":
+        passed = len(payload["representatives"]) > 0 and payload["max_representative_residual"] <= tol["residual"]
+        if "expected_all_geodesic" in payload:
+            passed = passed and payload["all_sampled_vectors_geodesic"] == payload["expected_all_geodesic"]
+        if "expected_branches" in payload:
+            passed = passed and payload["branch_count"] == payload["expected_branches"]
+        return passed
+    if task in ("check-nat-reductive", "check-minkowski-lie", "check-homogeneous"):
+        metric, key = ("sup_distance", "sup_distance") if task == "check-homogeneous" else ("max_residual", "residual")
+        assert payload["check_passed"] == (payload[metric] <= tol[key])
+        return payload["check_passed"] == payload["expected_passed"]
+    if task == "berwald":
+        assert payload["is_berwald"] == (payload["max_hessian_deviation"] <= tol["hessian_deviation"])
+        return payload["is_berwald"] == payload["expected_berwald"]
+    if task == "s-curvature":
+        vanishes = payload["max_abs_s"] <= tol["abs_s"] and payload["tau_drift"] <= tol["tau_drift"]
+        return vanishes == payload["expected_vanishing"]
+    assert task == "integrate-geodesic"
+    return payload["max_relative_F_drift"] <= tol["relative_F_drift"]
+
+
 def test_every_bundled_scenario_exits_zero(capsys):
+    # and each verdict follows from its machine report alone
+    tasks = set()
     for path in scenario.bundled_scenarios():
         code = cli.main(["--scenario", path, "--format", "machine"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0, path
         assert report["passed"] is True, path
+        tasks.add(report["task"])
+        payload = report["payload"]
+        assert report["passed"] == _derived_verdict(report["task"], payload, report["tolerances"]), path
+        if report["task"] == "s-curvature":
+            assert_s_at_start_is_row_zero(report)
+    assert tasks == set(scenario.TASKS)
+
+
+# the measurement each check's verdict flag compares with --tol
+CHECK_METRICS = {
+    "check-nat-reductive": ("max_residual", "check_passed"),
+    "check-minkowski-lie": ("max_residual", "check_passed"),
+    "check-homogeneous": ("sup_distance", "check_passed"),
+    "berwald": ("max_hessian_deviation", "is_berwald"),
+}
+
+
+def test_check_verdicts_flip_at_the_measured_value(capsys):
+    # metric <= tol: the flag holds at tol = metric and fails one ulp below
+    checked = 0
+    for path in scenario.bundled_scenarios():
+        if scenario.load_scenario(path)["task"] not in CHECK_METRICS:
+            continue
+        cli.main(["--scenario", path, "--format", "machine"])
+        report = json.loads(capsys.readouterr().out)
+        metric, flag = CHECK_METRICS[report["task"]]
+        value = report["payload"][metric]
+        for tol, holds in ((value, True), (np.nextafter(value, 0.0), False)):
+            cli.main(["--scenario", path, "--format", "machine", "--tol", repr(float(tol))])
+            assert json.loads(capsys.readouterr().out)["payload"][flag] is holds, path
+        checked += 1
+    assert checked == 7
+
+
+def assert_s_at_start_is_row_zero(report):
+    profile = report["tables"]["distortion_profile"]
+    first_s = profile["rows"][0][profile["columns"].index("S")]
+    assert np.float64(report["payload"]["s_at_start"]).tobytes() == np.float64(first_s).tobytes()
+
+
+def test_s_at_start_is_row_zero_of_the_profile(tmp_path, capsys):
+    # a second evaluation of S at (x0, y0), outside the path's batch,
+    # read 1.39e-17 here against 1.04e-17 in row 0
+    data = {
+        "task": "s-curvature",
+        "model": "su2",
+        "norm": {"kind": "randers", "a": I3, "b": [-0.160927, 0.135998, 0.125919]},
+        "params": {"y0": [-0.184876, -0.483124, 0.501538], "T": 0.03, "step": 0.001, "stride": 3},
+    }
+    assert cli.main(["--scenario", write_scenario(tmp_path, data), "--format", "machine"]) == 0
+    assert_s_at_start_is_row_zero(json.loads(capsys.readouterr().out))
 
 
 def test_past_antipode_scenario_meets_closed_form():

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import geodesic_vectors, groups, lie, norms
+from finslergeo import geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
 from group_oracle import multiply
+
+# the tolerances the check-homogeneous and berwald tasks judge by
+HOMOGENEOUS_TOL = scenario.TASKS["check-homogeneous"].params["tol"].default
+BERWALD_TOL = scenario.TASKS["berwald"].params["tol"].default
 
 
 def h3_euclid():
@@ -274,7 +278,7 @@ def test_homogeneous_geodesics_su2_random():
         X = rng.standard_normal(3)
         X /= np.linalg.norm(X)
         report = gf.is_homogeneous_geodesic(model, norm, X, T=1.0, step=2.0e-3)
-        assert report.passed
+        assert report.sup_distance <= HOMOGENEOUS_TOL
         assert report.sup_distance <= 1.0e-6
         assert report.residual_norm <= 1.0e-12
 
@@ -284,9 +288,9 @@ def test_homogeneous_geodesics_h3_branches():
     norm = norms.EuclideanNorm(np.eye(3))
     for X in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])):
         report = gf.is_homogeneous_geodesic(model, norm, X, T=1.0, step=2.0e-3)
-        assert report.passed and report.residual_norm < 1.0e-12
+        assert report.sup_distance <= HOMOGENEOUS_TOL and report.residual_norm < 1.0e-12
     report = gf.is_homogeneous_geodesic(model, norm, np.array([1.0, 0.0, 1.0]), T=1.0, step=2.0e-3)
-    assert not report.passed
+    assert report.sup_distance > HOMOGENEOUS_TOL
     assert report.sup_distance > 1.0e-3
     assert report.residual_norm > 0.5
 
@@ -324,23 +328,23 @@ def test_riemannian_integrator_consistency():
 
 def test_berwald_riemannian_passes():
     for cm in (h3_euclid(), su2_euclid()):
-        report = gf.berwald_test(cm, samples=6)
-        assert report.is_berwald
-        assert report.max_deviation <= 1.0e-5
-    report = gf.berwald_test(h3_euclid(), x=np.array([0.3, -0.2, 0.5]), samples=6)
-    assert report.is_berwald
+        deviation = gf.berwald_test(cm, x=np.zeros(3), samples=6)
+        assert deviation <= BERWALD_TOL
+        assert deviation <= 1.0e-5
+    deviation = gf.berwald_test(h3_euclid(), x=np.array([0.3, -0.2, 0.5]), samples=6)
+    assert deviation <= BERWALD_TOL
 
 
 def test_berwald_flat_minkowski_passes():
     cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0]))
-    report = gf.berwald_test(cm, samples=6)
-    assert report.max_deviation < 1.0e-12
+    deviation = gf.berwald_test(cm, x=np.zeros(3), samples=6)
+    assert deviation < 1.0e-12
 
 
 def test_berwald_h3_randers_fails():
-    report = gf.berwald_test(h3_randers([0.0, 0.0, 0.5]), samples=6)
-    assert not report.is_berwald
-    assert report.max_deviation > 1.0e-2
+    deviation = gf.berwald_test(h3_randers([0.0, 0.0, 0.5]), x=np.zeros(3), samples=6)
+    assert deviation > BERWALD_TOL
+    assert deviation > 1.0e-2
 
 
 def test_berwald_matches_parallelism_of_drift_field():
@@ -399,22 +403,22 @@ def test_reduced_flow_matches_chart_spray():
 
 
 def test_berwald_verdict_matches_chart_spray():
+    origin = np.zeros(3)
     cases = [
-        (h3_euclid(), None),
+        (h3_euclid(), origin),
         (h3_euclid(), np.array([0.3, -0.2, 0.5])),
-        (su2_euclid(), None),
-        (groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0])), None),
-        (h3_randers([0.0, 0.0, 0.5]), None),
+        (su2_euclid(), origin),
+        (groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0])), origin),
+        (h3_randers([0.0, 0.0, 0.5]), origin),
         (h3_randers([0.0, 0.0, 0.5]), np.array([0.3, -0.2, 0.5])),
     ] + [(cm, np.array([0.3, 0.5, -0.4])) for cm in oracle_cases()]
     verdicts = []
     for cm, x in cases:
-        report = gf.berwald_test(cm, x=x, samples=6)
-        base = np.zeros(3) if x is None else x
-        oracle = chart_spray.berwald_deviation(cm, base, samples=6)
-        assert (oracle <= report.tolerance) == report.is_berwald
-        assert abs(oracle - report.max_deviation) <= 1.0e-6
-        verdicts.append(report.is_berwald)
+        deviation = gf.berwald_test(cm, x=x, samples=6)
+        oracle = chart_spray.berwald_deviation(cm, x, samples=6)
+        assert (oracle <= BERWALD_TOL) == (deviation <= BERWALD_TOL)
+        assert abs(oracle - deviation) <= 1.0e-6
+        verdicts.append(deviation <= BERWALD_TOL)
     assert any(verdicts) and not all(verdicts)
 
 
@@ -441,7 +445,7 @@ def test_body_velocity_frozen_from_geodesic_vectors():
     ]
     for model, norm in cases:
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
-        reps = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024).representatives
+        reps = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024, tol=1.0e-9).representatives
         assert len(reps) > 0
         cm = groups.ChartMetric(model, norm)
         path = gf.integrate_geodesic(cm, np.zeros_like(reps), reps, T=0.2, step=1.0e-3)

@@ -6,7 +6,7 @@ import pytest
 from randers_oracle import randers_residual_identity
 
 from finslergeo import geodesic_vectors as gv
-from finslergeo import lie, norms, sphere
+from finslergeo import lie, norms, scenario, sphere
 from finslergeo.errors import DegenerateVector
 
 
@@ -113,7 +113,7 @@ def test_solver_recovers_h3_branches():
 def test_solver_whole_sphere_su2(monkeypatch):
     monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 512)
     dec = su2_dec()
-    result = gv.find_geodesic_vectors(dec, eucl3(), samples=512)
+    result = gv.find_geodesic_vectors(dec, eucl3(), samples=512, tol=1.0e-9)
     assert result.converged_total == 512
     assert len(set(result.branch_labels)) == 1
     assert np.all(result.residual_norms <= 1.0e-9)
@@ -122,7 +122,7 @@ def test_solver_whole_sphere_su2(monkeypatch):
 def test_solver_cap_keeps_all_branches(monkeypatch):
     monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 16)
     dec = h3_dec()
-    result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024)
+    result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024, tol=1.0e-9)
     assert len(result.representatives) == 16
     assert len(set(result.branch_labels)) == 2
     assert result.branch_count == 2
@@ -130,7 +130,7 @@ def test_solver_cap_keeps_all_branches(monkeypatch):
 
 def test_branch_count_is_taken_before_the_cap(monkeypatch):
     monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 1)
-    result = gv.find_geodesic_vectors(h3_dec(), eucl3(), samples=1024)
+    result = gv.find_geodesic_vectors(h3_dec(), eucl3(), samples=1024, tol=1.0e-9)
     assert result.branch_labels == ["branch-1"]
     assert result.branch_count == 2
 
@@ -149,7 +149,7 @@ def test_all_seeds_geodesic_matches_seed_residuals():
     randers = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.2, 0.1, 0.0]))
     cases = [(su2_dec(), eucl3(), True), (h3_dec(), eucl3(), False), (su2_dec(), randers, False)]
     for dec, norm, expected in cases:
-        result = gv.find_geodesic_vectors(dec, norm, samples=256)
+        result = gv.find_geodesic_vectors(dec, norm, samples=256, tol=1.0e-9)
         seeds = gv._embed_m(dec, sphere.seeds(len(dec.m_indices), 256))
         initial = np.linalg.norm(gv.residual_batch(dec, norm, seeds), axis=-1)
         direct = bool(np.all(initial <= 1.0e-9))
@@ -240,7 +240,7 @@ def test_dedup_and_branches_match_oracle_on_tiny_inputs():
 
 def test_whole_sphere_at_scale_is_one_branch(monkeypatch):
     monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 4096)
-    result = gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=4096)
+    result = gv.find_geodesic_vectors(su2_dec(), eucl3(), samples=4096, tol=1.0e-9)
     assert len(result.representatives) == 4096
     assert set(result.branch_labels) == {"branch-1"} and result.branch_count == 1
 
@@ -261,10 +261,11 @@ def test_grid_scan_h3_zero_set():
 
 
 def test_minkowski_lie_checker():
+    tol = scenario.TASKS["check-minkowski-lie"].params["tol"].default
     report = gv.check_minkowski_lie_algebra(lie.su2(), eucl3(), samples=200, seed=0)
-    assert report.passed and report.max_residual <= 1.0e-10
+    assert report.max_residual <= tol and report.max_residual <= 1.0e-10
     report = gv.check_minkowski_lie_algebra(lie.heisenberg3(), eucl3(), samples=200, seed=0)
-    assert not report.passed
+    assert report.max_residual > tol
     assert report.max_residual > 1.0e-2
     assert set(report.witness) == {"y", "x", "u", "v"}
     randers = norms.RandersNorm(np.eye(3), np.array([0.2, 0.2, 0.0]))
@@ -273,14 +274,15 @@ def test_minkowski_lie_checker():
 
 
 def test_naturally_reductive_checker():
-    report = gv.check_naturally_reductive(su2_dec(), eucl3(), samples=200, seed=0, tol=1.0e-10)
-    assert report.passed
+    tol = scenario.TASKS["check-nat-reductive"].params["tol"].default
+    report = gv.check_naturally_reductive(su2_dec(), eucl3(), samples=200, seed=0)
+    assert report.max_residual <= 1.0e-10
     report = gv.check_naturally_reductive(h3_dec(), eucl3(), samples=200, seed=0)
-    assert not report.passed
+    assert report.max_residual > tol
     # skewed inner product on su(2) is not ad-invariant
     skew = norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0]))
     report = gv.check_naturally_reductive(su2_dec(), skew, samples=200, seed=0)
-    assert not report.passed
+    assert report.max_residual > tol
 
 
 def test_riemannian_reduction_matches_classical_form():

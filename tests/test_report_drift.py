@@ -38,8 +38,23 @@ def test_numeric_moves_are_reported_per_path(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "2/3 reports byte-identical"
     assert out[1:] == [
-        "moved zero-sets payload.representatives[*][1]: max |delta| 2.000e-20",
-        "moved zero-sets tables.profile.rows[*][1]: max |delta| 5.000e-01",
+        "moved zero-sets payload.representatives[*][1]: 1 report, max |delta| 2.000e-20",
+        "moved zero-sets tables.profile.rows[*][1]: 1 report, max |delta| 5.000e-01",
+    ]
+
+
+def test_moves_are_counted_per_report(tmp_path, capsys):
+    first, second = dumps(tmp_path, moved([[0.0, 1.75], [0.1, 1.5]], REPORT["payload"]["representatives"]))
+    write(tmp_path / "b", "zero-sets/seed2/000.json", moved([[0.0, 1.5], [0.1, 1.25]], [[0.6, 0.8], [1.0, 0.5]]))
+    write(tmp_path / "a", "zero-sets/seed2/000.json", REPORT)
+    write(tmp_path / "b", "distortion/seed1/000.json", moved([[0.0, 1.5], [0.1, 1.0]], [[0.6, 0.8], [1.0, 0.0]]))
+    write(tmp_path / "a", "distortion/seed1/000.json", REPORT)
+    assert report_drift.compare(first, second) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2/5 reports byte-identical",
+        "moved distortion tables.profile.rows[*][1]: 1 report, max |delta| 5.000e-01",
+        "moved zero-sets payload.representatives[*][1]: 1 report, max |delta| 5.000e-01",
+        "moved zero-sets tables.profile.rows[*][1]: 2 reports, max |delta| 2.500e-01",
     ]
 
 

@@ -246,7 +246,7 @@ def test_s_vanishes_at_found_geodesic_vectors():
     ]
     for model, norm in cases:
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
-        found = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024)
+        found = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024, tol=1.0e-9)
         assert len(found.representatives) > 0
         cm = groups.ChartMetric(model, norm)
         for X in found.representatives:

@@ -25,8 +25,7 @@ def minimal(task="check-minkowski-lie", model="su2", norm=None, **extra):
 def test_minimal_scenario_fills_defaults(tmp_path):
     scen = scenario.parse_scenario(write_scenario(tmp_path, minimal()))
     assert scen.task == "check-minkowski-lie"
-    assert scen.model_name == "su2"
-    assert scen.model is not None
+    assert scen.model.name == "su2"
     assert scen.seed == 0
     assert scen.params == {"samples": 200, "tol": 1.0e-10, "expect_passed": True}
     assert scen.raw["params"] == {}
@@ -72,7 +71,6 @@ def test_inline_algebra_matches_builtin(tmp_path):
     }
     scen = scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
     assert scen.model is None
-    assert scen.model_name is None
     assert np.max(np.abs(scen.algebra.c - lie.su2().c)) == 0.0
 
 
@@ -100,6 +98,14 @@ def test_inline_algebra_bad_indices(tmp_path):
     with pytest.raises(ValidationError) as err:
         scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
     assert "always zero" in str(err.value)
+
+
+@pytest.mark.parametrize("dim", [0, -1, True])
+def test_inline_algebra_dim_must_be_positive(tmp_path, dim):
+    block = {"dim": dim, "structure_constants": []}
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
+    assert "dim must be a positive integer" in str(err.value)
 
 
 def test_inline_algebra_rejected_for_chart_tasks(tmp_path):

@@ -46,8 +46,8 @@ CASES = {
 
 
 def assert_same(dec, norm, samples=512):
-    found = gv.find_geodesic_vectors(dec, norm, samples=samples)
-    expected = newton_oracle.find_geodesic_vectors(dec, norm, samples=samples)
+    found = gv.find_geodesic_vectors(dec, norm, samples=samples, tol=1.0e-9)
+    expected = newton_oracle.find_geodesic_vectors(dec, norm, samples=samples, tol=1.0e-9)
     for name in FIELDS:
         assert np.array_equal(getattr(found, name), getattr(expected, name)), name
     assert found.branch_count == expected.branch_count
@@ -217,7 +217,7 @@ def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
         return solve(dec, norm, Xm)
 
     monkeypatch.setattr(gv, "_residual_and_jacobian", counted)
-    gv.find_geodesic_vectors(h3(), norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0])), samples=1024)
+    gv.find_geodesic_vectors(h3(), norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0])), samples=1024, tol=1.0e-9)
     assert sizes[0] == 1024 and len(sizes) > 2
     assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
     assert sizes[-1] < 256
