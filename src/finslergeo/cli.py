@@ -162,14 +162,14 @@ def _run_s_curvature(scen):
 def _run_berwald(scen):
     p = scen.params
     tol = p["tol"]
-    deviation = geodesic_flow.berwald_test(_chart(scen), x=p["x"], samples=p["samples"])
-    is_berwald = deviation <= tol
+    defect = geodesic_flow.berwald_test(_chart(scen), x=p["x"], samples=p["samples"])
+    is_berwald = defect <= tol
     payload = {
-        "max_hessian_deviation": deviation,
+        "max_parallelogram_defect": defect,
         "is_berwald": is_berwald,
         "expected_berwald": p["expect_berwald"],
     }
-    return payload, {"hessian_deviation": tol}, is_berwald == p["expect_berwald"], {}
+    return payload, {"parallelogram_defect": tol}, is_berwald == p["expect_berwald"], {}
 
 
 _TASK_RUNNERS = {

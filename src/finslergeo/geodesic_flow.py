@@ -23,6 +23,11 @@ numerical path measures integration error.  At a geodesic vector X the
 right-hand side ad*_X(ĝ_X X) is the paper's criterion residual, so u
 stays put.
 
+A chart metric is Berwald when its spray G(x, y) is quadratic in y.
+`berwald_test` measures that by the parallelogram law, on the reduced
+spray G̃(x, y) = −½A(x)⁻¹u̇(A(x)y): the two differ by a term exactly
+quadratic in y, so G̃ carries the verdict and needs no x-derivative.
+
 The chart-level fundamental tensor g_ij(x, y) = A(x)ᵀ ĝ(A(x)y) A(x) is
 read by no task; only the tests and the benchmark's tracer call it.  It
 is computed by that congruence alone; the route that differentiates
@@ -39,7 +44,6 @@ from .geodesic_vectors import residual_batch
 from .groups import ChartMetric, GroupModel, orbit_curve
 
 DRIFT_LIMIT = 1.0e-3
-BERWALD_STEP = 1.0e-2  # central-difference step of the spray's y-Hessians
 
 
 @dataclass
@@ -202,49 +206,26 @@ def _reduced_spray(cm: ChartMetric, x, y) -> np.ndarray:
     return -0.5 * np.linalg.solve(a, u_dot[..., None])[..., 0]
 
 
-def _spray_hessians(spray, ys: np.ndarray, h: float) -> np.ndarray:
-    """hess[s, j, a, b] ≈ ∂²G^j/∂y^a∂y^b at ys[s], by central differences.
-
-    spray maps a batch of directions (..., n) to coefficients (..., n).
-    """
-    samples, n = ys.shape
-    eye = np.eye(n)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    offsets = [np.zeros((1, n)), h * eye, -h * eye]
-    for a, b in pairs:
-        offsets.append(h * np.stack([eye[a] + eye[b], -(eye[a] + eye[b]), eye[a] - eye[b], eye[b] - eye[a]]))
-    offsets = np.concatenate(offsets, axis=0)
-    coeffs = spray(ys[:, None, :] + offsets[None, :, :])
-
-    center = coeffs[:, 0]
-    plus = coeffs[:, 1 : 1 + n]
-    minus = coeffs[:, 1 + n : 1 + 2 * n]
-    hess = np.empty((samples, n, n, n))
-    diag = (plus - 2.0 * center[:, None, :] + minus) / (h * h)
-    for a in range(n):
-        hess[:, :, a, a] = diag[:, a, :]
-    base = 1 + 2 * n
-    for pos, (a, b) in enumerate(pairs):
-        block = coeffs[:, base + 4 * pos : base + 4 * pos + 4]
-        mixed = (block[:, 0] + block[:, 1] - block[:, 2] - block[:, 3]) / (4.0 * h * h)
-        hess[:, :, a, b] = mixed
-        hess[:, :, b, a] = mixed
-    return hess
-
-
 def berwald_test(cm: ChartMetric, x, samples: int) -> float:
-    """Largest deviation of the y-Hessians of G^i across unit-sphere directions.
+    """Largest parallelogram defect of the spray over pairs of sphere directions.
 
-    The spray is quadratic in y exactly when those Hessians do not
-    depend on y, so a chart metric is Berwald when the deviation
-    vanishes.  The Hessians are taken from the reduced part G̃ of the
-    spray: the chart spray is G = G̃ + ½A⁻¹(DA[y])y, and the last term is
-    exactly quadratic in y, so it shifts every Hessian by the same
-    constant.
-    Directions come from the deterministic low-discrepancy sphere set.
+    The spray G(x, ·) is 2-homogeneous, and a 2-homogeneous map is
+    quadratic exactly when it satisfies the parallelogram law
+    G(y + z) + G(y − z) = 2G(y) + 2G(z) (Jordan and von Neumann, Ann.
+    Math. 36, 1935).  The defect of that law is taken for every pair
+    (y_0, y_i), i ≥ 1, of the deterministic low-discrepancy sphere set,
+    from one batched evaluation of the reduced part G̃ of the spray on
+    the probes y_0 ± y_i and y_i.  The chart spray is
+    G = G̃ + ½A⁻¹(DA[y])y, and the last term is exactly quadratic in y,
+    so it drops out of the defect.  The defect vanishes up to rounding
+    when the chart metric is Berwald; a defect at any pair shows that
+    it is not.
     """
     x = np.asarray(x, dtype=float)
     cm.model.check_chart(x)
     ys = sphere.seeds(cm.model.dim, samples)
-    hess = _spray_hessians(lambda probes: _reduced_spray(cm, x, probes), ys, BERWALD_STEP)
-    return float(np.max(np.abs(hess - hess[:1])))
+    y0, z = ys[0], ys[1:]
+    spray = _reduced_spray(cm, x, np.concatenate([y0 + z, y0 - z, ys]))
+    plus, minus, at = np.split(spray, [len(z), 2 * len(z)])
+    defect = plus + minus - 2.0 * at[:1] - 2.0 * at[1:]
+    return float(np.max(np.abs(defect)))

@@ -64,19 +64,24 @@ def _ad_sub(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
     return admat[..., idx, :][..., idx]
 
 
+def _criterion(Xm, g, sub) -> np.ndarray:
+    """r_j = X_m^p g_pq sub^q_j: the criterion contraction both residual routes share."""
+    return np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
+
+
 def residual_batch(dec, norm, Xs) -> np.ndarray:
     """r_j = g_{X_m}(X_m, [X, e_j]_m) over the m-basis, batched: shape (..., m)."""
     Xs = np.asarray(Xs, dtype=float)
     ym = _m_coords(dec, Xs)
     if np.any(np.linalg.norm(ym, axis=-1) == 0.0):
         raise DegenerateVector("criterion needs a nonzero m-component")
-    return np.einsum("...p,...pq,...qj->...j", ym, norm.fundamental_matrix(ym), _ad_sub(dec, Xs))
+    return _criterion(ym, norm.fundamental_matrix(ym), _ad_sub(dec, Xs))
 
 
 def _residual_m(dec, Xm, g):
     """Residual at m-coordinates Xm with the tensor g there, and the ad block it used."""
     sub = _ad_sub(dec, _embed_m(dec, Xm))
-    return np.einsum("...p,...pq,...qj->...j", Xm, g, sub), sub
+    return _criterion(Xm, g, sub), sub
 
 
 def _residual_and_jacobian(dec, norm, Xm):

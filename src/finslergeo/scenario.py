@@ -12,7 +12,7 @@ Parsing checks `params` against that table: an undeclared key, a value
 of the wrong kind or one out of range is a ValidationError, and so is a
 top-level key other than the seven of `_TOP_LEVEL_KEYS`, so an
 expectation placed beside `params` is never silently dropped.  Two
-rules span keys: `berwald` compares at least two directions, and a
+rules span keys: `berwald` pairs at least two directions, and a
 horizon `T` is a whole number of `step`s, so a run ends where asked.
 `Scenario.params` holds the typed values with defaults filled in;
 `Scenario.raw` keeps the parameters exactly as given (with the seed and
@@ -267,8 +267,8 @@ def _typed_params(task: str, params: dict, model, dim: int) -> dict:
             out[key] = param.default
     if task == "berwald" and out["samples"] < 2:
         raise ValidationError(
-            f"params: 'samples' = {out['samples']} is below 2; task 'berwald' compares the "
-            "Hessians of distinct directions"
+            f"params: 'samples' = {out['samples']} is below 2; task 'berwald' tests the "
+            "parallelogram law on pairs of distinct directions"
         )
     if "T" in out:
         steps = round(out["T"] / out["step"])

@@ -12,6 +12,10 @@ rounding plus the truncation error of the x-differences.
 `jet_chart_tensor` is the independent route to the chart tensor: it
 differentiates F(x, ·)² with order-2 jets instead of conjugating the
 norm's tensor with the body Jacobian.
+
+`berwald_deviation` is the independent route to the Berwald verdict: it
+compares central-difference y-Hessians of the chart spray across sphere
+directions, where the library tests the parallelogram law.
 """
 
 from dataclasses import dataclass
@@ -126,11 +130,52 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
     )
 
 
+def _spray_hessians(spray, ys: np.ndarray, h: float) -> np.ndarray:
+    """hess[s, j, a, b] ≈ ∂²G^j/∂y^a∂y^b at ys[s], by central differences.
+
+    spray maps a batch of directions (..., n) to coefficients (..., n).
+    """
+    samples, n = ys.shape
+    eye = np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    offsets = [np.zeros((1, n)), h * eye, -h * eye]
+    for a, b in pairs:
+        offsets.append(h * np.stack([eye[a] + eye[b], -(eye[a] + eye[b]), eye[a] - eye[b], eye[b] - eye[a]]))
+    offsets = np.concatenate(offsets, axis=0)
+    coeffs = spray(ys[:, None, :] + offsets[None, :, :])
+
+    center = coeffs[:, 0]
+    plus = coeffs[:, 1 : 1 + n]
+    minus = coeffs[:, 1 + n : 1 + 2 * n]
+    hess = np.empty((samples, n, n, n))
+    diag = (plus - 2.0 * center[:, None, :] + minus) / (h * h)
+    for a in range(n):
+        hess[:, :, a, a] = diag[:, a, :]
+    base = 1 + 2 * n
+    for pos, (a, b) in enumerate(pairs):
+        block = coeffs[:, base + 4 * pos : base + 4 * pos + 4]
+        mixed = (block[:, 0] + block[:, 1] - block[:, 2] - block[:, 3]) / (4.0 * h * h)
+        hess[:, :, a, b] = mixed
+        hess[:, :, b, a] = mixed
+    return hess
+
+
+def _chart_spray_at(cm, x):
+    """G(x, ·) of the full chart spray at one point x, batched over directions."""
+    x = np.asarray(x, dtype=float)
+    return lambda ys: _spray_raw(cm, np.broadcast_to(x, ys.shape).copy(), ys)[0]
+
+
 def berwald_deviation(cm, x, samples: int, h: float = 1.0e-2) -> float:
     """Worst y-Hessian mismatch of the full chart spray across sphere directions."""
-    x = np.asarray(x, dtype=float)
-    ys = sphere.seeds(cm.model.dim, samples)
-    hess = gf._spray_hessians(
-        lambda probes: _spray_raw(cm, np.broadcast_to(x, probes.shape).copy(), probes)[0], ys, h
-    )
+    hess = _spray_hessians(_chart_spray_at(cm, x), sphere.seeds(cm.model.dim, samples), h)
     return float(np.max(np.abs(hess - hess[:1])))
+
+
+def parallelogram_defect(cm, x, samples: int) -> float:
+    """The library's parallelogram defect over the pairs (y_0, y_i), taken on the full chart spray."""
+    spray = _chart_spray_at(cm, x)
+    ys = sphere.seeds(cm.model.dim, samples)
+    y0, z = ys[0], ys[1:]
+    defect = spray(y0 + z) + spray(y0 - z) - 2.0 * spray(ys[:1]) - 2.0 * spray(z)
+    return float(np.max(np.abs(defect)))

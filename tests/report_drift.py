@@ -14,9 +14,10 @@ it once per tree, each in its own process.
 `compare` reads two such dumps.  It prints how many reports are byte
 identical; for every numeric leaf that moved, keyed by (workload, JSON
 path) with the row index of a table or a vector list written as [*], how
-many reports moved it and its largest |delta|; and every non-numeric change: a verdict, a key, a
-length, a string or a missing report.  It exits 1 if there is any
-non-numeric change and 0 otherwise.
+many reports moved it and its largest |delta|; and every non-numeric
+change: a verdict, the keys a dict lost or gained (the keys both sides
+share are still compared), a length, a string or a missing report.  It
+exits 1 if there is any non-numeric change and 0 otherwise.
 """
 
 import copy
@@ -79,10 +80,11 @@ def _diff(a, b, path: str, moved: dict, changes: list, collapsed: bool = False) 
         if a != b:
             moved[path] = max(moved.get(path, 0.0), abs(a - b))
     elif isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            changes.append(f"{path}: keys {sorted(a)} -> {sorted(b)}")
-            return
-        for key in sorted(a):
+        removed, added = sorted(set(a) - set(b)), sorted(set(b) - set(a))
+        if removed or added:
+            changes.append(f"{path}: keys removed {removed}, added {added}")
+        # a renamed key must not hide the moves of the keys beside it
+        for key in sorted(set(a) & set(b)):
             _diff(a[key], b[key], f"{path}.{key}" if path else key, moved, changes)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):

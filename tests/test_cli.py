@@ -332,7 +332,7 @@ def _derived_verdict(task, payload, tol):
         assert payload["check_passed"] == (payload[metric] <= tol[key])
         return payload["check_passed"] == payload["expected_passed"]
     if task == "berwald":
-        assert payload["is_berwald"] == (payload["max_hessian_deviation"] <= tol["hessian_deviation"])
+        assert payload["is_berwald"] == (payload["max_parallelogram_defect"] <= tol["parallelogram_defect"])
         return payload["is_berwald"] == payload["expected_berwald"]
     if task == "s-curvature":
         vanishes = payload["max_abs_s"] <= tol["abs_s"] and payload["tau_drift"] <= tol["tau_drift"]
@@ -362,7 +362,7 @@ CHECK_METRICS = {
     "check-nat-reductive": ("max_residual", "check_passed"),
     "check-minkowski-lie": ("max_residual", "check_passed"),
     "check-homogeneous": ("sup_distance", "check_passed"),
-    "berwald": ("max_hessian_deviation", "is_berwald"),
+    "berwald": ("max_parallelogram_defect", "is_berwald"),
 }
 
 

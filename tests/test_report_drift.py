@@ -70,7 +70,7 @@ def test_non_numeric_changes_fail(tmp_path, capsys):
          "payload.branch_labels[*]: 'branch-2' -> 'branch-1'"),
         (moved(REPORT["tables"]["profile"]["rows"][:1], REPORT["payload"]["representatives"]),
          "tables.profile.rows: length 2 -> 1"),
-        ({**REPORT, "extra": 1}, "keys"),
+        ({**REPORT, "extra": 1}, "keys removed [], added ['extra']"),
         ("error: DegenerateVector: zero\n", "-> 'error: DegenerateVector: zero'"),
     ]
     for changed, line in cases:
@@ -81,3 +81,13 @@ def test_non_numeric_changes_fail(tmp_path, capsys):
     (tmp_path / "b" / "bundled" / "same.json").unlink()
     assert report_drift.compare(first, second) == 1
     assert "changed bundled/same.json: only in " in capsys.readouterr().out
+
+
+def test_renamed_key_keeps_the_moves_beside_it(tmp_path, capsys):
+    payload = {"labels": REPORT["payload"]["branch_labels"], "representatives": [[0.6, 0.8], [1.0, 0.5]]}
+    assert report_drift.compare(*dumps(tmp_path, {**REPORT, "payload": payload})) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2/3 reports byte-identical",
+        "moved zero-sets payload.representatives[*][1]: 1 report, max |delta| 5.000e-01",
+        "changed zero-sets/seed1/000.json: payload: keys removed ['branch_labels'], added ['labels']",
+    ]
