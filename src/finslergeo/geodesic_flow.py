@@ -8,19 +8,25 @@ geodesic equations are
 
     ġ = g·u,    μ̇ = ad*_u μ,    (ad*_u μ)_j = c_ij^k u^i μ_k.
 
+The flow is stepped in this Lie–Poisson form.  u is read off μ by the
+norm's Legendre dual, u = ∂(½F*²)/∂μ, which Euclidean and Randers norms
+carry in closed form (see `norms`), so a step needs no norm tensor and
+no linear solve: ĝ is built once per path, for μ at the start.  μ is
+integrated with classical fixed-step Runge-Kutta, and the group element
+is carried along on the group itself by the Runge–Kutta–Munthe-Kaas
+step built from the stage velocities (Munthe-Kaas, BIT 38, 1998;
+Iserles et al., Acta Numerica 2000), so a path may wind past the edge
+of any chart.  A path holds group elements and body velocities only;
+chart coordinates and chart velocities y = A(x)⁻¹u are read off by
+`chart_coordinates`, for the report that prints them.
+F = norm(u) is a first integral of the exact flow, and F*(μ) = F(u), so
+its drift along a numerical path measures integration error.
+
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
-u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  Each evaluation needs one norm tensor, and no
-x-derivative of the chart metric.  u is integrated with classical
-fixed-step Runge-Kutta, and the group element is carried along on the
-group itself by the Runge–Kutta–Munthe-Kaas step built from the same
-stages (Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000),
-so a path may wind past the edge of any chart.  A path holds group
-elements and body velocities only; chart coordinates and chart
-velocities y = A(x)⁻¹u are read off by `chart_coordinates`, for the
-report that prints them.
-F = norm(u) is a first integral of the exact flow, so its drift along a
-numerical path measures integration error.  At a geodesic vector X the
-right-hand side ad*_X(ĝ_X X) is the paper's criterion residual, so u
+u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs` evaluates that velocity
+form, with one norm tensor and no x-derivative of the chart metric, for
+the S-curvature and the Berwald test.  At a geodesic vector X the
+coadjoint term ad*_X(ĝ_X X) is the paper's criterion residual, so u
 stays put.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
@@ -83,18 +89,21 @@ def chart_fundamental_tensor(cm: ChartMetric, x, y) -> np.ndarray:
     return np.einsum("...pi,...pq,...qj->...ij", a, ghat, a)
 
 
+def _coadjoint(c, u, mu) -> np.ndarray:
+    """(ad*_u μ)_j = c_ij^k u^i μ_k for structure constants c, batched."""
+    return np.einsum("ijk,...i,...k->...j", c, u, mu)
+
+
 def euler_poincare_rhs(algebra, norm, u, g=None) -> np.ndarray:
     """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u.
 
-    (ad*_u μ)_j = c_ij^k u^i μ_k.  g, when given, is the norm's
-    fundamental tensor at u, so callers that already hold it skip the
-    second evaluation.
+    g, when given, is the norm's fundamental tensor at u, so callers
+    that already hold it skip the second evaluation.
     """
     if g is None:
         g = norm.fundamental_matrix(u)
     mu = np.einsum("...ij,...j->...i", g, u)
-    coadjoint = np.einsum("ijk,...i,...k->...j", algebra.c, u, mu)
-    return np.linalg.solve(g, coadjoint[..., None])[..., 0]
+    return np.linalg.solve(g, _coadjoint(algebra.c, u, mu)[..., None])[..., 0]
 
 
 def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
@@ -111,25 +120,29 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
 
 
 def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> GeodesicPath:
-    """Fixed-step integration of ġ = g·u, u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), forward in time.
+    """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time.
 
-    u advances by classical RK4 with stage values U_1 = u,
-    U_2 = u + ½hk_1, U_3 = u + ½hk_2, U_4 = u + hk_3.  The group element
-    advances by the 4th-order RKMK step on the same stages,
+    μ = ĝ_u u is built once, from the start velocity u = A(x0)·y0; from
+    then on u(μ) = ∂(½F*²)/∂μ comes from the norm's Legendre dual, which
+    the norm must implement.  μ advances by classical RK4 with stage
+    values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
+    k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The group element advances
+    by the 4th-order RKMK step on the stage velocities,
     g ← g·exp(h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4]).
     This is the classical RKMK4 in the one-commutator form of
     Munthe-Kaas and Owren (Phil. Trans. R. Soc. A 357, 1999), with the
     bracket's sign flipped for right multiplication; its stage
-    commutators drop out because u̇ does not depend on g.  Keeping only
+    commutators drop out because μ̇ does not depend on g.  Keeping only
     ½[Θ_i, U_i] of dexp⁻¹ in each stage would be third order: the dropped
     (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).
 
     Batched over leading axes of (x0, y0); all trajectories advance in
     lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
     the path itself may leave it.  Raises StepRejected when the relative
-    drift of F = norm(u) across a single step exceeds 1e-3.  The path
-    holds the group elements and body velocities as stepped; no sample
-    is read off in the chart.
+    drift of F*(μ) = F(u) across a single step exceeds 1e-3.  The path
+    holds the group elements and the body velocities u(μ) as stepped,
+    and F_values holds the primal F = norm(u) of them; no sample is read
+    off in the chart.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
@@ -139,6 +152,7 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
     x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
+    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
     g = model.to_group(x)
     nsteps = max(1, int(round(T / step)))
     ts = np.arange(nsteps + 1) * step
@@ -148,22 +162,20 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
     body[0] = u
     f_prev = norm.value(u)
 
-    def rhs(uc):
-        return euler_poincare_rhs(model.algebra, norm, uc)
+    def stage(m):
+        _, um = norm.legendre_dual(m)
+        return um, _coadjoint(c, um, m)
 
     for i in range(1, nsteps + 1):
-        k1u = rhs(u)
-        u2 = u + 0.5 * step * k1u
-        k2u = rhs(u2)
-        u3 = u + 0.5 * step * k2u
-        k3u = rhs(u3)
-        u4 = u + step * k3u
-        k4u = rhs(u4)
+        k1 = _coadjoint(c, u, mu)
+        u2, k2 = stage(mu + 0.5 * step * k1)
+        u3, k3 = stage(mu + 0.5 * step * k2)
+        u4, k4 = stage(mu + step * k3)
         commutator = np.einsum("ijk,...i,...j->...k", c, u, u4)
         theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
         g = model.right_exp(g, theta)
-        u = u + (step / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        f_now = norm.value(u)
+        mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f_now, u = norm.legendre_dual(mu)
         if np.any(np.abs(f_now - f_prev) > DRIFT_LIMIT * np.abs(f_prev)):
             raise StepRejected(
                 f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"

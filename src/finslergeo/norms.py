@@ -10,6 +10,16 @@ The generic derivative path evaluates F² on nested truncated jets, so
 both tensors are exact up to floating-point accumulation.  Euclidean and
 Randers norms additionally carry closed forms used by hot loops; the two
 routes are cross-checked in the test-suite, never collapsed.
+
+Euclidean and Randers norms also carry their Legendre dual: the dual
+norm F*(μ) = max{μ·y : F(y) = 1} on covectors and the inverse
+u = ∂(½F*²)/∂μ of the Legendre map u ↦ μ = ĝ_u u.  For a Euclidean norm
+F* = √(μ·a⁻¹μ) and u = a⁻¹μ.  A Randers norm's dual is again of Randers
+type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 − b·b♯,
+H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
+indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
+Shen, J. Differential Geom. 66, 2004).  The geodesic flow steps μ with
+it.
 """
 
 import numpy as np
@@ -60,6 +70,14 @@ class MinkowskiNorm:
         """C_ijk(y) = ¼ ∂³F²/∂y_i∂y_j∂y_k, batched."""
         return self._generic_cartan(y)
 
+    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F*(μ), u) with u = ∂(½F*²)/∂μ, batched over leading axes of μ.
+
+        u inverts the Legendre map: μ = ĝ_u u gives back u, and
+        F*(μ) = F(u).  Only norms with a closed-form dual implement it.
+        """
+        raise NotImplementedError
+
     def _require_nonzero(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
         if (np.einsum("...i,...i->...", y, y) == 0.0).any():
@@ -98,10 +116,16 @@ class EuclideanNorm(MinkowskiNorm):
         _check_spd(a, "a")
         super().__init__(a.shape[0])
         self.a = a
+        self.a_inv = np.linalg.inv(a)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
         return np.sqrt(np.einsum("...i,ij,...j->...", y, self.a, y))
+
+    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu = self._check_dim(mu)
+        u = mu @ self.a_inv
+        return np.sqrt(np.einsum("...i,...i->...", mu, u)), u
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -144,6 +168,9 @@ class RandersNorm(MinkowskiNorm):
                 f"Randers data violates ‖b‖ < 1: computed ‖b‖_a = {self.b_norm}",
                 b_norm=self.b_norm,
             )
+        lam = 1.0 - self.b @ self.b_sharp
+        self.dual_h = (np.linalg.inv(a) + np.outer(self.b_sharp, self.b_sharp) / lam) / lam
+        self.dual_w = -self.b_sharp / lam
 
     def alpha(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
@@ -155,6 +182,13 @@ class RandersNorm(MinkowskiNorm):
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.alpha(y) + self.beta(y)
+
+    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu = self._check_dim(mu)
+        h_mu = mu @ self.dual_h
+        root = np.sqrt(np.einsum("...i,...i->...", mu, h_mu))
+        dual = root + mu @ self.dual_w
+        return dual, dual[..., None] * (h_mu / root[..., None] + self.dual_w)
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))

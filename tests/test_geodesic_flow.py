@@ -270,6 +270,53 @@ def test_chart_work_does_not_grow_with_steps():
         assert short["check_chart"] == 1
 
 
+def test_norm_tensor_built_once_per_path():
+    # timer-free cost guard: the flow steps μ with the closed-form dual, so
+    # the norm tensor is built once, for μ at the start, however long the path
+    def tensor_calls(model, T):
+        norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
+        calls = []
+        original = norm.fundamental_matrix
+
+        def counted(y):
+            calls.append(y)
+            return original(y)
+
+        norm.fundamental_matrix = counted
+        gf.integrate_geodesic(
+            groups.ChartMetric(model, norm), np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
+        )
+        return len(calls)
+
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        assert tensor_calls(model, 0.05) == tensor_calls(model, 0.5) == 1
+
+
+def casimir_path(model):
+    # μ = ĝ_u u recomputed from the stored body velocities of a Randers path
+    norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
+    x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
+    y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
+    path = gf.integrate_geodesic(groups.ChartMetric(model, norm), x0, y0, T=1.0, step=1.0e-3)
+    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(path.body), path.body)
+    assert np.max(np.abs(mu - mu[0])) > 0.1
+    return mu
+
+
+def test_h3_central_momentum_is_conserved():
+    # e3 is central in h3, so the e3 row of ad*_u μ is exactly 0 and μ_3 never
+    # moves; recomputing μ from the stored u adds rounding only
+    mu = casimir_path(groups.Heisenberg3())
+    assert np.max(np.abs(mu[..., 2] - mu[0, :, 2]) / np.abs(mu[0, :, 2])) <= 1.0e-14
+
+
+def test_su2_momentum_length_is_conserved():
+    # |μ|² is a Casimir of su(2)*; RK4 keeps it to O(h⁴)
+    mu = casimir_path(groups.SU2())
+    length2 = np.einsum("...i,...i->...", mu, mu)
+    assert np.max(np.abs(length2 - length2[0]) / length2[0]) <= 1.0e-12
+
+
 def test_homogeneous_geodesics_su2_random():
     model = groups.SU2()
     norm = norms.EuclideanNorm(np.eye(3))
