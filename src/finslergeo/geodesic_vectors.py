@@ -21,6 +21,18 @@ from . import lie, sphere
 from .errors import DegenerateVector
 
 NEWTON_ITERS = 25
+# Tikhonov damping of the Newton step's normal equations, as a share of
+# their trace.  It may not be 0: on a curve zero set the augmented
+# Jacobian [J; X^T] is rank deficient (on the circle X3 = 0 of H3 with
+# a = I, b3 = 0 its singular values are 1.3, 1 and 0, and the last is
+# 1.3e-7 at X3 = 1e-7), so the undamped normal equations are singular
+# there and np.linalg.solve raises.  Damped, the step is the minimum-norm
+# least-squares step to 1e-12 absolute near such a curve, and to about
+# 1e-11 relative at generic seeds.
+STEP_DAMPING = 1.0e-12
+# A seed whose step moves no coordinate by more than this is at a fixed
+# point to rounding, and leaves the Newton batch.
+HOLD_STEP = 2.0**-52
 DEDUP_ANGLE = 1.0e-3
 # Branches link lines, folding d and -d into |d·d'|; comparing that
 # with cos(BRANCH_ANGLE) tests the angle between lines only while the
@@ -66,7 +78,8 @@ def _ad_sub(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
 
 def _criterion(Xm, g, sub) -> np.ndarray:
     """r_j = X_m^p g_pq sub^q_j: the criterion contraction both residual routes share."""
-    return np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
+    yg = np.einsum("...p,...pq->...q", Xm, g)
+    return np.einsum("...q,...qj->...j", yg, sub)
 
 
 def residual_batch(dec, norm, Xs) -> np.ndarray:
@@ -92,7 +105,7 @@ def _residual_and_jacobian(dec, norm, Xm):
     c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
     yg = np.einsum("...p,...pq->...q", Xm, g)
     # J[j, k] = g(e_k, [X, e_j]_m) + g(X_m, [e_k, e_j]_m)
-    term1 = np.einsum("...kq,...qj->...jk", g, sub)
+    term1 = np.swapaxes(g @ sub, -1, -2)
     term2 = np.einsum("...q,kjq->...jk", yg, c_mm)
     return r, term1 + term2
 
@@ -103,10 +116,13 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     Seeds a low-discrepancy sphere set and runs at most NEWTON_ITERS
     steps of damped Newton restricted to the sphere in lockstep over all
     seeds; whether every seed already solves the criterion is read off
-    the first residual.  A seed whose step leaves it bit for bit where it
-    was is at a fixed point: every later step would repeat the same
-    solve and the same line search, so it leaves the batch and keeps its
-    residual.  Seeds whose residual ends below tol are candidates, and a
+    the first residual.  Each step is the least-squares solution of
+    J d = -r with X.d = 0, taken from the normal equations
+    (J^T J + X X^T + lam I) d = -J^T r with a Tikhonov lam of
+    STEP_DAMPING times their trace, and then halved by the line search.
+    A seed whose step moves no coordinate by more than HOLD_STEP = 2^-52
+    has stopped to rounding: it leaves the batch and keeps its position
+    and residual.  Seeds whose residual ends below tol are candidates, and a
     candidate is kept only if the norm's generic jet tensor also puts it
     below tol.  The survivors are sorted lexicographically and
     deduplicated greedily: a vector is kept when its dot with every
@@ -134,12 +150,9 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         if np.all(rnorm <= tol) or not len(moving):
             break
         here = X[moving]
-        aug = np.concatenate([jac, here[:, None, :]], axis=1)
-        rhs = np.concatenate([-r, np.zeros((len(here), 1))], axis=1)
-        step = np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
-        best = _line_search(dec, norm, here, step, rnorm[moving])
+        best = _line_search(dec, norm, here, _newton_step(jac, here, r), rnorm[moving])
         X[moving] = best
-        moving = moving[np.any(best != here, axis=-1)]
+        moving = moving[np.any(np.abs(best - here) > HOLD_STEP, axis=-1)]
         r, jac = _residual_and_jacobian(dec, norm, X[moving])
         rnorm[moving] = np.linalg.norm(r, axis=-1)
     converged = rnorm <= tol
@@ -165,6 +178,20 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         branch_count=branch_count,
         all_seeds_geodesic=all_seeds_geodesic,
     )
+
+
+def _newton_step(jac, X, r):
+    """Least-squares step d of J d = -r with X.d = 0, batched.
+
+    Solves the normal equations of the augmented system [J; X^T] d =
+    [-r; 0], (J^T J + X X^T + lam I) d = -J^T r, with lam =
+    STEP_DAMPING * trace(J^T J + X X^T).
+    """
+    normal = np.swapaxes(jac, -1, -2) @ jac + X[..., :, None] * X[..., None, :]
+    lam = STEP_DAMPING * np.trace(normal, axis1=-2, axis2=-1)
+    normal += lam[..., None, None] * np.eye(X.shape[-1])
+    rhs = -np.einsum("...ij,...i->...j", jac, r)
+    return np.linalg.solve(normal, rhs[..., None])[..., 0]
 
 
 def _gate(dec, norm, Xm, tol):

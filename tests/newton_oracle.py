@@ -1,11 +1,20 @@
-"""Full-batch Newton and gate-then-dedup, kept as an oracle.
+"""Full-batch Newton and gate-then-dedup, kept as oracles.
 
-This is the zero-set solve `find_geodesic_vectors` ran before it dropped
-seeds at a Newton fixed point from the batch and ran the soundness gate on
-the vectors the dedup keeps: every seed steps in every iteration, every
-line-search round tries every seed, and the jet tensor checks every
-candidate before the dedup.  Dedup and branches come from
-`cluster_oracle`.  The library must give exactly the same result.
+`find_geodesic_vectors` is the zero-set solve without the shortcuts of
+the library's: every seed steps in every iteration, every line-search
+round tries every seed, and the jet tensor checks every candidate before
+the dedup.  It takes the library's step, `geodesic_vectors._newton_step`,
+and the same hold: a seed whose step moves no coordinate by more than
+HOLD_STEP keeps that position from then on, its later steps discarded.
+Dedup and branches come from `cluster_oracle`.  The library must give
+exactly the same result.
+
+`find_geodesic_vectors_pinv` is the loop the library ran before its step
+became damped normal equations: the minimum-norm least-squares step
+pinv([J; X^T]) [-r; 0], and no hold, so a seed stops only at a bitwise
+fixed point.  It rounds differently, so the library must match it in
+counts, verdicts and branch partition, and in representatives within
+DEDUP_ANGLE.
 """
 
 import cluster_oracle
@@ -15,18 +24,32 @@ from finslergeo import geodesic_vectors as gv
 from finslergeo import sphere
 
 
+def pinv_step(jac, X, r):
+    """The minimum-norm least-squares step of [J; X^T] d = [-r; 0]."""
+    aug = np.concatenate([jac, X[:, None, :]], axis=1)
+    rhs = np.concatenate([-r, np.zeros((len(X), 1))], axis=1)
+    return np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
+
+
 def find_geodesic_vectors(dec, norm, samples, tol):
+    return _zero_set(dec, norm, samples, tol, gv._newton_step, hold=True)
+
+
+def find_geodesic_vectors_pinv(dec, norm, samples, tol):
+    return _zero_set(dec, norm, samples, tol, pinv_step, hold=False)
+
+
+def _zero_set(dec, norm, samples, tol, step_of, hold):
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
     r, jac = gv._residual_and_jacobian(dec, norm, X)
     all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
+    held = np.zeros(samples, dtype=bool)
     for _ in range(gv.NEWTON_ITERS):
         rnorm = np.linalg.norm(r, axis=-1)
         if np.all(rnorm <= tol):
             break
-        aug = np.concatenate([jac, X[:, None, :]], axis=1)
-        rhs = np.concatenate([-r, np.zeros((len(X), 1))], axis=1)
-        step = np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
+        step = step_of(jac, X, r)
         scale = np.ones(len(X))
         best = X
         for _ in range(5):
@@ -40,6 +63,9 @@ def find_geodesic_vectors(dec, norm, samples, tol):
             scale = np.where(improved, scale, scale * 0.5)
             if np.all(improved):
                 break
+        if hold:
+            best = np.where(held[:, None], X, best)
+            held |= np.all(np.abs(best - X) <= gv.HOLD_STEP, axis=-1)
         X = best
         r, jac = gv._residual_and_jacobian(dec, norm, X)
     converged = np.linalg.norm(r, axis=-1) <= tol

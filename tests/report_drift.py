@@ -18,14 +18,25 @@ many reports moved it and its largest |delta|; and every non-numeric
 change: a verdict, the keys a dict lost or gained (the keys both sides
 share are still compared), a length, a string or a missing report.  It
 exits 1 if there is any non-numeric change and 0 otherwise.
+
+A zero-set payload (one with `representatives`) is compared as a set.
+When each old representative has its nearest new one within DEDUP_ANGLE
+and that pairing is one-to-one, the new representatives, residual norms
+and branch labels are diffed in the old order, with each new branch under
+the name of its old branch; a new order or new branch names then prints
+one `reordered` line, which is no change.  A pairing that fails, or
+branches that split or join under it, is a change.
 """
 
 import copy
 import json
+import math
 import os
 import sys
 
 SEEDS = (1, 2, 3, 4, 5)
+# geodesic_vectors.DEDUP_ANGLE: `compare` reads dumps without the library
+DEDUP_ANGLE = 1.0e-3
 
 
 def dump(src: str, out: str) -> int:
@@ -99,12 +110,74 @@ def _diff(a, b, path: str, moved: dict, changes: list, collapsed: bool = False) 
         changes.append(f"{path}: {a!r} -> {b!r}")
 
 
+def match_zero_set(reps_a, labels_a, reps_b, labels_b, angle=DEDUP_ANGLE):
+    """Pair two sets of unit representatives and their branches.
+
+    Returns (order, renames): order[i] is the index of the b vector
+    nearest to a's i-th, and renames maps each b branch name that differs
+    from the name of its a branch to that name.  order is None when some
+    nearest pair is farther apart than angle or two a vectors share one;
+    renames is None when the pairing splits or joins a branch.
+    """
+    if len(reps_a) != len(reps_b):
+        return None, None
+    cos_angle = math.cos(angle)
+    order = []
+    for vec in reps_a:
+        dots = [sum(x * y for x, y in zip(vec, other)) for other in reps_b]
+        best = max(range(len(dots)), key=dots.__getitem__) if dots else None
+        if best is None or dots[best] < cos_angle:
+            return None, None
+        order.append(best)
+    if len(set(order)) != len(order):
+        return None, None
+    names, back = {}, {}
+    for pos, other in enumerate(order):
+        old, new = labels_a[pos], labels_b[other]
+        if names.setdefault(new, old) != old or back.setdefault(old, new) != new:
+            return order, None
+    return order, {new: old for new, old in names.items() if new != old}
+
+
+def _align_zero_set(name, old, new, changes, notes):
+    """new with its zero set in old's order and branch names, when they pair."""
+    payload_a, payload_b = old.get("payload"), new.get("payload")
+    if not all(isinstance(p, dict) and {"representatives", "branch_labels"} <= p.keys() for p in (payload_a, payload_b)):
+        return new
+    order, renames = match_zero_set(
+        payload_a["representatives"], payload_a["branch_labels"],
+        payload_b["representatives"], payload_b["branch_labels"],
+    )
+    if order is None:
+        changes.append("payload.representatives: no one-to-one match within DEDUP_ANGLE")
+        return new
+    if renames is None:
+        changes.append("payload.branch_labels: the branch partition differs")
+        return new
+    reordered = order != list(range(len(order)))
+    if not reordered and not renames:
+        return new
+    aligned = {
+        key: [payload_b[key][pos] for pos in order]
+        for key in ("representatives", "residual_norms", "branch_labels")
+        if key in payload_b
+    }
+    aligned["branch_labels"] = [renames.get(label, label) for label in aligned["branch_labels"]]
+    line = f"reordered {name}: {len(order)} representatives match one-to-one within DEDUP_ANGLE, same branch partition"
+    if reordered:
+        line += ", new order"
+    if renames:
+        line += ", branches renamed " + ", ".join(f"{b} -> {a}" for b, a in sorted(renames.items()))
+    notes.append(line)
+    return {**new, "payload": {**payload_b, **aligned}}
+
+
 def compare(first: str, second: str) -> int:
     a, b = _reports(first), _reports(second)
     names = sorted(set(a) | set(b))
     same = sum(1 for name in names if a.get(name) == b.get(name))
     moved = {}
-    changes = []
+    changes, notes = [], []
     for name in names:
         if a.get(name) == b.get(name):
             continue
@@ -118,6 +191,8 @@ def compare(first: str, second: str) -> int:
             changes.append(f"{name}: {a[name].strip()!r} -> {b[name].strip()!r}")
             continue
         found, local = {}, []
+        if isinstance(old, dict) and isinstance(new, dict):
+            new = _align_zero_set(name, old, new, local, notes)
         _diff(old, new, "", found, local)
         changes += [f"{name}: {line}" for line in local]
         for path, delta in found.items():
@@ -126,6 +201,8 @@ def compare(first: str, second: str) -> int:
     print(f"{same}/{len(names)} reports byte-identical")
     for (workload, path), (count, delta) in sorted(moved.items()):
         print(f"moved {workload} {path}: {count} report{'s' if count > 1 else ''}, max |delta| {delta:.3e}")
+    for line in notes:
+        print(line)
     for line in changes:
         print(f"changed {line}")
     return 1 if changes else 0

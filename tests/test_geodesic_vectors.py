@@ -86,6 +86,18 @@ def test_jacobian_matches_finite_differences():
             assert np.max(np.abs(jac[:, k] - fd)) < 1.0e-5
 
 
+@pytest.mark.parametrize("m_dim", [2, 3, 4])
+def test_criterion_matches_three_operand_einsum(m_dim):
+    rng = np.random.RandomState(m_dim)
+    Xm = rng.standard_normal((2048, m_dim))
+    g = rng.standard_normal((2048, m_dim, m_dim))
+    g = g + np.swapaxes(g, -1, -2)
+    sub = rng.standard_normal((2048, m_dim, m_dim))
+    want = np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
+    got = gv._criterion(Xm, g, sub)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1.0e-14 * np.linalg.norm(want, axis=-1))
+
+
 def test_solver_recovers_h3_branches():
     dec = h3_dec()
     result = gv.find_geodesic_vectors(dec, eucl3(), samples=1024, tol=1.0e-9)

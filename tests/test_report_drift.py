@@ -4,6 +4,8 @@ import json
 
 import report_drift
 
+from finslergeo import geodesic_vectors as gv
+
 
 def write(root, rel, body):
     path = root / rel
@@ -91,3 +93,31 @@ def test_renamed_key_keeps_the_moves_beside_it(tmp_path, capsys):
         "moved zero-sets payload.representatives[*][1]: 1 report, max |delta| 5.000e-01",
         "changed zero-sets/seed1/000.json: payload: keys removed ['branch_labels'], added ['labels']",
     ]
+
+
+def test_reordered_zero_set_is_paired_not_changed(tmp_path, capsys):
+    # the two representatives swap places and branch names, and one moves by 1e-9
+    payload = {"branch_labels": ["branch-1", "branch-2"], "representatives": [[1.0, 1e-9], [0.6, 0.8]]}
+    assert report_drift.compare(*dumps(tmp_path, {**REPORT, "payload": payload})) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2/3 reports byte-identical",
+        "moved zero-sets payload.representatives[*][1]: 1 report, max |delta| 1.000e-09",
+        "reordered zero-sets/seed1/000.json: 2 representatives match one-to-one within DEDUP_ANGLE,"
+        " same branch partition, new order, branches renamed branch-1 -> branch-2, branch-2 -> branch-1",
+    ]
+
+
+def test_zero_sets_that_do_not_pair_fail(tmp_path, capsys):
+    cases = [
+        ({"branch_labels": ["branch-1", "branch-2"], "representatives": [[0.6, 0.8], [0.99, 0.141]]},
+         "payload.representatives: no one-to-one match within DEDUP_ANGLE"),
+        ({"branch_labels": ["branch-1", "branch-1"], "representatives": [[1.0, 0.0], [0.6, 0.8]]},
+         "payload.branch_labels: the branch partition differs"),
+    ]
+    for payload, line in cases:
+        assert report_drift.compare(*dumps(tmp_path, {**REPORT, "payload": payload})) == 1
+        assert f"changed zero-sets/seed1/000.json: {line}" in capsys.readouterr().out
+
+
+def test_pairing_angle_is_the_library_dedup_angle():
+    assert report_drift.DEDUP_ANGLE == gv.DEDUP_ANGLE
