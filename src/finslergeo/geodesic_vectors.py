@@ -136,9 +136,12 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     cos(BRANCH_ANGLE) in magnitude share a branch; branches are named
     by size, largest first.  At most MAX_REPRESENTATIVES are returned,
     taken round-robin over the branches in that order, and branch_count
-    counts the branches before the cap.  Zero sets here are generically positive dimensional, so
-    convergence means residual below tol, never step collapse; seeds
-    that fail to converge are only counted.
+    counts the branches before the cap.  Each returned coordinate at most
+    HOLD_STEP in magnitude is rounding noise and is set to exact 0.0, and
+    the residual norms are taken at the flushed vectors.  Zero sets here
+    are generically positive dimensional, so convergence means residual
+    below tol, never step collapse; seeds that fail to converge are only
+    counted.
     """
     m_dim = len(dec.m_indices)
     X = sphere.seeds(m_dim, samples)
@@ -164,6 +167,8 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     branch_count = len(set(labels))
     if len(reps) > MAX_REPRESENTATIVES:
         reps, labels = _cap_round_robin(reps, labels, MAX_REPRESENTATIVES)
+    # below the rounding of a unit vector's largest coordinate: noise
+    reps = np.where(np.abs(reps) <= HOLD_STEP, 0.0, reps)
     rep_residuals = (
         np.linalg.norm(residual_batch(dec, norm, _embed_m(dec, reps)), axis=-1)
         if len(reps)

@@ -11,6 +11,12 @@ Coefficients live in the trailing axis of a numpy array of length 2**k,
 indexed by the bitmask of S.  Leading axes are free: a batched vector of
 jets has shape (..., n, 2**k) with the component axis at -2, and all
 operations broadcast over the leading axes.
+
+A product's coefficient at S sums x_A·y_B over the 3**k splits S = A ⊔ B,
+one elementwise multiply per split and no dense 2**k×2**k×2**k table;
+`dot` takes the same splits with one two-operand contraction over the
+components each, so no (..., n, 2**k, 2**k) temporary is formed, and
+`matvec` is one np.matmul.
 """
 
 from functools import lru_cache
@@ -19,15 +25,38 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def _mul_table(order: int) -> np.ndarray:
-    """Structure tensor M[s, a, b] = 1 when ε_a ε_b = ε_s, else 0."""
-    m = 1 << order
-    table = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            if a & b == 0:
-                table[a | b, a, b] = 1.0
-    return table
+def _subset_pairs(order: int) -> tuple:
+    """For each mask s, the pairs (a, s ^ a) over the subsets a of s.
+
+    ε_a ε_b = ε_s exactly when a and b split s, so these 3**k pairs are
+    the only nonzero entries of the multiplication table.
+    """
+    out = []
+    for s in range(1 << order):
+        pairs, a = [], s
+        while True:
+            pairs.append((a, s ^ a))
+            if not a:
+                break
+            a = (a - 1) & s
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, order: int, shape: tuple, product) -> np.ndarray:
+    """out[..., s] = sum of product(x[..., a], y[..., b]) over the splits (a, b) of s."""
+    out = np.empty(shape + (1 << order,))
+    for s, pairs in enumerate(_subset_pairs(order)):
+        acc = product(x[..., pairs[0][0]], y[..., pairs[0][1]])
+        for a, b in pairs[1:]:
+            acc += product(x[..., a], y[..., b])
+        out[..., s] = acc
+    return out
+
+
+def _dot_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the component contraction of one split in dot
+    return np.einsum("...p,...p->...", x, y)
 
 
 class Jet:
@@ -80,9 +109,8 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            table = _mul_table(self.order)
-            c = np.einsum("sab,...a,...b->...s", table, self.c, other.c)
-            return Jet(c, self.order)
+            shape = np.broadcast_shapes(self.c.shape[:-1], other.c.shape[:-1])
+            return Jet(_convolve(self.c, other.c, self.order, shape, np.multiply), self.order)
         other = np.asarray(other, dtype=float)
         if other.ndim:
             other = other[..., None]  # broadcast against leading axes, not coefficients
@@ -167,14 +195,13 @@ def variable(y: np.ndarray, dirs) -> Jet:
 
 def matvec(mat: np.ndarray, x: Jet) -> Jet:
     """Apply a numeric linear map over the component axis of a vector jet."""
-    return Jet(np.einsum("...pq,...qs->...ps", mat, x.c), x.order)
+    return Jet(np.matmul(mat, x.c), x.order)
 
 
 def dot(x: Jet, y: Jet) -> Jet:
     """Contract two vector jets over the component axis."""
-    table = _mul_table(x.order)
-    c = np.einsum("sab,...pa,...pb->...s", table, x.c, y.c)
-    return Jet(c, x.order)
+    shape = np.broadcast_shapes(x.c.shape[:-2], y.c.shape[:-2])
+    return Jet(_convolve(x.c, y.c, x.order, shape, _dot_last), x.order)
 
 
 def quadform(mat: np.ndarray, x: Jet) -> Jet:

@@ -9,7 +9,9 @@ exactly when the norm is induced by an inner product.
 The generic derivative path evaluates F² on nested truncated jets, so
 both tensors are exact up to floating-point accumulation.  Euclidean and
 Randers norms additionally carry closed forms used by hot loops; the two
-routes are cross-checked in the test-suite, never collapsed.
+routes are cross-checked in the test-suite, never collapsed.  Their
+values share one quadratic-form kernel, y·a y = (y @ a)·y: a BLAS matmul
+and a two-operand contraction, which the σ quadrature runs on every node.
 
 Euclidean and Randers norms also carry their Legendre dual: the dual
 norm F*(μ) = max{μ·y : F(y) = 1} on covectors and the inverse
@@ -39,6 +41,12 @@ def _check_spd(mat: np.ndarray, what: str) -> None:
         np.linalg.cholesky(mat - shift)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
+
+
+def _quadratic(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """y·a y over the last axis of y, batched: the matmul y @ a, then one
+    two-operand contraction with y."""
+    return np.einsum("...i,...i->...", y @ a, y)
 
 
 class MinkowskiNorm:
@@ -120,7 +128,7 @@ class EuclideanNorm(MinkowskiNorm):
 
     def value(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
-        return np.sqrt(np.einsum("...i,ij,...j->...", y, self.a, y))
+        return np.sqrt(_quadratic(y, self.a))
 
     def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu = self._check_dim(mu)
@@ -174,7 +182,7 @@ class RandersNorm(MinkowskiNorm):
 
     def alpha(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
-        return np.sqrt(np.einsum("...i,ij,...j->...", y, self.a, y))
+        return np.sqrt(_quadratic(y, self.a))
 
     def beta(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)

@@ -6,6 +6,8 @@ round tries every seed, and the jet tensor checks every candidate before
 the dedup.  It takes the library's step, `geodesic_vectors._newton_step`,
 and the same hold: a seed whose step moves no coordinate by more than
 HOLD_STEP keeps that position from then on, its later steps discarded.
+Representative coordinates at most HOLD_STEP in magnitude are set to 0.0,
+as the library does.
 Dedup and branches come from `cluster_oracle`.  The library must give
 exactly the same result.
 
@@ -78,6 +80,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
     branch_count = len(set(labels))
     if len(reps) > gv.MAX_REPRESENTATIVES:
         reps, labels = gv._cap_round_robin(reps, labels, gv.MAX_REPRESENTATIVES)
+    reps = np.where(np.abs(reps) <= gv.HOLD_STEP, 0.0, reps)
     rep_residuals = (
         np.linalg.norm(gv.residual_batch(dec, norm, gv._embed_m(dec, reps)), axis=-1)
         if len(reps)

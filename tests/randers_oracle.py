@@ -1,4 +1,5 @@
-"""Both sides of the Randers factorization of the criterion residual.
+"""Randers oracles: the factorization of the criterion residual, and
+the exact geodesic rays of a Randers norm on SU(2).
 
 For F = sqrt(ã(·,·)) + ã(X, ·) on m the residual factors through the
 Riemannian data:
@@ -34,3 +35,39 @@ def randers_residual_identity(dec, a, Xfield, y, z):
     f = alpha + float((a @ Xfield) @ ym)
     rhs = float((a @ ym) @ w) * f / alpha + float((a @ Xfield) @ w) * f
     return lhs, rhs
+
+
+def su2_geodesic_rays(a, b):
+    """Exact geodesic rays at e of the Randers norm (a, b) on SU(2), m = g.
+
+    F(X) = α(X) + b·X.  With m = g, X is a geodesic vector exactly when
+    the covector aX/α(X) + b kills [X, ·]; in su(2), with the cross-
+    product bracket, that means it is parallel to X.  Scaled to
+    α(X) = 1, X solves (a − λI)X = −b, and λ is a real root of the
+    secular equation Σ dᵢb̃ᵢ²/(dᵢ − λ)² = 1, with dᵢ the eigenvalues of a
+    and b̃ = b in a's eigenbasis.  The left side is convex between its
+    poles, with one root below min dᵢ and one above max dᵢ, so generic b
+    gives 2, 4 or 6 rays.  Returns them as unit vectors, one per row;
+    b needs every b̃ᵢ nonzero.
+    """
+    d, q = np.linalg.eigh(np.asarray(a, dtype=float))
+    bt = q.T @ np.asarray(b, dtype=float)
+    # the secular equation times prod (d_j - λ)^2: a sextic in λ
+    poles = [np.polynomial.Polynomial([dj, -1.0]) ** 2 for dj in d]
+    sextic = -poles[0] * poles[1] * poles[2]
+    for i in range(3):
+        others = [poles[j] for j in range(3) if j != i]
+        sextic = sextic + d[i] * bt[i] ** 2 * others[0] * others[1]
+    rays = []
+    for lam in sextic.roots():
+        if abs(lam.imag) > 1.0e-9 * max(1.0, abs(lam)):
+            continue
+        lam = lam.real
+        for _ in range(3):
+            # Newton on the secular equation itself polishes the root
+            t = bt / (d - lam)
+            f = np.sum(d * t**2) - 1.0
+            lam -= f / (2.0 * np.sum(d * t**2 / (d - lam)))
+        x = -q @ (bt / (d - lam))
+        rays.append(x / np.linalg.norm(x))
+    return np.array(rays)

@@ -122,6 +122,20 @@ def test_solver_recovers_h3_branches():
     assert len(axis_labels) == 1 and len(plane_labels) == 1
 
 
+def test_representatives_hold_no_rounding_noise():
+    # the H3 circle X3 = 0: seeds held on it keep x3 at 1e-40 to 1e-20
+    # unless the coordinates at most HOLD_STEP are flushed
+    norm = norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0]))
+    result = gv.find_geodesic_vectors(h3_dec(), norm, samples=1024, tol=1.0e-9)
+    on_circle = np.abs(result.representatives[:, 2]) < 1.0e-6
+    assert on_circle.sum() > 10
+    assert np.all(result.representatives[on_circle, 2] == 0.0)
+    reps = result.representatives
+    assert not np.any((reps != 0.0) & (np.abs(reps) <= gv.HOLD_STEP))
+    residuals = np.linalg.norm(gv.residual_batch(h3_dec(), norm, reps), axis=-1)
+    assert np.array_equal(result.residual_norms, residuals)
+
+
 def test_solver_whole_sphere_su2(monkeypatch):
     monkeypatch.setattr(gv, "MAX_REPRESENTATIVES", 512)
     dec = su2_dec()

@@ -1,6 +1,7 @@
-"""Jet arithmetic against analytic and finite-difference oracles."""
+"""Jet arithmetic against analytic, finite-difference and dense-table oracles."""
 
 import numpy as np
+import pytest
 
 from finslergeo import jets
 from finslergeo.jets import Jet
@@ -8,6 +9,68 @@ from finslergeo.jets import Jet
 
 def random_jet(rng, order, shape=()):
     return Jet(rng.standard_normal(shape + (1 << order,)), order)
+
+
+def mul_table(order):
+    """Dense structure tensor M[s, a, b] = 1 when ε_a ε_b = ε_s, else 0."""
+    m = 1 << order
+    table = np.zeros((m, m, m))
+    for a in range(m):
+        for b in range(m):
+            if a & b == 0:
+                table[a | b, a, b] = 1.0
+    return table
+
+
+# The dense-table contractions: the oracle for the products jets.py
+# computes from the 3**k nonzero entries of the table and by matmul.
+def dense_mul(x, y, order):
+    return np.einsum("sab,...a,...b->...s", mul_table(order), x, y)
+
+
+def dense_dot(x, y, order):
+    return np.einsum("sab,...pa,...pb->...s", mul_table(order), x, y)
+
+
+def dense_matvec(mat, x):
+    return np.einsum("...pq,...qs->...ps", mat, x)
+
+
+def assert_matches_dense(got, x, y, dense):
+    """got equals the dense contraction of x and y to 1e-15 relative to the
+    same contraction of |x| and |y|, the scale of its rounding."""
+    want = dense(x, y)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1.0e-15 * dense(np.abs(x), np.abs(y)))
+
+
+# (x, y) coefficient shapes without the coefficient axis: equal, broadcast
+# against each other, and a single jet against a batch
+SCALAR_SHAPES = [((), ()), ((64,), (64,)), ((8, 1), (1, 8)), ((), (4, 16))]
+VECTOR_SHAPES = [((3,), (3,)), ((64, 4), (64, 4)), ((8, 1, 2), (1, 8, 2)), ((3,), (4, 16, 3))]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("constant", [False, True])
+def test_products_match_the_dense_table(order, constant):
+    rng = np.random.RandomState(17 + order)
+
+    def operands(xshape, yshape):
+        x = random_jet(rng, order, xshape)
+        y = Jet.constant(rng.standard_normal(yshape), order) if constant else random_jet(rng, order, yshape)
+        return x, y
+
+    for xshape, yshape in SCALAR_SHAPES:
+        x, y = operands(xshape, yshape)
+        assert_matches_dense((x * y).c, x.c, y.c, lambda u, v: dense_mul(u, v, order))
+        assert_matches_dense((y * x).c, y.c, x.c, lambda u, v: dense_mul(u, v, order))
+    for xshape, yshape in VECTOR_SHAPES:
+        x, y = operands(xshape, yshape)
+        assert_matches_dense(jets.dot(x, y).c, x.c, y.c, lambda u, v: dense_dot(u, v, order))
+        n = xshape[-1]
+        for mat_shape in ((n, n), xshape[:-1] + (n, n)):
+            mat = rng.standard_normal(mat_shape)
+            assert_matches_dense(jets.matvec(mat, y).c, mat, y.c, dense_matvec)
 
 
 def test_ring_axioms():

@@ -301,3 +301,20 @@ def test_legendre_dual_needs_closed_form():
         quartic_norm().legendre_dual(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NotImplementedError):
         norms.MinkowskiNorm(2).legendre_dual(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quadratic_matches_three_operand_einsum(n):
+    # the quadratic form is a matmul and a two-operand contraction; the
+    # three-operand einsum sums the same products in another order
+    rng = np.random.RandomState(70 + n)
+    a = random_spd(rng, n)
+    eps = np.finfo(float).eps
+    for shape in ((n,), (256, n), (16, 8, n)):
+        y = rng.standard_normal(shape)
+        got = norms._quadratic(y, a)
+        want = np.einsum("...i,ij,...j->...", y, a, y)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 4.0 * eps * np.abs(want))
+        assert np.array_equal(norms.EuclideanNorm(a).value(y), np.sqrt(got))
+        assert np.array_equal(norms.RandersNorm(a, 0.1 * a[0] / np.sqrt(a[0, 0])).alpha(y), np.sqrt(got))

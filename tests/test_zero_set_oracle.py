@@ -6,7 +6,9 @@ cosine rule.  The library skips work whose result it already knows, and
 must still give the same bytes, also where the jet gate fails and where a
 dot lands next to the cosine of a threshold angle.  Against the `pinv`
 step it replaced, the solver must give the same counts, verdicts and
-branches, with representatives within DEDUP_ANGLE.
+branches, with representatives within DEDUP_ANGLE.  On SU(2) with m = g,
+the geodesic rays of a Randers norm are known exactly, and the solver must
+find each of them once.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ import newton_oracle
 import numpy as np
 import pytest
 import report_drift
+from randers_oracle import su2_geodesic_rays
 
 from finslergeo import geodesic_vectors as gv
 from finslergeo import lie, norms, sphere
@@ -296,3 +299,32 @@ def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
     # seeds on the circle X3 = 0 stop once their moves fall below rounding;
     # stepped on until they stop bit for bit, the batch takes 26 calls to empty
     assert sizes[-1] == 0 and len(sizes) <= 12
+
+
+def random_su2_randers(rng):
+    m = rng.standard_normal((3, 3))
+    a = m @ m.T + 3.0 * rng.uniform(0.2, 1.0) * np.eye(3)
+    direction = rng.standard_normal(3)
+    b_sharp = direction / np.sqrt(direction @ a @ direction) * rng.uniform(0.05, 0.6)
+    return a, a @ b_sharp
+
+
+def test_solver_finds_the_exact_su2_randers_rays():
+    # six generic (a, b): their secular equations have 4, 6, 4, 6, 6 and
+    # 2 real roots, so each ray count a Randers norm on SU(2) can have
+    rng = np.random.RandomState(0)
+    counts = []
+    for _ in range(6):
+        a, b = random_su2_randers(rng)
+        norm = norms.RandersNorm(a, b)
+        rays = su2_geodesic_rays(a, b)
+        assert np.max(np.abs(gv.residual_batch(su2(), norm, rays))) <= 1.0e-12
+        found = gv.find_geodesic_vectors(su2(), norm, samples=2048, tol=1.0e-9)
+        # ray for ray: each exact ray has exactly one representative within
+        # DEDUP_ANGLE, and no representative is left over
+        near = rays @ found.representatives.T >= np.cos(gv.DEDUP_ANGLE)
+        assert len(found.representatives) == len(rays)
+        assert np.all(near.sum(axis=0) == 1) and np.all(near.sum(axis=1) == 1)
+        assert np.all(found.residual_norms <= 1.0e-9)
+        counts.append(len(rays))
+    assert counts == [4, 6, 4, 6, 6, 2]
