@@ -12,11 +12,14 @@ The flow is stepped in this Lie–Poisson form.  u is read off μ by the
 norm's Legendre dual, u = ∂(½F*²)/∂μ, which Euclidean and Randers norms
 carry in closed form (see `norms`), so a step needs no norm tensor and
 no linear solve: ĝ is built once per path, for μ at the start.  μ is
-integrated with classical fixed-step Runge-Kutta, and the group element
-is carried along on the group itself by the Runge–Kutta–Munthe-Kaas
-step built from the stage velocities (Munthe-Kaas, BIT 38, 1998;
-Iserles et al., Acta Numerica 2000), so a path may wind past the edge
-of any chart.  A path holds group elements and body velocities only;
+integrated with classical fixed-step Runge-Kutta.  μ̇ does not involve
+g, so the step loop advances μ alone.  Each step's group increment is
+the Runge–Kutta–Munthe-Kaas exponential built from its stage velocities
+(Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000), and
+once the loop is done the whole path g_i = g_0·exp(θ_1)⋯exp(θ_i) is
+formed on the group itself by one prefix product of log depth
+(Blelloch, CMU-CS-90-190, 1990), so a path may wind past the edge of
+any chart.  A path holds group elements and body velocities only;
 chart coordinates and chart velocities y = A(x)⁻¹u are read off by
 `chart_coordinates`, for the report that prints them.
 F = norm(u) is a first integral of the exact flow, and F*(μ) = F(u), so
@@ -126,23 +129,28 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
     then on u(μ) = ∂(½F*²)/∂μ comes from the norm's Legendre dual, which
     the norm must implement.  μ advances by classical RK4 with stage
     values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
-    k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The group element advances
-    by the 4th-order RKMK step on the stage velocities,
-    g ← g·exp(h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4]).
+    k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
+    that, and stores the stage velocities and F*(μ) of every step.  The
+    group element advances by the 4th-order RKMK step on the stage
+    velocities, g_i = g_{i−1}·exp(θ_i) with
+    θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
     This is the classical RKMK4 in the one-commutator form of
     Munthe-Kaas and Owren (Phil. Trans. R. Soc. A 357, 1999), with the
     bracket's sign flipped for right multiplication; its stage
     commutators drop out because μ̇ does not depend on g.  Keeping only
     ½[Θ_i, U_i] of dexp⁻¹ in each stage would be third order: the dropped
-    (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).
+    (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).  After the loop every θ_i is formed
+    at once, and g_0·exp(θ_1)⋯exp(θ_i) for all i comes from a
+    Hillis–Steele scan of ⌈log₂ N⌉ batched products, which also keeps
+    the rounding of a long path at O(log N) products.
 
     Batched over leading axes of (x0, y0); all trajectories advance in
     lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
-    the path itself may leave it.  Raises StepRejected when the relative
-    drift of F*(μ) = F(u) across a single step exceeds 1e-3.  The path
-    holds the group elements and the body velocities u(μ) as stepped,
-    and F_values holds the primal F = norm(u) of them; no sample is read
-    off in the chart.
+    the path itself may leave it.  Raises StepRejected when, at any step
+    of the whole path, the relative drift of F*(μ) = F(u) across that
+    step exceeds 1e-3 or F*(μ) is not finite.  The path holds the group
+    elements and the body velocities u(μ) as stepped, and F_values holds
+    the primal F = norm(u) of them; no sample is read off in the chart.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
@@ -153,37 +161,47 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
     mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
-    g = model.to_group(x)
     nsteps = max(1, int(round(T / step)))
-    ts = np.arange(nsteps + 1) * step
-    elements = np.empty((nsteps + 1,) + g.shape)
     body = np.empty((nsteps + 1,) + u.shape)
-    elements[0] = g
+    u2, u3, u4 = (np.empty((nsteps,) + u.shape) for _ in range(3))
+    duals = np.empty((nsteps + 1,) + u.shape[:-1])
     body[0] = u
-    f_prev = norm.value(u)
+    duals[0] = norm.value(u)
 
     def stage(m):
         _, um = norm.legendre_dual(m)
         return um, _coadjoint(c, um, m)
 
-    for i in range(1, nsteps + 1):
-        k1 = _coadjoint(c, u, mu)
-        u2, k2 = stage(mu + 0.5 * step * k1)
-        u3, k3 = stage(mu + 0.5 * step * k2)
-        u4, k4 = stage(mu + step * k3)
-        commutator = np.einsum("ijk,...i,...j->...k", c, u, u4)
-        theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
-        g = model.right_exp(g, theta)
-        mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f_now, u = norm.legendre_dual(mu)
-        if np.any(np.abs(f_now - f_prev) > DRIFT_LIMIT * np.abs(f_prev)):
-            raise StepRejected(
-                f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
-            )
-        f_prev = f_now
-        elements[i] = g
-        body[i] = u
+    # a diverging path runs to its end as inf or nan, which the drift
+    # check below rejects
+    with np.errstate(all="ignore"):
+        for i in range(nsteps):
+            k1 = _coadjoint(c, u, mu)
+            u2[i], k2 = stage(mu + 0.5 * step * k1)
+            u3[i], k3 = stage(mu + 0.5 * step * k2)
+            u4[i], k4 = stage(mu + step * k3)
+            mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            duals[i + 1], body[i + 1] = norm.legendre_dual(mu)
+            u = body[i + 1]
 
+    # written so that a non-finite F* fails the comparison
+    if not np.all(np.abs(duals[1:] - duals[:-1]) <= DRIFT_LIMIT * np.abs(duals[:-1])):
+        raise StepRejected(
+            f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
+        )
+    u1 = body[:-1]
+    commutator = np.einsum("ijk,...i,...j->...k", c, u1, u4)
+    theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
+    # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
+    # of the (up to) 2·stride increments that end at step i
+    acc = model.to_group(theta)
+    stride = 1
+    while stride < nsteps:
+        acc[stride:] = model.multiply(acc[:-stride], acc[stride:])
+        stride *= 2
+    g0 = model.to_group(x)
+    elements = np.concatenate([g0[None], model.multiply(g0, acc)])
+    ts = np.arange(nsteps + 1) * step
     return GeodesicPath(ts=ts, points=elements, body=body, F_values=norm.value(body))
 
 

@@ -11,10 +11,10 @@ covers every element but the antipode −1, and chart inputs must lie
 strictly inside radius 2π.
 
 Each model holds group elements in its own representation: `to_group`
-enters it from chart coordinates, `right_exp` moves an element by
-g ↦ g·exp(θ), and `to_chart` leaves it again.  Geodesics are stepped and
-stored on the group, orbits of one-parameter subgroups are compared with
-them there, and chart coordinates are read off only for output.
+enters it from chart coordinates, `multiply` is the group law on it, and
+`to_chart` leaves it again.  Geodesic paths are assembled and stored on
+the group, orbits of one-parameter subgroups are compared with them
+there, and chart coordinates are read off only for output.
 
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
@@ -41,6 +41,7 @@ class GroupModel:
         return np.zeros(self.dim)
 
     def multiply(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The group product p·q of group elements, batched and broadcast."""
         raise NotImplementedError
 
     def body_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -56,10 +57,6 @@ class GroupModel:
     def to_group(self, x: np.ndarray) -> np.ndarray:
         """exp(x), the group element at chart point x, batched."""
         return np.array(x, dtype=float)
-
-    def right_exp(self, g: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """g·exp(θ) for group elements g and algebra vectors θ, batched."""
-        return self.multiply(g, theta)
 
     def to_chart(self, g: np.ndarray) -> np.ndarray:
         """Chart coordinates of group elements, batched."""
@@ -156,8 +153,9 @@ class SU2(GroupModel):
             q = q / norm
         return q
 
-    def right_exp(self, q, theta):
-        return self._renormalize(_hamilton(q, self.to_group(theta)))
+    def multiply(self, p, q):
+        """The quaternion product p·q, renormalized when it leaves the unit sphere."""
+        return self._renormalize(_hamilton(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
 
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,6 +6,11 @@ differential of L_p at base applied to v.  On H3 it comes from the
 polynomial group law; on SU(2) it is A(p·base)⁻¹ A(base) v, from
 A(x) = d(L_{x^{-1}})_x.  The tests check it against finite differences
 of `multiply` before the left-invariance tests rely on it.
+
+sequential_path(cm, x0, y0, T, step) is the geodesic integrator as a
+plain loop: each RK4 step on the body momentum μ is followed at once by
+g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
+along step by step, with no prefix product.
 """
 
 import numpy as np
@@ -15,9 +20,41 @@ from finslergeo import groups
 
 def multiply(model, p, q):
     """Chart point of exp(p)·exp(q), batched; ChartDomain when it leaves the chart."""
-    out = model.to_chart(model.right_exp(model.to_group(p), q))
+    out = model.to_chart(model.multiply(model.to_group(p), model.to_group(q)))
     model.check_chart(out)
     return out
+
+
+def sequential_path(cm, x0, y0, T, step):
+    """(group elements, body velocities) of the step-by-step RKMK4 path."""
+    model, norm = cm.model, cm.norm
+    c = model.algebra.c
+
+    def coadjoint(u, m):
+        return np.einsum("ijk,...i,...k->...j", c, u, m)
+
+    def stage(m):
+        um = norm.legendre_dual(m)[1]
+        return um, coadjoint(um, m)
+
+    x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
+    u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
+    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
+    g = model.to_group(x)
+    elements, body = [g], [u]
+    for _ in range(max(1, int(round(T / step)))):
+        k1 = coadjoint(u, mu)
+        u2, k2 = stage(mu + 0.5 * step * k1)
+        u3, k3 = stage(mu + 0.5 * step * k2)
+        u4, k4 = stage(mu + step * k3)
+        bracket = np.einsum("ijk,...i,...j->...k", c, u, u4)
+        theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * bracket
+        g = model.multiply(g, model.to_group(theta))
+        mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = norm.legendre_dual(mu)[1]
+        elements.append(g)
+        body.append(u)
+    return np.array(elements), np.array(body)
 
 
 def dleft(model, p, v, base=None):

@@ -1,5 +1,6 @@
-"""Randers oracles: the factorization of the criterion residual, and
-the exact geodesic rays of a Randers norm on SU(2).
+"""Randers oracles: the factorization of the criterion residual, the
+exact geodesic rays of a Randers norm on SU(2), and the Randers norm of
+Zermelo navigation.
 
 For F = sqrt(ã(·,·)) + ã(X, ·) on m the residual factors through the
 Riemannian data:
@@ -71,3 +72,18 @@ def su2_geodesic_rays(a, b):
         x = -q @ (bt / (d - lam))
         rays.append(x / np.linalg.norm(x))
     return np.array(rays)
+
+
+def navigation_randers(h, W):
+    """(a, b) of the Randers norm solving Zermelo's problem on (h, W).
+
+    F is the time cost of a velocity y under the wind W on the inner
+    product h: F(y) = 1 exactly when |y − W|_h = 1.  With W♭ = hW and
+    λ = 1 − |W|²_h, a = (λh + W♭W♭ᵀ)/λ² and b = −W♭/λ (Bao, Robles and
+    Shen, J. Differential Geom. 66, 2004).  Needs |W|_h < 1.
+    """
+    h = np.asarray(h, dtype=float)
+    W = np.asarray(W, dtype=float)
+    w_flat = h @ W
+    lam = 1.0 - float(W @ w_flat)
+    return (lam * h + np.outer(w_flat, w_flat)) / lam**2, -w_flat / lam

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import geodesic_vectors, groups, lie, norms, scenario
+from finslergeo import cli, geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
-from group_oracle import multiply
+from group_oracle import multiply, sequential_path
+from randers_oracle import navigation_randers
 
 # the tolerances the check-homogeneous and berwald tasks judge by
 HOMOGENEOUS_TOL = scenario.TASKS["check-homogeneous"].params["tol"].default
@@ -237,6 +238,99 @@ def test_group_reconstruction_fourth_order():
         errors.append(np.max(np.abs(points - ref[::k])))
     assert errors[0] / errors[1] >= 12.0
     assert errors[1] / errors[2] >= 12.0
+
+
+def test_prefix_product_matches_sequential_steps():
+    # the path is one log-depth prefix product of the step increments; the
+    # oracle multiplies each increment onto g as soon as its step is taken
+    norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
+    rng = np.random.RandomState(41)
+    x0 = 0.5 * rng.standard_normal((5, 3))
+    y0 = rng.standard_normal((5, 3))
+    step = 4.0e-3
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        cm = groups.ChartMetric(model, norm)
+        for nsteps in (1, 2, 3, 7, 64, 250):
+            # one path, then five in lockstep
+            for start, velocity in ((x0[0], y0[0]), (x0, y0)):
+                path = gf.integrate_geodesic(cm, start, velocity, T=nsteps * step, step=step)
+                elements, body = sequential_path(cm, start, velocity, T=nsteps * step, step=step)
+                assert path.points.shape == elements.shape
+                assert np.max(np.abs(path.points - elements)) <= 1.0e-13
+                assert np.max(np.abs(path.body - body)) <= 1.0e-14
+                if isinstance(model, groups.SU2):
+                    lengths = np.linalg.norm(path.points, axis=-1)
+                    assert np.max(np.abs(lengths - 1.0)) <= 1.0e-13
+
+
+def test_zermelo_navigation_paths_are_exact():
+    # Zermelo navigation on (h, W) with W a Killing field of h: the
+    # F-geodesics are φ_t(ρ(t)), with ρ a unit-speed h-geodesic and φ_t the
+    # flow of W (Robles, Trans. AMS 359, 2007).  On SU(2) with h = I, which
+    # is bi-invariant, the left-invariant W flows by g ↦ g·exp(tW), an
+    # isometry, and ρ(t) = exp(tZ): the path from e with y0 = Z + W is
+    # exp(tZ)·exp(tW), which is no one-parameter subgroup when [Z, W] ≠ 0
+    model = groups.SU2()
+    rng = np.random.RandomState(17)
+    T = 3.0
+    departure = 0.0
+    for _ in range(20):
+        Z = rng.standard_normal(3)
+        Z /= np.linalg.norm(Z)
+        W = rng.standard_normal(3)
+        W *= rng.uniform(0.1, 0.8) / np.linalg.norm(W)
+        norm = norms.RandersNorm(*navigation_randers(np.eye(3), W))
+        assert abs(norm.value(Z + W) - 1.0) <= 1.0e-15
+        cm = groups.ChartMetric(model, norm)
+        errors = []
+        for step in (2.0e-2, 1.0e-2):
+            path = gf.integrate_geodesic(cm, np.zeros(3), Z + W, T=T, step=step)
+            ts = path.ts[:, None]
+            exact = model.multiply(model.to_group(ts * Z), model.to_group(ts * W))
+            errors.append(np.max(np.abs(path.points - exact)))
+        assert errors[1] <= 1.0e-9
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
+        departure = max(departure, np.max(np.abs(exact - groups.orbit_curve(model, Z + W, path.ts))))
+    assert departure > 0.1
+
+
+_EUCLIDEAN_DUAL = norms.EuclideanNorm.legendre_dual
+
+
+def dual_breaking_after(k):
+    """EuclideanNorm.legendre_dual that returns nan from its (k+1)-th call on."""
+    calls = 0
+
+    def legendre_dual(self, mu):
+        nonlocal calls
+        calls += 1
+        value, u = _EUCLIDEAN_DUAL(self, mu)
+        if calls > k:
+            return value * np.nan, u * np.nan
+        return value, u
+
+    return legendre_dual
+
+
+def test_non_finite_dual_is_rejected(monkeypatch):
+    # nan fails every comparison, so the drift check must reject it rather
+    # than let it pass; 100 steps make 400 dual calls, and k = 399 breaks
+    # only the last sample
+    cm = su2_euclid()
+    for k in (0, 1, 42, 399):
+        monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(k))
+        with pytest.raises(StepRejected):
+            gf.integrate_geodesic(cm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(400))
+    path = gf.integrate_geodesic(cm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    assert np.isfinite(path.points).all()
+
+
+def test_non_finite_dual_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(42))
+    path = next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
+    assert cli.main(["--scenario", path]) == 1
+    assert "StepRejected" in capsys.readouterr().err
 
 
 def test_chart_work_does_not_grow_with_steps():

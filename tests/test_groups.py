@@ -136,7 +136,7 @@ def test_orbit_velocity_at_identity_is_dleft():
 
 
 def test_orbit_curve_matches_right_exp_steps():
-    # exp(tX) by repeated right translation g ← g·exp(hX) from e; on SU(2)
+    # exp(tX) by repeated right multiplication g ← g·exp(hX) from e; on SU(2)
     # the orbit runs past the chart edge at |tX| = 2π
     rng = np.random.RandomState(13)
     h, steps = 0.05, 200
@@ -148,7 +148,7 @@ def test_orbit_curve_matches_right_exp_steps():
         g = model.to_group(model.identity())
         worst = np.max(np.abs(orbit[0] - g))
         for k in range(1, steps + 1):
-            g = model.right_exp(g, h * X)
+            g = model.multiply(g, model.to_group(h * X))
             worst = max(worst, np.max(np.abs(orbit[k] - g)))
         assert worst < 1.0e-12
     with pytest.raises(ZeroVector):
