@@ -122,23 +122,18 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     STEP_DAMPING times their trace, and then halved by the line search.
     A seed whose step moves no coordinate by more than HOLD_STEP = 2^-52
     has stopped to rounding: it leaves the batch and keeps its position
-    and residual.  Seeds whose residual ends below tol are candidates, and a
-    candidate is kept only if the norm's generic jet tensor also puts it
-    below tol.  The survivors are sorted lexicographically and
-    deduplicated greedily: a vector is kept when its dot with every
-    vector kept before it is below cos(DEDUP_ANGLE).  The greedy pass
-    never compares against a vector it drops, so when every kept vector
-    passes the jet tensor, gating every candidate first would keep the
-    same vectors, and the jet tensor runs on the kept vectors only; if
-    one fails, every candidate is gated and the dedup runs again.  The
-    representatives are grouped into branches by single-linkage
-    clustering of lines, so two representatives whose dot exceeds
-    cos(BRANCH_ANGLE) in magnitude share a branch; branches are named
-    by size, largest first.  At most MAX_REPRESENTATIVES are returned,
-    taken round-robin over the branches in that order, and branch_count
-    counts the branches before the cap.  Each returned coordinate at most
-    HOLD_STEP in magnitude is rounding noise and is set to exact 0.0, and
-    the residual norms are taken at the flushed vectors.  Zero sets here
+    and residual.  Seeds whose residual ends below tol are candidates.
+    They are sorted lexicographically and deduplicated once, greedily: a
+    vector is kept when its dot with every vector kept before it is
+    below cos(DEDUP_ANGLE).  The representatives are grouped into
+    branches by single-linkage clustering of lines, so two
+    representatives whose dot exceeds cos(BRANCH_ANGLE) in magnitude
+    share a branch; branches are named by size, largest first.  At most
+    MAX_REPRESENTATIVES are returned, taken round-robin over the branches
+    in that order, and branch_count counts the branches before the cap.
+    Each returned coordinate at most HOLD_STEP in magnitude is rounding
+    noise and is set to exact 0.0, and the residual norms are taken at
+    the flushed vectors.  Zero sets here
     are generically positive dimensional, so convergence means residual
     below tol, never step collapse; seeds that fail to converge are only
     counted.
@@ -159,10 +154,7 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         r, jac = _residual_and_jacobian(dec, norm, X[moving])
         rnorm[moving] = np.linalg.norm(r, axis=-1)
     converged = rnorm <= tol
-    candidates = X[converged]
-    reps = _dedup(candidates, DEDUP_ANGLE)
-    if len(reps) and not _gate(dec, norm, reps, tol).all():
-        reps = _dedup(candidates[_gate(dec, norm, candidates, tol)], DEDUP_ANGLE)
+    reps = _dedup(X[converged], DEDUP_ANGLE)
     labels = _branch_labels(reps, BRANCH_ANGLE)
     branch_count = len(set(labels))
     if len(reps) > MAX_REPRESENTATIVES:
@@ -197,13 +189,6 @@ def _newton_step(jac, X, r):
     normal += lam[..., None, None] * np.eye(X.shape[-1])
     rhs = -np.einsum("...ij,...i->...j", jac, r)
     return np.linalg.solve(normal, rhs[..., None])[..., 0]
-
-
-def _gate(dec, norm, Xm, tol):
-    """Soundness gate: whether the generic jet tensor also puts each
-    residual at or below tol; a NaN residual fails."""
-    gen, _ = _residual_m(dec, Xm, norm._generic_fundamental(Xm))
-    return np.linalg.norm(gen, axis=-1) <= tol
 
 
 def _line_search(dec, norm, X, step, rnorm):

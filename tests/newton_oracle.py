@@ -1,15 +1,14 @@
-"""Full-batch Newton and gate-then-dedup, kept as oracles.
+"""Full-batch Newton and the jet-tensor gate, kept as oracles.
 
 `find_geodesic_vectors` is the zero-set solve without the shortcuts of
-the library's: every seed steps in every iteration, every line-search
-round tries every seed, and the jet tensor checks every candidate before
-the dedup.  It takes the library's step, `geodesic_vectors._newton_step`,
-and the same hold: a seed whose step moves no coordinate by more than
-HOLD_STEP keeps that position from then on, its later steps discarded.
-Representative coordinates at most HOLD_STEP in magnitude are set to 0.0,
-as the library does.
-Dedup and branches come from `cluster_oracle`.  The library must give
-exactly the same result.
+the library's: every seed steps in every iteration and every line-search
+round tries every seed.  It takes the library's step,
+`geodesic_vectors._newton_step`, and the same hold: a seed whose step
+moves no coordinate by more than HOLD_STEP keeps that position from then
+on, its later steps discarded.  Representative coordinates at most
+HOLD_STEP in magnitude are set to 0.0, as the library does.  Dedup and
+branches come from `cluster_oracle`.  The library must give exactly the
+same result.
 
 `find_geodesic_vectors_pinv` is the loop the library ran before its step
 became damped normal equations: the minimum-norm least-squares step
@@ -17,6 +16,10 @@ pinv([J; X^T]) [-r; 0], and no hold, so a seed stops only at a bitwise
 fixed point.  It rounds differently, so the library must match it in
 counts, verdicts and branch partition, and in representatives within
 DEDUP_ANGLE.
+
+`jet_gate` recomputes the criterion residual with the norm's generic jet
+tensor in place of its closed form, an independent route to the same
+quantity: every representative the library keeps must pass it.
 """
 
 import cluster_oracle
@@ -31,6 +34,13 @@ def pinv_step(jac, X, r):
     aug = np.concatenate([jac, X[:, None, :]], axis=1)
     rhs = np.concatenate([-r, np.zeros((len(X), 1))], axis=1)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
+
+
+def jet_gate(dec, norm, Xm, tol):
+    """Whether the generic jet tensor also puts the residual at each row
+    of m-coordinates Xm at or below tol; a NaN residual fails."""
+    gen, _ = gv._residual_m(dec, Xm, norm._generic_fundamental(Xm))
+    return np.linalg.norm(gen, axis=-1) <= tol
 
 
 def find_geodesic_vectors(dec, norm, samples, tol):
@@ -71,11 +81,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
         X = best
         r, jac = gv._residual_and_jacobian(dec, norm, X)
     converged = np.linalg.norm(r, axis=-1) <= tol
-    candidates = X[converged]
-    if len(candidates):
-        gen, _ = gv._residual_m(dec, candidates, norm._generic_fundamental(candidates))
-        candidates = candidates[np.linalg.norm(gen, axis=-1) <= tol]
-    reps = cluster_oracle.dedup(candidates, gv.DEDUP_ANGLE)
+    reps = cluster_oracle.dedup(X[converged], gv.DEDUP_ANGLE)
     labels = cluster_oracle.branch_labels(reps, gv.BRANCH_ANGLE)
     branch_count = len(set(labels))
     if len(reps) > gv.MAX_REPRESENTATIVES:

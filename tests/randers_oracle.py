@@ -1,6 +1,7 @@
 """Randers oracles: the factorization of the criterion residual, the
-exact geodesic rays of a Randers norm on SU(2), and the Randers norm of
-Zermelo navigation.
+exact geodesic rays of a Randers norm on SU(2), the exact zero set of one
+on H3, the Randers norm of Zermelo navigation, and random Randers data
+for the tests that use them.
 
 For F = sqrt(ã(·,·)) + ã(X, ·) on m the residual factors through the
 Riemannian data:
@@ -18,6 +19,16 @@ import numpy as np
 from finslergeo import geodesic_vectors as gv
 from finslergeo import lie, norms
 from finslergeo.errors import DegenerateVector
+
+
+def random_randers(rng, reach=0.6):
+    """A random Randers (a, b) on R^3, with ‖b‖ = √(b·a⁻¹b) drawn
+    uniformly between 0.05 and reach."""
+    m = rng.standard_normal((3, 3))
+    a = m @ m.T + 3.0 * rng.uniform(0.2, 1.0) * np.eye(3)
+    direction = rng.standard_normal(3)
+    b_sharp = direction / np.sqrt(direction @ a @ direction) * rng.uniform(0.05, reach)
+    return a, a @ b_sharp
 
 
 def randers_residual_identity(dec, a, Xfield, y, z):
@@ -72,6 +83,23 @@ def su2_geodesic_rays(a, b):
         x = -q @ (bt / (d - lam))
         rays.append(x / np.linalg.norm(x))
     return np.array(rays)
+
+
+def h3_zero_set_defect(a, b, X):
+    """Distance of each unit row of X from the exact zero set of the
+    Randers norm (a, b) on H3, m = g.
+
+    As on SU(2), X is a geodesic vector exactly when the covector
+    ξ = aX/α(X) + b kills [X, ·].  On H3, [X, Y] = (X1·Y2 − X2·Y1)·e3, so
+    that holds exactly when X1 = X2 = 0 or ξ3 = 0: X lies on the e3 axis
+    or on the half cone (aX)_3 + α(X)·b_3 = 0.  Returns the smaller of
+    |(X1, X2)| and |ξ3| per row.
+    """
+    a = np.asarray(a, dtype=float)
+    X = np.asarray(X, dtype=float)
+    alpha = np.sqrt(np.einsum("...i,...i->...", X @ a, X))
+    cone = np.abs((X @ a)[..., 2] / alpha + float(b[2]))
+    return np.minimum(np.hypot(X[..., 0], X[..., 1]), cone)
 
 
 def navigation_randers(h, W):

@@ -1,8 +1,13 @@
-"""Jet arithmetic against analytic, finite-difference and dense-table oracles."""
+"""Jet arithmetic against analytic, finite-difference and dense-table
+oracles, and the guard that keeps the jet route out of production code."""
+
+import ast
+import os
 
 import numpy as np
 import pytest
 
+import finslergeo
 from finslergeo import jets
 from finslergeo.jets import Jet
 
@@ -204,3 +209,35 @@ def test_determinism_bitwise():
     first = ((x**1.5) / (x + 1.0)).c.tobytes()
     second = ((x**1.5) / (x + 1.0)).c.tobytes()
     assert first == second
+
+
+def imports_jets(tree):
+    """Whether a module of finslergeo imports finslergeo.jets, in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "finslergeo" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "finslergeo.jets" or name.startswith("finslergeo.jets.") for name in names):
+            return True
+    return False
+
+
+def test_only_norms_imports_jets():
+    # the jet route is the oracle for the closed-form tensors; only the
+    # norms' generic tensors, which the tests call, may reach it
+    src = os.path.dirname(finslergeo.__file__)
+    importers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as handle:
+                if imports_jets(ast.parse(handle.read())):
+                    importers.add(name)
+    assert importers <= {"norms.py"}
+    for line in ("import finslergeo.jets", "from .jets import Jet", "from finslergeo import jets as j"):
+        assert imports_jets(ast.parse(line))
+    assert not imports_jets(ast.parse("from . import jetsam, lie"))

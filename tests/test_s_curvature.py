@@ -8,6 +8,7 @@ from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, sphere
 from finslergeo.errors import QuadratureDivergence, ZeroVector
 
 from group_oracle import dleft, multiply
+from randers_oracle import random_randers
 from volume_oracle import busemann_sigma, distortion
 
 
@@ -251,6 +252,27 @@ def test_s_vanishes_at_found_geodesic_vectors():
         cm = groups.ChartMetric(model, norm)
         for X in found.representatives:
             assert abs(s_curvature.s_curvature(cm, model.identity(), np.asarray(X))) <= 1.0e-12
+
+
+def test_s_is_the_criterion_residual_for_randers():
+    # with m = g, S(e, X) = (n + 1) α(X) / (2 F(X)^2) · r(X)·b♯, r the
+    # criterion residual and b♯ = a⁻¹b, at every X: S vanishes at geodesic
+    # vectors of every left-invariant Randers metric, and is bounded by r;
+    # the worst mismatch here is 5.4e-15
+    rng = np.random.RandomState(5)
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
+        for _ in range(20):
+            a, b = random_randers(rng, reach=0.9)
+            norm = norms.RandersNorm(a, b)
+            cm = groups.ChartMetric(model, norm)
+            X = rng.standard_normal((10, 3))
+            alpha = np.sqrt(np.einsum("ij,jk,ik->i", X, a, X))
+            r = geodesic_vectors.residual_batch(dec, norm, X)
+            exact = (3 + 1) * alpha / (2.0 * norm.value(X) ** 2) * (r @ np.linalg.solve(a, b))
+            for y, want in zip(X, exact):
+                s = s_curvature.s_curvature(cm, model.identity(), y)
+                assert abs(s - want) <= 1.0e-13 * max(1.0, abs(s))
 
 
 def test_sigma_randers_closed_form_general_a():

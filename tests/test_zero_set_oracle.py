@@ -1,16 +1,23 @@
-"""The zero-set solver against its full-batch oracles.
+"""The zero-set solver against its full-batch and exact oracles.
 
-`newton_oracle` steps every seed in every Newton iteration and gates every
-candidate before the dedup; `cluster_oracle` compares every pair by the
-cosine rule.  The library skips work whose result it already knows, and
-must still give the same bytes, also where the jet gate fails and where a
-dot lands next to the cosine of a threshold angle.  Against the `pinv`
-step it replaced, the solver must give the same counts, verdicts and
-branches, with representatives within DEDUP_ANGLE.  On SU(2) with m = g,
-the geodesic rays of a Randers norm are known exactly, and the solver must
-find each of them once.
+`newton_oracle` steps every seed in every Newton iteration;
+`cluster_oracle` compares every pair by the cosine rule.  The library
+skips work whose result it already knows, and must still give the same
+bytes, also where a dot lands next to the cosine of a threshold angle.
+Against the `pinv` step it replaced, the solver must give the same
+counts, verdicts and branches, with representatives within DEDUP_ANGLE.
+The jet-tensor gate, `newton_oracle.jet_gate`, recomputes the residual
+by an independent route: it must pass every vector the solver keeps on
+the bundled and benchmark zero sets, and reject some on a norm whose
+closed-form tensor is wrong.  With m = g the zero sets of Randers norms
+are known exactly: on SU(2) the solver must find each geodesic ray once,
+and on H3 each representative must lie on the e3 axis or on the cone
+(aX)_3 + α(X)·b_3 = 0, with ±e3 found.
 """
 
+import copy
+import os
+import sys
 import tracemalloc
 
 import cluster_oracle
@@ -18,10 +25,14 @@ import newton_oracle
 import numpy as np
 import pytest
 import report_drift
-from randers_oracle import su2_geodesic_rays
+from randers_oracle import h3_zero_set_defect, random_randers, su2_geodesic_rays
 
+from finslergeo import cli, lie, norms, scenario, sphere
 from finslergeo import geodesic_vectors as gv
-from finslergeo import lie, norms, sphere
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+
+import workloads  # noqa: E402
 
 FIELDS = ("representatives", "residual_norms", "branch_labels", "converged_total", "all_seeds_geodesic")
 
@@ -152,41 +163,43 @@ class SkewedRanders(norms.RandersNorm):
         return g + np.where((np.asarray(y)[..., 0] > 0.3)[..., None, None], bump, 0.0)
 
 
-class NaNJetRanders(norms.RandersNorm):
-    """A Randers norm whose jet tensor is NaN where y1 > 0.5."""
+def zero_set_scenarios():
+    """Every bundled geodesic-vectors scenario and every geodesic-vectors
+    slot of the zero-sets benchmark mix at seed 1."""
+    scens = [scenario.parse_scenario(path) for path in scenario.bundled_scenarios()]
+    scens += [scenario.scenario_from_dict(copy.deepcopy(item["scenario"])) for item in workloads.generate("zero-sets", 1)]
+    return [scen for scen in scens if scen.task == "geodesic-vectors"]
 
-    def _generic_fundamental(self, y):
-        g = super()._generic_fundamental(y)
-        return np.where((np.asarray(y)[..., 0] > 0.5)[..., None, None], np.nan, g)
 
-
-def dedups_during(monkeypatch, dec, norm):
-    sizes = []
+def test_jet_gate_passes_every_kept_representative(monkeypatch):
+    # the vectors the dedup keeps, before the cap, in m-coordinates; the
+    # solver runs its dedup once per call
+    kept = []
     dedup = gv._dedup
 
-    def counted(candidates, angle):
-        sizes.append(len(candidates))
-        return dedup(candidates, angle)
+    def recorded(candidates, angle):
+        kept.append(dedup(candidates, angle))
+        return kept[-1]
 
-    monkeypatch.setattr(gv, "_dedup", counted)
-    return assert_same(dec, norm), sizes
-
-
-def test_gate_failure_on_kept_vectors_matches_oracle(monkeypatch):
-    dec = su2()
-    a, b = np.diag([1.0, 2.0, 3.0]), np.array([0.1, 0.0, 0.0])
-    found, sizes = dedups_during(monkeypatch, dec, SkewedRanders(a, b))
-    # kept vectors failed the gate, so every candidate was gated and deduplicated again
-    assert len(sizes) == 2 and sizes[1] < sizes[0]
-    assert len(found.representatives) and np.all(found.representatives[:, 0] <= 0.3)
-    _, sizes = dedups_during(monkeypatch, dec, norms.RandersNorm(a, b))
-    assert len(sizes) == 1
-
-
-def test_nan_gate_residual_drops_the_vector(monkeypatch):
-    found, sizes = dedups_during(monkeypatch, su2(), NaNJetRanders(np.eye(3), np.array([0.2, -0.3, 0.1])))
-    assert len(sizes) == 2
-    assert len(found.representatives) and np.all(found.representatives[:, 0] <= 0.5)
+    monkeypatch.setattr(gv, "_dedup", recorded)
+    count = 0
+    for scen in zero_set_scenarios():
+        dec, tol = cli._decomposition(scen), scen.params["tol"]
+        kept.clear()
+        gv.find_geodesic_vectors(dec, scen.norm, samples=scen.params["samples"], tol=tol)
+        (reps,) = kept
+        assert np.all(newton_oracle.jet_gate(dec, scen.norm, reps, tol))
+        count += len(reps)
+    # 17 scenarios keep 15,095 vectors
+    assert count > 10000
+    # a closed-form tensor that is wrong where y1 > 0.3 keeps vectors there
+    # that its jet tensor, the true one, rejects
+    skewed = SkewedRanders(np.diag([1.0, 2.0, 3.0]), np.array([0.1, 0.0, 0.0]))
+    kept.clear()
+    gv.find_geodesic_vectors(su2(), skewed, samples=512, tol=1.0e-9)
+    (reps,) = kept
+    passed = newton_oracle.jet_gate(su2(), skewed, reps, 1.0e-9)
+    assert not np.all(passed) and np.all(reps[~passed, 0] > 0.3)
 
 
 def _rotated(v, angle, rng):
@@ -301,21 +314,13 @@ def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
     assert sizes[-1] == 0 and len(sizes) <= 12
 
 
-def random_su2_randers(rng):
-    m = rng.standard_normal((3, 3))
-    a = m @ m.T + 3.0 * rng.uniform(0.2, 1.0) * np.eye(3)
-    direction = rng.standard_normal(3)
-    b_sharp = direction / np.sqrt(direction @ a @ direction) * rng.uniform(0.05, 0.6)
-    return a, a @ b_sharp
-
-
 def test_solver_finds_the_exact_su2_randers_rays():
     # six generic (a, b): their secular equations have 4, 6, 4, 6, 6 and
     # 2 real roots, so each ray count a Randers norm on SU(2) can have
     rng = np.random.RandomState(0)
     counts = []
     for _ in range(6):
-        a, b = random_su2_randers(rng)
+        a, b = random_randers(rng)
         norm = norms.RandersNorm(a, b)
         rays = su2_geodesic_rays(a, b)
         assert np.max(np.abs(gv.residual_batch(su2(), norm, rays))) <= 1.0e-12
@@ -328,3 +333,16 @@ def test_solver_finds_the_exact_su2_randers_rays():
         assert np.all(found.residual_norms <= 1.0e-9)
         counts.append(len(rays))
     assert counts == [4, 6, 4, 6, 6, 2]
+
+
+def test_solver_stays_on_the_exact_h3_randers_zero_set():
+    # the worst distance from the exact zero set is 6.7e-16; ±e3 are
+    # isolated, since |b_3| < √a_33 keeps them off the cone
+    rng = np.random.RandomState(0)
+    for _ in range(8):
+        a, b = random_randers(rng, reach=0.9)
+        found = gv.find_geodesic_vectors(h3(), norms.RandersNorm(a, b), samples=1024, tol=1.0e-9)
+        reps = found.representatives
+        assert len(reps) and np.max(h3_zero_set_defect(a, b, reps)) <= 1.0e-12
+        for pole in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
+            assert np.max(reps @ pole) >= np.cos(gv.DEDUP_ANGLE)
