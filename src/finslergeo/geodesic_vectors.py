@@ -63,7 +63,6 @@ def _m_coords(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
 
 
 def _embed_m(dec: lie.ReductiveDecomposition, Xm: np.ndarray) -> np.ndarray:
-    Xm = np.asarray(Xm, dtype=float)
     out = np.zeros(Xm.shape[:-1] + (dec.algebra.dim,))
     out[..., list(dec.m_indices)] = Xm
     return out
@@ -77,7 +76,7 @@ def _ad_sub(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
 
 
 def _criterion(Xm, g, sub) -> np.ndarray:
-    """r_j = X_m^p g_pq sub^q_j: the criterion contraction both residual routes share."""
+    """r_j = X_m^p g_pq sub^q_j, for residual_batch (X in g) and _residual (X in m)."""
     yg = np.einsum("...p,...pq->...q", Xm, g)
     return np.einsum("...q,...qj->...j", yg, sub)
 
@@ -91,18 +90,16 @@ def residual_batch(dec, norm, Xs) -> np.ndarray:
     return _criterion(ym, norm.fundamental_matrix(ym), _ad_sub(dec, Xs))
 
 
-def _residual_m(dec, Xm, g):
-    """Residual at m-coordinates Xm with the tensor g there, and the ad block it used."""
-    sub = _ad_sub(dec, _embed_m(dec, Xm))
-    return _criterion(Xm, g, sub), sub
-
-
-def _residual_and_jacobian(dec, norm, Xm):
-    """Residual and its exact Jacobian in m-coordinates, batched."""
+def _residual(c_mm, norm, Xm):
+    """Residual at m-coordinates Xm, the g there and sub = [Xm, ·]_m, from c_mm = c[m, m, m]."""
     g = norm.fundamental_matrix(Xm)
-    r, sub = _residual_m(dec, Xm, g)
-    idx = list(dec.m_indices)
-    c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
+    sub = np.einsum("ijk,...i->...kj", c_mm, Xm)
+    return _criterion(Xm, g, sub), g, sub
+
+
+def _residual_and_jacobian(c_mm, norm, Xm):
+    """Residual and its exact Jacobian in m-coordinates, batched."""
+    r, g, sub = _residual(c_mm, norm, Xm)
     yg = np.einsum("...p,...pq->...q", Xm, g)
     # J[j, k] = g(e_k, [X, e_j]_m) + g(X_m, [e_k, e_j]_m)
     term1 = np.swapaxes(g @ sub, -1, -2)
@@ -128,19 +125,21 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     below cos(DEDUP_ANGLE).  The representatives are grouped into
     branches by single-linkage clustering of lines, so two
     representatives whose dot exceeds cos(BRANCH_ANGLE) in magnitude
-    share a branch; branches are named by size, largest first.  At most
+    share a branch; branches are ranked by size, largest first.  At most
     MAX_REPRESENTATIVES are returned, taken round-robin over the branches
-    in that order, and branch_count counts the branches before the cap.
+    in rank order, and branch_count counts the branches before the cap.
     Each returned coordinate at most HOLD_STEP in magnitude is rounding
     noise and is set to exact 0.0, and the residual norms are taken at
-    the flushed vectors.  Zero sets here
-    are generically positive dimensional, so convergence means residual
-    below tol, never step collapse; seeds that fail to converge are only
-    counted.
+    the flushed vectors.  The solve runs on m-coordinates and integer
+    ranks; the result alone is embedded in g and names rank k
+    branch-(k+1).  Zero sets here are generically positive dimensional,
+    so convergence means residual below tol, never step collapse; seeds
+    that fail to converge are only counted.
     """
-    m_dim = len(dec.m_indices)
-    X = sphere.seeds(m_dim, samples)
-    r, jac = _residual_and_jacobian(dec, norm, X)
+    idx = list(dec.m_indices)
+    c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
+    X = sphere.seeds(len(idx), samples)
+    r, jac = _residual_and_jacobian(c_mm, norm, X)
     rnorm = np.linalg.norm(r, axis=-1)
     all_seeds_geodesic = bool(np.all(rnorm <= tol))
     moving = np.arange(samples)
@@ -148,28 +147,23 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         if np.all(rnorm <= tol) or not len(moving):
             break
         here = X[moving]
-        best = _line_search(dec, norm, here, _newton_step(jac, here, r), rnorm[moving])
+        best = _line_search(c_mm, norm, here, _newton_step(jac, here, r), rnorm[moving])
         X[moving] = best
         moving = moving[np.any(np.abs(best - here) > HOLD_STEP, axis=-1)]
-        r, jac = _residual_and_jacobian(dec, norm, X[moving])
+        r, jac = _residual_and_jacobian(c_mm, norm, X[moving])
         rnorm[moving] = np.linalg.norm(r, axis=-1)
     converged = rnorm <= tol
     reps = _dedup(X[converged], DEDUP_ANGLE)
-    labels = _branch_labels(reps, BRANCH_ANGLE)
-    branch_count = len(set(labels))
+    ranks = _branch_ranks(reps, BRANCH_ANGLE)
+    branch_count = int(ranks.max()) + 1 if len(ranks) else 0
     if len(reps) > MAX_REPRESENTATIVES:
-        reps, labels = _cap_round_robin(reps, labels, MAX_REPRESENTATIVES)
+        reps, ranks = _cap_round_robin(reps, ranks, MAX_REPRESENTATIVES)
     # below the rounding of a unit vector's largest coordinate: noise
     reps = np.where(np.abs(reps) <= HOLD_STEP, 0.0, reps)
-    rep_residuals = (
-        np.linalg.norm(residual_batch(dec, norm, _embed_m(dec, reps)), axis=-1)
-        if len(reps)
-        else np.zeros(0)
-    )
     return GeodesicVectorSet(
-        representatives=_embed_m(dec, reps) if len(reps) else np.zeros((0, dec.algebra.dim)),
-        residual_norms=rep_residuals,
-        branch_labels=labels,
+        representatives=_embed_m(dec, reps),
+        residual_norms=np.linalg.norm(_residual(c_mm, norm, reps)[0], axis=-1),
+        branch_labels=[f"branch-{rank + 1}" for rank in ranks.tolist()],
         seeds_total=samples,
         converged_total=int(converged.sum()),
         branch_count=branch_count,
@@ -191,7 +185,7 @@ def _newton_step(jac, X, r):
     return np.linalg.solve(normal, rhs[..., None])[..., 0]
 
 
-def _line_search(dec, norm, X, step, rnorm):
+def _line_search(c_mm, norm, X, step, rnorm):
     """Newton's damped update: each seed's step is halved up to four times
     until the residual norm does not grow; seeds that never improve stay.
 
@@ -204,8 +198,7 @@ def _line_search(dec, norm, X, step, rnorm):
     for _ in range(5):
         trial = X[todo] + scale[todo, None] * step[todo]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_r, _ = _residual_m(dec, trial, norm.fundamental_matrix(trial))
-        trial_norm = np.linalg.norm(trial_r, axis=-1)
+        trial_norm = np.linalg.norm(_residual(c_mm, norm, trial)[0], axis=-1)
         improved = trial_norm <= rnorm[todo]
         best[todo[improved]] = trial[improved]
         rnorm[todo[improved]] = trial_norm[improved]
@@ -221,7 +214,7 @@ def _line_search(dec, norm, X, step, rnorm):
 # pair the cosine rule would catch, even where their dots round apart
 # from the rule's own.  It never decides a pair.
 _BAND = 1.0e-9
-# frontier vectors per block of dots in _branch_labels
+# frontier vectors per block of dots in _branch_ranks
 _BLOCK = 256
 
 
@@ -258,18 +251,18 @@ def _dedup(candidates: np.ndarray, dedup_angle: float) -> np.ndarray:
     return cands[alive]
 
 
-def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
-    """Single-linkage branches of unit vectors as lines.
+def _branch_ranks(reps: np.ndarray, branch_angle: float) -> np.ndarray:
+    """Single-linkage branches of unit vectors as lines, as integer ranks.
 
     Two vectors are linked when their dot exceeds cos(branch_angle) in
-    magnitude.  The components are labelled by frontier search from the
+    magnitude.  The components are found by frontier search from the
     lowest unlabelled index, so each component's root is its minimum
     index; each layer takes the dots between the unlabelled vectors and
-    the frontier in blocks of _BLOCK, never the whole Gram matrix.
+    the frontier in blocks of _BLOCK, never the whole Gram matrix.  Rank
+    0 is the largest branch, and branches of equal size are ranked by
+    their roots.
     """
     count = len(reps)
-    if not count:
-        return []
     cos_angle = np.cos(branch_angle)
     roots = np.full(count, -1)
     open_ = np.arange(count)
@@ -287,26 +280,23 @@ def _branch_labels(reps: np.ndarray, branch_angle: float) -> list:
                 del dots
             frontier, open_ = open_[hit], open_[~hit]
             roots[frontier] = root
-    heads, sizes = np.unique(roots, return_counts=True)
-    ordered = sorted(zip(heads.tolist(), sizes.tolist()), key=lambda hs: (-hs[1], hs[0]))
-    names = {head: f"branch-{pos + 1}" for pos, (head, _) in enumerate(ordered)}
-    return [names[head] for head in roots.tolist()]
+    _, members, sizes = np.unique(roots, return_inverse=True, return_counts=True)
+    # roots ascend, so a stable sort by size keeps ties in root order
+    return np.argsort(np.argsort(-sizes, kind="stable"))[members]
 
 
-def _cap_round_robin(reps, labels, cap):
+def _cap_round_robin(reps, ranks, cap):
     """The first cap representatives taken round-robin over the branches.
 
-    Round k takes the k-th member of every branch in rank order, and
-    branch-r is the r-th branch in rank order, so one sort by (depth in
-    branch, rank, position) lists the picks.
+    Round k takes the k-th member of every branch in rank order, so one
+    sort by (depth in branch, rank) lists the picks.
     """
-    depth = {}
-    order = []
-    for pos, label in enumerate(labels):
-        depth[label] = depth.get(label, -1) + 1
-        order.append((depth[label], int(label.removeprefix("branch-")), pos))
-    picked = sorted(pos for _, _, pos in sorted(order)[:cap])
-    return reps[picked], [labels[pos] for pos in picked]
+    # a member's depth is its place among its branch's members, by index
+    by_rank = np.argsort(ranks, kind="stable")
+    depth = np.empty_like(ranks)
+    depth[by_rank] = np.arange(len(ranks)) - np.searchsorted(ranks[by_rank], ranks[by_rank])
+    picked = np.sort(np.lexsort((ranks, depth))[:cap])
+    return reps[picked], ranks[picked]
 
 
 def _sample_nonzero(rng, count, dim, floor=0.3):

@@ -55,12 +55,26 @@ def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:
 
 
 def jacobi_residual(alg: LieAlgebraData):
-    """Max Jacobi violation and the (i, j, k, l) witness where it occurs."""
+    """Max Jacobi violation and the (i, j, k, l) witness where it occurs.
+
+    The violation is J[i, j, k, l] = T[i, j, k, l] + T[k, i, j, l] +
+    T[j, k, i, l], with T[i, j, k, l] = c[i, j, m] c[m, k, l] the e_l
+    coefficient of [[e_i, e_j], e_k].  J is taken one i-slice at a time,
+    so memory stays O(dim^3); the witness is the first maximum of |J| in
+    C order.
+    """
     c = alg.c
-    term = np.einsum("ijm,mkl->ijkl", c, c)
-    total = term + np.einsum("ijkl->jkil", term) + np.einsum("ijkl->kijl", term)
-    idx = np.unravel_index(np.argmax(np.abs(total)), total.shape)
-    return float(np.abs(total[idx])), idx
+    worst, witness = -1.0, None
+    for i in range(alg.dim):
+        total = np.einsum("jm,mkl->jkl", c[i], c)
+        total += np.einsum("km,mjl->jkl", c[:, i], c)
+        total += np.einsum("jkm,ml->jkl", c, c[:, i])
+        np.abs(total, out=total)
+        at = int(np.argmax(total))
+        if total.flat[at] > worst:
+            worst = float(total.flat[at])
+            witness = (i,) + tuple(int(w) for w in np.unravel_index(at, total.shape))
+    return worst, witness
 
 
 def heisenberg3() -> LieAlgebraData:

@@ -1,9 +1,10 @@
 """Run reports: canonical machine JSON and a readable text rendering.
 
-The machine form is byte-deterministic: payloads are converted to plain
-Python types, keys are sorted, and floats serialize through repr (the
-shortest round-trip form).  Wall time appears only in the text form, so
-repeated runs of the same scenario produce identical machine bytes.
+The machine form is byte-deterministic: `cli.run_scenario` converts
+payloads to plain Python types once, with `plain`; keys are sorted, and
+floats serialize through repr (the shortest round-trip form).  Wall
+time appears only in the text form, so repeated runs of the same
+scenario produce identical machine bytes.
 """
 
 import hashlib
@@ -44,10 +45,6 @@ def plain(value):
     return value
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(plain(obj), sort_keys=True, indent=2)
-
-
 def scenario_digest(raw: dict) -> str:
     blob = json.dumps(plain(raw), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -61,9 +58,9 @@ def machine_report(report: RunReport) -> str:
         "passed": report.passed,
         "tolerances": report.tolerances,
         "payload": report.payload,
-        "tables": {name: table for name, table in report.tables.items()},
+        "tables": report.tables,
     }
-    return canonical_json(body) + "\n"
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
 def format_table(columns, rows) -> str:
@@ -98,7 +95,7 @@ def text_report(report: RunReport) -> str:
         lines.append(f"  {key}: {_text_value(report.tolerances[key])}")
     lines.append("results:")
     for key in sorted(report.payload):
-        lines.append(f"  {key}: {_text_value(plain(report.payload[key]))}")
+        lines.append(f"  {key}: {_text_value(report.payload[key])}")
     for name in sorted(report.tables):
         table = report.tables[name]
         lines.append(f"{name}:")

@@ -209,6 +209,8 @@ def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
 
 
 def _parse_indices(block, dim: int, label: str) -> tuple:
+    if not isinstance(block, list):
+        raise ParseError(f"scenario: field {label!r} must be a list of indices, got {type(block).__name__}")
     out = []
     for idx in block:
         if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:

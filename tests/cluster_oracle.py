@@ -10,7 +10,9 @@ its dot with a kept vector is at least cos(dedup_angle), and two lines
 are linked when their dot exceeds cos(branch_angle) in magnitude.  The
 library must give exactly the same kept vectors and labels, also for
 dots that land within rounding of the threshold cosine.  `cap_round_robin`
-is the round-robin loop the library's cap replaced by one sort.
+is the round-robin loop the library's cap replaced by one sort.  The
+library ranks branches by integers; `names` formats its ranks as these
+labels, so the two are compared name for name.
 """
 
 import numpy as np
@@ -80,3 +82,8 @@ def cap_round_robin(reps, labels, cap):
         cursor += 1
     picked.sort()
     return reps[picked], [labels[pos] for pos in picked]
+
+
+def names(ranks) -> list:
+    """Branch rank k as its label, branch-(k+1)."""
+    return [f"branch-{rank + 1}" for rank in np.asarray(ranks).tolist()]

@@ -5,10 +5,11 @@ the library's: every seed steps in every iteration and every line-search
 round tries every seed.  It takes the library's step,
 `geodesic_vectors._newton_step`, and the same hold: a seed whose step
 moves no coordinate by more than HOLD_STEP keeps that position from then
-on, its later steps discarded.  Representative coordinates at most
-HOLD_STEP in magnitude are set to 0.0, as the library does.  Dedup and
-branches come from `cluster_oracle`.  The library must give exactly the
-same result.
+on, its later steps discarded.  It evaluates the residual by the
+library's `_residual`, in m-coordinates.  Representative coordinates at
+most HOLD_STEP in magnitude are set to 0.0, as the library does.  Dedup,
+branches and the cap come from `cluster_oracle`.  The library must give
+exactly the same result.
 
 `find_geodesic_vectors_pinv` is the loop the library ran before its step
 became damped normal equations: the minimum-norm least-squares step
@@ -18,8 +19,9 @@ counts, verdicts and branch partition, and in representatives within
 DEDUP_ANGLE.
 
 `jet_gate` recomputes the criterion residual with the norm's generic jet
-tensor in place of its closed form, an independent route to the same
-quantity: every representative the library keeps must pass it.
+tensor in place of its closed form, and the bracket block from the full
+ad matrix: an independent route to the same quantity, which every
+representative the library keeps must pass.
 """
 
 import cluster_oracle
@@ -39,8 +41,15 @@ def pinv_step(jac, X, r):
 def jet_gate(dec, norm, Xm, tol):
     """Whether the generic jet tensor also puts the residual at each row
     of m-coordinates Xm at or below tol; a NaN residual fails."""
-    gen, _ = gv._residual_m(dec, Xm, norm._generic_fundamental(Xm))
+    sub = gv._ad_sub(dec, gv._embed_m(dec, Xm))
+    gen = gv._criterion(Xm, norm._generic_fundamental(Xm), sub)
     return np.linalg.norm(gen, axis=-1) <= tol
+
+
+def c_mm(dec):
+    """The m-block c[m, m, m] of the structure constants."""
+    idx = list(dec.m_indices)
+    return dec.algebra.c[np.ix_(idx, idx, idx)]
 
 
 def find_geodesic_vectors(dec, norm, samples, tol):
@@ -52,9 +61,9 @@ def find_geodesic_vectors_pinv(dec, norm, samples, tol):
 
 
 def _zero_set(dec, norm, samples, tol, step_of, hold):
-    m_dim = len(dec.m_indices)
-    X = sphere.seeds(m_dim, samples)
-    r, jac = gv._residual_and_jacobian(dec, norm, X)
+    cm = c_mm(dec)
+    X = sphere.seeds(len(dec.m_indices), samples)
+    r, jac = gv._residual_and_jacobian(cm, norm, X)
     all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
     held = np.zeros(samples, dtype=bool)
     for _ in range(gv.NEWTON_ITERS):
@@ -67,8 +76,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_r, _ = gv._residual_m(dec, trial, norm.fundamental_matrix(trial))
-            trial_norm = np.linalg.norm(trial_r, axis=-1)
+            trial_norm = np.linalg.norm(gv._residual(cm, norm, trial)[0], axis=-1)
             improved = trial_norm <= rnorm
             best = np.where(improved[:, None], trial, best)
             rnorm = np.where(improved, trial_norm, rnorm)
@@ -79,22 +87,17 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
             best = np.where(held[:, None], X, best)
             held |= np.all(np.abs(best - X) <= gv.HOLD_STEP, axis=-1)
         X = best
-        r, jac = gv._residual_and_jacobian(dec, norm, X)
+        r, jac = gv._residual_and_jacobian(cm, norm, X)
     converged = np.linalg.norm(r, axis=-1) <= tol
     reps = cluster_oracle.dedup(X[converged], gv.DEDUP_ANGLE)
     labels = cluster_oracle.branch_labels(reps, gv.BRANCH_ANGLE)
     branch_count = len(set(labels))
     if len(reps) > gv.MAX_REPRESENTATIVES:
-        reps, labels = gv._cap_round_robin(reps, labels, gv.MAX_REPRESENTATIVES)
+        reps, labels = cluster_oracle.cap_round_robin(reps, labels, gv.MAX_REPRESENTATIVES)
     reps = np.where(np.abs(reps) <= gv.HOLD_STEP, 0.0, reps)
-    rep_residuals = (
-        np.linalg.norm(gv.residual_batch(dec, norm, gv._embed_m(dec, reps)), axis=-1)
-        if len(reps)
-        else np.zeros(0)
-    )
     return gv.GeodesicVectorSet(
-        representatives=gv._embed_m(dec, reps) if len(reps) else np.zeros((0, dec.algebra.dim)),
-        residual_norms=rep_residuals,
+        representatives=gv._embed_m(dec, reps),
+        residual_norms=np.linalg.norm(gv._residual(cm, norm, reps)[0], axis=-1),
         branch_labels=labels,
         seeds_total=samples,
         converged_total=int(converged.sum()),

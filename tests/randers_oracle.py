@@ -1,7 +1,8 @@
 """Randers oracles: the factorization of the criterion residual, the
 exact geodesic rays of a Randers norm on SU(2), the exact zero set of one
-on H3, the Randers norm of Zermelo navigation, and random Randers data
-for the tests that use them.
+on H3 (a membership test and a closed-form sampling), the Randers norm
+of Zermelo navigation, and random Randers data for the tests that use
+them.
 
 For F = sqrt(ã(·,·)) + ã(X, ·) on m the residual factors through the
 Riemannian data:
@@ -100,6 +101,31 @@ def h3_zero_set_defect(a, b, X):
     alpha = np.sqrt(np.einsum("...i,...i->...", X @ a, X))
     cone = np.abs((X @ a)[..., 2] / alpha + float(b[2]))
     return np.minimum(np.hypot(X[..., 0], X[..., 1]), cone)
+
+
+def h3_zero_set(a, b, count):
+    """Unit vectors sampling the exact zero set of the Randers norm (a, b)
+    on H3, m = g: count points of the half cone (aX)_3 + α(X)·b_3 = 0,
+    then e3 and −e3.
+
+    Take X = t·e3 + v with v in the plane orthogonal to a·e3, so
+    (aX)_3 = t·a_33 and α(X)² = t²·a_33 + α(v)².  The cone equation
+    t·a_33 = −b_3·α(X) then has the one root
+    t = −b_3·α(v)/√(a_33·(a_33 − b_3²)), real since b_3² < a_33 for every
+    Randers norm.  v runs over count equally spaced angles of a circle in
+    that plane.  b = 0 gives the Euclidean zero set, the plane
+    (aX)_3 = 0 and ±e3.
+    """
+    a = np.asarray(a, dtype=float)
+    b3 = float(np.asarray(b, dtype=float)[2])
+    p, q = np.linalg.svd(a[2][None, :])[2][1:]
+    theta = 2.0 * np.pi * np.arange(count) / count
+    v = np.cos(theta)[:, None] * p + np.sin(theta)[:, None] * q
+    alpha_v = np.sqrt(np.einsum("...i,...i->...", v @ a, v))
+    t = -b3 * alpha_v / np.sqrt(a[2, 2] * (a[2, 2] - b3**2))
+    cone = v + t[:, None] * np.eye(3)[2]
+    cone /= np.linalg.norm(cone, axis=-1, keepdims=True)
+    return np.concatenate([cone, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
 
 
 def navigation_randers(h, W):

@@ -523,3 +523,19 @@ def test_package_runs_without_scipy():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mistyped_split_is_one_error_line(tmp_path):
+    # a split that is no list ends the process with one typed error line, not a traceback
+    path = write_scenario(
+        tmp_path,
+        {"task": "check-nat-reductive", "model": "su2", "norm": {"kind": "euclidean", "a": I3}, "m_indices": 3},
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslergeo.cli", "--scenario", path], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ParseError:"), proc.stderr

@@ -294,6 +294,39 @@ def test_zermelo_navigation_paths_are_exact():
     assert departure > 0.1
 
 
+def test_zermelo_navigation_on_h3_is_exact():
+    # On H3 a central W = c·e3 is a Killing field of every left-invariant
+    # h: its flow g ↦ g·exp(tW) = exp(tW)·g is a left translation.  So the
+    # F-geodesic from e with velocity Z + W, |Z|_h = 1, is ρ(t)·exp(tW),
+    # with ρ the h-geodesic from e with velocity Z, here integrated at a
+    # step 8 times finer.  Z is no geodesic vector of h, so the path is
+    # no orbit
+    model = groups.Heisenberg3()
+    dec = lie.ReductiveDecomposition(model.algebra, (0, 1, 2))
+    rng = np.random.RandomState(5)
+    T, fine = 3.0, 1.25e-3
+    departure = 0.0
+    for _ in range(5):
+        m = rng.standard_normal((3, 3))
+        h = m @ m.T + np.eye(3)
+        Z = rng.standard_normal(3)
+        Z /= np.sqrt(Z @ h @ Z)
+        assert np.linalg.norm(geodesic_vectors.residual_batch(dec, norms.EuclideanNorm(h), Z)) > 0.1
+        W = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.8) / np.sqrt(h[2, 2]) * np.eye(3)[2]
+        norm = norms.RandersNorm(*navigation_randers(h, W))
+        assert abs(norm.value(Z + W) - 1.0) <= 1.0e-15
+        rho = gf.integrate_geodesic(groups.ChartMetric(model, norms.EuclideanNorm(h)), np.zeros(3), Z, T=T, step=fine)
+        errors = []
+        for step in (2.0e-2, 1.0e-2):
+            path = gf.integrate_geodesic(groups.ChartMetric(model, norm), np.zeros(3), Z + W, T=T, step=step)
+            exact = model.multiply(rho.points[:: int(round(step / fine))], model.to_group(path.ts[:, None] * W))
+            errors.append(np.max(np.abs(path.points - exact)))
+        assert errors[1] <= 1.0e-9
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
+        departure = max(departure, np.max(np.abs(exact - groups.orbit_curve(model, Z + W, path.ts))))
+    assert departure > 0.1
+
+
 _EUCLIDEAN_DUAL = norms.EuclideanNorm.legendre_dual
 
 

@@ -1,6 +1,7 @@
 """Criterion residuals, the sphere solver, and structure checks."""
 
 import cluster_oracle
+import newton_oracle
 import numpy as np
 import pytest
 from randers_oracle import randers_residual_identity
@@ -78,7 +79,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(10):
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
-        _, jac = gv._residual_and_jacobian(dec, norm, x)
+        _, jac = gv._residual_and_jacobian(newton_oracle.c_mm(dec), norm, x)
         for k in range(3):
             plus = gv.residual_batch(dec, norm, gv._embed_m(dec, x + h * eye[k]))
             minus = gv.residual_batch(dec, norm, gv._embed_m(dec, x - h * eye[k]))
@@ -165,10 +166,10 @@ def test_cap_walks_branches_in_rank_order():
     # 100 lines pi/100 apart on a great circle: 100 singleton branches
     theta = np.pi * np.arange(100) / 100
     reps = np.stack([np.cos(theta), np.sin(theta), np.zeros(100)], axis=1)
-    labels = gv._branch_labels(reps, 0.03)
-    assert len(set(labels)) == 100
-    _, capped = gv._cap_round_robin(reps, labels, 64)
-    assert capped == [f"branch-{k}" for k in range(1, 65)]
+    ranks = gv._branch_ranks(reps, 0.03)
+    assert len(set(ranks.tolist())) == 100
+    _, capped = gv._cap_round_robin(reps, ranks, 64)
+    assert cluster_oracle.names(capped) == [f"branch-{k}" for k in range(1, 65)]
 
 
 def test_all_seeds_geodesic_matches_seed_residuals():
@@ -194,7 +195,7 @@ def _assert_matches_oracle(candidates, dedup_angle=1.0e-3, branch_angle=0.3):
     kept = gv._dedup(candidates, dedup_angle)
     assert np.array_equal(kept, cluster_oracle.dedup(candidates, dedup_angle))
     assert kept.shape[1:] == candidates.shape[1:]
-    labels = gv._branch_labels(kept, branch_angle)
+    labels = cluster_oracle.names(gv._branch_ranks(kept, branch_angle))
     assert labels == cluster_oracle.branch_labels(kept, branch_angle)
     return kept, labels
 
@@ -246,7 +247,7 @@ def test_branches_match_oracle_on_jittered_antipodes():
     kept, labels = _assert_matches_oracle(copies)
     assert 2 < len(kept) < 4096 and set(labels) == {"branch-1"}
     subset = copies[:256]
-    assert gv._branch_labels(subset, 0.3) == cluster_oracle.branch_labels(subset, 0.3)
+    assert cluster_oracle.names(gv._branch_ranks(subset, 0.3)) == cluster_oracle.branch_labels(subset, 0.3)
 
 
 def test_branches_match_oracle_on_singletons():

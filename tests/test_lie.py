@@ -1,6 +1,7 @@
 """Structure-constants machinery: brackets, Jacobi, reductive splits."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,44 @@ def test_jacobi_residual_builtins():
     for alg in (lie.heisenberg3(), lie.su2(), lie.abelian(4), lie.LieAlgebraData(4, su2_plus_line())):
         mag, _ = lie.jacobi_residual(alg)
         assert mag <= 1.0e-14
+
+
+def jacobi_residual_dim4(c):
+    """The Jacobi violation from the whole dim^4 tensor at once: the
+    formula jacobi_residual used before it took one i-slice at a time."""
+    term = np.einsum("ijm,mkl->ijkl", c, c)
+    total = term + np.einsum("ijkl->jkil", term) + np.einsum("ijkl->kijl", term)
+    idx = np.unravel_index(np.argmax(np.abs(total)), total.shape)
+    return float(np.abs(total[idx])), tuple(int(w) for w in idx)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_jacobi_residual_matches_the_dim4_formula(dim):
+    # integer constants sum exactly, so |J| ties often and the first
+    # maximum in C order must win; float constants tie up to rounding
+    # over the permutations of (i, j, k), and the slices round as the
+    # whole tensor does
+    rng = np.random.RandomState(dim)
+    for _ in range(20):
+        for c in (rng.randint(-2, 3, (dim,) * 3).astype(float), rng.standard_normal((dim,) * 3)):
+            c = c - np.swapaxes(c, 0, 1)
+            assert lie.jacobi_residual(lie.LieAlgebraData(dim, c)) == jacobi_residual_dim4(c)
+    for alg in (lie.heisenberg3(), lie.su2(), lie.abelian(dim)):
+        assert lie.jacobi_residual(alg) == jacobi_residual_dim4(alg.c)
+
+
+def test_jacobi_residual_memory_is_cubic():
+    # one dim^4 array of float64 is 20 MB at dim 40; the slices need
+    # about 1 MB
+    c = np.random.RandomState(0).standard_normal((40, 40, 40))
+    alg = lie.LieAlgebraData(40, c - np.swapaxes(c, 0, 1))
+    tracemalloc.start()
+    try:
+        lie.jacobi_residual(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_validate_trivial_isotropy():

@@ -167,6 +167,18 @@ def test_m_h_must_partition(tmp_path):
     assert "distinct" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "split",
+    [{"m_indices": 3}, {"m_indices": None}, {"m_indices": True}, {"m_indices": "12"},
+     {"m_indices": {"1": 2}}, {"m_indices": [1, 2], "h_indices": 5}, {"m_indices": [1, 2], "h_indices": "3"}],
+)
+def test_split_indices_must_be_lists(tmp_path, split):
+    data = minimal(task="check-nat-reductive", norm={"kind": "euclidean", "a": I2}, **split)
+    with pytest.raises(ParseError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert "must be a list of indices" in str(err.value)
+
+
 def test_seed_validation(tmp_path):
     with pytest.raises(ParseError):
         scenario.parse_scenario(write_scenario(tmp_path, minimal(seed=-1)))

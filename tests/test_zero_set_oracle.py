@@ -12,7 +12,8 @@ the bundled and benchmark zero sets, and reject some on a norm whose
 closed-form tensor is wrong.  With m = g the zero sets of Randers norms
 are known exactly: on SU(2) the solver must find each geodesic ray once,
 and on H3 each representative must lie on the e3 axis or on the cone
-(aX)_3 + α(X)·b_3 = 0, with ±e3 found.
+(aX)_3 + α(X)·b_3 = 0, with ±e3 found, and the branches of that exact
+set must number what every H3 zero-set scenario expects.
 """
 
 import copy
@@ -25,7 +26,7 @@ import newton_oracle
 import numpy as np
 import pytest
 import report_drift
-from randers_oracle import h3_zero_set_defect, random_randers, su2_geodesic_rays
+from randers_oracle import h3_zero_set, h3_zero_set_defect, random_randers, su2_geodesic_rays
 
 from finslergeo import cli, lie, norms, scenario, sphere
 from finslergeo import geodesic_vectors as gv
@@ -126,7 +127,7 @@ def test_damped_step_is_the_minimum_norm_step(monkeypatch):
     # values (1.3, 1, 0), and at X3 = 1e-7 its third is 1.3e-7
     for x3 in (0.0, 1.0e-7):
         X = _circle(x3)
-        r, jac = gv._residual_and_jacobian(dec, norm, X)
+        r, jac = gv._residual_and_jacobian(newton_oracle.c_mm(dec), norm, X)
         step = gv._newton_step(jac, X, r)
         assert np.max(np.abs(step - newton_oracle.pinv_step(jac, X, r))) <= 1.0e-12
     # elsewhere the damping moves the step by up to about lam / s_min^2
@@ -134,13 +135,13 @@ def test_damped_step_is_the_minimum_norm_step(monkeypatch):
     # 2048 seeds s_min >= 4.4e-4, and the move is 1.1e-11 in the median
     # and 3.1e-6 at worst
     X = sphere.seeds(3, 2048)
-    r, jac = gv._residual_and_jacobian(dec, norm, X)
+    r, jac = gv._residual_and_jacobian(newton_oracle.c_mm(dec), norm, X)
     step, want = gv._newton_step(jac, X, r), newton_oracle.pinv_step(jac, X, r)
     assert np.all(np.linalg.norm(step - want, axis=-1) <= 1.0e-5 * np.linalg.norm(want, axis=-1))
     # undamped, the normal equations on the circle are exactly singular,
     # so the damping may not be dropped
     X = _circle(0.0)
-    r, jac = gv._residual_and_jacobian(dec, norm, X)
+    r, jac = gv._residual_and_jacobian(newton_oracle.c_mm(dec), norm, X)
     monkeypatch.setattr(gv, "STEP_DAMPING", 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         gv._newton_step(jac, X, r)
@@ -250,13 +251,13 @@ def test_branches_in_the_rounding_band_match_oracle(margin):
         for w in sphere.seeds(3, 12):
             pairs += [w, rng.choice([-1.0, 1.0]) * _rotated(w, angle * (1.0 + margin), rng)]
         reps = np.array(pairs)
-        assert gv._branch_labels(reps, angle) == cluster_oracle.branch_labels(reps, angle)
+        assert cluster_oracle.names(gv._branch_ranks(reps, angle)) == cluster_oracle.branch_labels(reps, angle)
     # a chain of lines with every link that near, searched one line at a time
     chain = [np.array([0.0, 0.6, 0.8])]
     for _ in range(40):
         chain.append(-_rotated(chain[-1], angle * (1.0 + margin), rng))
     chain = np.array(chain)
-    assert gv._branch_labels(chain, angle) == cluster_oracle.branch_labels(chain, angle)
+    assert cluster_oracle.names(gv._branch_ranks(chain, angle)) == cluster_oracle.branch_labels(chain, angle)
 
 
 @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
@@ -267,7 +268,7 @@ def test_dots_at_the_threshold_cosine_are_decided_by_cosine(ulps):
         d = np.cos(angle) + ulps * np.spacing(np.cos(angle))
         pair = np.array([[1.0, 0.0, 0.0], [d, np.sqrt(1.0 - d * d), 0.0]])
         kept = gv._dedup(pair, angle)
-        labels = gv._branch_labels(pair, angle)
+        labels = cluster_oracle.names(gv._branch_ranks(pair, angle))
         assert len(kept) == (1 if ulps >= 0 else 2) and len(set(labels)) == (1 if ulps > 0 else 2)
         assert np.array_equal(kept, cluster_oracle.dedup(pair, angle))
         assert labels == cluster_oracle.branch_labels(pair, angle)
@@ -277,20 +278,20 @@ def test_cap_matches_round_robin_oracle():
     rng = np.random.RandomState(29)
     for _ in range(50):
         reps = sphere.seeds(3, rng.randint(1, 200))
-        labels = gv._branch_labels(reps, rng.uniform(0.05, 0.6))
+        ranks = gv._branch_ranks(reps, rng.uniform(0.05, 0.6))
         for cap in (1, 7, 64, len(reps)):
-            got, got_labels = gv._cap_round_robin(reps, labels, cap)
-            want, want_labels = cluster_oracle.cap_round_robin(reps, labels, cap)
-            assert np.array_equal(got, want) and got_labels == want_labels
+            got, got_ranks = gv._cap_round_robin(reps, ranks, cap)
+            want, want_labels = cluster_oracle.cap_round_robin(reps, cluster_oracle.names(ranks), cap)
+            assert np.array_equal(got, want) and cluster_oracle.names(got_ranks) == want_labels
 
 
 def test_branch_labels_stay_below_10_mb():
-    # the blockwise labels peak near 7 MB at 4096 seeds; a version that
+    # the blockwise ranks peak near 7 MB at 4096 seeds; a version that
     # keeps each block of dots alive into the next peaks above 13 MB
     reps = sphere.seeds(3, 4096)
     tracemalloc.start()
     try:
-        gv._branch_labels(reps, gv.BRANCH_ANGLE)
+        gv._branch_ranks(reps, gv.BRANCH_ANGLE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,9 +302,9 @@ def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
     sizes = []
     solve = gv._residual_and_jacobian
 
-    def counted(dec, norm, Xm):
+    def counted(c_mm, norm, Xm):
         sizes.append(len(Xm))
-        return solve(dec, norm, Xm)
+        return solve(c_mm, norm, Xm)
 
     monkeypatch.setattr(gv, "_residual_and_jacobian", counted)
     gv.find_geodesic_vectors(h3(), norms.RandersNorm(np.eye(3), np.array([0.3, -0.1, 0.0])), samples=1024, tol=1.0e-9)
@@ -346,3 +347,32 @@ def test_solver_stays_on_the_exact_h3_randers_zero_set():
         assert len(reps) and np.max(h3_zero_set_defect(a, b, reps)) <= 1.0e-12
         for pole in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
             assert np.max(reps @ pole) >= np.cos(gv.DEDUP_ANGLE)
+
+
+def exact_h3_branch_count(norm):
+    """Branches of the exact H3 zero set of a Euclidean or Randers norm,
+    sampled at 720 cone points, clustered as the solver clusters."""
+    b = getattr(norm, "b", np.zeros(3))
+    points = h3_zero_set(norm.a, b, 720)
+    assert np.max(h3_zero_set_defect(norm.a, b, points)) <= 1.0e-12
+    return len(set(cluster_oracle.branch_labels(points, gv.BRANCH_ANGLE)))
+
+
+def test_h3_branch_counts_match_the_exact_zero_set():
+    cases = []
+    for path in scenario.bundled_scenarios():
+        scen = scenario.parse_scenario(path)
+        if scen.task == "geodesic-vectors" and scen.model.name == "heisenberg3":
+            cases.append((scen.norm, scen.params["expect_branches"]))
+    assert len(cases) == 2
+    # criterion 4 asserts two branches for a = I
+    cases.append((norms.EuclideanNorm(np.eye(3)), 2))
+    for seed in (1, 2, 3):
+        for item in workloads.generate("zero-sets", seed):
+            data = item["scenario"]
+            if data["task"] == "geodesic-vectors" and data["model"] == "heisenberg3":
+                scen = scenario.scenario_from_dict(copy.deepcopy(data))
+                cases.append((scen.norm, item["expect"]["branch_count"]))
+    assert len(cases) == 3 + 3 * 6
+    for norm, expected in cases:
+        assert exact_h3_branch_count(norm) == expected
