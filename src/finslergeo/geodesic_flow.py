@@ -28,9 +28,9 @@ its drift along a numerical path measures integration error.
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
 u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs` evaluates that velocity
 form, with one norm tensor and no x-derivative of the chart metric, for
-the S-curvature and the Berwald test.  At a geodesic vector X the
-coadjoint term ad*_X(ĝ_X X) is the paper's criterion residual, so u
-stays put.
+the S-curvature and the Berwald test.  With m = g, ad*_X(ĝ_X X) is the
+paper's criterion residual, so geodesic vectors are the equilibria of
+the flow; every ad* here and in `geodesic_vectors` is `lie.coadjoint`.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -49,7 +49,6 @@ import numpy as np
 
 from . import lie, sphere
 from .errors import StepRejected, ZeroVector
-from .geodesic_vectors import residual_batch
 from .groups import ChartMetric, GroupModel, orbit_curve
 
 DRIFT_LIMIT = 1.0e-3
@@ -93,8 +92,8 @@ def chart_fundamental_tensor(cm: ChartMetric, x, y) -> np.ndarray:
 
 
 def _coadjoint(c, u, mu) -> np.ndarray:
-    """(ad*_u μ)_j = c_ij^k u^i μ_k for structure constants c, batched."""
-    return np.einsum("ijk,...i,...k->...j", c, u, mu)
+    """ad*_u μ, batched: the matrix of `lie.coadjoint` applied to μ."""
+    return (lie.coadjoint(c, u) @ mu[..., None])[..., 0]
 
 
 def euler_poincare_rhs(algebra, norm, u, g=None) -> np.ndarray:
@@ -190,7 +189,7 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
             f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
         )
     u1 = body[:-1]
-    commutator = np.einsum("ijk,...i,...j->...k", c, u1, u4)
+    commutator = lie.bracket(model.algebra, u1, u4)
     theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
     # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
     # of the (up to) 2·stride increments that end at step i
@@ -213,7 +212,7 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     representation (chart coordinates on H3, unit quaternions on SU(2)),
     is the measurement a caller holds against its tolerance.  No sample
     is read off in the chart, so an orbit may wind past the chart's edge
-    and through the antipode.  The algebraic criterion residual for X
+    and through the antipode.  The criterion residual ad*_X(ĝ_X X)
     rides along so callers can confirm the two measurements agree.
     """
     X = np.asarray(X, dtype=float)
@@ -223,8 +222,7 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     path = integrate_geodesic(cm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
     sup = float(np.max(np.abs(path.points - orbit)))
-    dec = lie.ReductiveDecomposition(model.algebra, m_indices=tuple(range(model.dim)))
-    residual = residual_batch(dec, norm, X)
+    residual = _coadjoint(model.algebra.c, X, norm.fundamental_matrix(X) @ X)
     return HomogeneousGeodesicReport(sup_distance=sup, residual_norm=float(np.linalg.norm(residual)))
 
 

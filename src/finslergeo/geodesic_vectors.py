@@ -1,15 +1,15 @@
 """Geodesic-vector criterion on reductive decompositions.
 
 A vector X in the algebra is a geodesic vector when
-g_{X_m}(X_m, [X, e_j]_m) = 0 for every m-basis vector e_j; the orbit of
-exp(tX) through the origin is then a constant-speed geodesic.  This
-module evaluates that residual, solves for its zero set on the unit
-sphere of m, and runs the bi-invariance and natural-reductivity checks
-built from the same tensors.
+g_{X_m}(X_m, [X, e_j]_m) = 0 for every m-basis vector e_j, the m-part
+of r = ad*_X μ with μ = g_{X_m} X_m; the orbit of exp(tX) through the
+origin is then a constant-speed geodesic.  This module evaluates that
+residual, solves for its zero set on the unit sphere of m, and runs the
+bi-invariance and natural-reductivity checks built from the same tensors.
 
-The residual's Jacobian is assembled in closed form: the Cartan term
-2·C_{X_m}(X_m, ·, ·) drops because the Cartan tensor vanishes when any
-slot is radial, leaving g-terms and bracket terms only.  A
+The residual's Jacobian is J = ad*_X·g + K, where column k of K is
+ad*_{e_k} μ: μ has derivative g, since the Cartan term
+2·C_{X_m}(X_m, ·, ·) vanishes when a slot is radial.  A
 finite-difference cross-check of this identity lives in the test-suite.
 """
 
@@ -58,53 +58,42 @@ class StructureReport:
     witness: dict
 
 
-def _m_coords(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=float)[..., list(dec.m_indices)]
-
-
 def _embed_m(dec: lie.ReductiveDecomposition, Xm: np.ndarray) -> np.ndarray:
     out = np.zeros(Xm.shape[:-1] + (dec.algebra.dim,))
     out[..., list(dec.m_indices)] = Xm
     return out
 
 
-def _ad_sub(dec: lie.ReductiveDecomposition, X: np.ndarray) -> np.ndarray:
-    """Matrix with column j holding the m-coords of [X, e_j], j over m."""
-    idx = list(dec.m_indices)
-    admat = lie.ad(dec.algebra, X)
-    return admat[..., idx, :][..., idx]
-
-
-def _criterion(Xm, g, sub) -> np.ndarray:
-    """r_j = X_m^p g_pq sub^q_j, for residual_batch (X in g) and _residual (X in m)."""
-    yg = np.einsum("...p,...pq->...q", Xm, g)
-    return np.einsum("...q,...qj->...j", yg, sub)
+def _criterion(c, X, Xm, g):
+    """r_j = g(X_m, [X, e_j]_m), the m-part of ad*_X(g X_m), with the matrix of
+    ad*_X and μ = g X_m, batched; c is c[:, m, m] for X in g, c[m, m, m] for X in m."""
+    mu = np.einsum("...pq,...q->...p", g, Xm)
+    coad = lie.coadjoint(c, X)
+    return np.einsum("...jk,...k->...j", coad, mu), coad, mu
 
 
 def residual_batch(dec, norm, Xs) -> np.ndarray:
     """r_j = g_{X_m}(X_m, [X, e_j]_m) over the m-basis, batched: shape (..., m)."""
     Xs = np.asarray(Xs, dtype=float)
-    ym = _m_coords(dec, Xs)
+    idx = list(dec.m_indices)
+    ym = Xs[..., idx]
     if np.any(np.linalg.norm(ym, axis=-1) == 0.0):
         raise DegenerateVector("criterion needs a nonzero m-component")
-    return _criterion(ym, norm.fundamental_matrix(ym), _ad_sub(dec, Xs))
+    c = dec.algebra.c[:, idx][:, :, idx]
+    return _criterion(c, Xs, ym, norm.fundamental_matrix(ym))[0]
 
 
 def _residual(c_mm, norm, Xm):
-    """Residual at m-coordinates Xm, the g there and sub = [Xm, ·]_m, from c_mm = c[m, m, m]."""
-    g = norm.fundamental_matrix(Xm)
-    sub = np.einsum("ijk,...i->...kj", c_mm, Xm)
-    return _criterion(Xm, g, sub), g, sub
+    """Residual at m-coordinates Xm, from c_mm = c[m, m, m]."""
+    return _criterion(c_mm, Xm, Xm, norm.fundamental_matrix(Xm))[0]
 
 
 def _residual_and_jacobian(c_mm, norm, Xm):
     """Residual and its exact Jacobian in m-coordinates, batched."""
-    r, g, sub = _residual(c_mm, norm, Xm)
-    yg = np.einsum("...p,...pq->...q", Xm, g)
-    # J[j, k] = g(e_k, [X, e_j]_m) + g(X_m, [e_k, e_j]_m)
-    term1 = np.swapaxes(g @ sub, -1, -2)
-    term2 = np.einsum("...q,kjq->...jk", yg, c_mm)
-    return r, term1 + term2
+    g = norm.fundamental_matrix(Xm)
+    r, coad, mu = _criterion(c_mm, Xm, Xm, g)
+    # ∂_X(ad*_X μ) at fixed μ: column k is ad*_{e_k} μ
+    return r, coad @ g + np.einsum("...q,kjq->...jk", mu, c_mm)
 
 
 def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVectorSet:
@@ -162,7 +151,7 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     reps = np.where(np.abs(reps) <= HOLD_STEP, 0.0, reps)
     return GeodesicVectorSet(
         representatives=_embed_m(dec, reps),
-        residual_norms=np.linalg.norm(_residual(c_mm, norm, reps)[0], axis=-1),
+        residual_norms=np.linalg.norm(_residual(c_mm, norm, reps), axis=-1),
         branch_labels=[f"branch-{rank + 1}" for rank in ranks.tolist()],
         seeds_total=samples,
         converged_total=int(converged.sum()),
@@ -198,7 +187,7 @@ def _line_search(c_mm, norm, X, step, rnorm):
     for _ in range(5):
         trial = X[todo] + scale[todo, None] * step[todo]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_norm = np.linalg.norm(_residual(c_mm, norm, trial)[0], axis=-1)
+        trial_norm = np.linalg.norm(_residual(c_mm, norm, trial), axis=-1)
         improved = trial_norm <= rnorm[todo]
         best[todo[improved]] = trial[improved]
         rnorm[todo[improved]] = trial_norm[improved]
@@ -308,23 +297,27 @@ def _sample_nonzero(rng, count, dim, floor=0.3):
     return out
 
 
-def check_naturally_reductive(dec, norm, samples: int, seed: int) -> StructureReport:
+def check_naturally_reductive(dec, norm, samples: int, seed: int, x=None) -> StructureReport:
     """Max residual of g_y([x,u]_m,v) + g_y(u,[x,v]_m) + 2C_y([x,y]_m,u,v).
 
-    x, y, u and v are drawn in m, with y bounded away from zero, and
-    the witness holds their m-coordinates at the worst sample.
+    y, u and v are drawn in m, with y bounded away from zero, and so is
+    x unless it is given, as one vector of g.  With x = Z in h the
+    identity is the infinitesimal Ad(exp tZ)-invariance of the norm on m.
+    The witness holds y, u and v in m-coordinates at the worst sample,
+    and x there: its m-coordinates, or the x given.
     """
     alg = dec.algebra
-    m_dim = len(dec.m_indices)
+    idx = list(dec.m_indices)
     rng = np.random.RandomState(seed)
-    ym = _sample_nonzero(rng, samples, m_dim)
-    xm, um, vm = (rng.standard_normal((samples, m_dim)) for _ in range(3))
-    y, x, u, v = (_embed_m(dec, w) for w in (ym, xm, um, vm))
+    ym = _sample_nonzero(rng, samples, len(idx))
+    xm, um, vm = (rng.standard_normal((samples, len(idx))) for _ in range(3))
+    y, u, v = (_embed_m(dec, w) for w in (ym, um, vm))
+    xs = _embed_m(dec, xm) if x is None else np.asarray(x, dtype=float)
     g = norm.fundamental_matrix(ym)
     cart = norm.cartan(ym)
-    xu = _m_coords(dec, lie.bracket(alg, x, u))
-    xv = _m_coords(dec, lie.bracket(alg, x, v))
-    xy = _m_coords(dec, lie.bracket(alg, x, y))
+    xu = lie.bracket(alg, xs, u)[..., idx]
+    xv = lie.bracket(alg, xs, v)[..., idx]
+    xy = lie.bracket(alg, xs, y)[..., idx]
     res = (
         np.einsum("...p,...pq,...q->...", xu, g, vm)
         + np.einsum("...p,...pq,...q->...", um, g, xv)
@@ -333,7 +326,7 @@ def check_naturally_reductive(dec, norm, samples: int, seed: int) -> StructureRe
     worst = int(np.argmax(np.abs(res)))
     return StructureReport(
         max_residual=float(np.abs(res[worst])),
-        witness={"y": ym[worst], "x": xm[worst], "u": um[worst], "v": vm[worst]},
+        witness={"y": ym[worst], "x": xm[worst] if x is None else xs, "u": um[worst], "v": vm[worst]},
     )
 
 

@@ -46,12 +46,20 @@ def bracket(alg: LieAlgebraData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,...i,...j->...k", alg.c, X, Y)
 
 
+def coadjoint(c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Matrix of ad*_u, (ad*_u μ)_j = c[i, j, k] u^i μ_k, batched, as one
+    matmul; c may be a block such as c[:, m, m], or c[m, m, m] for u in m."""
+    n, p, q = c.shape
+    flat = u @ c.reshape(n, p * q)
+    return flat.reshape(flat.shape[:-1] + (p, q))
+
+
 def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:
-    """Matrix of ad_X = [X, ·]."""
+    """Matrix of ad_X = [X, ·], the transpose of ad*_X."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != alg.dim:
         raise DimensionMismatch(alg.dim, X.shape[-1])
-    return np.einsum("ijk,...i->...kj", alg.c, X)
+    return np.swapaxes(coadjoint(alg.c, X), -1, -2)
 
 
 def jacobi_residual(alg: LieAlgebraData):

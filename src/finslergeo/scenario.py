@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups, lie, norms
+from . import geodesic_vectors, groups, lie, norms
 from .errors import NonConvexNorm, ParseError, ValidationError
 
 _TOP_LEVEL_KEYS = ("task", "model", "norm", "params", "seed", "m_indices", "h_indices")
@@ -295,6 +295,25 @@ def _check_split(c: np.ndarray, m: tuple, h: tuple) -> None:
             )
 
 
+def _check_invariance(algebra, norm, m: tuple, h: tuple) -> None:
+    """The norm on m must be Ad(H)-invariant, or no homogeneous metric has it.
+
+    For connected H that is the natural-reductivity identity with x = Z
+    for each basis vector Z of h, here over 64 draws of (y, u, v) in m.
+    """
+    dec = lie.ReductiveDecomposition(algebra, m, h)
+    basis = np.eye(algebra.dim)
+    worst, at = max(
+        (geodesic_vectors.check_naturally_reductive(dec, norm, samples=64, seed=0, x=basis[z]).max_residual, z)
+        for z in h
+    )
+    if worst > 1.0e-10:
+        raise ValidationError(
+            f"scenario: the norm on m is not Ad(H)-invariant: g_y([Z, u], v) + g_y(u, [Z, v]) "
+            f"+ 2C_y([Z, y], u, v) reaches {worst:.3e} at Z = e{at + 1}"
+        )
+
+
 def load_scenario(path: str) -> dict:
     """The JSON object of a scenario file, not yet validated."""
     try:
@@ -368,6 +387,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError("scenario: field 'norm' must be an object")
     # a task that reads the split evaluates the norm on m
     norm = _parse_norm(norm_block, len(m_indices), "dim m" if h_indices else "model dimension")
+    if h_indices:
+        _check_invariance(algebra, norm, m_indices, h_indices)
 
     params = data.get("params", {})
     if not isinstance(params, dict):

@@ -11,6 +11,9 @@ sequential_path(cm, x0, y0, T, step) is the geodesic integrator as a
 plain loop: each RK4 step on the body momentum μ is followed at once by
 g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
 along step by step, with no prefix product.
+
+h3_body_momentum(a, mu0, ts) is the exact body momentum of the
+Euclidean metric a on H3, in closed form.
 """
 
 import numpy as np
@@ -70,3 +73,24 @@ def dleft(model, p, v, base=None):
     target = multiply(model, p, base)
     rhs = np.einsum("...ij,...j->...i", model.body_jacobian(base), v)
     return np.linalg.solve(model.body_jacobian(target), rhs[..., None])[..., 0]
+
+
+def h3_body_momentum(a, mu0, ts):
+    """Exact body momentum μ(t) of the Euclidean metric a on H3, one row per t.
+
+    μ̇ = ad*_u μ with u = a⁻¹μ: μ₃ is a Casimir, and
+    (μ₁, μ₂)' = μ₃J(Aμ₁₂ + μ₃w), with A and w the blocks a⁻¹[:2, :2] and
+    a⁻¹[:2, 2] and J the quarter turn.  JA is traceless with
+    (JA)² = −det A·I, so μ₁₂(t) = p + (cos ωt·I + sin ωt/ω·μ₃JA)(μ₁₂(0) − p),
+    with ω = |μ₃|√det A and p the fixed point Ap = −μ₃w.  Needs μ₃ ≠ 0.
+    """
+    inv = np.linalg.inv(np.asarray(a, dtype=float))
+    A, w = inv[:2, :2], inv[:2, 2]
+    m3 = mu0[2]
+    p = np.linalg.solve(A, -m3 * w)
+    omega = abs(m3) * np.sqrt(np.linalg.det(A))
+    turn = m3 * np.array([[0.0, -1.0], [1.0, 0.0]]) @ A
+    t = np.asarray(ts, dtype=float)[:, None, None]
+    flow = np.cos(omega * t) * np.eye(2) + np.sin(omega * t) / omega * turn
+    mu12 = p + flow @ (mu0[:2] - p)
+    return np.concatenate([mu12, np.full((len(mu12), 1), m3)], axis=1)

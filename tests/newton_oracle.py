@@ -19,9 +19,9 @@ counts, verdicts and branch partition, and in representatives within
 DEDUP_ANGLE.
 
 `jet_gate` recomputes the criterion residual with the norm's generic jet
-tensor in place of its closed form, and the bracket block from the full
-ad matrix: an independent route to the same quantity, which every
-representative the library keeps must pass.
+tensor in place of its closed form, and ad* from the block c[:, m, m]
+on the vector embedded in g: an independent route to the same quantity,
+which every representative the library keeps must pass.
 """
 
 import cluster_oracle
@@ -41,8 +41,9 @@ def pinv_step(jac, X, r):
 def jet_gate(dec, norm, Xm, tol):
     """Whether the generic jet tensor also puts the residual at each row
     of m-coordinates Xm at or below tol; a NaN residual fails."""
-    sub = gv._ad_sub(dec, gv._embed_m(dec, Xm))
-    gen = gv._criterion(Xm, norm._generic_fundamental(Xm), sub)
+    idx = list(dec.m_indices)
+    c = dec.algebra.c[:, idx][:, :, idx]
+    gen = gv._criterion(c, gv._embed_m(dec, Xm), Xm, norm._generic_fundamental(Xm))[0]
     return np.linalg.norm(gen, axis=-1) <= tol
 
 
@@ -76,7 +77,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_norm = np.linalg.norm(gv._residual(cm, norm, trial)[0], axis=-1)
+            trial_norm = np.linalg.norm(gv._residual(cm, norm, trial), axis=-1)
             improved = trial_norm <= rnorm
             best = np.where(improved[:, None], trial, best)
             rnorm = np.where(improved, trial_norm, rnorm)
@@ -97,7 +98,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
     reps = np.where(np.abs(reps) <= gv.HOLD_STEP, 0.0, reps)
     return gv.GeodesicVectorSet(
         representatives=gv._embed_m(dec, reps),
-        residual_norms=np.linalg.norm(gv._residual(cm, norm, reps)[0], axis=-1),
+        residual_norms=np.linalg.norm(gv._residual(cm, norm, reps), axis=-1),
         branch_labels=labels,
         seeds_total=samples,
         converged_total=int(converged.sum()),

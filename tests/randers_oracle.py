@@ -17,7 +17,6 @@ agreement is what makes the F- and ã-criteria co-vanish when
 
 import numpy as np
 
-from finslergeo import geodesic_vectors as gv
 from finslergeo import lie, norms
 from finslergeo.errors import DegenerateVector
 
@@ -37,10 +36,11 @@ def randers_residual_identity(dec, a, Xfield, y, z):
     a = np.asarray(a, dtype=float)
     Xfield = np.asarray(Xfield, dtype=float)
     y = np.asarray(y, dtype=float)
-    ym = gv._m_coords(dec, y)
+    idx = list(dec.m_indices)
+    ym = y[idx]
     if np.linalg.norm(ym) == 0.0:
         raise DegenerateVector("identity needs a nonzero m-component")
-    w = gv._m_coords(dec, lie.bracket(dec.algebra, y, np.asarray(z, dtype=float)))
+    w = lie.bracket(dec.algebra, y, np.asarray(z, dtype=float))[idx]
     norm = norms.RandersNorm(a, a @ Xfield)
     g = norm._generic_fundamental(ym)
     lhs = float(ym @ g @ w)

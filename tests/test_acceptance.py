@@ -227,7 +227,7 @@ def test_criterion_06_first_integral_on_bundled_scenarios():
         drifts[path.rsplit("/", 1)[-1]] = float(
             np.max(np.abs(gp.F_values - gp.F_values[0])) / gp.F_values[0]
         )
-    assert len(drifts) == 7
+    assert len(drifts) == 8
     worst = max(drifts.values())
     _verdict(6, worst <= 1.0e-6, time.perf_counter() - start, 30.0)
 

@@ -220,6 +220,27 @@ def test_reductive_split_exits_zero(tmp_path, capsys, task, params, verdict):
     assert report["payload"][verdict] is True
 
 
+def test_split_norm_not_ad_h_invariant_exits_one(tmp_path, capsys):
+    # SU(2)/U(1) with a = diag(1, 2) on m: the structure checks would pass
+    # (c[m, m, m] = 0), but no homogeneous metric on S² has this norm
+    path = write_scenario(
+        tmp_path,
+        {
+            "task": "check-nat-reductive",
+            "model": "su2",
+            "norm": {"kind": "euclidean", "a": [[1.0, 0.0], [0.0, 2.0]]},
+            "m_indices": [1, 2],
+            "h_indices": [3],
+        },
+    )
+    code = cli.main(["--scenario", path, "--format", "machine"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValidationError: scenario: the norm on m is not Ad(H)-invariant")
+    assert "at Z = e3" in captured.err
+
+
 def test_machine_bytes_stable(tmp_path, capsys):
     out_a = str(tmp_path / "a.json")
     out_b = str(tmp_path / "b.json")
@@ -380,7 +401,7 @@ def test_check_verdicts_flip_at_the_measured_value(capsys):
             cli.main(["--scenario", path, "--format", "machine", "--tol", repr(float(tol))])
             assert json.loads(capsys.readouterr().out)["payload"][flag] is holds, path
         checked += 1
-    assert checked == 7
+    assert checked == 8
 
 
 def assert_s_at_start_is_row_zero(report):

@@ -1,5 +1,7 @@
 """Chart tensors, spray oracle checks, flow integration, Berwald verdicts."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from finslergeo import cli, geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
-from group_oracle import multiply, sequential_path
+from group_oracle import h3_body_momentum, multiply, sequential_path
 from randers_oracle import navigation_randers
 
 # the tolerances the check-homogeneous and berwald tasks judge by
@@ -327,6 +329,26 @@ def test_zermelo_navigation_on_h3_is_exact():
     assert departure > 0.1
 
 
+def test_h3_body_path_matches_the_exact_flow():
+    # the RK4 body path against the closed-form Lie–Poisson flow of a
+    # Euclidean metric on H3, u(t) = a⁻¹μ(t), at every step; the error
+    # ratio between h = 2e-2 and 1e-2 is 2⁴ for a 4th-order method
+    model = groups.Heisenberg3()
+    rng = np.random.RandomState(9)
+    for _ in range(5):
+        m = rng.standard_normal((3, 3))
+        a = m @ m.T + np.eye(3)
+        y0 = rng.standard_normal(3)
+        cm = groups.ChartMetric(model, norms.EuclideanNorm(a))
+        errors = []
+        for step in (2.0e-2, 1.0e-2):
+            path = gf.integrate_geodesic(cm, np.zeros(3), y0, T=3.0, step=step)
+            exact = np.linalg.solve(a, h3_body_momentum(a, a @ y0, path.ts).T).T
+            errors.append(np.max(np.abs(path.body - exact)))
+        assert errors[1] <= 1.0e-6
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+
 _EUCLIDEAN_DUAL = norms.EuclideanNorm.legendre_dual
 
 
@@ -610,6 +632,29 @@ def test_criterion_residual_is_coadjoint_of_flow():
                 residual = geodesic_vectors.residual_batch(dec, norm, X)
                 coadjoint = norm.fundamental_matrix(X) @ gf.euler_poincare_rhs(model.algebra, norm, X)
                 assert np.max(np.abs(residual - coadjoint)) <= 1.0e-12
+
+
+def imported_names(tree):
+    """Every dotted module or member name a module's imports reach."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names += [module] + [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+    return names
+
+
+def test_flow_does_not_import_geodesic_vectors():
+    # the flow takes every ad* from lie.coadjoint, not from the criterion module
+    with open(gf.__file__, encoding="utf-8") as handle:
+        names = imported_names(ast.parse(handle.read()))
+    assert "lie" in names
+    assert not any("geodesic_vectors" in name.split(".") for name in names)
+    for line in ("from .geodesic_vectors import residual_batch", "from . import geodesic_vectors, lie",
+                 "import finslergeo.geodesic_vectors as gv"):
+        assert any("geodesic_vectors" in name.split(".") for name in imported_names(ast.parse(line)))
 
 
 def test_body_velocity_frozen_from_geodesic_vectors():

@@ -87,16 +87,37 @@ def test_jacobian_matches_finite_differences():
             assert np.max(np.abs(jac[:, k] - fd)) < 1.0e-5
 
 
+def derivation_h3():
+    """R·e4 ⋉ h3, e4 acting by the derivation diag(1, 2, 3):
+    [e1, e2] = e3 and [e4, e_i] = i·e_i for i = 1, 2, 3."""
+    c = np.zeros((4, 4, 4))
+    for i, j, k, value in ((0, 1, 2, 1.0), (3, 0, 0, 1.0), (3, 1, 1, 2.0), (3, 2, 2, 3.0)):
+        c[i, j, k], c[j, i, k] = value, -value
+    return lie.LieAlgebraData(4, c)
+
+
+# a reductive split (m, h) of derivation_h3 for each dim m
+DERIVATION_SPLITS = {2: ((0, 1), (2, 3)), 3: ((0, 1, 2), (3,)), 4: ((0, 1, 2, 3), ())}
+
+
 @pytest.mark.parametrize("m_dim", [2, 3, 4])
 def test_criterion_matches_three_operand_einsum(m_dim):
+    # lie.coadjoint applied to μ against (ad*_u μ)_j = c[i, j, k] u^i μ_k
+    # as one einsum, on c, c[:, m, m] and c[m, m, m] of a split algebra
+    alg = derivation_h3()
+    m, h = DERIVATION_SPLITS[m_dim]
+    assert lie.jacobi_residual(alg)[0] == 0.0
+    scenario._check_split(alg.c, m, h)
+    blocks = (alg.c, alg.c[:, m][:, :, m], alg.c[np.ix_(m, m, m)])
     rng = np.random.RandomState(m_dim)
-    Xm = rng.standard_normal((2048, m_dim))
-    g = rng.standard_normal((2048, m_dim, m_dim))
-    g = g + np.swapaxes(g, -1, -2)
-    sub = rng.standard_normal((2048, m_dim, m_dim))
-    want = np.einsum("...p,...pq,...qj->...j", Xm, g, sub)
-    got = gv._criterion(Xm, g, sub)
-    assert np.all(np.linalg.norm(got - want, axis=-1) <= 1.0e-14 * np.linalg.norm(want, axis=-1))
+    for shape in ((), (5,), (4096,)):
+        for block in blocks:
+            u = rng.standard_normal(shape + block.shape[:1])
+            mu = rng.standard_normal(shape + block.shape[2:])
+            want = np.einsum("ijk,...i,...k->...j", block, u, mu)
+            got = (lie.coadjoint(block, u) @ mu[..., None])[..., 0]
+            assert got.shape == want.shape
+            assert np.all(np.linalg.norm(got - want, axis=-1) <= 1.0e-14 * np.linalg.norm(want, axis=-1))
 
 
 def test_solver_recovers_h3_branches():

@@ -67,6 +67,21 @@ def test_bracket_dimension_check():
         lie.bracket(lie.su2(), np.ones(4), np.ones(3))
 
 
+def test_coadjoint_is_dual_to_the_bracket():
+    # <ad*_u mu, v> = <mu, [u, v]>, and ad_u, its transpose, maps v to [u, v]
+    rng = np.random.RandomState(5)
+    for alg in (lie.heisenberg3(), lie.su2(), lie.LieAlgebraData(4, su2_plus_line())):
+        for shape in ((), (64,)):
+            u, mu, v = (rng.standard_normal(shape + (alg.dim,)) for _ in range(3))
+            coad = lie.coadjoint(alg.c, u)
+            bracket = lie.bracket(alg, u, v)
+            left = np.einsum("...j,...j->...", (coad @ mu[..., None])[..., 0], v)
+            right = np.einsum("...k,...k->...", mu, bracket)
+            assert np.all(np.abs(left - right) <= 1.0e-14 * (1.0 + np.abs(right)))
+            assert np.max(np.abs((lie.ad(alg, u) @ v[..., None])[..., 0] - bracket)) <= 1.0e-14
+            assert np.array_equal(lie.ad(alg, u), np.swapaxes(coad, -1, -2))
+
+
 def test_jacobi_residual_builtins():
     for alg in (lie.heisenberg3(), lie.su2(), lie.abelian(4), lie.LieAlgebraData(4, su2_plus_line())):
         mag, _ = lie.jacobi_residual(alg)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, sphere
+from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, scenario, sphere
 from finslergeo.errors import QuadratureDivergence, ZeroVector
 
 from group_oracle import dleft, multiply
-from randers_oracle import random_randers
+from randers_oracle import navigation_randers, random_randers
 from volume_oracle import busemann_sigma, distortion
 
 
@@ -299,3 +299,19 @@ def test_sigma_off_identity_matches_chart_quadrature():
     assert abs(factor.sigma - direct) < 1.0e-8 * direct
     assert abs(factor.sigma - busemann_sigma(cm, np.zeros(3)).sigma) > 1.0e-2
 
+
+def test_bundled_zermelo_pair_is_the_navigation_metric():
+    # Zermelo navigation on SU(2) with h = I and a left-invariant wind W:
+    # W is a Killing field of the bi-invariant h, so the geodesics are
+    # h-geodesics carried by the flow of W (Robles, Trans. AMS 359, 2007;
+    # Huang–Mo, Proc. AMS 139, 2011) and S vanishes, but W is not
+    # parallel, so the metric is not Berwald; the bundled pair holds
+    # exactly its (a, b)
+    a, b = navigation_randers(np.eye(3), np.array([0.3, -0.4, 0.2]))
+    tasks = set()
+    for path in scenario.bundled_scenarios():
+        if "zermelo" in path:
+            scen = scenario.parse_scenario(path)
+            assert np.array_equal(scen.norm.a, a) and np.array_equal(scen.norm.b, b)
+            tasks.add((scen.task, scen.params.get("expect_vanishing"), scen.params.get("expect_berwald")))
+    assert tasks == {("s-curvature", True, None), ("berwald", None, False)}

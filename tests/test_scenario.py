@@ -39,7 +39,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
 
 def test_bundled_scenarios_parse():
     paths = scenario.bundled_scenarios()
-    assert len(paths) == 16
+    assert len(paths) == 18
     tasks = set()
     for path in paths:
         scen = scenario.parse_scenario(path)
@@ -154,6 +154,30 @@ def test_round_trip_preserves_canonical_form(tmp_path):
     assert scen.h_indices == (2,)
     again = scenario.parse_scenario(write_scenario(tmp_path, scen.raw, "b.json"))
     assert again.raw == scen.raw
+
+
+@pytest.mark.parametrize("task", ["check-nat-reductive", "geodesic-vectors"])
+def test_split_norm_must_be_ad_h_invariant(tmp_path, task):
+    # SU(2)/U(1) with m = {e1, e2}, h = {e3}: exp(t·e3) rotates m, so only
+    # a multiple of the round norm is the norm at o of a homogeneous
+    # metric on S²; a = diag(1, 2) and a Randers b on m are not
+    split = {"m_indices": [1, 2], "h_indices": [3]}
+    stretched = {"kind": "euclidean", "a": [[1.0, 0.0], [0.0, 2.0]]}
+    for norm in (stretched, {"kind": "randers", "a": I2, "b": [0.3, 0.0]}):
+        with pytest.raises(ValidationError) as err:
+            scenario.parse_scenario(write_scenario(tmp_path, minimal(task=task, norm=norm, **split)))
+        assert "not Ad(H)-invariant" in str(err.value)
+        assert "at Z = e3" in str(err.value)
+    round_norm = {"kind": "euclidean", "a": [[2.5, 0.0], [0.0, 2.5]]}
+    scen = scenario.parse_scenario(write_scenario(tmp_path, minimal(task=task, norm=round_norm, **split)))
+    assert scen.h_indices == (2,)
+    # su(2) + R with h = {e3, e4}: the central e4 fixes every norm, so the
+    # worst Z is e3
+    inline = {"dim": 4, "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}
+    data = minimal(task=task, model=inline, norm=stretched, m_indices=[1, 2], h_indices=[4, 3])
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert "at Z = e3" in str(err.value)
 
 
 def test_m_h_must_partition(tmp_path):
