@@ -5,7 +5,8 @@ deterministic report.  The library returns measurements; every
 comparison with a scenario tolerance, and so every verdict, is made
 here.  Exit code 0 means every check in the scenario
 agreed with its expectation, 2 means some check failed, 1 means the run
-errored before producing a verdict.
+errored before producing a verdict, a usage error or an unwritable
+report included.
 """
 
 import argparse
@@ -14,25 +15,15 @@ import time
 
 import numpy as np
 
-from . import geodesic_flow, geodesic_vectors, groups, lie, reports, s_curvature, scenario
+from . import geodesic_flow, geodesic_vectors, reports, s_curvature, scenario
 from .errors import FinslerGeoError
-
-
-def _decomposition(scen):
-    return lie.ReductiveDecomposition(
-        scen.algebra, m_indices=scen.m_indices, h_indices=scen.h_indices
-    )
-
-
-def _chart(scen):
-    return groups.ChartMetric(scen.model, scen.norm)
 
 
 def _run_geodesic_vectors(scen):
     p = scen.params
     tol = p["tol"]
     result = geodesic_vectors.find_geodesic_vectors(
-        _decomposition(scen), scen.norm, samples=p["samples"], tol=tol
+        scen.split, scen.norm, samples=p["samples"], tol=tol
     )
     all_geodesic = result.all_seeds_geodesic
     branch_count = result.branch_count
@@ -70,14 +61,14 @@ def _structure_check(report, expect, tol):
 
 def _run_nat_reductive(scen):
     report = geodesic_vectors.check_naturally_reductive(
-        _decomposition(scen), scen.norm, samples=scen.params["samples"], seed=scen.seed
+        scen.split, scen.norm, samples=scen.params["samples"], seed=scen.seed
     )
     return _structure_check(report, scen.params["expect_passed"], scen.params["tol"])
 
 
 def _run_minkowski_lie(scen):
     report = geodesic_vectors.check_minkowski_lie_algebra(
-        scen.algebra, scen.norm, samples=scen.params["samples"], seed=scen.seed
+        scen.split.algebra, scen.norm, samples=scen.params["samples"], seed=scen.seed
     )
     return _structure_check(report, scen.params["expect_passed"], scen.params["tol"])
 
@@ -97,7 +88,7 @@ def _trajectory_table(path, points, velocities) -> dict:
 def _run_integrate(scen):
     p = scen.params
     tol = p["tol"]
-    path = geodesic_flow.integrate_geodesic(_chart(scen), p["x0"], p["y0"], T=p["T"], step=p["step"])
+    path = geodesic_flow.integrate_geodesic(scen.model, scen.norm, p["x0"], p["y0"], T=p["T"], step=p["step"])
     points, velocities = geodesic_flow.chart_coordinates(scen.model, path, p["x0"], p["y0"])
     drift = float(np.max(np.abs(path.F_values - path.F_values[0])) / path.F_values[0])
     payload = {
@@ -126,22 +117,13 @@ def _run_homogeneous(scen):
     return payload, {"sup_distance": tol}, passed == p["expect_passed"], {}
 
 
-def _subsample_path(path, stride: int):
-    return geodesic_flow.GeodesicPath(
-        ts=path.ts[::stride],
-        points=path.points[::stride],
-        body=path.body[::stride],
-        F_values=path.F_values[::stride],
-    )
-
-
 def _run_s_curvature(scen):
     p = scen.params
-    cm = _chart(scen)
     tol_s = p["tol"]
     tau_tol = p["tau_tol"]
-    path = geodesic_flow.integrate_geodesic(cm, p["x0"], p["y0"], T=p["T"], step=p["step"])
-    profile = s_curvature.s_along_path(cm, _subsample_path(path, p["stride"]))
+    path = geodesic_flow.integrate_geodesic(scen.model, scen.norm, p["x0"], p["y0"], T=p["T"], step=p["step"])
+    stride = p["stride"]
+    profile = s_curvature.s_along_path(scen.split.algebra, scen.norm, path.ts[::stride], path.body[::stride])
     # row 0 is S at u = A(x0)·y0, where the path starts
     s_start = float(profile.s_values[0])
     max_s = float(np.max(np.abs(profile.s_values)))
@@ -162,7 +144,7 @@ def _run_s_curvature(scen):
 def _run_berwald(scen):
     p = scen.params
     tol = p["tol"]
-    defect = geodesic_flow.berwald_test(_chart(scen), x=p["x"], samples=p["samples"])
+    defect = geodesic_flow.berwald_test(scen.model, scen.norm, x=p["x"], samples=p["samples"])
     is_berwald = defect <= tol
     payload = {
         "max_parallelogram_defect": defect,
@@ -207,7 +189,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--tol", type=float, help="override the task's main tolerance")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; only --help exits 0
+        return 1 if exc.code else 0
     try:
         data = scenario.load_scenario(args.scenario)
         # overrides are written into the scenario, so they are checked and
@@ -219,15 +205,15 @@ def main(argv=None) -> int:
             if isinstance(params, dict):
                 params["tol"] = args.tol
         report = run_scenario(scenario.scenario_from_dict(data))
-    except (FinslerGeoError, ValueError) as exc:
+        body = reports.machine_report(report) if args.format == "machine" else reports.text_report(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        else:
+            sys.stdout.write(body)
+    except (FinslerGeoError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    body = reports.machine_report(report) if args.format == "machine" else reports.text_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
-    else:
-        sys.stdout.write(body)
     return 0 if report.passed else 2
 
 

@@ -26,11 +26,12 @@ F = norm(u) is a first integral of the exact flow, and F*(μ) = F(u), so
 its drift along a numerical path measures integration error.
 
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
-u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs` evaluates that velocity
-form, with one norm tensor and no x-derivative of the chart metric, for
-the S-curvature and the Berwald test.  With m = g, ad*_X(ĝ_X X) is the
-paper's criterion residual, so geodesic vectors are the equilibria of
-the flow; every ad* here and in `geodesic_vectors` is `lie.coadjoint`.
+u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs(algebra, u, g)` evaluates
+that velocity form from the norm tensor g = ĝ_u, with no x-derivative
+of the chart metric, for the S-curvature and the Berwald test.  With
+m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
+vectors are the equilibria of the flow; every ad* here and in
+`geodesic_vectors` is `lie.coadjoint`.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import lie, sphere
 from .errors import StepRejected, ZeroVector
-from .groups import ChartMetric, GroupModel, orbit_curve
+from .groups import GroupModel, orbit_curve
 
 DRIFT_LIMIT = 1.0e-3
 
@@ -77,7 +78,7 @@ def _require_nonzero_tangent(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def chart_fundamental_tensor(cm: ChartMetric, x, y) -> np.ndarray:
+def chart_fundamental_tensor(model: GroupModel, norm, x, y) -> np.ndarray:
     """g_ij(x, y) of the chart metric, batched over leading axes.
 
     y is pushed to the body frame and the norm's fundamental tensor there
@@ -85,9 +86,9 @@ def chart_fundamental_tensor(cm: ChartMetric, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = _require_nonzero_tangent(y)
-    a = cm.model.body_jacobian(x)
+    a = model.body_jacobian(x)
     body_y = np.einsum("...ij,...j->...i", a, y)
-    ghat = cm.norm.fundamental_matrix(body_y)
+    ghat = norm.fundamental_matrix(body_y)
     return np.einsum("...pi,...pq,...qj->...ij", a, ghat, a)
 
 
@@ -96,14 +97,9 @@ def _coadjoint(c, u, mu) -> np.ndarray:
     return (lie.coadjoint(c, u) @ mu[..., None])[..., 0]
 
 
-def euler_poincare_rhs(algebra, norm, u, g=None) -> np.ndarray:
-    """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u.
-
-    g, when given, is the norm's fundamental tensor at u, so callers
-    that already hold it skip the second evaluation.
-    """
-    if g is None:
-        g = norm.fundamental_matrix(u)
+def euler_poincare_rhs(algebra, u, g) -> np.ndarray:
+    """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u, where g
+    is the norm's fundamental tensor ĝ_u."""
     mu = np.einsum("...ij,...j->...i", g, u)
     return np.linalg.solve(g, _coadjoint(algebra.c, u, mu)[..., None])[..., 0]
 
@@ -121,7 +117,7 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
     return points, velocities
 
 
-def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> GeodesicPath:
+def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -> GeodesicPath:
     """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time.
 
     μ = ĝ_u u is built once, from the start velocity u = A(x0)·y0; from
@@ -153,7 +149,6 @@ def integrate_geodesic(cm: ChartMetric, x0, y0, T: float, step: float) -> Geodes
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
-    model, norm = cm.model, cm.norm
     c = model.algebra.c
     y = _require_nonzero_tangent(y0)
     x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
@@ -218,23 +213,22 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     X = np.asarray(X, dtype=float)
     if np.linalg.norm(X) == 0.0:
         raise ZeroVector("direction must be nonzero")
-    cm = ChartMetric(model, norm)
-    path = integrate_geodesic(cm, model.identity(), X, T=T, step=step)
+    path = integrate_geodesic(model, norm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
     sup = float(np.max(np.abs(path.points - orbit)))
     residual = _coadjoint(model.algebra.c, X, norm.fundamental_matrix(X) @ X)
     return HomogeneousGeodesicReport(sup_distance=sup, residual_norm=float(np.linalg.norm(residual)))
 
 
-def _reduced_spray(cm: ChartMetric, x, y) -> np.ndarray:
+def _reduced_spray(model: GroupModel, norm, x, y) -> np.ndarray:
     """G̃(x, y) = −½ A(x)⁻¹ u̇(A(x)y) at one point x, batched over y."""
-    a = cm.model.body_jacobian(x)
+    a = model.body_jacobian(x)
     u = np.einsum("ij,...j->...i", a, y)
-    u_dot = euler_poincare_rhs(cm.model.algebra, cm.norm, u)
+    u_dot = euler_poincare_rhs(model.algebra, u, norm.fundamental_matrix(u))
     return -0.5 * np.linalg.solve(a, u_dot[..., None])[..., 0]
 
 
-def berwald_test(cm: ChartMetric, x, samples: int) -> float:
+def berwald_test(model: GroupModel, norm, x, samples: int) -> float:
     """Largest parallelogram defect of the spray over pairs of sphere directions.
 
     The spray G(x, ·) is 2-homogeneous, and a 2-homogeneous map is
@@ -250,10 +244,10 @@ def berwald_test(cm: ChartMetric, x, samples: int) -> float:
     it is not.
     """
     x = np.asarray(x, dtype=float)
-    cm.model.check_chart(x)
-    ys = sphere.seeds(cm.model.dim, samples)
+    model.check_chart(x)
+    ys = sphere.seeds(model.dim, samples)
     y0, z = ys[0], ys[1:]
-    spray = _reduced_spray(cm, x, np.concatenate([y0 + z, y0 - z, ys]))
+    spray = _reduced_spray(model, norm, x, np.concatenate([y0 + z, y0 - z, ys]))
     plus, minus, at = np.split(spray, [len(z), 2 * len(z)])
     defect = plus + minus - 2.0 * at[:1] - 2.0 * at[1:]
     return float(np.max(np.abs(defect)))

@@ -25,7 +25,7 @@ metric is F(x, v) = norm(A(x)·v).
 import numpy as np
 
 from . import lie
-from .errors import ChartDomain, DimensionMismatch, ZeroVector
+from .errors import ChartDomain, ZeroVector
 
 _QUAT_DRIFT = 1.0e-13
 _SU2_CHART_RADIUS = 2.0 * np.pi - 0.05
@@ -219,20 +219,6 @@ def model_by_name(name: str) -> GroupModel:
         return _MODELS[name]()
     except KeyError:
         raise ValueError(f"unknown group model {name!r}; available: {sorted(_MODELS)}") from None
-
-
-class ChartMetric:
-    """Left-invariant metric F(x, v) = norm(A(x)·v) on a group model."""
-
-    def __init__(self, model: GroupModel, norm):
-        if norm.dim != model.dim:
-            raise DimensionMismatch(model.dim, norm.dim, "norm")
-        self.model = model
-        self.norm = norm
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        a = self.model.body_jacobian(x)
-        return self.norm.value(np.einsum("...ij,...j->...i", a, y))
 
 
 def orbit_curve(model: GroupModel, X: np.ndarray, ts) -> np.ndarray:

@@ -12,6 +12,9 @@ velocity u = A(x)·y, so every chart quantity reduces to the norm at u.
   ĝ_u u̇ = ad*_u(ĝ_u u), and the S-curvature, the rate of change of tau,
   is S = I_u(u̇) with I_k = ĝ^{ij} C_ijk the mean Cartan torsion.
 
+`s_along_path(algebra, norm, ts, u)` reads a path's body velocities u
+alone; `s_curvature(model, norm, x, y)` is S at one chart point.
+
 sigma_e = Vol(B^n) / Vol{F < 1} is the one quadrature, through the
 radial formula Vol{F < 1} = (1/n) * integral of F(theta)^(-n) over the
 unit sphere.  Quadrature levels refine until the node budget is met,
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import sphere
 from .errors import QuadratureDivergence
-from .geodesic_flow import GeodesicPath, euler_poincare_rhs
+from .geodesic_flow import euler_poincare_rhs
 
 MIN_NODES = 10000
 
@@ -65,10 +68,10 @@ def _sigma_identity(norm):
     return sigma, sigma * e_last / values[2], sphere.grid_size(n, level)
 
 
-def _body_tensors(cm, xs, ys):
+def _body_tensors(model, norm, xs, ys):
     """Body velocities u = A(x)·y and the norm's fundamental tensors there."""
-    u = np.einsum("...ij,...j->...i", cm.model.body_jacobian(xs), ys)
-    return u, cm.norm.fundamental_matrix(u)
+    u = np.einsum("...ij,...j->...i", model.body_jacobian(xs), ys)
+    return u, norm.fundamental_matrix(u)
 
 
 def _tau_from_tensors(norm, g):
@@ -77,29 +80,29 @@ def _tau_from_tensors(norm, g):
     return tau, np.full(np.shape(tau), err / sigma)
 
 
-def _s_from_tensors(cm, u, g):
+def _s_from_tensors(algebra, norm, u, g):
     """S = I_u(u̇) with ĝ_u u̇ = ad*_u(ĝ_u u), batched over leading axes."""
-    u_dot = euler_poincare_rhs(cm.model.algebra, cm.norm, u, g)
-    mean_torsion = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), cm.norm.cartan(u))
+    u_dot = euler_poincare_rhs(algebra, u, g)
+    mean_torsion = np.einsum("...ij,...ijk->...k", np.linalg.inv(g), norm.cartan(u))
     return np.einsum("...k,...k->...", mean_torsion, u_dot)
 
 
-def s_curvature(cm, x, y) -> float:
+def s_curvature(model, norm, x, y) -> float:
     """Rate of change of the distortion along the geodesic through (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    cm.model.check_chart(x)
-    u, g = _body_tensors(cm, x, y)
-    return float(_s_from_tensors(cm, u, g))
+    model.check_chart(x)
+    u, g = _body_tensors(model, norm, x, y)
+    return float(_s_from_tensors(model.algebra, norm, u, g))
 
 
-def s_along_path(cm, path: GeodesicPath) -> PathDistortion:
-    """tau, S, and the relative sigma error at every path sample.
+def s_along_path(algebra, norm, ts, u) -> PathDistortion:
+    """tau, S, and the relative sigma error at the body velocities u of a
+    path, sampled at times ts.
 
-    Both depend on the body velocity alone, so the path's u is used as is.
+    Both depend on the body velocity alone, so no group element is read.
     """
-    u = path.body
-    g = cm.norm.fundamental_matrix(u)
-    taus, errs = _tau_from_tensors(cm.norm, g)
-    s = _s_from_tensors(cm, u, g)
-    return PathDistortion(ts=path.ts, taus=taus, s_values=s, sigma_errors=errs)
+    g = norm.fundamental_matrix(u)
+    taus, errs = _tau_from_tensors(norm, g)
+    s = _s_from_tensors(algebra, norm, u, g)
+    return PathDistortion(ts=ts, taus=taus, s_values=s, sigma_errors=errs)

@@ -118,10 +118,8 @@ TASKS = {
 class Scenario:
     task: str
     model: groups.GroupModel | None
-    algebra: lie.LieAlgebraData
+    split: lie.ReductiveDecomposition  # g = h + m; m is all of g when h is empty
     norm: norms.MinkowskiNorm
-    m_indices: tuple
-    h_indices: tuple
     params: dict
     seed: int
     raw: dict
@@ -295,17 +293,16 @@ def _check_split(c: np.ndarray, m: tuple, h: tuple) -> None:
             )
 
 
-def _check_invariance(algebra, norm, m: tuple, h: tuple) -> None:
+def _check_invariance(split, norm) -> None:
     """The norm on m must be Ad(H)-invariant, or no homogeneous metric has it.
 
     For connected H that is the natural-reductivity identity with x = Z
     for each basis vector Z of h, here over 64 draws of (y, u, v) in m.
     """
-    dec = lie.ReductiveDecomposition(algebra, m, h)
-    basis = np.eye(algebra.dim)
+    basis = np.eye(split.algebra.dim)
     worst, at = max(
-        (geodesic_vectors.check_naturally_reductive(dec, norm, samples=64, seed=0, x=basis[z]).max_residual, z)
-        for z in h
+        (geodesic_vectors.check_naturally_reductive(split, norm, samples=64, seed=0, x=basis[z]).max_residual, z)
+        for z in split.h_indices
     )
     if worst > 1.0e-10:
         raise ValidationError(
@@ -387,8 +384,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ParseError("scenario: field 'norm' must be an object")
     # a task that reads the split evaluates the norm on m
     norm = _parse_norm(norm_block, len(m_indices), "dim m" if h_indices else "model dimension")
+    split = lie.ReductiveDecomposition(algebra, m_indices, h_indices)
     if h_indices:
-        _check_invariance(algebra, norm, m_indices, h_indices)
+        _check_invariance(split, norm)
 
     params = data.get("params", {})
     if not isinstance(params, dict):
@@ -401,10 +399,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(
         task=task,
         model=model,
-        algebra=algebra,
+        split=split,
         norm=norm,
-        m_indices=m_indices,
-        h_indices=h_indices,
         params=_typed_params(task, params, model, algebra.dim),
         seed=seed,
         raw=_canonical_dict(data, algebra.dim),

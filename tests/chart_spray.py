@@ -38,16 +38,16 @@ class SprayEvaluation:
     g_inverse: np.ndarray
 
 
-def chart_value2_jet(cm, x, yj: jets.Jet) -> jets.Jet:
+def chart_value2_jet(model, norm, x, yj: jets.Jet) -> jets.Jet:
     """F(x, ·)² of the chart metric on a jet vector yj."""
-    a = cm.model.body_jacobian(x)
+    a = model.body_jacobian(x)
     extra = yj.c.ndim - 2 - a.ndim + 2  # batch axes yj carries beyond x's
     if extra > 0:
         a = a.reshape(a.shape[:-2] + (1,) * extra + a.shape[-2:])
-    return cm.norm.value2_jet(jets.matvec(a, yj))
+    return norm.value2_jet(jets.matvec(a, yj))
 
 
-def jet_chart_tensor(cm, x, y) -> np.ndarray:
+def jet_chart_tensor(model, norm, x, y) -> np.ndarray:
     """g_ij(x, y) as half the y-Hessian of F(x, ·)², batched."""
     x = np.asarray(x, dtype=float)
     y = gf._require_nonzero_tangent(y)
@@ -56,27 +56,27 @@ def jet_chart_tensor(cm, x, y) -> np.ndarray:
     yb = np.broadcast_to(y[..., None, None, :], y.shape[:-1] + (n, n, n))
     u = np.broadcast_to(eye[:, None, :], (n, n, n))
     v = np.broadcast_to(eye[None, :, :], (n, n, n))
-    f2 = chart_value2_jet(cm, x, jets.variable(yb, [u, v]))
+    f2 = chart_value2_jet(model, norm, x, jets.variable(yb, [u, v]))
     return 0.5 * f2.coeff(0b11)
 
 
-def _x_derivatives(cm, x, y, h: float = X_STEP) -> np.ndarray:
+def _x_derivatives(model, norm, x, y, h: float = X_STEP) -> np.ndarray:
     """dg[..., k, s, l] = dg_sl/dx^k by Richardson-extrapolated centrals."""
     n = x.shape[-1]
     steps = np.array([h, -h, 0.5 * h, -0.5 * h])
     shifts = np.eye(n)[:, None, :] * steps[None, :, None]
     xs = x[..., None, None, :] + shifts
     ys = np.broadcast_to(y[..., None, None, :], xs.shape)
-    g = gf.chart_fundamental_tensor(cm, xs, ys)
+    g = gf.chart_fundamental_tensor(model, norm, xs, ys)
     coarse = (g[..., 0, :, :] - g[..., 1, :, :]) / (2.0 * h)
     fine = (g[..., 2, :, :] - g[..., 3, :, :]) / h
     return (4.0 * fine - coarse) / 3.0
 
 
-def _spray_raw(cm, x, y):
+def _spray_raw(model, norm, x, y):
     """Spray coefficients and the fundamental matrix, batched."""
-    g = gf.chart_fundamental_tensor(cm, x, y)
-    dg = _x_derivatives(cm, x, y)
+    g = gf.chart_fundamental_tensor(model, norm, x, y)
+    dg = _x_derivatives(model, norm, x, y)
     lowered = 2.0 * np.einsum("...ksl,...s,...k->...l", dg, y, y) - np.einsum(
         "...lsk,...s,...k->...l", dg, y, y
     )
@@ -84,10 +84,10 @@ def _spray_raw(cm, x, y):
     return coeffs, g
 
 
-def spray_coefficients(cm, x, y) -> SprayEvaluation:
+def spray_coefficients(model, norm, x, y) -> SprayEvaluation:
     x = np.asarray(x, dtype=float)
     y = gf._require_nonzero_tangent(y)
-    coeffs, g = _spray_raw(cm, x, y)
+    coeffs, g = _spray_raw(model, norm, x, y)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -95,7 +95,7 @@ def spray_coefficients(cm, x, y) -> SprayEvaluation:
     return SprayEvaluation(x=x, y=y, G=coeffs, g_matrix=g, g_inverse=np.linalg.inv(g))
 
 
-def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
+def integrate_chart_spray(model, norm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
     """Fixed-step RK4 on xdot = y, ydot = -2G(x, y), batched over leading axes.
 
     The chart samples are handed out as a path like any other: group
@@ -109,7 +109,7 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
     velocities[0] = y
 
     def rhs(xc, yc):
-        coeffs, _ = _spray_raw(cm, xc, yc)
+        coeffs, _ = _spray_raw(model, norm, xc, yc)
         return yc, -2.0 * coeffs
 
     for i in range(1, nsteps + 1):
@@ -119,14 +119,12 @@ def integrate_chart_spray(cm, x0, y0, T: float, step: float) -> gf.GeodesicPath:
         k4x, k4y = rhs(x + step * k3x, y + step * k3y)
         x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (step / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        cm.model.check_chart(x)
+        model.check_chart(x)
         points[i] = x
         velocities[i] = y
+    body = np.einsum("...ij,...j->...i", model.body_jacobian(points), velocities)
     return gf.GeodesicPath(
-        ts=np.arange(nsteps + 1) * step,
-        points=cm.model.to_group(points),
-        body=np.einsum("...ij,...j->...i", cm.model.body_jacobian(points), velocities),
-        F_values=cm.value(points, velocities),
+        ts=np.arange(nsteps + 1) * step, points=model.to_group(points), body=body, F_values=norm.value(body)
     )
 
 
@@ -160,22 +158,22 @@ def _spray_hessians(spray, ys: np.ndarray, h: float) -> np.ndarray:
     return hess
 
 
-def _chart_spray_at(cm, x):
+def _chart_spray_at(model, norm, x):
     """G(x, ·) of the full chart spray at one point x, batched over directions."""
     x = np.asarray(x, dtype=float)
-    return lambda ys: _spray_raw(cm, np.broadcast_to(x, ys.shape).copy(), ys)[0]
+    return lambda ys: _spray_raw(model, norm, np.broadcast_to(x, ys.shape).copy(), ys)[0]
 
 
-def berwald_deviation(cm, x, samples: int, h: float = 1.0e-2) -> float:
+def berwald_deviation(model, norm, x, samples: int, h: float = 1.0e-2) -> float:
     """Worst y-Hessian mismatch of the full chart spray across sphere directions."""
-    hess = _spray_hessians(_chart_spray_at(cm, x), sphere.seeds(cm.model.dim, samples), h)
+    hess = _spray_hessians(_chart_spray_at(model, norm, x), sphere.seeds(model.dim, samples), h)
     return float(np.max(np.abs(hess - hess[:1])))
 
 
-def parallelogram_defect(cm, x, samples: int) -> float:
+def parallelogram_defect(model, norm, x, samples: int) -> float:
     """The library's parallelogram defect over the pairs (y_0, y_i), taken on the full chart spray."""
-    spray = _chart_spray_at(cm, x)
-    ys = sphere.seeds(cm.model.dim, samples)
+    spray = _chart_spray_at(model, norm, x)
+    ys = sphere.seeds(model.dim, samples)
     y0, z = ys[0], ys[1:]
     defect = spray(y0 + z) + spray(y0 - z) - 2.0 * spray(ys[:1]) - 2.0 * spray(z)
     return float(np.max(np.abs(defect)))

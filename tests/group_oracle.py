@@ -7,7 +7,7 @@ polynomial group law; on SU(2) it is A(p·base)⁻¹ A(base) v, from
 A(x) = d(L_{x^{-1}})_x.  The tests check it against finite differences
 of `multiply` before the left-invariance tests rely on it.
 
-sequential_path(cm, x0, y0, T, step) is the geodesic integrator as a
+sequential_path(model, norm, x0, y0, T, step) is the geodesic integrator as a
 plain loop: each RK4 step on the body momentum μ is followed at once by
 g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
 along step by step, with no prefix product.
@@ -28,9 +28,8 @@ def multiply(model, p, q):
     return out
 
 
-def sequential_path(cm, x0, y0, T, step):
+def sequential_path(model, norm, x0, y0, T, step):
     """(group elements, body velocities) of the step-by-step RKMK4 path."""
-    model, norm = cm.model, cm.norm
     c = model.algebra.c
 
     def coadjoint(u, m):

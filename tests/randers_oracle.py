@@ -1,6 +1,6 @@
 """Randers oracles: the factorization of the criterion residual, the
-exact geodesic rays of a Randers norm on SU(2), the exact zero set of one
-on H3 (a membership test and a closed-form sampling), the Randers norm
+exact geodesic rays of a Randers norm on SU(2) and a membership test for
+its zero set, the exact zero set of one on H3 (a membership test and a closed-form sampling), the Randers norm
 of Zermelo navigation, and random Randers data for the tests that use
 them.
 
@@ -54,36 +54,78 @@ def su2_geodesic_rays(a, b):
     """Exact geodesic rays at e of the Randers norm (a, b) on SU(2), m = g.
 
     F(X) = α(X) + b·X.  With m = g, X is a geodesic vector exactly when
-    the covector aX/α(X) + b kills [X, ·]; in su(2), with the cross-
-    product bracket, that means it is parallel to X.  Scaled to
-    α(X) = 1, X solves (a − λI)X = −b, and λ is a real root of the
-    secular equation Σ dᵢb̃ᵢ²/(dᵢ − λ)² = 1, with dᵢ the eigenvalues of a
-    and b̃ = b in a's eigenbasis.  The left side is convex between its
-    poles, with one root below min dᵢ and one above max dᵢ, so generic b
-    gives 2, 4 or 6 rays.  Returns them as unit vectors, one per row;
-    b needs every b̃ᵢ nonzero.
+    the covector ξ = aX/α(X) + b kills [X, ·]; in su(2), with the cross-
+    product bracket, that means ξ is parallel to X.  Scaled to α(X) = 1,
+    X solves (a − λI)X = −b.  Write dᵢ for the eigenvalues of a and b̃
+    for b in a's eigenbasis.
+    - λ off every dᵢ: X̃ⱼ = −b̃ⱼ/(dⱼ − λ), and λ is a real root of the
+      secular equation Σ dⱼb̃ⱼ²/(dⱼ − λ)² = 1.  The left side is convex
+      between its poles, with one root below and one above them all, so
+      generic b gives 2, 4 or 6 rays.
+    - λ = dᵢ, possible only where b̃ vanishes on dᵢ's eigenspace:
+      X̃ⱼ = −b̃ⱼ/(dⱼ − dᵢ) off that eigenspace, and dᵢ|X̃ᵢ|² =
+      1 − Σ dⱼX̃ⱼ² on it.  A simple dᵢ gives two rays when the right side
+      is positive.  A double dᵢ gives a circle, which no list of rays
+      holds; `su2_zero_set_defect` tests membership on it.
+    Returns the rays as unit vectors, one per row.
     """
     d, q = np.linalg.eigh(np.asarray(a, dtype=float))
     bt = q.T @ np.asarray(b, dtype=float)
-    # the secular equation times prod (d_j - λ)^2: a sextic in λ
-    poles = [np.polynomial.Polynomial([dj, -1.0]) ** 2 for dj in d]
-    sextic = -poles[0] * poles[1] * poles[2]
+    # eigenspaces as runs of equal eigenvalues, to rounding
+    spaces = []
     for i in range(3):
-        others = [poles[j] for j in range(3) if j != i]
-        sextic = sextic + d[i] * bt[i] ** 2 * others[0] * others[1]
+        if spaces and d[i] - d[spaces[-1][0]] <= 1.0e-12 * d[-1]:
+            spaces[-1].append(i)
+        else:
+            spaces.append([i])
+    scale = 1.0e-12 * max(1.0, float(np.linalg.norm(bt)))
+    active = [s for s in spaces if np.linalg.norm(bt[s]) > scale]
+    on = np.zeros(3, dtype=bool)
+    for s in active:
+        on[s] = True
+    # the secular equation times the product of its (dⱼ − λ)², one pole per eigenspace
+    one = np.polynomial.Polynomial([1.0])
+    poles = [np.polynomial.Polynomial([d[s[0]], -1.0]) ** 2 for s in active]
+    secular = -np.prod([one] + poles)
+    for k, s in enumerate(active):
+        others = [pole for j, pole in enumerate(poles) if j != k]
+        secular = secular + d[s[0]] * float(bt[s] @ bt[s]) * np.prod([one] + others)
     rays = []
-    for lam in sextic.roots():
+    for lam in secular.roots():
         if abs(lam.imag) > 1.0e-9 * max(1.0, abs(lam)):
             continue
         lam = lam.real
         for _ in range(3):
             # Newton on the secular equation itself polishes the root
-            t = bt / (d - lam)
-            f = np.sum(d * t**2) - 1.0
-            lam -= f / (2.0 * np.sum(d * t**2 / (d - lam)))
-        x = -q @ (bt / (d - lam))
-        rays.append(x / np.linalg.norm(x))
-    return np.array(rays)
+            t = bt[on] / (d[on] - lam)
+            f = np.sum(d[on] * t**2) - 1.0
+            lam -= f / (2.0 * np.sum(d[on] * t**2 / (d[on] - lam)))
+        xt = np.zeros(3)
+        xt[on] = -bt[on] / (d[on] - lam)
+        rays.append(q @ xt)
+    for s in spaces:
+        if s in active or len(s) > 1:
+            continue
+        xt = np.zeros(3)
+        xt[on] = -bt[on] / (d[on] - d[s[0]])
+        rhs = 1.0 - float(np.sum(d * xt**2))
+        if rhs > 0.0:
+            for sign in (1.0, -1.0):
+                xt[s[0]] = sign * np.sqrt(rhs / d[s[0]])
+                rays.append(q @ xt)
+    rays = np.array(rays).reshape(-1, 3)
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+
+def su2_zero_set_defect(a, b, X):
+    """|ξ × X|/|ξ| for each unit row of X, with ξ = aX/α(X) + b: zero
+    exactly on the geodesic vectors of the Randers norm (a, b) on SU(2),
+    m = g, for any b (see `su2_geodesic_rays`)."""
+    a = np.asarray(a, dtype=float)
+    X = np.asarray(X, dtype=float)
+    alpha = np.sqrt(np.einsum("...i,...i->...", X @ a, X))
+    xi = X @ a / alpha[..., None] + np.asarray(b, dtype=float)
+    return np.linalg.norm(np.cross(xi, X), axis=-1) / np.linalg.norm(xi, axis=-1)
 
 
 def h3_zero_set_defect(a, b, X):

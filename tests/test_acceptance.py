@@ -154,10 +154,9 @@ def test_criterion_04_h3_branches_confirmed_by_grid_and_orbits():
     assert float(np.max(grid_res[on_set])) <= 1.0e-12
     assert float(np.min(grid_res[~on_set])) > 1.0e-4
 
-    cm = groups.ChartMetric(model, norm)
     ts = np.arange(2001) * 1.0e-3
     x0 = np.zeros((len(reps), 3))
-    path = geodesic_flow.integrate_geodesic(cm, x0, reps, T=2.0, step=1.0e-3)
+    path = geodesic_flow.integrate_geodesic(model, norm, x0, reps, T=2.0, step=1.0e-3)
     rep_sups = np.empty(len(reps))
     for k, X in enumerate(reps):
         rep_sups[k] = np.max(np.abs(path.points[:, k] - ts[:, None] * X))
@@ -174,7 +173,7 @@ def test_criterion_04_h3_branches_confirmed_by_grid_and_orbits():
         if np.linalg.norm(r) > 1.0e-3:
             bad.append(X)
     bad = np.asarray(bad)
-    bad_path = geodesic_flow.integrate_geodesic(cm, np.zeros((100, 3)), bad, T=2.0, step=1.0e-3)
+    bad_path = geodesic_flow.integrate_geodesic(model, norm, np.zeros((100, 3)), bad, T=2.0, step=1.0e-3)
     bad_sups = np.empty(100)
     for k, X in enumerate(bad):
         bad_sups[k] = np.max(np.abs(bad_path.points[:, k] - ts[:, None] * X))
@@ -219,11 +218,10 @@ def test_criterion_06_first_integral_on_bundled_scenarios():
         scen = scenario.parse_scenario(path)
         if scen.task not in ("integrate-geodesic", "s-curvature", "check-homogeneous"):
             continue
-        cm = groups.ChartMetric(scen.model, scen.norm)
         p = scen.params
         # the orbit check starts at the identity with velocity X
         x0, y0 = (p["x0"], p["y0"]) if "y0" in p else (scen.model.identity(), p["X"])
-        gp = geodesic_flow.integrate_geodesic(cm, x0, y0, T=p["T"], step=p["step"])
+        gp = geodesic_flow.integrate_geodesic(scen.model, scen.norm, x0, y0, T=p["T"], step=p["step"])
         drifts[path.rsplit("/", 1)[-1]] = float(
             np.max(np.abs(gp.F_values - gp.F_values[0])) / gp.F_values[0]
         )
@@ -233,11 +231,10 @@ def test_criterion_06_first_integral_on_bundled_scenarios():
 
 
 def _orbit_tau_profile(model, norm, X):
-    cm = groups.ChartMetric(model, norm)
     ts = np.linspace(0.0, 2.0, 41)
     # exp(tX) is the chart line tX, with chart velocity X
     points = ts[:, None] * X
-    taus, errs = tau_batch(cm, points, np.broadcast_to(X, points.shape))
+    taus, errs = tau_batch(model, norm, points, np.broadcast_to(X, points.shape))
     return taus, errs
 
 
@@ -263,20 +260,18 @@ def test_criterion_07_distortion_constant_and_s_vanishing():
     for model, X in vectors:
         taus, _ = _orbit_tau_profile(model, norm, X)
         worst_drift = max(worst_drift, float(np.max(np.abs(taus - taus[0]))))
-        cm = groups.ChartMetric(model, norm)
-        worst_s = max(worst_s, abs(s_curvature.s_curvature(cm, model.identity(), X)))
+        worst_s = max(worst_s, abs(s_curvature.s_curvature(model, norm, model.identity(), X)))
     assert worst_drift <= 1.0e-6
     assert worst_s <= 1.0e-3
 
     worst_riem = 0.0
     rng = np.random.RandomState(7)
     for model, radius in ((su2, 1.5), (h3, 1.0)):
-        cm = groups.ChartMetric(model, norm)
         for _ in range(10):
             x = rng.randn(3)
             x = x * (radius * rng.uniform(0.1, 1.0) / np.linalg.norm(x))
             y = rng.randn(3)
-            worst_riem = max(worst_riem, abs(s_curvature.s_curvature(cm, x, y)))
+            worst_riem = max(worst_riem, abs(s_curvature.s_curvature(model, norm, x, y)))
     ok = worst_drift <= 1.0e-6 and worst_s <= 1.0e-3 and worst_riem <= 1.0e-4
     _verdict(7, ok, time.perf_counter() - start, 120.0)
 
@@ -313,20 +308,16 @@ def test_criterion_09_busemann_volume_factor_oracles():
     worst_scaled = 0.0
     for n in (2, 3):
         flat = groups.Abelian(n)
-        one = busemann_sigma(
-            groups.ChartMetric(flat, norms.EuclideanNorm(np.eye(n))), np.zeros(n)
-        )
+        one = busemann_sigma(flat, norms.EuclideanNorm(np.eye(n)), np.zeros(n))
         assert one.quadrature_nodes >= 10000
         worst_euclid = max(worst_euclid, abs(one.sigma - 1.0))
         c = 1.3
-        scaled = busemann_sigma(
-            groups.ChartMetric(flat, norms.EuclideanNorm(c**2 * np.eye(n))), np.zeros(n)
-        )
+        scaled = busemann_sigma(flat, norms.EuclideanNorm(c**2 * np.eye(n)), np.zeros(n))
         worst_scaled = max(worst_scaled, abs(scaled.sigma - c**n))
 
     flat2 = groups.Abelian(2)
     randers = norms.RandersNorm(np.eye(2), np.array([0.5, 0.0]))
-    got = busemann_sigma(groups.ChartMetric(flat2, randers), np.zeros(2))
+    got = busemann_sigma(flat2, randers, np.zeros(2))
     thetas = (np.arange(1000000) + 0.5) * (2.0 * np.pi / 1000000)
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     radii = 1.0 / randers.value(dirs)

@@ -560,3 +560,47 @@ def test_mistyped_split_is_one_error_line(tmp_path):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ParseError:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--tol", "abc"], ["--seed", "1.5"], []],
+    ids=["tol-not-a-number", "seed-not-an-integer", "no-scenario"],
+)
+def test_usage_error_exits_one(capsys, argv):
+    # exit 2 means a check disagreed with its expectation; a command line
+    # that argparse rejects is a run that errored
+    if argv:
+        argv = ["--scenario", bundled("h3_randers_berwald")] + argv
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: finslergeo") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_usage_error_exits_one_as_a_process():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finslergeo.cli", "--scenario", bundled("h3_randers_berwald"), "--tol", "abc"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "invalid float value: 'abc'" in proc.stderr
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = cli.main(["--scenario", bundled("su2_biinvariant_nat_reductive"), "--format", "machine", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError:"), captured.err
+    assert not out.exists()

@@ -19,15 +19,15 @@ BERWALD_TOL = scenario.TASKS["berwald"].params["tol"].default
 
 
 def h3_euclid():
-    return groups.ChartMetric(groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3)))
+    return groups.Heisenberg3(), norms.EuclideanNorm(np.eye(3))
 
 
 def h3_randers(b):
-    return groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.asarray(b)))
+    return groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.asarray(b))
 
 
 def su2_euclid():
-    return groups.ChartMetric(groups.SU2(), norms.EuclideanNorm(np.eye(3)))
+    return groups.SU2(), norms.EuclideanNorm(np.eye(3))
 
 
 def h3_metric_data(x):
@@ -43,26 +43,25 @@ def h3_metric_data(x):
 
 
 def test_chart_tensor_at_identity_is_norm_tensor():
-    for cm in (h3_randers([0.3, 0.0, 0.1]), su2_euclid()):
+    for model, norm in (h3_randers([0.3, 0.0, 0.1]), su2_euclid()):
         y = np.array([0.7, -0.4, 1.1])
-        g = gf.chart_fundamental_tensor(cm, np.zeros(3), y)
-        assert np.max(np.abs(g - cm.norm.fundamental_matrix(y))) < 1.0e-13
+        g = gf.chart_fundamental_tensor(model, norm, np.zeros(3), y)
+        assert np.max(np.abs(g - norm.fundamental_matrix(y))) < 1.0e-13
 
 
 def test_chart_tensor_flat_model_constant():
     a = np.diag([2.0, 1.0, 0.5])
-    cm = groups.ChartMetric(groups.Abelian(3), norms.EuclideanNorm(a))
+    metric = (groups.Abelian(3), norms.EuclideanNorm(a))
     rng = np.random.RandomState(4)
     for _ in range(20):
         x = rng.standard_normal(3) * 3.0
         y = rng.standard_normal(3)
-        assert np.max(np.abs(gf.chart_fundamental_tensor(cm, x, y) - a)) == 0.0
+        assert np.max(np.abs(gf.chart_fundamental_tensor(*metric, x, y) - a)) == 0.0
 
 
 def test_chart_tensor_matches_group_law_pullback():
     # Jacobian of q -> x^{-1}·q computed from the group law alone
-    cm = h3_euclid()
-    model = cm.model
+    model, norm = h3_euclid()
     rng = np.random.RandomState(11)
     h = 1.0e-5
     for _ in range(25):
@@ -75,69 +74,69 @@ def test_chart_tensor_matches_group_law_pullback():
             e[j] = h
             jac[:, j] = (multiply(model, xinv, x + e) - multiply(model, xinv, x - e)) / (2.0 * h)
         oracle = jac.T @ np.eye(3) @ jac
-        g = gf.chart_fundamental_tensor(cm, x, y)
+        g = gf.chart_fundamental_tensor(model, norm, x, y)
         assert np.max(np.abs(g - oracle)) < 1.0e-8
 
 
 def test_chart_tensor_generic_route_matches():
     rng = np.random.RandomState(2)
-    cm = h3_randers([0.2, -0.1, 0.3])
+    metric = h3_randers([0.2, -0.1, 0.3])
     xs = rng.standard_normal((40, 3))
     ys = rng.standard_normal((40, 3))
-    fast = gf.chart_fundamental_tensor(cm, xs, ys)
-    generic = chart_spray.jet_chart_tensor(cm, xs, ys)
+    fast = gf.chart_fundamental_tensor(*metric, xs, ys)
+    generic = chart_spray.jet_chart_tensor(*metric, xs, ys)
     assert np.max(np.abs(fast - generic)) < 1.0e-11
-    cm = su2_euclid()
+    metric = su2_euclid()
     xs = rng.standard_normal((40, 3)) * 0.5
     ys = rng.standard_normal((40, 3))
-    fast = gf.chart_fundamental_tensor(cm, xs, ys)
-    generic = chart_spray.jet_chart_tensor(cm, xs, ys)
+    fast = gf.chart_fundamental_tensor(*metric, xs, ys)
+    generic = chart_spray.jet_chart_tensor(*metric, xs, ys)
     assert np.max(np.abs(fast - generic)) < 1.0e-11
 
 
 def test_chart_tensor_reproduces_f_squared():
     rng = np.random.RandomState(9)
-    cm = h3_randers([0.0, 0.25, 0.2])
+    model, norm = h3_randers([0.0, 0.25, 0.2])
     for _ in range(50):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        g = gf.chart_fundamental_tensor(cm, x, y)
-        assert abs(y @ g @ y - cm.value(x, y) ** 2) < 1.0e-10
+        g = gf.chart_fundamental_tensor(model, norm, x, y)
+        assert abs(y @ g @ y - norm.value(model.body_jacobian(x) @ y) ** 2) < 1.0e-10
 
 
 def test_zero_tangent_raises():
-    cm = h3_euclid()
+    metric = h3_euclid()
     with pytest.raises(ZeroVector):
-        gf.chart_fundamental_tensor(cm, np.zeros(3), np.zeros(3))
+        gf.chart_fundamental_tensor(*metric, np.zeros(3), np.zeros(3))
     with pytest.raises(ZeroVector):
-        chart_spray.spray_coefficients(cm, np.zeros(3), np.zeros(3))
+        chart_spray.spray_coefficients(*metric, np.zeros(3), np.zeros(3))
     with pytest.raises(ZeroVector):
-        gf.integrate_geodesic(cm, np.zeros(3), np.zeros(3), T=0.1, step=0.01)
+        gf.integrate_geodesic(*metric, np.zeros(3), np.zeros(3), T=0.1, step=0.01)
 
 
 def test_spray_vanishes_on_flat_model():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.4, 0.0, 0.0]))
+    metric = (groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.4, 0.0, 0.0]))
     rng = np.random.RandomState(5)
     for _ in range(10):
-        ev = chart_spray.spray_coefficients(cm, rng.standard_normal(3), rng.standard_normal(3))
+        ev = chart_spray.spray_coefficients(*metric, rng.standard_normal(3), rng.standard_normal(3))
         assert np.max(np.abs(ev.G)) < 1.0e-12
 
 
 def test_spray_homogeneity_degree_two():
-    cm = h3_randers([0.3, 0.1, 0.0])
+    metric = h3_randers([0.3, 0.1, 0.0])
     rng = np.random.RandomState(8)
     xs = rng.standard_normal((1000, 3))
     ys = rng.standard_normal((1000, 3))
     lam = rng.uniform(0.2, 5.0, size=1000)
-    base, _ = chart_spray._spray_raw(cm, xs, ys)
-    scaled, _ = chart_spray._spray_raw(cm, xs, lam[:, None] * ys)
+    base, _ = chart_spray._spray_raw(*metric, xs, ys)
+    scaled, _ = chart_spray._spray_raw(*metric, xs, lam[:, None] * ys)
     expected = lam[:, None] ** 2 * base
     denom = np.maximum(1.0, np.abs(expected))
     assert np.max(np.abs(scaled - expected) / denom) < 1.0e-8
 
 
 def test_spray_matches_christoffel_oracle():
-    cm = h3_euclid()
+    metric = h3_euclid()
     rng = np.random.RandomState(3)
     for _ in range(50):
         x = rng.standard_normal(3)
@@ -147,18 +146,18 @@ def test_spray_matches_christoffel_oracle():
             np.einsum("skl->lsk", dg) + np.einsum("ksl->lsk", dg) - np.einsum("lsk->lsk", dg)
         )
         oracle = 0.5 * np.linalg.solve(g, np.einsum("lsk,s,k->l", gamma_low, y, y))
-        ev = chart_spray.spray_coefficients(cm, x, y)
+        ev = chart_spray.spray_coefficients(*metric, x, y)
         assert np.max(np.abs(ev.G - oracle)) < 1.0e-9
         assert np.max(np.abs(ev.g_matrix - g)) < 1.0e-12
         assert np.max(np.abs(ev.g_inverse @ g - np.eye(3))) < 1.0e-12
 
 
 def test_integrate_flat_model_straight_line():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.2, 0.1, 0.0]))
+    model = groups.Abelian(3)
     x0 = np.array([1.0, -2.0, 0.5])
     y0 = np.array([0.3, 0.7, -0.2])
-    path = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=0.01)
-    points, velocities = gf.chart_coordinates(cm.model, path, x0, y0)
+    path = gf.integrate_geodesic(model, norms.RandersNorm(np.eye(3), [0.2, 0.1, 0.0]), x0, y0, T=1.0, step=0.01)
+    points, velocities = gf.chart_coordinates(model, path, x0, y0)
     expected = x0 + path.ts[:, None] * y0
     assert np.max(np.abs(points - expected)) < 1.0e-10
     assert np.max(np.abs(velocities - y0)) < 1.0e-12
@@ -168,43 +167,42 @@ def test_integrate_flat_model_straight_line():
 
 def test_first_integral_along_curved_paths():
     rng = np.random.RandomState(21)
-    for cm in (h3_randers([0.2, 0.0, 0.1]), su2_euclid()):
+    for metric in (h3_randers([0.2, 0.0, 0.1]), su2_euclid()):
         y0 = rng.standard_normal(3)
-        path = gf.integrate_geodesic(cm, np.zeros(3), y0, T=0.4, step=2.0e-3)
+        path = gf.integrate_geodesic(*metric, np.zeros(3), y0, T=0.4, step=2.0e-3)
         drift = np.max(np.abs(path.F_values - path.F_values[0])) / path.F_values[0]
         assert drift < 1.0e-6
 
 
 def test_rk4_error_shrinks_like_fourth_order():
-    cm = h3_euclid()
+    metric = h3_euclid()
     x0 = np.zeros(3)
     y0 = np.array([1.0, 0.3, 1.0])
-    ref = gf.integrate_geodesic(cm, x0, y0, T=0.2, step=0.00125).points[-1]
+    ref = gf.integrate_geodesic(*metric, x0, y0, T=0.2, step=0.00125).points[-1]
     errors = []
     for step in (0.02, 0.01, 0.005):
-        end = gf.integrate_geodesic(cm, x0, y0, T=0.2, step=step).points[-1]
+        end = gf.integrate_geodesic(*metric, x0, y0, T=0.2, step=step).points[-1]
         errors.append(np.max(np.abs(end - ref)))
     assert 8.0 < errors[0] / errors[1] < 40.0
     assert 8.0 < errors[1] / errors[2] < 40.0
 
 
 def test_step_rejection_on_coarse_steps():
-    cm = h3_randers([0.6, 0.0, 0.0])
+    metric = h3_randers([0.6, 0.0, 0.0])
     with pytest.raises(StepRejected):
-        gf.integrate_geodesic(cm, np.zeros(3), np.array([8.0, -8.0, 8.0]), T=3.0, step=0.5)
+        gf.integrate_geodesic(*metric, np.zeros(3), np.array([8.0, -8.0, 8.0]), T=3.0, step=0.5)
 
 
 def test_chart_checked_at_start_only():
     # x0 must lie in the chart; the path may cross the guard band and the
     # antipode, and still follows exp(x0 + t·e1) on the group
-    cm = su2_euclid()
-    model = cm.model
+    model, norm = su2_euclid()
     e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ChartDomain):
-        gf.integrate_geodesic(cm, (2.0 * np.pi - 0.03) * e1, e1, T=0.1, step=1.0e-3)
+        gf.integrate_geodesic(model, norm, (2.0 * np.pi - 0.03) * e1, e1, T=0.1, step=1.0e-3)
     # samples sit 5e-4 off the antipode at t = 0.0705
     x0 = (2.0 * np.pi - 0.0705) * e1
-    path = gf.integrate_geodesic(cm, x0, e1, T=0.1, step=1.0e-3)
+    path = gf.integrate_geodesic(model, norm, x0, e1, T=0.1, step=1.0e-3)
     points, _ = gf.chart_coordinates(model, path, x0, e1)
     radii = np.linalg.norm(points, axis=-1)
     assert radii.max() > 2.0 * np.pi - 0.01
@@ -215,13 +213,13 @@ def test_chart_checked_at_start_only():
 def test_biinvariant_su2_orbit_closes_at_4pi():
     # bi-invariant geodesics are one-parameter subgroups, and exp(4πX) = e
     # for a unit X; an odd step count keeps every sample off the antipode
-    cm = su2_euclid()
+    model, norm = su2_euclid()
     rng = np.random.RandomState(31)
     y0 = rng.standard_normal(3)
     y0 /= np.linalg.norm(y0)
-    path = gf.integrate_geodesic(cm, np.zeros(3), y0, T=4.0 * np.pi, step=4.0 * np.pi / 1001)
+    path = gf.integrate_geodesic(model, norm, np.zeros(3), y0, T=4.0 * np.pi, step=4.0 * np.pi / 1001)
     assert len(path.ts) == 1002
-    points, velocities = gf.chart_coordinates(cm.model, path, np.zeros(3), y0)
+    points, velocities = gf.chart_coordinates(model, path, np.zeros(3), y0)
     assert np.max(np.abs(points[-1])) <= 1.0e-10
     assert np.max(np.abs(velocities[-1] - y0)) <= 1.0e-10
 
@@ -229,14 +227,14 @@ def test_biinvariant_su2_orbit_closes_at_4pi():
 def test_group_reconstruction_fourth_order():
     # a step/8 reference on SU(2) Randers, where u varies and brackets matter
     a = np.diag([1.0, 2.0, 3.0])
-    cm = groups.ChartMetric(groups.SU2(), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5])))
+    metric = (groups.SU2(), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5])))
     x0 = np.array([0.4, -0.7, 0.3])
     y0 = np.array([-0.6, 0.4, 0.7])
     coarse = 0.1
-    ref = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=coarse / 8.0).points
+    ref = gf.integrate_geodesic(*metric, x0, y0, T=1.0, step=coarse / 8.0).points
     errors = []
     for k in (8, 4, 2):
-        points = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=k * coarse / 8.0).points
+        points = gf.integrate_geodesic(*metric, x0, y0, T=1.0, step=k * coarse / 8.0).points
         errors.append(np.max(np.abs(points - ref[::k])))
     assert errors[0] / errors[1] >= 12.0
     assert errors[1] / errors[2] >= 12.0
@@ -251,12 +249,11 @@ def test_prefix_product_matches_sequential_steps():
     y0 = rng.standard_normal((5, 3))
     step = 4.0e-3
     for model in (groups.Heisenberg3(), groups.SU2()):
-        cm = groups.ChartMetric(model, norm)
         for nsteps in (1, 2, 3, 7, 64, 250):
             # one path, then five in lockstep
             for start, velocity in ((x0[0], y0[0]), (x0, y0)):
-                path = gf.integrate_geodesic(cm, start, velocity, T=nsteps * step, step=step)
-                elements, body = sequential_path(cm, start, velocity, T=nsteps * step, step=step)
+                path = gf.integrate_geodesic(model, norm, start, velocity, T=nsteps * step, step=step)
+                elements, body = sequential_path(model, norm, start, velocity, T=nsteps * step, step=step)
                 assert path.points.shape == elements.shape
                 assert np.max(np.abs(path.points - elements)) <= 1.0e-13
                 assert np.max(np.abs(path.body - body)) <= 1.0e-14
@@ -283,10 +280,9 @@ def test_zermelo_navigation_paths_are_exact():
         W *= rng.uniform(0.1, 0.8) / np.linalg.norm(W)
         norm = norms.RandersNorm(*navigation_randers(np.eye(3), W))
         assert abs(norm.value(Z + W) - 1.0) <= 1.0e-15
-        cm = groups.ChartMetric(model, norm)
         errors = []
         for step in (2.0e-2, 1.0e-2):
-            path = gf.integrate_geodesic(cm, np.zeros(3), Z + W, T=T, step=step)
+            path = gf.integrate_geodesic(model, norm, np.zeros(3), Z + W, T=T, step=step)
             ts = path.ts[:, None]
             exact = model.multiply(model.to_group(ts * Z), model.to_group(ts * W))
             errors.append(np.max(np.abs(path.points - exact)))
@@ -317,10 +313,10 @@ def test_zermelo_navigation_on_h3_is_exact():
         W = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.8) / np.sqrt(h[2, 2]) * np.eye(3)[2]
         norm = norms.RandersNorm(*navigation_randers(h, W))
         assert abs(norm.value(Z + W) - 1.0) <= 1.0e-15
-        rho = gf.integrate_geodesic(groups.ChartMetric(model, norms.EuclideanNorm(h)), np.zeros(3), Z, T=T, step=fine)
+        rho = gf.integrate_geodesic(model, norms.EuclideanNorm(h), np.zeros(3), Z, T=T, step=fine)
         errors = []
         for step in (2.0e-2, 1.0e-2):
-            path = gf.integrate_geodesic(groups.ChartMetric(model, norm), np.zeros(3), Z + W, T=T, step=step)
+            path = gf.integrate_geodesic(model, norm, np.zeros(3), Z + W, T=T, step=step)
             exact = model.multiply(rho.points[:: int(round(step / fine))], model.to_group(path.ts[:, None] * W))
             errors.append(np.max(np.abs(path.points - exact)))
         assert errors[1] <= 1.0e-9
@@ -339,10 +335,10 @@ def test_h3_body_path_matches_the_exact_flow():
         m = rng.standard_normal((3, 3))
         a = m @ m.T + np.eye(3)
         y0 = rng.standard_normal(3)
-        cm = groups.ChartMetric(model, norms.EuclideanNorm(a))
+        norm = norms.EuclideanNorm(a)
         errors = []
         for step in (2.0e-2, 1.0e-2):
-            path = gf.integrate_geodesic(cm, np.zeros(3), y0, T=3.0, step=step)
+            path = gf.integrate_geodesic(model, norm, np.zeros(3), y0, T=3.0, step=step)
             exact = np.linalg.solve(a, h3_body_momentum(a, a @ y0, path.ts).T).T
             errors.append(np.max(np.abs(path.body - exact)))
         assert errors[1] <= 1.0e-6
@@ -371,13 +367,13 @@ def test_non_finite_dual_is_rejected(monkeypatch):
     # nan fails every comparison, so the drift check must reject it rather
     # than let it pass; 100 steps make 400 dual calls, and k = 399 breaks
     # only the last sample
-    cm = su2_euclid()
+    metric = su2_euclid()
     for k in (0, 1, 42, 399):
         monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(k))
         with pytest.raises(StepRejected):
-            gf.integrate_geodesic(cm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+            gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
     monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(400))
-    path = gf.integrate_geodesic(cm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    path = gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
     assert np.isfinite(path.points).all()
 
 
@@ -394,7 +390,7 @@ def test_chart_work_does_not_grow_with_steps():
     norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
     runs = (
         lambda model, T: gf.integrate_geodesic(
-            groups.ChartMetric(model, norm), np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
+            model, norm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
         ),
         lambda model, T: gf.is_homogeneous_geodesic(model, norm, np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3),
     )
@@ -433,7 +429,7 @@ def test_norm_tensor_built_once_per_path():
 
         norm.fundamental_matrix = counted
         gf.integrate_geodesic(
-            groups.ChartMetric(model, norm), np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
+            model, norm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
         )
         return len(calls)
 
@@ -446,7 +442,7 @@ def casimir_path(model):
     norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
     y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
-    path = gf.integrate_geodesic(groups.ChartMetric(model, norm), x0, y0, T=1.0, step=1.0e-3)
+    path = gf.integrate_geodesic(model, norm, x0, y0, T=1.0, step=1.0e-3)
     mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(path.body), path.body)
     assert np.max(np.abs(mu - mu[0])) > 0.1
     return mu
@@ -493,7 +489,7 @@ def test_homogeneous_geodesics_h3_branches():
 
 def test_riemannian_integrator_consistency():
     # independent Christoffel-based RK4 using the exact hand derivatives
-    cm = h3_euclid()
+    model, norm = h3_euclid()
     rng = np.random.RandomState(6)
     x0 = rng.standard_normal(3) * 0.3
     y0 = rng.standard_normal(3)
@@ -516,8 +512,8 @@ def test_riemannian_integrator_consistency():
         x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (step / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
 
-    path = gf.integrate_geodesic(cm, x0, y0, T=1.0, step=step)
-    points, velocities = gf.chart_coordinates(cm.model, path, x0, y0)
+    path = gf.integrate_geodesic(model, norm, x0, y0, T=1.0, step=step)
+    points, velocities = gf.chart_coordinates(model, path, x0, y0)
     assert np.max(np.abs(points[-1] - x)) < 1.0e-7
     assert np.max(np.abs(velocities[-1] - y)) < 1.0e-7
 
@@ -525,21 +521,21 @@ def test_riemannian_integrator_consistency():
 def test_berwald_riemannian_passes():
     # a Riemannian spray is quadratic in y, so the parallelogram law holds to rounding
     off_origin = np.array([0.3, -0.2, 0.5])
-    for cm in (h3_euclid(), su2_euclid()):
+    for metric in (h3_euclid(), su2_euclid()):
         for x in (np.zeros(3), off_origin):
-            defect = gf.berwald_test(cm, x=x, samples=6)
+            defect = gf.berwald_test(*metric, x=x, samples=6)
             assert defect <= BERWALD_TOL
             assert defect <= 1.0e-14
 
 
 def test_berwald_flat_minkowski_passes():
-    cm = groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0]))
-    deviation = gf.berwald_test(cm, x=np.zeros(3), samples=6)
+    metric = (groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0]))
+    deviation = gf.berwald_test(*metric, x=np.zeros(3), samples=6)
     assert deviation < 1.0e-12
 
 
 def test_berwald_h3_randers_fails():
-    deviation = gf.berwald_test(h3_randers([0.0, 0.0, 0.5]), x=np.zeros(3), samples=6)
+    deviation = gf.berwald_test(*h3_randers([0.0, 0.0, 0.5]), x=np.zeros(3), samples=6)
     assert deviation > BERWALD_TOL
     assert deviation > 1.0e-2
 
@@ -577,9 +573,9 @@ def oracle_cases():
     a_h3 = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
     a_su2 = np.diag([1.0, 2.0, 3.0])
     return [
-        groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(a_h3, np.array([0.4, 0.3, -0.5]))),
-        groups.ChartMetric(groups.SU2(), norms.EuclideanNorm(a_su2)),
-        groups.ChartMetric(groups.SU2(), norms.RandersNorm(a_su2, np.array([0.3, -0.4, 0.5]))),
+        (groups.Heisenberg3(), norms.RandersNorm(a_h3, np.array([0.4, 0.3, -0.5]))),
+        (groups.SU2(), norms.EuclideanNorm(a_su2)),
+        (groups.SU2(), norms.RandersNorm(a_su2, np.array([0.3, -0.4, 0.5]))),
     ]
 
 
@@ -587,11 +583,11 @@ def test_reduced_flow_matches_chart_spray():
     # the same RK4 on xdot = y, ydot = -2G(x, y) with G from x-differences of the chart metric
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
     y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
-    for cm in oracle_cases():
-        path = gf.integrate_geodesic(cm, x0, y0, T=0.5, step=1.0e-3)
-        points, velocities = gf.chart_coordinates(cm.model, path, x0, y0)
-        oracle = chart_spray.integrate_chart_spray(cm, x0, y0, T=0.5, step=1.0e-3)
-        oracle_points, oracle_velocities = gf.chart_coordinates(cm.model, oracle, x0, y0)
+    for model, norm in oracle_cases():
+        path = gf.integrate_geodesic(model, norm, x0, y0, T=0.5, step=1.0e-3)
+        points, velocities = gf.chart_coordinates(model, path, x0, y0)
+        oracle = chart_spray.integrate_chart_spray(model, norm, x0, y0, T=0.5, step=1.0e-3)
+        oracle_points, oracle_velocities = gf.chart_coordinates(model, oracle, x0, y0)
         assert np.max(np.abs(path.points - oracle.points)) <= 1.0e-10
         assert np.max(np.abs(points - oracle_points)) <= 1.0e-10
         assert np.max(np.abs(velocities - oracle_velocities)) <= 1.0e-10
@@ -605,18 +601,18 @@ def test_berwald_verdict_matches_chart_spray():
         (h3_euclid(), origin),
         (h3_euclid(), np.array([0.3, -0.2, 0.5])),
         (su2_euclid(), origin),
-        (groups.ChartMetric(groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0])), origin),
+        ((groups.Abelian(3), norms.RandersNorm(np.eye(3), [0.5, 0.0, 0.0])), origin),
         (h3_randers([0.0, 0.0, 0.5]), origin),
         (h3_randers([0.0, 0.0, 0.5]), np.array([0.3, -0.2, 0.5])),
-    ] + [(cm, np.array([0.3, 0.5, -0.4])) for cm in oracle_cases()]
+    ] + [(metric, np.array([0.3, 0.5, -0.4])) for metric in oracle_cases()]
     verdicts = []
-    for cm, x in cases:
-        defect = gf.berwald_test(cm, x=x, samples=6)
+    for metric, x in cases:
+        defect = gf.berwald_test(*metric, x=x, samples=6)
         # the y-Hessian stencil on the chart spray is an independent route to the verdict
-        oracle = chart_spray.berwald_deviation(cm, x, samples=6)
+        oracle = chart_spray.berwald_deviation(*metric, x, samples=6)
         assert (oracle <= BERWALD_TOL) == (defect <= BERWALD_TOL)
         # the same law on the chart spray, whose x-differences carry about 1e-10
-        assert abs(defect - chart_spray.parallelogram_defect(cm, x, samples=6)) <= 1.0e-9
+        assert abs(defect - chart_spray.parallelogram_defect(*metric, x, samples=6)) <= 1.0e-9
         verdicts.append(defect <= BERWALD_TOL)
     assert any(verdicts) and not all(verdicts)
 
@@ -630,7 +626,8 @@ def test_criterion_residual_is_coadjoint_of_flow():
         for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5]))):
             for X in rng.standard_normal((20, 3)):
                 residual = geodesic_vectors.residual_batch(dec, norm, X)
-                coadjoint = norm.fundamental_matrix(X) @ gf.euler_poincare_rhs(model.algebra, norm, X)
+                g = norm.fundamental_matrix(X)
+                coadjoint = g @ gf.euler_poincare_rhs(model.algebra, X, g)
                 assert np.max(np.abs(residual - coadjoint)) <= 1.0e-12
 
 
@@ -669,8 +666,7 @@ def test_body_velocity_frozen_from_geodesic_vectors():
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
         reps = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024, tol=1.0e-9).representatives
         assert len(reps) > 0
-        cm = groups.ChartMetric(model, norm)
-        path = gf.integrate_geodesic(cm, np.zeros_like(reps), reps, T=0.2, step=1.0e-3)
+        path = gf.integrate_geodesic(model, norm, np.zeros_like(reps), reps, T=0.2, step=1.0e-3)
         points, velocities = gf.chart_coordinates(model, path, np.zeros_like(reps), reps)
         u = np.einsum("...ij,...j->...i", model.body_jacobian(points), velocities)
-        assert np.max(np.abs(gf.euler_poincare_rhs(model.algebra, norm, u))) <= 1.0e-12
+        assert np.max(np.abs(gf.euler_poincare_rhs(model.algebra, u, norm.fundamental_matrix(u)))) <= 1.0e-12

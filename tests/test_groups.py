@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslergeo import groups, lie, norms
+from finslergeo import geodesic_flow, groups, lie, norms, s_curvature
 from finslergeo.errors import ChartDomain, DimensionMismatch, ZeroVector
 
 from group_oracle import dleft, multiply
@@ -15,6 +15,11 @@ def h3():
 
 def su2():
     return groups.SU2()
+
+
+def chart_value(model, norm, x, y):
+    """F(x, y) = norm(A(x)·y), the left-invariant metric in the chart."""
+    return norm.value(model.body_jacobian(x) @ y)
 
 
 def random_points(rng, model, count, scale=1.0):
@@ -187,14 +192,13 @@ def test_chart_metric_left_invariance():
     rng = np.random.RandomState(666)
     norm = norms.RandersNorm(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.0, 0.2]))
     for model, scale in ((h3(), 1.2), (su2(), 0.6)):
-        cm = groups.ChartMetric(model, norm)
         worst = 0.0
         for _ in range(1000):
             p = rng.standard_normal(3) * scale
             x = rng.standard_normal(3) * scale
             y = rng.standard_normal(3)
-            fx = cm.value(x, y)
-            moved = cm.value(multiply(model, p, x), dleft(model, p, y, x))
+            fx = chart_value(model, norm, x, y)
+            moved = chart_value(model, norm, multiply(model, p, x), dleft(model, p, y, x))
             worst = max(worst, abs(moved - fx) / max(1.0, fx))
         assert worst < 1.0e-10
 
@@ -202,16 +206,27 @@ def test_chart_metric_left_invariance():
 def test_chart_metric_identity_reduces_to_norm():
     norm = norms.RandersNorm(np.eye(3), np.array([0.2, 0.1, 0.0]))
     for model in (h3(), su2()):
-        cm = groups.ChartMetric(model, norm)
         rng = np.random.RandomState(8)
         for _ in range(20):
             y = rng.standard_normal(3)
-            assert abs(cm.value(model.identity(), y) - norm.value(y)) < 1.0e-14
+            assert abs(chart_value(model, norm, model.identity(), y) - norm.value(y)) < 1.0e-14
 
 
 def test_chart_metric_dim_check():
-    with pytest.raises(DimensionMismatch):
-        groups.ChartMetric(h3(), norms.EuclideanNorm(np.eye(2)))
+    # every entry point evaluates the norm at A(x)·y, of the model's dimension
+    model, norm = h3(), norms.EuclideanNorm(np.eye(2))
+    e, y = model.identity(), np.array([0.5, -0.4, 0.6])
+    calls = [
+        lambda: geodesic_flow.integrate_geodesic(model, norm, e, y, T=0.01, step=1.0e-3),
+        lambda: geodesic_flow.berwald_test(model, norm, e, samples=4),
+        lambda: geodesic_flow.is_homogeneous_geodesic(model, norm, y, T=0.01, step=1.0e-3),
+        lambda: geodesic_flow.chart_fundamental_tensor(model, norm, e, y),
+        lambda: s_curvature.s_curvature(model, norm, e, y),
+        lambda: s_curvature.s_along_path(model.algebra, norm, np.zeros(2), np.stack([y, y])),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_model_by_name():

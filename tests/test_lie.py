@@ -129,8 +129,8 @@ def test_jacobi_residual_memory_is_cubic():
 def test_validate_trivial_isotropy():
     for task in ("geodesic-vectors", "check-nat-reductive"):
         scen = scenario.scenario_from_dict(split_scenario("heisenberg3", [1, 2, 3], [], task))
-        assert scen.m_indices == (0, 1, 2)
-        assert scen.h_indices == ()
+        assert scen.split.m_indices == (0, 1, 2)
+        assert scen.split.h_indices == ()
     # SU(2)/U(1): m = {e1, e2}, h = {e3}, and the norm lives on m
     scen = scenario.scenario_from_dict(split_scenario("su2", [1, 2], [3]))
     assert scen.norm.dim == 2

@@ -13,26 +13,17 @@ from volume_oracle import busemann_sigma, distortion
 
 
 def flat_metric(norm, dim=3):
-    return groups.ChartMetric(groups.Abelian(dim), norm)
+    return groups.Abelian(dim), norm
 
 
 def h3_metric(norm):
-    return groups.ChartMetric(groups.Heisenberg3(), norm)
-
-
-def subsample(path, every):
-    return gf.GeodesicPath(
-        ts=path.ts[::every],
-        points=path.points[::every],
-        body=path.body[::every],
-        F_values=path.F_values[::every],
-    )
+    return groups.Heisenberg3(), norm
 
 
 def test_sigma_euclidean_unit_ball():
     for n in (2, 3, 4):
-        cm = flat_metric(norms.EuclideanNorm(np.eye(n)), dim=n)
-        factor = busemann_sigma(cm, np.zeros(n))
+        metric = flat_metric(norms.EuclideanNorm(np.eye(n)), dim=n)
+        factor = busemann_sigma(*metric, np.zeros(n))
         assert abs(factor.sigma - 1.0) < 1.0e-10
         assert factor.quadrature_nodes >= 10000
         assert factor.estimated_error < 1.0e-10
@@ -40,8 +31,8 @@ def test_sigma_euclidean_unit_ball():
 
 def test_sigma_scaled_norm():
     for n, c in ((2, 1.3), (3, 0.7)):
-        cm = flat_metric(norms.EuclideanNorm(c * c * np.eye(n)), dim=n)
-        factor = busemann_sigma(cm, np.zeros(n))
+        metric = flat_metric(norms.EuclideanNorm(c * c * np.eye(n)), dim=n)
+        factor = busemann_sigma(*metric, np.zeros(n))
         assert abs(factor.sigma - c**n) < 1.0e-8
 
 
@@ -50,19 +41,19 @@ def test_sigma_riemannian_is_volume_density():
     for n in (2, 3):
         m = rng.standard_normal((n, n))
         a = m @ m.T + n * np.eye(n)
-        cm = flat_metric(norms.EuclideanNorm(a), dim=n)
-        factor = busemann_sigma(cm, np.zeros(n))
+        metric = flat_metric(norms.EuclideanNorm(a), dim=n)
+        factor = busemann_sigma(*metric, np.zeros(n))
         assert abs(factor.sigma - np.sqrt(np.linalg.det(a))) < 1.0e-8
 
 
 def test_sigma_randers_translated_disc():
     b = np.array([0.5, 0.0])
-    cm = flat_metric(norms.RandersNorm(np.eye(2), b), dim=2)
-    factor = busemann_sigma(cm, np.zeros(2))
+    model, norm = flat_metric(norms.RandersNorm(np.eye(2), b), dim=2)
+    factor = busemann_sigma(model, norm, np.zeros(2))
     # brute-force area of the indicatrix by dense radial sampling
     thetas = np.linspace(0.0, 2.0 * np.pi, 1000001)[:-1]
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    radii = 1.0 / cm.norm.value(dirs)
+    radii = 1.0 / norm.value(dirs)
     area = 0.5 * np.mean(radii**2) * 2.0 * np.pi
     oracle = np.pi / area
     assert abs(factor.sigma - oracle) < 1.0e-6
@@ -70,8 +61,8 @@ def test_sigma_randers_translated_disc():
 
 
 def test_sigma_randers_closed_form_3d():
-    cm = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.0, 0.5, 0.0])))
-    factor = busemann_sigma(cm, np.zeros(3))
+    metric = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.0, 0.5, 0.0])))
+    factor = busemann_sigma(*metric, np.zeros(3))
     assert abs(factor.sigma - (1.0 - 0.25) ** 2) < 1.0e-8
 
 
@@ -86,9 +77,9 @@ def test_quadrature_divergence_on_rough_norm():
             safe = np.where(base > 0.0, base, 1.0)
             return base * np.sqrt(1.0 + 1.0e-4 * np.sin(1.0e8 * y[..., 0] / safe))
 
-    cm = flat_metric(Wobble(), dim=2)
+    metric = flat_metric(Wobble(), dim=2)
     with pytest.raises(QuadratureDivergence):
-        busemann_sigma(cm, np.zeros(2))
+        busemann_sigma(*metric, np.zeros(2))
 
 
 def test_quadrature_divergence_on_nonfinite_values():
@@ -100,42 +91,42 @@ def test_quadrature_divergence_on_nonfinite_values():
             with np.errstate(invalid="ignore"):
                 return np.sqrt(y[..., 0] ** 2 - 3.0 * y[..., 0] * y[..., 1] + y[..., 1] ** 2)
 
-    cm = flat_metric(Bad(), dim=2)
+    metric = flat_metric(Bad(), dim=2)
     with pytest.raises(QuadratureDivergence):
-        busemann_sigma(cm, np.zeros(2))
+        busemann_sigma(*metric, np.zeros(2))
 
 
 def test_sigma_rejects_unsupported_dimension():
-    cm = flat_metric(norms.EuclideanNorm(np.eye(5)), dim=5)
+    metric = flat_metric(norms.EuclideanNorm(np.eye(5)), dim=5)
     with pytest.raises(ValueError):
-        busemann_sigma(cm, np.zeros(5))
+        busemann_sigma(*metric, np.zeros(5))
 
 
 def test_distortion_riemannian_zero():
-    cm = h3_metric(norms.EuclideanNorm(np.eye(3)))
+    metric = h3_metric(norms.EuclideanNorm(np.eye(3)))
     rng = np.random.RandomState(2)
     for _ in range(5):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        sample = distortion(cm, x, y)
+        sample = distortion(*metric, x, y)
         assert abs(sample.tau) < 1.0e-9
 
 
 def test_distortion_zero_homogeneous():
-    cm = h3_metric(norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.2])))
+    metric = h3_metric(norms.RandersNorm(np.eye(3), np.array([0.3, 0.0, 0.2])))
     rng = np.random.RandomState(7)
     for _ in range(5):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        t1 = distortion(cm, x, y).tau
-        t3 = distortion(cm, x, 3.0 * y).tau
+        t1 = distortion(*metric, x, y).tau
+        t3 = distortion(*metric, x, 3.0 * y).tau
         assert abs(t1 - t3) < 1.0e-9
 
 
 def test_distortion_rejects_zero_vector():
-    cm = h3_metric(norms.EuclideanNorm(np.eye(3)))
+    metric = h3_metric(norms.EuclideanNorm(np.eye(3)))
     with pytest.raises(ZeroVector):
-        distortion(cm, np.zeros(3), np.zeros(3))
+        distortion(*metric, np.zeros(3), np.zeros(3))
 
 
 def test_distortion_left_invariance():
@@ -145,34 +136,33 @@ def test_distortion_left_invariance():
     ]
     rng = np.random.RandomState(5)
     for model, norm in cases:
-        cm = groups.ChartMetric(model, norm)
         for _ in range(3):
             x = rng.standard_normal(3) * 0.4
             y = rng.standard_normal(3)
             p = rng.standard_normal(3) * 0.4
-            tau = distortion(cm, x, y).tau
+            tau = distortion(model, norm, x, y).tau
             moved_x = multiply(model, p, x)
             moved_y = dleft(model, p, y, base=x)
-            tau_moved = distortion(cm, moved_x, moved_y).tau
+            tau_moved = distortion(model, norm, moved_x, moved_y).tau
             assert abs(tau - tau_moved) < 1.0e-6
 
 
 def test_s_flat_minkowski_zero():
-    cm = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.4, 0.1, 0.0])))
+    metric = flat_metric(norms.RandersNorm(np.eye(3), np.array([0.4, 0.1, 0.0])))
     rng = np.random.RandomState(3)
     for _ in range(3):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        assert abs(s_curvature.s_curvature(cm, x, y)) < 1.0e-8
+        assert abs(s_curvature.s_curvature(*metric, x, y)) < 1.0e-8
 
 
 def test_s_riemannian_zero():
-    cm = h3_metric(norms.EuclideanNorm(np.eye(3)))
+    metric = h3_metric(norms.EuclideanNorm(np.eye(3)))
     rng = np.random.RandomState(9)
     for _ in range(3):
         x = rng.standard_normal(3) * 0.5
         y = rng.standard_normal(3)
-        assert abs(s_curvature.s_curvature(cm, x, y)) < 1.0e-4
+        assert abs(s_curvature.s_curvature(*metric, x, y)) < 1.0e-4
 
 
 def test_s_vanishes_for_geodesic_vectors():
@@ -183,16 +173,15 @@ def test_s_vanishes_for_geodesic_vectors():
         (groups.Heisenberg3(), norms.RandersNorm(np.eye(3), np.array([0.4, 0.0, 0.0])), np.array([0.0, 0.0, 1.0])),
     ]
     for model, norm, X in cases:
-        cm = groups.ChartMetric(model, norm)
-        assert abs(s_curvature.s_curvature(cm, model.identity(), X)) < 1.0e-3
+        assert abs(s_curvature.s_curvature(model, norm, model.identity(), X)) < 1.0e-3
 
 
 def test_tau_constant_along_homogeneous_geodesic():
     model = groups.SU2()
-    cm = groups.ChartMetric(model, norms.EuclideanNorm(np.eye(3)))
+    norm = norms.EuclideanNorm(np.eye(3))
     X = np.array([0.6, -0.3, 0.5])
-    path = gf.integrate_geodesic(cm, model.identity(), X, T=0.5, step=1.0e-3)
-    profile = s_curvature.s_along_path(cm, subsample(path, 25))
+    path = gf.integrate_geodesic(model, norm, model.identity(), X, T=0.5, step=1.0e-3)
+    profile = s_curvature.s_along_path(model.algebra, norm, path.ts[::25], path.body[::25])
     assert np.max(np.abs(profile.taus - profile.taus[0])) < 1.0e-6
     assert np.max(np.abs(profile.s_values)) < 1.0e-4
     assert np.all(profile.sigma_errors < 1.0e-8)
@@ -200,42 +189,40 @@ def test_tau_constant_along_homogeneous_geodesic():
 
 
 def randers_su2():
-    return groups.ChartMetric(
-        groups.SU2(), norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
-    )
+    return groups.SU2(), norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
 
 
 def randers_h3():
     a = np.array([[1.5, 0.2, 0.1], [0.2, 1.0, -0.3], [0.1, -0.3, 2.0]])
-    return groups.ChartMetric(groups.Heisenberg3(), norms.RandersNorm(a, np.array([0.4, 0.3, -0.5])))
+    return groups.Heisenberg3(), norms.RandersNorm(a, np.array([0.4, 0.3, -0.5]))
 
 
 def test_s_matches_tau_stencil_along_integrated_path():
     # the one-sided second-order quotient of tau, (-3 tau_i + 4 tau_i+1 - tau_i+2) / 2h,
     # is the independent route to S = d tau / dt
     h = 5.0e-4
-    for cm, x, y in (
+    for (model, norm), x, y in (
         (randers_h3(), np.array([0.4, -0.7, 0.3]), np.array([0.5, 0.8, -0.6])),
         (randers_su2(), np.array([0.3, 0.5, -0.4]), np.array([-0.6, 0.4, 0.7])),
     ):
-        path = gf.integrate_geodesic(cm, x, y, T=0.05, step=h)
-        profile = s_curvature.s_along_path(cm, path)
+        path = gf.integrate_geodesic(model, norm, x, y, T=0.05, step=h)
+        profile = s_curvature.s_along_path(model.algebra, norm, path.ts, path.body)
         taus = profile.taus
         stencil = (-3.0 * taus[:-2] + 4.0 * taus[1:-1] - taus[2:]) / (2.0 * h)
         assert np.max(np.abs(profile.s_values)) > 1.0e-2
         assert np.max(np.abs(profile.s_values[:-2] - stencil)) < 1.0e-6
-        assert abs(s_curvature.s_curvature(cm, x, y) - profile.s_values[0]) < 1.0e-12
+        assert abs(s_curvature.s_curvature(model, norm, x, y) - profile.s_values[0]) < 1.0e-12
 
 
 def test_s_h3_randers_closed_form():
     # a = I, b = c e1 on H3: S(e, y) = -2 c y2 y3 / F(y)
     c = 0.35
-    cm = h3_metric(norms.RandersNorm(np.eye(3), np.array([c, 0.0, 0.0])))
+    metric = h3_metric(norms.RandersNorm(np.eye(3), np.array([c, 0.0, 0.0])))
     rng = np.random.RandomState(11)
     for _ in range(10):
         y = rng.standard_normal(3)
         exact = -2.0 * c * y[1] * y[2] / (np.linalg.norm(y) + c * y[0])
-        assert abs(s_curvature.s_curvature(cm, np.zeros(3), y) - exact) < 1.0e-12
+        assert abs(s_curvature.s_curvature(*metric, np.zeros(3), y) - exact) < 1.0e-12
 
 
 def test_s_vanishes_at_found_geodesic_vectors():
@@ -249,9 +236,8 @@ def test_s_vanishes_at_found_geodesic_vectors():
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
         found = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024, tol=1.0e-9)
         assert len(found.representatives) > 0
-        cm = groups.ChartMetric(model, norm)
         for X in found.representatives:
-            assert abs(s_curvature.s_curvature(cm, model.identity(), np.asarray(X))) <= 1.0e-12
+            assert abs(s_curvature.s_curvature(model, norm, model.identity(), np.asarray(X))) <= 1.0e-12
 
 
 def test_s_is_the_criterion_residual_for_randers():
@@ -265,13 +251,12 @@ def test_s_is_the_criterion_residual_for_randers():
         for _ in range(20):
             a, b = random_randers(rng, reach=0.9)
             norm = norms.RandersNorm(a, b)
-            cm = groups.ChartMetric(model, norm)
             X = rng.standard_normal((10, 3))
             alpha = np.sqrt(np.einsum("ij,jk,ik->i", X, a, X))
             r = geodesic_vectors.residual_batch(dec, norm, X)
             exact = (3 + 1) * alpha / (2.0 * norm.value(X) ** 2) * (r @ np.linalg.solve(a, b))
             for y, want in zip(X, exact):
-                s = s_curvature.s_curvature(cm, model.identity(), y)
+                s = s_curvature.s_curvature(model, norm, model.identity(), y)
                 assert abs(s - want) <= 1.0e-13 * max(1.0, abs(s))
 
 
@@ -283,21 +268,21 @@ def test_sigma_randers_closed_form_general_a():
         a = m @ m.T + n * np.eye(n)
         raw = rng.standard_normal(n)
         b = raw * (0.5 / np.sqrt(raw @ np.linalg.solve(a, raw)))
-        cm = flat_metric(norms.RandersNorm(a, b), dim=n)
+        metric = flat_metric(norms.RandersNorm(a, b), dim=n)
         exact = np.sqrt(np.linalg.det(a)) * (1.0 - b @ np.linalg.solve(a, b)) ** ((n + 1) / 2.0)
-        factor = busemann_sigma(cm, np.zeros(n))
+        factor = busemann_sigma(*metric, np.zeros(n))
         assert abs(factor.sigma - exact) < 1.0e-8
 
 
 def test_sigma_off_identity_matches_chart_quadrature():
-    cm = randers_su2()
+    model, norm = randers_su2()
     x = np.array([0.7, -0.4, 0.9])
     nodes, weights = sphere.quad_grid(3, 4)
-    volume = (cm.value(np.broadcast_to(x, nodes.shape), nodes) ** -3.0) @ weights / 3.0
+    volume = (norm.value(nodes @ model.body_jacobian(x).T) ** -3.0) @ weights / 3.0
     direct = sphere.ball_volume(3) / volume
-    factor = busemann_sigma(cm, x)
+    factor = busemann_sigma(model, norm, x)
     assert abs(factor.sigma - direct) < 1.0e-8 * direct
-    assert abs(factor.sigma - busemann_sigma(cm, np.zeros(3)).sigma) > 1.0e-2
+    assert abs(factor.sigma - busemann_sigma(model, norm, np.zeros(3)).sigma) > 1.0e-2
 
 
 def test_bundled_zermelo_pair_is_the_navigation_metric():

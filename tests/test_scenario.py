@@ -29,8 +29,8 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     assert scen.seed == 0
     assert scen.params == {"samples": 200, "tol": 1.0e-10, "expect_passed": True}
     assert scen.raw["params"] == {}
-    assert scen.m_indices == (0, 1, 2)
-    assert scen.h_indices == ()
+    assert scen.split.m_indices == (0, 1, 2)
+    assert scen.split.h_indices == ()
     assert scen.raw["seed"] == 0
     assert scen.raw["m_indices"] == [1, 2, 3]
     assert scen.raw["h_indices"] == []
@@ -71,7 +71,7 @@ def test_inline_algebra_matches_builtin(tmp_path):
     }
     scen = scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
     assert scen.model is None
-    assert np.max(np.abs(scen.algebra.c - lie.su2().c)) == 0.0
+    assert np.max(np.abs(scen.split.algebra.c - lie.su2().c)) == 0.0
 
 
 def test_inline_algebra_jacobi_violation(tmp_path):
@@ -150,8 +150,8 @@ def test_round_trip_preserves_canonical_form(tmp_path):
         h_indices=[3],
     )
     scen = scenario.parse_scenario(write_scenario(tmp_path, data))
-    assert scen.m_indices == (0, 1)
-    assert scen.h_indices == (2,)
+    assert scen.split.m_indices == (0, 1)
+    assert scen.split.h_indices == (2,)
     again = scenario.parse_scenario(write_scenario(tmp_path, scen.raw, "b.json"))
     assert again.raw == scen.raw
 
@@ -170,7 +170,7 @@ def test_split_norm_must_be_ad_h_invariant(tmp_path, task):
         assert "at Z = e3" in str(err.value)
     round_norm = {"kind": "euclidean", "a": [[2.5, 0.0], [0.0, 2.5]]}
     scen = scenario.parse_scenario(write_scenario(tmp_path, minimal(task=task, norm=round_norm, **split)))
-    assert scen.h_indices == (2,)
+    assert scen.split.h_indices == (2,)
     # su(2) + R with h = {e3, e4}: the central e4 fixes every norm, so the
     # worst Z is e3
     inline = {"dim": 4, "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}

@@ -11,7 +11,7 @@ by an independent route: it must pass every vector the solver keeps on
 the bundled and benchmark zero sets, and reject some on a norm whose
 closed-form tensor is wrong.  With m = g the zero sets of Randers norms
 are known exactly: on SU(2) the solver must find each geodesic ray once,
-and on H3 each representative must lie on the e3 axis or on the cone
+also where b vanishes on an eigenspace of a and a circle joins them, and on H3 each representative must lie on the e3 axis or on the cone
 (aX)_3 + α(X)·b_3 = 0, with ±e3 found, and the branches of that exact
 set must number what every H3 zero-set scenario expects.
 """
@@ -26,7 +26,14 @@ import newton_oracle
 import numpy as np
 import pytest
 import report_drift
-from randers_oracle import h3_zero_set, h3_zero_set_defect, random_randers, su2_geodesic_rays
+from randers_oracle import (
+    h3_zero_set,
+    h3_zero_set_defect,
+    navigation_randers,
+    random_randers,
+    su2_geodesic_rays,
+    su2_zero_set_defect,
+)
 
 from finslergeo import cli, lie, norms, scenario, sphere
 from finslergeo import geodesic_vectors as gv
@@ -185,7 +192,7 @@ def test_jet_gate_passes_every_kept_representative(monkeypatch):
     monkeypatch.setattr(gv, "_dedup", recorded)
     count = 0
     for scen in zero_set_scenarios():
-        dec, tol = cli._decomposition(scen), scen.params["tol"]
+        dec, tol = scen.split, scen.params["tol"]
         kept.clear()
         gv.find_geodesic_vectors(dec, scen.norm, samples=scen.params["samples"], tol=tol)
         (reps,) = kept
@@ -334,6 +341,38 @@ def test_solver_finds_the_exact_su2_randers_rays():
         assert np.all(found.residual_norms <= 1.0e-9)
         counts.append(len(rays))
     assert counts == [4, 6, 4, 6, 6, 2]
+
+
+def test_solver_finds_the_exact_su2_zero_set_for_degenerate_b():
+    # b̃ᵢ = 0 for some eigenvalue dᵢ of a adds the solutions at λ = dᵢ: two
+    # eigen-rays for a simple dᵢ, a circle for a double one.  The Zermelo
+    # metric's double eigenvalue has b̃ = 0 on its eigenspace, but the
+    # circle there is infeasible; its seeds stop at residuals near 9.8e-10,
+    # so their defect reaches 2.4e-9 and the pairing is by DEDUP_ANGLE
+    cases = [
+        (np.diag([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 0.3]), 6, 5),
+        (*navigation_randers(np.eye(3), np.array([0.3, -0.4, 0.2])), 2, 1),
+        (np.diag([2.0, 2.0, 3.0]), np.array([0.0, 0.0, 0.3]), None, 2),
+    ]
+    for a, b, ray_count, branches in cases:
+        rays = su2_geodesic_rays(a, b)
+        assert np.max(su2_zero_set_defect(a, b, rays)) <= 1.0e-14
+        found = gv.find_geodesic_vectors(su2(), norms.RandersNorm(a, b), samples=2048, tol=1.0e-9)
+        reps = found.representatives
+        assert np.max(su2_zero_set_defect(a, b, reps)) <= 1.0e-8
+        assert found.branch_count == branches
+        near = rays @ reps.T >= np.cos(gv.DEDUP_ANGLE)
+        # every isolated ray is found once
+        assert np.all(near.sum(axis=1) == 1)
+        if ray_count is not None:
+            assert len(rays) == len(reps) == ray_count
+            assert np.all(near.sum(axis=0) == 1)
+    # the circle X₃/|X| = −0.4447 of the double eigenvalue d = 2 holds the rest
+    rays = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert np.max(np.abs(np.abs(su2_geodesic_rays(*cases[2][:2])) - np.abs(rays))) <= 1.0e-15
+    off_poles = reps[np.max(np.abs(reps @ rays.T), axis=1) < np.cos(gv.DEDUP_ANGLE)]
+    assert len(off_poles) == len(reps) - 2
+    assert np.max(np.abs(off_poles[:, 2] + 0.3 / np.sqrt(0.09 + 0.73 / 2.0))) <= 1.0e-8
 
 
 def test_solver_stays_on_the_exact_h3_randers_zero_set():

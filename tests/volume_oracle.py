@@ -30,27 +30,27 @@ class DistortionSample:
     tau: float
 
 
-def busemann_sigma(cm, x) -> VolumeFactor:
+def busemann_sigma(model, norm, x) -> VolumeFactor:
     """Busemann volume factor Vol(B^n) / Vol{y : F(x, y) < 1} = |det A(x)| sigma_e."""
     x = np.asarray(x, dtype=float)
-    sigma, err, nodes = s_curvature._sigma_identity(cm.norm)
-    scale = abs(float(np.linalg.det(cm.model.body_jacobian(x))))
+    sigma, err, nodes = s_curvature._sigma_identity(norm)
+    scale = abs(float(np.linalg.det(model.body_jacobian(x))))
     return VolumeFactor(
         x=x, sigma=scale * sigma, quadrature_nodes=int(nodes), estimated_error=scale * err
     )
 
 
-def tau_batch(cm, xs, ys):
+def tau_batch(model, norm, xs, ys):
     """tau and the relative sigma error at each (x, y), batched."""
-    _, g = s_curvature._body_tensors(cm, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return s_curvature._tau_from_tensors(cm.norm, g)
+    _, g = s_curvature._body_tensors(model, norm, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    return s_curvature._tau_from_tensors(norm, g)
 
 
-def distortion(cm, x, y) -> DistortionSample:
+def distortion(model, norm, x, y) -> DistortionSample:
     """tau(x, y) = ln(sqrt(det g_y) / sigma(x)) in the chart frame."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.linalg.norm(y) == 0.0:
         raise ZeroVector("distortion needs y != 0")
-    tau, _ = tau_batch(cm, x[None, :], y[None, :])
+    tau, _ = tau_batch(model, norm, x[None, :], y[None, :])
     return DistortionSample(x=x, y=y, tau=float(tau[0]))
