@@ -22,8 +22,8 @@ formed on the group itself by one prefix product of log depth
 any chart.  A path holds group elements and body velocities only;
 chart coordinates and chart velocities y = A(x)⁻¹u are read off by
 `chart_coordinates`, for the report that prints them.
-F = norm(u) is a first integral of the exact flow, and F*(μ) = F(u), so
-its drift along a numerical path measures integration error.
+F = norm(u) is a first integral of the exact flow, so its drift along a
+numerical path, read once the loop is done, measures integration error.
 
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
 u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs(algebra, u, g)` evaluates
@@ -125,7 +125,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     the norm must implement.  μ advances by classical RK4 with stage
     values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, and stores the stage velocities and F*(μ) of every step.  The
+    that, and stores the stage velocities of every step.  The
     group element advances by the 4th-order RKMK step on the stage
     velocities, g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
@@ -142,10 +142,10 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     Batched over leading axes of (x0, y0); all trajectories advance in
     lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
     the path itself may leave it.  Raises StepRejected when, at any step
-    of the whole path, the relative drift of F*(μ) = F(u) across that
-    step exceeds 1e-3 or F*(μ) is not finite.  The path holds the group
-    elements and the body velocities u(μ) as stepped, and F_values holds
-    the primal F = norm(u) of them; no sample is read off in the chart.
+    of the whole path, the relative drift of F = norm(u) across that step
+    exceeds 1e-3 or F is not finite.  The path holds the group elements,
+    the body velocities u(μ) as stepped, and F_values = F of them; no
+    sample is read off in the chart.
     """
     if step <= 0.0 or T <= 0.0:
         raise ValueError("forward integration needs step > 0 and T > 0")
@@ -158,12 +158,10 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     nsteps = max(1, int(round(T / step)))
     body = np.empty((nsteps + 1,) + u.shape)
     u2, u3, u4 = (np.empty((nsteps,) + u.shape) for _ in range(3))
-    duals = np.empty((nsteps + 1,) + u.shape[:-1])
     body[0] = u
-    duals[0] = norm.value(u)
 
     def stage(m):
-        _, um = norm.legendre_dual(m)
+        um = norm.legendre_dual(m)
         return um, _coadjoint(c, um, m)
 
     # a diverging path runs to its end as inf or nan, which the drift
@@ -175,11 +173,11 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
             u3[i], k3 = stage(mu + 0.5 * step * k2)
             u4[i], k4 = stage(mu + step * k3)
             mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            duals[i + 1], body[i + 1] = norm.legendre_dual(mu)
-            u = body[i + 1]
+            u = body[i + 1] = norm.legendre_dual(mu)
+        F = norm.value(body)
 
-    # written so that a non-finite F* fails the comparison
-    if not np.all(np.abs(duals[1:] - duals[:-1]) <= DRIFT_LIMIT * np.abs(duals[:-1])):
+    # written so that a non-finite F fails the comparison
+    if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
         raise StepRejected(
             f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
         )
@@ -196,7 +194,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     g0 = model.to_group(x)
     elements = np.concatenate([g0[None], model.multiply(g0, acc)])
     ts = np.arange(nsteps + 1) * step
-    return GeodesicPath(ts=ts, points=elements, body=body, F_values=norm.value(body))
+    return GeodesicPath(ts=ts, points=elements, body=body, F_values=F)
 
 
 def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -> HomogeneousGeodesicReport:

@@ -13,15 +13,15 @@ routes are cross-checked in the test-suite, never collapsed.  Their
 values share one quadratic-form kernel, y·a y = (y @ a)·y: a BLAS matmul
 and a two-operand contraction, which the σ quadrature runs on every node.
 
-Euclidean and Randers norms also carry their Legendre dual: the dual
-norm F*(μ) = max{μ·y : F(y) = 1} on covectors and the inverse
-u = ∂(½F*²)/∂μ of the Legendre map u ↦ μ = ĝ_u u.  For a Euclidean norm
-F* = √(μ·a⁻¹μ) and u = a⁻¹μ.  A Randers norm's dual is again of Randers
+Euclidean and Randers norms also carry their Legendre dual: the inverse
+u = ∂(½F*²)/∂μ of the Legendre map u ↦ μ = ĝ_u u, where
+F*(μ) = max{μ·y : F(y) = 1} is the dual norm on covectors.  For a
+Euclidean norm u = a⁻¹μ.  A Randers norm's dual is again of Randers
 type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 − b·b♯,
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
-Shen, J. Differential Geom. 66, 2004).  The geodesic flow steps μ with
-it.
+Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
+geodesic flow steps μ with it.
 """
 
 import numpy as np
@@ -78,11 +78,11 @@ class MinkowskiNorm:
         """C_ijk(y) = ¼ ∂³F²/∂y_i∂y_j∂y_k, batched."""
         return self._generic_cartan(y)
 
-    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(F*(μ), u) with u = ∂(½F*²)/∂μ, batched over leading axes of μ.
+    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
+        """u = ∂(½F*²)/∂μ, batched over leading axes of μ.
 
-        u inverts the Legendre map: μ = ĝ_u u gives back u, and
-        F*(μ) = F(u).  Only norms with a closed-form dual implement it.
+        u inverts the Legendre map: μ = ĝ_u u gives back u.  Only norms
+        with a closed-form dual implement it.
         """
         raise NotImplementedError
 
@@ -130,10 +130,8 @@ class EuclideanNorm(MinkowskiNorm):
         y = self._check_dim(y)
         return np.sqrt(_quadratic(y, self.a))
 
-    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu = self._check_dim(mu)
-        u = mu @ self.a_inv
-        return np.sqrt(np.einsum("...i,...i->...", mu, u)), u
+    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
+        return self._check_dim(mu) @ self.a_inv
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -191,12 +189,12 @@ class RandersNorm(MinkowskiNorm):
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.alpha(y) + self.beta(y)
 
-    def legendre_dual(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
         mu = self._check_dim(mu)
         h_mu = mu @ self.dual_h
         root = np.sqrt(np.einsum("...i,...i->...", mu, h_mu))
         dual = root + mu @ self.dual_w
-        return dual, dual[..., None] * (h_mu / root[..., None] + self.dual_w)
+        return dual[..., None] * (h_mu / root[..., None] + self.dual_w)
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))

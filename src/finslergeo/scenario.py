@@ -150,10 +150,9 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
             )
         i, j, k, value = entry
         for label, idx in (("i", i), ("j", j), ("k", k)):
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:
-                raise ValidationError(
-                    f"model block: structure_constants[{pos}].{label} = {idx!r} is outside 1..{dim}"
-                )
+            if type(idx) is not int or not 1 <= idx <= dim:
+                where = "is outside" if type(idx) is int else "must be an integer in"
+                raise ValidationError(f"model block: structure_constants[{pos}].{label} = {idx!r} {where} 1..{dim}")
         if not _numeric(value):
             raise ValidationError(
                 f"model block: structure_constants[{pos}] value {value!r} is not a finite number"
@@ -171,7 +170,8 @@ def _inline_algebra(block: dict) -> lie.LieAlgebraData:
         c[mirror] = -value
     algebra = lie.LieAlgebraData(dim=dim, c=c)
     residual, witness = lie.jacobi_residual(algebra)
-    if residual > 1.0e-10:
+    # relative to max|c|², so a rescaled basis keeps its verdict
+    if residual > 1.0e-10 * np.max(np.abs(c)) ** 2:
         raise ValidationError(
             f"model block: structure constants violate the Jacobi identity "
             f"(residual {residual:.3e} at basis triple {tuple(int(w) + 1 for w in witness[:3])})"
@@ -211,8 +211,9 @@ def _parse_indices(block, dim: int, label: str) -> tuple:
         raise ParseError(f"scenario: field {label!r} must be a list of indices, got {type(block).__name__}")
     out = []
     for idx in block:
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:
-            raise ValidationError(f"{label}: index {idx!r} is outside 1..{dim}")
+        if type(idx) is not int or not 1 <= idx <= dim:
+            where = "is outside" if type(idx) is int else "must be an integer in"
+            raise ValidationError(f"{label}: index {idx!r} {where} 1..{dim}")
         out.append(idx - 1)
     if len(set(out)) != len(out):
         raise ValidationError(f"{label}: indices must be distinct")
@@ -284,7 +285,7 @@ def _check_split(c: np.ndarray, m: tuple, h: tuple) -> None:
     """[h, m] must lie in m and [h, h] in h, or the split is not reductive."""
     for first, second, leak, rule in ((h, m, h, "[h, m] in m"), (h, h, m, "[h, h] in h")):
         block = np.abs(c[np.ix_(first, second, leak)])
-        if block.size and block.max() > 1.0e-12:
+        if block.size and block.max() > 1.0e-12 * np.max(np.abs(c)):
             i, j, k = np.unravel_index(int(np.argmax(block)), block.shape)
             raise ValidationError(
                 f"scenario: the split is not reductive, it needs {rule}: "

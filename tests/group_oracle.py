@@ -13,7 +13,9 @@ g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
 along step by step, with no prefix product.
 
 h3_body_momentum(a, mu0, ts) is the exact body momentum of the
-Euclidean metric a on H3, in closed form.
+Euclidean metric a on H3, in closed form.  su2_euler_top(inertia, u0, ts)
+is the exact body velocity of a diagonal Euclidean metric on SU(2), the
+Euler top, from Jacobi's elliptic functions.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ def sequential_path(model, norm, x0, y0, T, step):
         return np.einsum("ijk,...i,...k->...j", c, u, m)
 
     def stage(m):
-        um = norm.legendre_dual(m)[1]
+        um = norm.legendre_dual(m)
         return um, coadjoint(um, m)
 
     x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
@@ -53,7 +55,7 @@ def sequential_path(model, norm, x0, y0, T, step):
         theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * bracket
         g = model.multiply(g, model.to_group(theta))
         mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u = norm.legendre_dual(mu)[1]
+        u = norm.legendre_dual(mu)
         elements.append(g)
         body.append(u)
     return np.array(elements), np.array(body)
@@ -93,3 +95,43 @@ def h3_body_momentum(a, mu0, ts):
     flow = np.cos(omega * t) * np.eye(2) + np.sin(omega * t) / omega * turn
     mu12 = p + flow @ (mu0[:2] - p)
     return np.concatenate([mu12, np.full((len(mu12), 1), m3)], axis=1)
+
+
+def jacobi_sn_cn_dn(x, m):
+    """sn, cn and dn of x at parameter 0 <= m < 1, by the arithmetic-
+    geometric mean and the descending Landen transformation (Abramowitz
+    and Stegun 16.4): a_n = (a + b)/2, b_n = √(ab), c_n = (a − b)/2 from
+    (1, √(1 − m), √m), then φ_N = 2^N a_N x and
+    sin(2φ_{n−1} − φ_n) = (c_n/a_n) sin φ_n down to φ_0, sn = sin φ_0."""
+    a, b, c = [1.0], np.sqrt(1.0 - m), [np.sqrt(m)]
+    while c[-1] > 1.0e-16:
+        a, b, c = a + [(a[-1] + b) / 2.0], np.sqrt(a[-1] * b), c + [(a[-1] - b) / 2.0]
+    phi = 2.0 ** (len(a) - 1) * a[-1] * np.asarray(x, dtype=float)
+    for n in range(len(a) - 1, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(c[n] / a[n] * np.sin(phi)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)
+
+
+def su2_euler_top(inertia, u0, ts):
+    """Exact body velocity u(t) of the Euclidean metric diag(I₁, I₂, I₃)
+    on SU(2), one row per t, from u(0) = (p, 0, q).
+
+    μ̇ = ad*_u μ is Euler's μ̇ = μ × u.  With I₁ < I₂ < I₃, 2E = u·μ and
+    M² = |μ|² > 2E·I₂, u(t) = (±w₁ cn τ, s₂w₂ sn τ, ±w₃ dn τ) at
+    τ = t√((I₃ − I₂)(M² − 2EI₁)/(I₁I₂I₃)) and parameter
+    k² = (I₂ − I₁)(2EI₃ − M²)/((I₃ − I₂)(M² − 2EI₁)) (Landau and Lifshitz,
+    Mechanics, §37).  The first and third signs are those of p and q, and
+    s₂ is the sign of μ̇₂(0) = μ₃u₁ − μ₁u₃.
+    """
+    i1, i2, i3 = inertia
+    mu = np.asarray(inertia, dtype=float) * u0
+    e2, m2 = u0 @ mu, mu @ mu
+    assert i1 < i2 < i3 and u0[1] == 0.0 and m2 > e2 * i2
+    rate = np.sqrt((i3 - i2) * (m2 - e2 * i1) / (i1 * i2 * i3))
+    k2 = (i2 - i1) * (e2 * i3 - m2) / ((i3 - i2) * (m2 - e2 * i1))
+    sn, cn, dn = jacobi_sn_cn_dn(rate * np.asarray(ts, dtype=float), k2)
+    w1 = np.sign(u0[0]) * np.sqrt((e2 * i3 - m2) / (i1 * (i3 - i1)))
+    w2 = np.sign(mu[2] * u0[0] - mu[0] * u0[2]) * np.sqrt((e2 * i3 - m2) / (i2 * (i3 - i2)))
+    w3 = np.sign(u0[2]) * np.sqrt((m2 - e2 * i1) / (i3 * (i3 - i1)))
+    return np.stack([w1 * cn, w2 * sn, w3 * dn], axis=-1)

@@ -1,8 +1,8 @@
 """Randers oracles: the factorization of the criterion residual, the
 exact geodesic rays of a Randers norm on SU(2) and a membership test for
-its zero set, the exact zero set of one on H3 (a membership test and a closed-form sampling), the Randers norm
-of Zermelo navigation, and random Randers data for the tests that use
-them.
+its zero set, also on u(2) = su(2) ⊕ R, the exact zero set of one on H3
+(a membership test and a closed-form sampling), the Randers norm of
+Zermelo navigation, and random Randers data for the tests that use them.
 
 For F = sqrt(ã(·,·)) + ã(X, ·) on m the residual factors through the
 Riemannian data:
@@ -118,14 +118,16 @@ def su2_geodesic_rays(a, b):
 
 
 def su2_zero_set_defect(a, b, X):
-    """|ξ × X|/|ξ| for each unit row of X, with ξ = aX/α(X) + b: zero
-    exactly on the geodesic vectors of the Randers norm (a, b) on SU(2),
-    m = g, for any b (see `su2_geodesic_rays`)."""
+    """|ξ₁..₃ × X₁..₃|/|ξ₁..₃| for each unit row of X, with ξ = aX/α(X) + b:
+    zero exactly on the geodesic vectors of the Randers norm (a, b), m = g,
+    on SU(2) for any b (see `su2_geodesic_rays`) and on u(2) =
+    su(2) ⊕ R·e4.  The centre e4 brackets to 0, so on u(2) too ξ kills
+    [X, ·] exactly when its su(2) part is parallel to that of X."""
     a = np.asarray(a, dtype=float)
     X = np.asarray(X, dtype=float)
     alpha = np.sqrt(np.einsum("...i,...i->...", X @ a, X))
-    xi = X @ a / alpha[..., None] + np.asarray(b, dtype=float)
-    return np.linalg.norm(np.cross(xi, X), axis=-1) / np.linalg.norm(xi, axis=-1)
+    xi = (X @ a / alpha[..., None] + np.asarray(b, dtype=float))[..., :3]
+    return np.linalg.norm(np.cross(xi, X[..., :3]), axis=-1) / np.linalg.norm(xi, axis=-1)
 
 
 def h3_zero_set_defect(a, b, X):

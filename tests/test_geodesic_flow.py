@@ -10,7 +10,7 @@ from finslergeo import cli, geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
-from group_oracle import h3_body_momentum, multiply, sequential_path
+from group_oracle import h3_body_momentum, multiply, sequential_path, su2_euler_top
 from randers_oracle import navigation_randers
 
 # the tolerances the check-homogeneous and berwald tasks judge by
@@ -345,6 +345,29 @@ def test_h3_body_path_matches_the_exact_flow():
         assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
+def test_su2_body_path_matches_the_euler_top():
+    # the RK4 body path against the Euler top, the closed-form Lie–Poisson
+    # flow of a diagonal Euclidean metric on SU(2), at every step; the
+    # error ratio between h = 2e-2 and 1e-2 is 2⁴ for a 4th-order method
+    model = groups.SU2()
+    rng = np.random.RandomState(1)
+    cases = 0
+    while cases < 3:
+        inertia = np.sort(rng.uniform(0.5, 3.0, 3))
+        u0 = np.array([rng.standard_normal(), 0.0, rng.standard_normal()])
+        mu0 = inertia * u0
+        if mu0 @ mu0 <= (u0 @ mu0) * inertia[1]:
+            continue  # the closed form below holds for M² > 2E·I₂
+        cases += 1
+        norm = norms.EuclideanNorm(np.diag(inertia))
+        errors = []
+        for step in (2.0e-2, 1.0e-2):
+            path = gf.integrate_geodesic(model, norm, np.zeros(3), u0, T=3.0, step=step)
+            errors.append(np.max(np.abs(path.body - su2_euler_top(inertia, u0, path.ts))))
+        assert errors[1] <= 1.0e-6
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+
 _EUCLIDEAN_DUAL = norms.EuclideanNorm.legendre_dual
 
 
@@ -355,10 +378,10 @@ def dual_breaking_after(k):
     def legendre_dual(self, mu):
         nonlocal calls
         calls += 1
-        value, u = _EUCLIDEAN_DUAL(self, mu)
+        u = _EUCLIDEAN_DUAL(self, mu)
         if calls > k:
-            return value * np.nan, u * np.nan
-        return value, u
+            return u * np.nan
+        return u
 
     return legendre_dual
 
@@ -416,25 +439,29 @@ def test_chart_work_does_not_grow_with_steps():
 
 
 def test_norm_tensor_built_once_per_path():
-    # timer-free cost guard: the flow steps μ with the closed-form dual, so
-    # the norm tensor is built once, for μ at the start, however long the path
-    def tensor_calls(model, T):
+    # timer-free cost guard: the flow steps μ with the closed-form dual, four
+    # calls a step, so the norm tensor is built once, for μ at the start, and
+    # F = norm(u) is read once, for the whole path, however long the path
+    def norm_calls(model, T):
         norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
-        calls = []
-        original = norm.fundamental_matrix
+        calls = {"fundamental_matrix": 0, "value": 0, "legendre_dual": 0}
+        for name in calls:
+            original = getattr(norm, name)
 
-        def counted(y):
-            calls.append(y)
-            return original(y)
+            def counted(y, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(y)
 
-        norm.fundamental_matrix = counted
+            setattr(norm, name, counted)
         gf.integrate_geodesic(
             model, norm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
         )
-        return len(calls)
+        return calls
 
     for model in (groups.Heisenberg3(), groups.SU2()):
-        assert tensor_calls(model, 0.05) == tensor_calls(model, 0.5) == 1
+        for T in (0.05, 0.5):
+            steps = round(T / 1.0e-3)
+            assert norm_calls(model, T) == {"fundamental_matrix": 1, "value": 1, "legendre_dual": 4 * steps}
 
 
 def casimir_path(model):

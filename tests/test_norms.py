@@ -279,19 +279,16 @@ def test_batched_matches_single():
 
 
 def test_legendre_dual_round_trip():
-    # μ = ĝ_u u is the Legendre map; the closed-form dual must invert it and carry F
+    # μ = ĝ_u u is the Legendre map; the closed-form dual must invert it
     rng = np.random.RandomState(41)
-    worst_value = worst_u = 0.0
+    worst_u = 0.0
     for trial in range(200):
         n = 2 + trial % 2
         norm = norms.EuclideanNorm(random_spd(rng, n)) if trial % 5 == 0 else random_randers(rng, n)
         us = np.stack([random_y(rng, n) for _ in range(8)])
         mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(us), us)
-        dual, back = norm.legendre_dual(mu)
-        f = norm.value(us)
-        worst_value = max(worst_value, np.max(np.abs(dual - f) / f))
+        back = norm.legendre_dual(mu)
         worst_u = max(worst_u, np.max(np.linalg.norm(back - us, axis=-1) / np.linalg.norm(us, axis=-1)))
-    assert worst_value <= 1.0e-13
     assert worst_u <= 1.0e-13
 
 

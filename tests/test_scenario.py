@@ -82,6 +82,34 @@ def test_inline_algebra_jacobi_violation(tmp_path):
     assert "(1, 2, 3)" in str(err.value)
 
 
+def rotated_su2(scale):
+    """su(2) as inline structure constants in a rotated orthonormal basis,
+    scale·Q_ia Q_jb Q_kd ε_ijk for one rotation Q: exactly scale·ε_abd up
+    to rounding."""
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    c = scale * np.einsum("ia,jb,kd,ijk->abd", q, q, q, lie.su2().c)
+    entries = [[a + 1, b + 1, d + 1, float(c[a, b, d])] for a in range(3) for b in range(a + 1, 3) for d in range(3)]
+    return {"dim": 3, "structure_constants": entries}
+
+
+def test_inline_algebra_checks_scale_with_the_constants(tmp_path):
+    # the Jacobi and split checks are relative to max|c|, so rounding in
+    # a scaled basis passes them and a real defect at that scale does not
+    scale = 1.0e5
+    block = rotated_su2(scale)
+    scen = scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
+    assert np.max(np.abs(scen.split.algebra.c - scale * lie.su2().c)) <= 1.0e-10 * scale
+    data = minimal(task="check-nat-reductive", model=block, norm={"kind": "euclidean", "a": I2},
+                   m_indices=[1, 2], h_indices=[3])
+    assert scenario.parse_scenario(write_scenario(tmp_path, data)).split.h_indices == (2,)
+    broken = [entry[:3] + [entry[3] + 1.0e-6 * scale] if entry[:3] == [1, 2, 1] else entry
+              for entry in block["structure_constants"]]
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, minimal(model={"dim": 3, "structure_constants": broken})))
+    assert "Jacobi" in str(err.value)
+
+
 def test_inline_algebra_duplicate_entry(tmp_path):
     block = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [2, 1, 3, -1.0]]}
     with pytest.raises(ValidationError) as err:
@@ -98,6 +126,16 @@ def test_inline_algebra_bad_indices(tmp_path):
     with pytest.raises(ValidationError) as err:
         scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
     assert "always zero" in str(err.value)
+
+
+def test_float_index_must_be_an_integer(tmp_path):
+    block = {"dim": 3, "structure_constants": [[1.0, 2, 3, 1.0]]}
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, minimal(model=block)))
+    assert "structure_constants[0].i = 1.0 must be an integer in 1..3" in str(err.value)
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, minimal(m_indices=[1.0, 2, 3])))
+    assert "m_indices: index 1.0 must be an integer in 1..3" in str(err.value)
 
 
 @pytest.mark.parametrize("dim", [0, -1, True])

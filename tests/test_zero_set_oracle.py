@@ -11,7 +11,9 @@ by an independent route: it must pass every vector the solver keeps on
 the bundled and benchmark zero sets, and reject some on a norm whose
 closed-form tensor is wrong.  With m = g the zero sets of Randers norms
 are known exactly: on SU(2) the solver must find each geodesic ray once,
-also where b vanishes on an eigenspace of a and a circle joins them, and on H3 each representative must lie on the e3 axis or on the cone
+also where b vanishes on an eigenspace of a and a circle joins them; on
+u(2) = su(2) ⊕ R each representative must have its su(2) part parallel
+to that of ξ = aX/α(X) + b; and on H3 each must lie on the e3 axis or on the cone
 (aX)_3 + α(X)·b_3 = 0, with ±e3 found, and the branches of that exact
 set must number what every H3 zero-set scenario expects.
 """
@@ -112,6 +114,10 @@ def test_solver_matches_pinv_oracle_within_dedup_angle(case):
     # the scenario verdict: representatives found, each with residual below tol
     assert len(found.representatives) and np.all(found.residual_norms <= 1.0e-9)
     assert len(expected.representatives) and np.all(expected.residual_norms <= 1.0e-9)
+    if case == "u2-m-is-g":
+        # with m = g this zero set is known exactly, whichever way each seed went
+        for result in (found, expected):
+            assert np.max(su2_zero_set_defect(norm.a, norm.b, result.representatives)) <= 1.0e-8
     if case in LONE_SEED_BRANCHES:
         assert_same_branches_within(expected, found, gv.BRANCH_ANGLE)
         return
