@@ -5,7 +5,9 @@ g_{X_m}(X_m, [X, e_j]_m) = 0 for every m-basis vector e_j, the m-part
 of r = ad*_X μ with μ = g_{X_m} X_m; the orbit of exp(tX) through the
 origin is then a constant-speed geodesic.  This module evaluates that
 residual, solves for its zero set on the unit sphere of m, and runs the
-bi-invariance and natural-reductivity checks built from the same tensors.
+structure checks of a split on m-coordinates: the natural-reductivity
+identity on c[m, m, m] (bi-invariance when m = g), and the
+Ad(H)-invariance of the norm as the h-block of the same residual.
 
 The residual's Jacobian is J = ad*_X·g + K, where column k of K is
 ad*_{e_k} μ: μ has derivative g, since the Cartan term
@@ -65,11 +67,27 @@ def _embed_m(dec: lie.ReductiveDecomposition, Xm: np.ndarray) -> np.ndarray:
 
 
 def _criterion(c, X, Xm, g):
-    """r_j = g(X_m, [X, e_j]_m), the m-part of ad*_X(g X_m), with the matrix of
-    ad*_X and μ = g X_m, batched; c is c[:, m, m] for X in g, c[m, m, m] for X in m."""
+    """r_j = g(X_m, [X, e_j]_m), the m-part of ad*_X(g X_m), with the matrix of ad*_X
+    and μ = g X_m, batched; c is c[:, m, m] for X in g, c[m, m, m] for X in m, c[m, h, m] for r on h."""
     mu = np.einsum("...pq,...q->...p", g, Xm)
     coad = lie.coadjoint(c, X)
     return np.einsum("...jk,...k->...j", coad, mu), coad, mu
+
+
+def ad_h_breach(dec, norm):
+    """(|r|, index of Z) where the norm on m most breaches Ad(H)-invariance, or None.
+
+    d/dt F(Ad(exp tZ) y) at t = 0 is g_y(y, [Z, y]_m)/F(y); on c[m, h, m] the
+    criterion's r[s, a] is -g_y(y, [e_{h_a}, y]_m), for all of h in one call
+    (exact for connected H).  Of 64 draws, y breaches when |r| > 1e-10·max|c|·|g_y y|·|y|.
+    """
+    m, h = list(dec.m_indices), list(dec.h_indices)
+    y = _sample_nonzero(np.random.RandomState(0), 64, len(m))
+    r, _, mu = _criterion(dec.algebra.c[np.ix_(m, h, m)], y, y, norm.fundamental_matrix(y))
+    scale = 1.0e-10 * np.max(np.abs(dec.algebra.c)) * np.linalg.norm(mu, axis=-1) * np.linalg.norm(y, axis=-1)
+    excess = np.abs(r) - scale[:, None]
+    s, a = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    return (float(abs(r[s, a])), h[a]) if excess[s, a] > 0.0 else None
 
 
 def residual_batch(dec, norm, Xs) -> np.ndarray:
@@ -297,27 +315,21 @@ def _sample_nonzero(rng, count, dim, floor=0.3):
     return out
 
 
-def check_naturally_reductive(dec, norm, samples: int, seed: int, x=None) -> StructureReport:
+def check_naturally_reductive(dec, norm, samples: int, seed: int) -> StructureReport:
     """Max residual of g_y([x,u]_m,v) + g_y(u,[x,v]_m) + 2C_y([x,y]_m,u,v).
 
-    y, u and v are drawn in m, with y bounded away from zero, and so is
-    x unless it is given, as one vector of g.  With x = Z in h the
-    identity is the infinitesimal Ad(exp tZ)-invariance of the norm on m.
-    The witness holds y, u and v in m-coordinates at the worst sample,
-    and x there: its m-coordinates, or the x given.
+    x, y, u and v are drawn in m, with y bounded away from zero, and
+    every bracket [x, w]_m is taken on m-coordinates with c[m, m, m].
+    The witness holds x, y, u and v in m-coordinates at the worst sample.
     """
-    alg = dec.algebra
     idx = list(dec.m_indices)
+    c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
     rng = np.random.RandomState(seed)
     ym = _sample_nonzero(rng, samples, len(idx))
     xm, um, vm = (rng.standard_normal((samples, len(idx))) for _ in range(3))
-    y, u, v = (_embed_m(dec, w) for w in (ym, um, vm))
-    xs = _embed_m(dec, xm) if x is None else np.asarray(x, dtype=float)
     g = norm.fundamental_matrix(ym)
     cart = norm.cartan(ym)
-    xu = lie.bracket(alg, xs, u)[..., idx]
-    xv = lie.bracket(alg, xs, v)[..., idx]
-    xy = lie.bracket(alg, xs, y)[..., idx]
+    xu, xv, xy = (np.einsum("ijk,...i,...j->...k", c_mm, xm, w) for w in (um, vm, ym))
     res = (
         np.einsum("...p,...pq,...q->...", xu, g, vm)
         + np.einsum("...p,...pq,...q->...", um, g, xv)
@@ -326,7 +338,7 @@ def check_naturally_reductive(dec, norm, samples: int, seed: int, x=None) -> Str
     worst = int(np.argmax(np.abs(res)))
     return StructureReport(
         max_residual=float(np.abs(res[worst])),
-        witness={"y": ym[worst], "x": xm[worst] if x is None else xs, "u": um[worst], "v": vm[worst]},
+        witness={"y": ym[worst], "x": xm[worst], "u": um[worst], "v": vm[worst]},
     )
 
 

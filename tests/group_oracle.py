@@ -121,17 +121,29 @@ def su2_euler_top(inertia, u0, ts):
     M² = |μ|² > 2E·I₂, u(t) = (±w₁ cn τ, s₂w₂ sn τ, ±w₃ dn τ) at
     τ = t√((I₃ − I₂)(M² − 2EI₁)/(I₁I₂I₃)) and parameter
     k² = (I₂ − I₁)(2EI₃ − M²)/((I₃ − I₂)(M² − 2EI₁)) (Landau and Lifshitz,
-    Mechanics, §37).  The first and third signs are those of p and q, and
-    s₂ is the sign of μ̇₂(0) = μ₃u₁ − μ₁u₃.
+    Mechanics, §37).  For M² < 2E·I₂ the suffixes 1 and 3 interchange:
+    u(t) = (±w₁ dn τ, s₂w₂' sn τ, ±w₃ cn τ), with I₁ ↔ I₃ in τ, k² and the
+    amplitude w₂' of u₂.  The first and third signs are those of p and q,
+    and s₂ is the sign of μ̇₂(0) = μ₃u₁ − μ₁u₃ in both regimes: read off
+    the relabelled formula it would flip, since interchanging two axes
+    reverses the cross product.
     """
     i1, i2, i3 = inertia
     mu = np.asarray(inertia, dtype=float) * u0
     e2, m2 = u0 @ mu, mu @ mu
-    assert i1 < i2 < i3 and u0[1] == 0.0 and m2 > e2 * i2
-    rate = np.sqrt((i3 - i2) * (m2 - e2 * i1) / (i1 * i2 * i3))
-    k2 = (i2 - i1) * (e2 * i3 - m2) / ((i3 - i2) * (m2 - e2 * i1))
+    assert i1 < i2 < i3 and u0[1] == 0.0 and m2 != e2 * i2
+    # both positive off the principal axes
+    d1, d3 = e2 * i3 - m2, m2 - e2 * i1
+    if m2 > e2 * i2:
+        rate, k2 = np.sqrt((i3 - i2) * d3 / (i1 * i2 * i3)), (i2 - i1) * d1 / ((i3 - i2) * d3)
+        w2 = np.sqrt(d1 / (i2 * (i3 - i2)))
+    else:
+        rate, k2 = np.sqrt((i2 - i1) * d1 / (i1 * i2 * i3)), (i3 - i2) * d3 / ((i2 - i1) * d1)
+        w2 = np.sqrt(d3 / (i2 * (i2 - i1)))
     sn, cn, dn = jacobi_sn_cn_dn(rate * np.asarray(ts, dtype=float), k2)
-    w1 = np.sign(u0[0]) * np.sqrt((e2 * i3 - m2) / (i1 * (i3 - i1)))
-    w2 = np.sign(mu[2] * u0[0] - mu[0] * u0[2]) * np.sqrt((e2 * i3 - m2) / (i2 * (i3 - i2)))
-    w3 = np.sign(u0[2]) * np.sqrt((m2 - e2 * i1) / (i3 * (i3 - i1)))
-    return np.stack([w1 * cn, w2 * sn, w3 * dn], axis=-1)
+    w1 = np.sign(u0[0]) * np.sqrt(d1 / (i1 * (i3 - i1)))
+    w2 *= np.sign(mu[2] * u0[0] - mu[0] * u0[2])
+    w3 = np.sign(u0[2]) * np.sqrt(d3 / (i3 * (i3 - i1)))
+    if m2 > e2 * i2:
+        return np.stack([w1 * cn, w2 * sn, w3 * dn], axis=-1)
+    return np.stack([w1 * dn, w2 * sn, w3 * cn], axis=-1)

@@ -520,6 +520,26 @@ def test_top_level_unknown_key_exits_one(tmp_path, capsys, extra):
     assert "task, model, norm, params, seed, m_indices, h_indices" in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # the last value would win and flip the expectation to a pass
+        ('{"task": "check-minkowski-lie", "model": "heisenberg3", "norm": %s, '
+         '"params": {"expect_passed": true, "expect_passed": false}}', "expect_passed"),
+        ('{"task": "check-minkowski-lie", "task": "check-nat-reductive", "model": "heisenberg3", '
+         '"norm": %s, "params": {"expect_passed": false}}', "task"),
+    ],
+)
+def test_duplicate_json_key_exits_one(tmp_path, capsys, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text % json.dumps({"kind": "euclidean", "a": I3}), encoding="utf-8")
+    code = cli.main(["--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ParseError:")
+    assert f"{path}: duplicate key {key!r}" in err
+
+
 _NO_SCIPY = """
 import importlib, os, pkgutil, sys
 sys.modules["scipy"] = None

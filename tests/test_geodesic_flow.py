@@ -351,14 +351,13 @@ def test_su2_body_path_matches_the_euler_top():
     # error ratio between h = 2e-2 and 1e-2 is 2⁴ for a 4th-order method
     model = groups.SU2()
     rng = np.random.RandomState(1)
-    cases = 0
-    while cases < 3:
+    # cases per regime: M² > 2E·I₂ (dn on u₃) and M² < 2E·I₂ (dn on u₁)
+    cases = {True: 0, False: 0}
+    while min(cases.values()) < 3:
         inertia = np.sort(rng.uniform(0.5, 3.0, 3))
         u0 = np.array([rng.standard_normal(), 0.0, rng.standard_normal()])
         mu0 = inertia * u0
-        if mu0 @ mu0 <= (u0 @ mu0) * inertia[1]:
-            continue  # the closed form below holds for M² > 2E·I₂
-        cases += 1
+        cases[bool(mu0 @ mu0 > (u0 @ mu0) * inertia[1])] += 1
         norm = norms.EuclideanNorm(np.diag(inertia))
         errors = []
         for step in (2.0e-2, 1.0e-2):

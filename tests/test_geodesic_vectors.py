@@ -1,5 +1,9 @@
 """Criterion residuals, the sphere solver, and structure checks."""
 
+import copy
+import os
+import sys
+
 import cluster_oracle
 import newton_oracle
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 from randers_oracle import randers_residual_identity
 
 from finslergeo import geodesic_vectors as gv
-from finslergeo import lie, norms, scenario, sphere
+from finslergeo import cli, geodesic_flow, lie, norms, scenario, sphere
 from finslergeo.errors import DegenerateVector
 
 
@@ -331,6 +335,106 @@ def test_naturally_reductive_checker():
     skew = norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0]))
     report = gv.check_naturally_reductive(su2_dec(), skew, samples=200, seed=0)
     assert report.max_residual > tol
+
+
+def embedded_identity(dec, norm, samples, seed, x=None):
+    """The natural-reductivity residual per sample on embedded vectors, with
+    full brackets projected to m and x drawn in m or fixed at one vector of
+    g: an independent route to check_naturally_reductive and, with x = Z in
+    h, to the Ad(H)-invariance of the norm on m."""
+    idx = list(dec.m_indices)
+    rng = np.random.RandomState(seed)
+    ym = gv._sample_nonzero(rng, samples, len(idx))
+    xm, um, vm = (rng.standard_normal((samples, len(idx))) for _ in range(3))
+    y, u, v = (gv._embed_m(dec, w) for w in (ym, um, vm))
+    xs = gv._embed_m(dec, xm) if x is None else np.asarray(x, dtype=float)
+    xu, xv, xy = (lie.bracket(dec.algebra, xs, w)[..., idx] for w in (u, v, y))
+    g, cart = norm.fundamental_matrix(ym), norm.cartan(ym)
+    return (
+        np.einsum("...p,...pq,...q->...", xu, g, vm)
+        + np.einsum("...p,...pq,...q->...", um, g, xv)
+        + 2.0 * np.einsum("...pqr,...p,...q,...r->...", cart, xy, um, vm)
+    )
+
+
+def su2_plus_r():
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = lie.su2().c
+    return lie.LieAlgebraData(4, c)
+
+
+def test_naturally_reductive_check_matches_the_embedded_route():
+    # with m = g the operands are the embedded route's, bit for bit; on a
+    # split the h-terms of the full bracket are zeros
+    randers = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.2, -0.1, 0.3]))
+    for dec, norm in ((su2_dec(), eucl3()), (h3_dec(), randers), (su2_dec(), randers)):
+        report = gv.check_naturally_reductive(dec, norm, samples=200, seed=4)
+        assert report.max_residual == np.max(np.abs(embedded_identity(dec, norm, 200, 4)))
+    for m, h in (((0, 1), (2, 3)), ((0, 1, 3), (2,))):
+        dec = lie.ReductiveDecomposition(su2_plus_r(), m_indices=m, h_indices=h)
+        norm = norms.RandersNorm(np.eye(len(m)), 0.3 * np.eye(len(m))[-1])
+        report = gv.check_naturally_reductive(dec, norm, samples=200, seed=4)
+        assert abs(report.max_residual - np.max(np.abs(embedded_identity(dec, norm, 200, 4)))) <= 1.0e-14
+        assert all(len(report.witness[key]) == len(m) for key in "xyuv")
+
+
+def test_ad_h_breach_agrees_with_the_identity_at_x_equal_z():
+    # the h-block of the criterion against the second-order identity with
+    # x fixed at each basis vector Z of h and an absolute bound 1e-10, on
+    # random norms.  exp(t·e3) rotates (e1, e2) and fixes the central e4, so
+    # a norm is invariant under it when it is round on (e1, e2) with b on e4
+    # alone, and every norm is invariant when h = {e4}
+    rng = np.random.RandomState(7)
+
+    def spd(n):
+        q = rng.standard_normal((n, n))
+        return q @ q.T + np.eye(n)
+
+    for _ in range(8):
+        lam, mu, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)
+        cases = [
+            (lie.su2(), (0, 1), (2,), norms.EuclideanNorm(lam * np.eye(2)), True),
+            (lie.su2(), (0, 1), (2,), norms.EuclideanNorm(spd(2)), False),
+            (lie.su2(), (0, 1), (2,), norms.RandersNorm(lam * np.eye(2), 0.2 * rng.standard_normal(2)), False),
+            (su2_plus_r(), (0, 1), (3, 2), norms.EuclideanNorm(spd(2)), False),
+            (su2_plus_r(), (0, 1, 2), (3,), norms.RandersNorm(spd(3), 0.2 * rng.standard_normal(3)), True),
+            (su2_plus_r(), (0, 1, 3), (2,), norms.RandersNorm(np.diag([lam, lam, mu]), [0.0, 0.0, beta]), True),
+            (su2_plus_r(), (0, 1, 3), (2,), norms.RandersNorm(spd(3), 0.2 * rng.standard_normal(3)), False),
+        ]
+        for alg, m, h, norm, invariant in cases:
+            dec = lie.ReductiveDecomposition(alg, m_indices=m, h_indices=h)
+            basis = np.eye(alg.dim)
+            old = max(np.max(np.abs(embedded_identity(dec, norm, 64, 0, x=basis[z]))) for z in h)
+            new = gv.ad_h_breach(dec, norm)
+            assert (old > 1.0e-10) == (new is not None) == (not invariant)
+
+
+def test_structure_checks_agree_with_the_zero_set_and_berwald():
+    # the natural-reductivity identity is the y-Hessian of g_y(y, [x, y]_m),
+    # which is 2-homogeneous in y, so on m = g it holds exactly when every y
+    # is a geodesic vector; and a naturally reductive space is Berwald
+    # (Deng and Hou, Manuscripta Math. 131, 2010)
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import workloads
+
+    cases = [scenario.parse_scenario(path) for path in scenario.bundled_scenarios()]
+    cases += [
+        scenario.scenario_from_dict(copy.deepcopy(item["scenario"]))
+        for workload in workloads.WORKLOADS
+        for seed in (1, 2, 3)
+        for item in workloads.generate(workload, seed)
+    ]
+    verdicts = []
+    for scen in cases:
+        if scen.task not in ("check-nat-reductive", "check-minkowski-lie") or scen.split.h_indices:
+            continue
+        passed = cli.run_scenario(scen).payload["check_passed"]
+        zero_set = gv.find_geodesic_vectors(scen.split, scen.norm, samples=1024, tol=1.0e-9)
+        assert passed == zero_set.all_seeds_geodesic
+        if passed and scen.model is not None:
+            assert geodesic_flow.berwald_test(scen.model, scen.norm, scen.model.identity(), samples=8) <= 1.0e-14
+        verdicts.append(passed)
+    assert len(verdicts) >= 40 and 10 <= verdicts.count(False) < len(verdicts)
 
 
 def test_riemannian_reduction_matches_classical_form():

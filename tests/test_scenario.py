@@ -218,6 +218,19 @@ def test_split_norm_must_be_ad_h_invariant(tmp_path, task):
     assert "at Z = e3" in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [1.0e6, 1.0e7, 1.0e8, 1.0e-12])
+def test_ad_h_invariance_bound_scales_with_the_constants(tmp_path, scale):
+    # the bound is relative to max|c|·|g_y y|·|y|: rounding of a scaled
+    # rotated su(2) passes it, a stretched norm fails it at any scale
+    split = {"m_indices": [1, 2], "h_indices": [3]}
+    data = minimal(task="check-nat-reductive", model=rotated_su2(scale), norm={"kind": "euclidean", "a": I2}, **split)
+    assert scenario.parse_scenario(write_scenario(tmp_path, data)).split.h_indices == (2,)
+    data["norm"] = {"kind": "euclidean", "a": [[1.0, 0.0], [0.0, 2.0]]}
+    with pytest.raises(ValidationError) as err:
+        scenario.parse_scenario(write_scenario(tmp_path, data))
+    assert str(err.value).endswith("at Z = e3")
+
+
 def test_m_h_must_partition(tmp_path):
     with pytest.raises(ValidationError) as err:
         scenario.parse_scenario(write_scenario(tmp_path, minimal(m_indices=[1, 2], h_indices=[2, 3])))
