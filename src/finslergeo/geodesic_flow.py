@@ -30,8 +30,9 @@ u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs(algebra, u, g)` evaluates
 that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
-vectors are the equilibria of the flow; every ad* here and in
-`geodesic_vectors` is `lie.coadjoint`.
+vectors are the equilibria of the flow.  Every ad* here is one product
+(u ⊗ μ)·K, with K[(i, k), j] = c[i, j, k] formed once per path; the
+matrix kernel `lie.coadjoint` serves `geodesic_vectors`.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -92,16 +93,36 @@ def chart_fundamental_tensor(model: GroupModel, norm, x, y) -> np.ndarray:
     return np.einsum("...pi,...pq,...qj->...ij", a, ghat, a)
 
 
-def _coadjoint(c, u, mu) -> np.ndarray:
-    """ad*_u μ, batched: the matrix of `lie.coadjoint` applied to μ."""
-    return (lie.coadjoint(c, u) @ mu[..., None])[..., 0]
+def _ad_kernel(c) -> np.ndarray:
+    """K[(i, k), j] = c[i, j, k]: the structure constants, or a block of
+    them such as c[:, m, m], as the matrix that `_coadjoint` multiplies."""
+    n, p, q = c.shape
+    return c.transpose(0, 2, 1).reshape(n * q, p)
+
+
+def _coadjoint(kernel, u, mu) -> np.ndarray:
+    """ad*_u μ = (u ⊗ μ)·K, batched, with K = `_ad_kernel(c)`: one
+    product of the flattened outer product with K."""
+    outer = u[..., :, None] * mu[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,)).dot(kernel)
 
 
 def euler_poincare_rhs(algebra, u, g) -> np.ndarray:
     """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u, where g
     is the norm's fundamental tensor ĝ_u."""
     mu = np.einsum("...ij,...j->...i", g, u)
-    return np.linalg.solve(g, _coadjoint(algebra.c, u, mu)[..., None])[..., 0]
+    return np.linalg.solve(g, _coadjoint(_ad_kernel(algebra.c), u, mu)[..., None])[..., 0]
+
+
+def step_count(T: float, step: float) -> int:
+    """T / step; ValueError unless step, T > 0 and T is a whole number of
+    steps, to a relative 1e-9 that absorbs the rounding, never a part step."""
+    if step <= 0.0 or T <= 0.0:
+        raise ValueError("forward integration needs step > 0 and T > 0")
+    steps = round(T / step)
+    if steps < 1 or abs(T - steps * step) > 1.0e-9 * T:
+        raise ValueError(f"T = {T!r} is not a whole number of steps of {step!r}")
+    return steps
 
 
 def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
@@ -125,7 +146,8 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     the norm must implement.  μ advances by classical RK4 with stage
     values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, and stores the stage velocities of every step.  The
+    that, on the batch flattened to rows, and stores the body and stage
+    velocities of every step in one array.  The
     group element advances by the 4th-order RKMK step on the stage
     velocities, g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
@@ -140,50 +162,55 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     the rounding of a long path at O(log N) products.
 
     Batched over leading axes of (x0, y0); all trajectories advance in
-    lockstep.  x0 must lie in the model's chart (ChartDomain otherwise);
-    the path itself may leave it.  Raises StepRejected when, at any step
+    lockstep.  T must be a whole number of steps (`step_count`).  x0
+    must lie in the model's chart (ChartDomain otherwise); the path
+    itself may leave it.  Raises StepRejected when, at any step
     of the whole path, the relative drift of F = norm(u) across that step
     exceeds 1e-3 or F is not finite.  The path holds the group elements,
     the body velocities u(μ) as stepped, and F_values = F of them; no
     sample is read off in the chart.
     """
-    if step <= 0.0 or T <= 0.0:
-        raise ValueError("forward integration needs step > 0 and T > 0")
-    c = model.algebra.c
+    nsteps = step_count(T, step)
     y = _require_nonzero_tangent(y0)
     x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
     mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
-    nsteps = max(1, int(round(T / step)))
-    body = np.empty((nsteps + 1,) + u.shape)
-    u2, u3, u4 = (np.empty((nsteps,) + u.shape) for _ in range(3))
-    body[0] = u
-
-    def stage(m):
-        um = norm.legendre_dual(m)
-        return um, _coadjoint(c, um, m)
+    shape = u.shape
+    u, mu = u.reshape(-1, shape[-1]), mu.reshape(-1, shape[-1])
+    kernel = _ad_kernel(model.algebra.c)
+    # vel[:, i] holds U_1 at sample i and U_2, U_3, U_4 of step i + 1
+    vel = np.empty((4, nsteps + 1) + u.shape)
+    vel[0, 0] = u
+    half, sixth = 0.5 * step, step / 6.0
 
     # a diverging path runs to its end as inf or nan, which the drift
     # check below rejects
     with np.errstate(all="ignore"):
         for i in range(nsteps):
-            k1 = _coadjoint(c, u, mu)
-            u2[i], k2 = stage(mu + 0.5 * step * k1)
-            u3[i], k3 = stage(mu + 0.5 * step * k2)
-            u4[i], k4 = stage(mu + step * k3)
-            mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u = body[i + 1] = norm.legendre_dual(mu)
-        F = norm.value(body)
+            k1 = _coadjoint(kernel, u, mu)
+            m = mu + half * k1
+            u2 = vel[1, i] = norm.legendre_dual(m)
+            k2 = _coadjoint(kernel, u2, m)
+            m = mu + half * k2
+            u3 = vel[2, i] = norm.legendre_dual(m)
+            k3 = _coadjoint(kernel, u3, m)
+            m = mu + step * k3
+            u4 = vel[3, i] = norm.legendre_dual(m)
+            k4 = _coadjoint(kernel, u4, m)
+            mu = mu + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = vel[0, i + 1] = norm.legendre_dual(mu)
+        vel = vel.reshape((4, nsteps + 1) + shape)
+        F = norm.value(vel[0])
 
     # written so that a non-finite F fails the comparison
     if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
         raise StepRejected(
             f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
         )
-    u1 = body[:-1]
+    u1, u2, u3, u4 = vel[:, :-1]
     commutator = lie.bracket(model.algebra, u1, u4)
-    theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
+    theta = sixth * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
     # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
     # of the (up to) 2·stride increments that end at step i
     acc = model.to_group(theta)
@@ -194,7 +221,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     g0 = model.to_group(x)
     elements = np.concatenate([g0[None], model.multiply(g0, acc)])
     ts = np.arange(nsteps + 1) * step
-    return GeodesicPath(ts=ts, points=elements, body=body, F_values=F)
+    return GeodesicPath(ts=ts, points=elements, body=vel[0], F_values=F)
 
 
 def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -> HomogeneousGeodesicReport:
@@ -214,7 +241,7 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     path = integrate_geodesic(model, norm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
     sup = float(np.max(np.abs(path.points - orbit)))
-    residual = _coadjoint(model.algebra.c, X, norm.fundamental_matrix(X) @ X)
+    residual = _coadjoint(_ad_kernel(model.algebra.c), X, norm.fundamental_matrix(X) @ X)
     return HomogeneousGeodesicReport(sup_distance=sup, residual_norm=float(np.linalg.norm(residual)))
 
 

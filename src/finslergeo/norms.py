@@ -131,7 +131,7 @@ class EuclideanNorm(MinkowskiNorm):
         return np.sqrt(_quadratic(y, self.a))
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        return self._check_dim(mu) @ self.a_inv
+        return self._check_dim(mu).dot(self.a_inv)
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -191,10 +191,9 @@ class RandersNorm(MinkowskiNorm):
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
         mu = self._check_dim(mu)
-        h_mu = mu @ self.dual_h
-        root = np.sqrt(np.einsum("...i,...i->...", mu, h_mu))
-        dual = root + mu @ self.dual_w
-        return dual[..., None] * (h_mu / root[..., None] + self.dual_w)
+        h_mu = mu.dot(self.dual_h)
+        root = np.sqrt(np.add.reduce(mu * h_mu, axis=-1, keepdims=True))
+        return (root + mu.dot(self.dual_w)[..., None]) * (h_mu / root + self.dual_w)
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))

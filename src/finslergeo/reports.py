@@ -4,7 +4,11 @@ The machine form is byte-deterministic: `cli.run_scenario` converts
 payloads to plain Python types once, with `plain`; keys are sorted, and
 floats serialize through repr (the shortest round-trip form).  Wall
 time appears only in the text form, so repeated runs of the same
-scenario produce identical machine bytes.
+scenario produce identical machine bytes.  They are the bytes of
+json.dumps(body, sort_keys=True, indent=2), written by `_emit`: a list
+of floats is one join over float.__repr__, which json's encoder calls
+too, with its spellings NaN and ±Infinity; keys and every other scalar
+go through json's own encoder.
 """
 
 import hashlib
@@ -60,7 +64,32 @@ def machine_report(report: RunReport) -> str:
         "payload": report.payload,
         "tables": report.tables,
     }
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return _emit(body, "") + "\n"
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _emit(value, pad: str) -> str:
+    """`value` at indent `pad` as json.dumps(value, sort_keys=True,
+    indent=2) writes it, for the string keys that `plain` leaves."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _encode(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        text = sep.join(f"{_encode(key)}: {_emit(value[key], inner)}" for key in sorted(value))
+        return "{\n" + inner + text + "\n" + pad + "}"
+    try:
+        text = sep.join(map(float.__repr__, value))
+    except TypeError:  # an item that is not a float
+        text = sep.join(_emit(item, inner) for item in value)
+    else:
+        if "n" in text:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return "[\n" + inner + text + "\n" + pad + "]"
 
 
 def format_table(columns, rows) -> str:

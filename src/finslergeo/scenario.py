@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesic_vectors, groups, lie, norms
+from . import geodesic_flow, geodesic_vectors, groups, lie, norms
 from .errors import NonConvexNorm, ParseError, ValidationError
 
 _TOP_LEVEL_KEYS = ("task", "model", "norm", "params", "seed", "m_indices", "h_indices")
@@ -270,12 +270,12 @@ def _typed_params(task: str, params: dict, model, dim: int) -> dict:
             "parallelogram law on pairs of distinct directions"
         )
     if "T" in out:
-        steps = round(out["T"] / out["step"])
-        # a relative 1e-9 absorbs the rounding of T / step, never a part step
-        if steps < 1 or abs(out["T"] - steps * out["step"]) > 1.0e-9 * out["T"]:
+        try:
+            geodesic_flow.step_count(out["T"], out["step"])
+        except ValueError:
             raise ValidationError(
                 f"params: 'T' = {out['T']!r} is not a whole number of steps of 'step' = {out['step']!r}"
-            )
+            ) from None
     return out
 
 

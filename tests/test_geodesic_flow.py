@@ -437,10 +437,16 @@ def test_chart_work_does_not_grow_with_steps():
         assert short["check_chart"] == 1
 
 
-def test_norm_tensor_built_once_per_path():
+def test_norm_tensor_built_once_per_path(monkeypatch):
     # timer-free cost guard: the flow steps μ with the closed-form dual, four
     # calls a step, so the norm tensor is built once, for μ at the start, and
-    # F = norm(u) is read once, for the whole path, however long the path
+    # F = norm(u) is read once, for the whole path, however long the path;
+    # the stages apply ad* as one product with the structure constants, so
+    # the matrix kernel lie.coadjoint is never formed
+    kernel_calls = []
+    original_kernel = lie.coadjoint
+    monkeypatch.setattr(lie, "coadjoint", lambda c, u: kernel_calls.append(1) or original_kernel(c, u))
+
     def norm_calls(model, T):
         norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
         calls = {"fundamental_matrix": 0, "value": 0, "legendre_dual": 0}
@@ -452,15 +458,62 @@ def test_norm_tensor_built_once_per_path():
                 return _original(y)
 
             setattr(norm, name, counted)
+        kernel_calls.clear()
         gf.integrate_geodesic(
             model, norm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
         )
-        return calls
+        return dict(calls, coadjoint=len(kernel_calls))
 
     for model in (groups.Heisenberg3(), groups.SU2()):
         for T in (0.05, 0.5):
             steps = round(T / 1.0e-3)
-            assert norm_calls(model, T) == {"fundamental_matrix": 1, "value": 1, "legendre_dual": 4 * steps}
+            assert norm_calls(model, T) == {
+                "fundamental_matrix": 1,
+                "value": 1,
+                "legendre_dual": 4 * steps,
+                "coadjoint": 0,
+            }
+
+
+def test_two_axis_batch_matches_single_paths():
+    # a (2, 3) batch is flattened to rows for the loop and comes back in
+    # its own shape, each path as a single call gives it
+    rng = np.random.RandomState(3)
+    a = np.diag([1.0, 2.0, 3.0])
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.2]))):
+            x0 = 0.3 * rng.standard_normal((2, 3, 3))
+            y0 = rng.standard_normal((2, 3, 3))
+            path = gf.integrate_geodesic(model, norm, x0, y0, T=0.5, step=1.0e-2)
+            assert path.points.shape == (51, 2, 3, model.to_group(np.zeros(3)).shape[-1])
+            assert path.body.shape == (51, 2, 3, 3)
+            assert path.F_values.shape == (51, 2, 3)
+            for i in range(2):
+                for j in range(3):
+                    one = gf.integrate_geodesic(model, norm, x0[i, j], y0[i, j], T=0.5, step=1.0e-2)
+                    assert np.array_equal(path.ts, one.ts)
+                    for name in ("points", "body", "F_values"):
+                        want = getattr(one, name)
+                        got = getattr(path, name)[:, i, j]
+                        assert np.max(np.abs(got - want)) <= 1.0e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("T, step", [(0.1, 0.5), (1.0, 0.3), (0.05, 0.02)])
+def test_horizon_must_be_a_whole_number_of_steps(T, step):
+    # the path would end at 0.5 for (0.1, 0.5) and at 0.9 for (1.0, 0.3)
+    model, norm = su2_euclid()
+    with pytest.raises(ValueError, match="whole number of steps"):
+        gf.integrate_geodesic(model, norm, np.zeros(3), np.array([1.0, 0.0, 0.0]), T=T, step=step)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        gf.is_homogeneous_geodesic(model, norm, np.array([1.0, 0.0, 0.0]), T=T, step=step)
+
+
+def test_step_count_absorbs_the_rounding_of_t_over_step():
+    assert gf.step_count(0.05, 1.0e-3) == 50
+    assert gf.step_count(0.25, 1.0e-3) == 250
+    assert gf.step_count(0.3, 0.1) == 3
+    path = gf.integrate_geodesic(*su2_euclid(), np.zeros(3), np.array([1.0, 0.0, 0.0]), T=0.3, step=0.1)
+    assert len(path.ts) == 4
 
 
 def casimir_path(model):
