@@ -11,7 +11,8 @@ geodesic equations are
 The flow is stepped in this Lie–Poisson form.  u is read off μ by the
 norm's Legendre dual, u = ∂(½F*²)/∂μ, which Euclidean and Randers norms
 carry in closed form (see `norms`), so a step needs no norm tensor and
-no linear solve: ĝ is built once per path, for μ at the start.  μ is
+no linear solve, and μ at the start comes from the norm's Legendre map
+`norm.legendre(u)`, closed form as well: a path builds no ĝ.  μ is
 integrated with classical fixed-step Runge-Kutta.  μ̇ does not involve
 g, so the step loop advances μ alone.  Each step's group increment is
 the Runge–Kutta–Munthe-Kaas exponential built from its stage velocities
@@ -141,9 +142,9 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
 def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -> GeodesicPath:
     """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time.
 
-    μ = ĝ_u u is built once, from the start velocity u = A(x0)·y0; from
-    then on u(μ) = ∂(½F*²)/∂μ comes from the norm's Legendre dual, which
-    the norm must implement.  μ advances by classical RK4 with stage
+    μ = ĝ_u u is formed once, by the norm's Legendre map, from the start
+    velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes from the
+    norm's Legendre dual, which the norm must implement.  μ advances by classical RK4 with stage
     values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
     that, on the batch flattened to rows, and stores the body and stage
@@ -175,7 +176,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     x, y = (np.array(v) for v in np.broadcast_arrays(np.asarray(x0, dtype=float), y))
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
+    mu = norm.legendre(u)
     shape = u.shape
     u, mu = u.reshape(-1, shape[-1]), mu.reshape(-1, shape[-1])
     kernel = _ad_kernel(model.algebra.c)
@@ -232,8 +233,9 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     representation (chart coordinates on H3, unit quaternions on SU(2)),
     is the measurement a caller holds against its tolerance.  No sample
     is read off in the chart, so an orbit may wind past the chart's edge
-    and through the antipode.  The criterion residual ad*_X(ĝ_X X)
-    rides along so callers can confirm the two measurements agree.
+    and through the antipode.  The criterion residual ad*_X(ĝ_X X), with
+    ĝ_X X from the norm's Legendre map, rides along so callers can
+    confirm the two measurements agree.
     """
     X = np.asarray(X, dtype=float)
     if np.linalg.norm(X) == 0.0:
@@ -241,7 +243,7 @@ def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -
     path = integrate_geodesic(model, norm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
     sup = float(np.max(np.abs(path.points - orbit)))
-    residual = _coadjoint(_ad_kernel(model.algebra.c), X, norm.fundamental_matrix(X) @ X)
+    residual = _coadjoint(_ad_kernel(model.algebra.c), X, norm.legendre(X))
     return HomogeneousGeodesicReport(sup_distance=sup, residual_norm=float(np.linalg.norm(residual)))
 
 

@@ -9,9 +9,13 @@ structure checks of a split on m-coordinates: the natural-reductivity
 identity on c[m, m, m] (bi-invariance when m = g), and the
 Ad(H)-invariance of the norm as the h-block of the same residual.
 
-The residual's Jacobian is J = ad*_X·g + K, where column k of K is
-ad*_{e_k} μ: μ has derivative g, since the Cartan term
-2·C_{X_m}(X_m, ·, ·) vanishes when a slot is radial.  A
+The residual has one route: μ comes from the norm's Legendre map
+`norm.legendre(X_m)`, which Euclidean and Randers norms carry in closed
+form (for Randers, ad*_X μ with μ = F·(a X/α + b) is the paper's Randers
+form of the criterion), so forming r builds no norm tensor.  Only the
+Newton step reads the tensor, through the Jacobian J = ad*_X·g + K,
+where column k of K is ad*_{e_k} μ: μ has derivative g, since the Cartan
+term 2·C_{X_m}(X_m, ·, ·) vanishes when a slot is radial.  A
 finite-difference cross-check of this identity lives in the test-suite.
 """
 
@@ -24,8 +28,10 @@ from .errors import DegenerateVector
 
 NEWTON_ITERS = 25
 # Tikhonov damping of the Newton step's normal equations, as a share of
-# their trace.  It may not be 0: on a curve zero set the augmented
-# Jacobian [J; X^T] is rank deficient (on the circle X3 = 0 of H3 with
+# their trace, in which the sphere constraint's row is weighted by
+# w = trace(J^T J)/n, so the step does not depend on the scale of F.  It
+# may not be 0: on a curve zero set the augmented Jacobian [J; X^T] is
+# rank deficient (on the circle X3 = 0 of H3 with
 # a = I, b3 = 0 its singular values are 1.3, 1 and 0, and the last is
 # 1.3e-7 at X3 = 1e-7), so the undamped normal equations are singular
 # there and np.linalg.solve raises.  Damped, the step is the minimum-norm
@@ -66,12 +72,11 @@ def _embed_m(dec: lie.ReductiveDecomposition, Xm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _criterion(c, X, Xm, g):
-    """r_j = g(X_m, [X, e_j]_m), the m-part of ad*_X(g X_m), with the matrix of ad*_X
-    and μ = g X_m, batched; c is c[:, m, m] for X in g, c[m, m, m] for X in m, c[m, h, m] for r on h."""
-    mu = np.einsum("...pq,...q->...p", g, Xm)
-    coad = lie.coadjoint(c, X)
-    return np.einsum("...jk,...k->...j", coad, mu), coad, mu
+def _criterion(c, X, mu):
+    """r = ad*_X μ, batched, with μ = g_{X_m} X_m from the norm's Legendre map:
+    r_j = g(X_m, [X, e_j]_m).  c is c[:, m, m] for X in g, c[m, m, m] for X
+    in m, c[m, h, m] for r on h."""
+    return np.einsum("...jk,...k->...j", lie.coadjoint(c, X), mu)
 
 
 def ad_h_breach(dec, norm):
@@ -83,7 +88,8 @@ def ad_h_breach(dec, norm):
     """
     m, h = list(dec.m_indices), list(dec.h_indices)
     y = _sample_nonzero(np.random.RandomState(0), 64, len(m))
-    r, _, mu = _criterion(dec.algebra.c[np.ix_(m, h, m)], y, y, norm.fundamental_matrix(y))
+    mu = norm.legendre(y)
+    r = _criterion(dec.algebra.c[np.ix_(m, h, m)], y, mu)
     scale = 1.0e-10 * np.max(np.abs(dec.algebra.c)) * np.linalg.norm(mu, axis=-1) * np.linalg.norm(y, axis=-1)
     excess = np.abs(r) - scale[:, None]
     s, a = np.unravel_index(int(np.argmax(excess)), excess.shape)
@@ -98,20 +104,20 @@ def residual_batch(dec, norm, Xs) -> np.ndarray:
     if np.any(np.linalg.norm(ym, axis=-1) == 0.0):
         raise DegenerateVector("criterion needs a nonzero m-component")
     c = dec.algebra.c[:, idx][:, :, idx]
-    return _criterion(c, Xs, ym, norm.fundamental_matrix(ym))[0]
+    return _criterion(c, Xs, norm.legendre(ym))
 
 
 def _residual(c_mm, norm, Xm):
     """Residual at m-coordinates Xm, from c_mm = c[m, m, m]."""
-    return _criterion(c_mm, Xm, Xm, norm.fundamental_matrix(Xm))[0]
+    return _criterion(c_mm, Xm, norm.legendre(Xm))
 
 
-def _residual_and_jacobian(c_mm, norm, Xm):
-    """Residual and its exact Jacobian in m-coordinates, batched."""
-    g = norm.fundamental_matrix(Xm)
-    r, coad, mu = _criterion(c_mm, Xm, Xm, g)
-    # ∂_X(ad*_X μ) at fixed μ: column k is ad*_{e_k} μ
-    return r, coad @ g + np.einsum("...q,kjq->...jk", mu, c_mm)
+def _jacobian(c_mm, norm, Xm):
+    """The residual's exact Jacobian in m-coordinates, batched."""
+    coad = lie.coadjoint(c_mm, Xm)
+    # ∂_X(ad*_X μ) at fixed μ: column k is ad*_{e_k} μ, whose entry j is
+    # c[k, j, q] μ_q, the coadjoint matrix of μ on the transposed constants
+    return coad @ norm.fundamental_matrix(Xm) + lie.coadjoint(c_mm.transpose(2, 1, 0), norm.legendre(Xm))
 
 
 def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVectorSet:
@@ -120,9 +126,14 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     Seeds a low-discrepancy sphere set and runs at most NEWTON_ITERS
     steps of damped Newton restricted to the sphere in lockstep over all
     seeds; whether every seed already solves the criterion is read off
-    the first residual.  Each step is the least-squares solution of
-    J d = -r with X.d = 0, taken from the normal equations
-    (J^T J + X X^T + lam I) d = -J^T r with a Tikhonov lam of
+    the first residual.  Every residual, the first one, each line-search
+    trial and the representatives', is ad*_X(norm.legendre(X)) by
+    `_residual`; a seed's residual is the one its accepted trial gave,
+    never recomputed.  The norm tensor is built only for the Jacobian,
+    on the seeds still moving, just before their step.  Each step is the
+    least-squares solution of J d = -r with X.d = 0, the constraint row
+    weighted by w = trace(J^T J)/n, taken from the normal equations
+    (J^T J + w X X^T + lam I) d = -J^T r with a Tikhonov lam of
     STEP_DAMPING times their trace, and then halved by the line search.
     A seed whose step moves no coordinate by more than HOLD_STEP = 2^-52
     has stopped to rounding: it leaves the batch and keeps its position
@@ -146,7 +157,8 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     idx = list(dec.m_indices)
     c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
     X = sphere.seeds(len(idx), samples)
-    r, jac = _residual_and_jacobian(c_mm, norm, X)
+    # r holds the residuals of the moving seeds, in their order
+    r = _residual(c_mm, norm, X)
     rnorm = np.linalg.norm(r, axis=-1)
     all_seeds_geodesic = bool(np.all(rnorm <= tol))
     moving = np.arange(samples)
@@ -154,11 +166,12 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         if np.all(rnorm <= tol) or not len(moving):
             break
         here = X[moving]
-        best = _line_search(c_mm, norm, here, _newton_step(jac, here, r), rnorm[moving])
-        X[moving] = best
-        moving = moving[np.any(np.abs(best - here) > HOLD_STEP, axis=-1)]
-        r, jac = _residual_and_jacobian(c_mm, norm, X[moving])
-        rnorm[moving] = np.linalg.norm(r, axis=-1)
+        step = _newton_step(_jacobian(c_mm, norm, here), here, r)
+        part = rnorm[moving]
+        best = _line_search(c_mm, norm, here, step, r, part)
+        X[moving], rnorm[moving] = best, part
+        keep = np.any(np.abs(best - here) > HOLD_STEP, axis=-1)
+        moving, r = moving[keep], r[keep]
     converged = rnorm <= tol
     reps = _dedup(X[converged], DEDUP_ANGLE)
     ranks = _branch_ranks(reps, BRANCH_ANGLE)
@@ -181,23 +194,31 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
 def _newton_step(jac, X, r):
     """Least-squares step d of J d = -r with X.d = 0, batched.
 
-    Solves the normal equations of the augmented system [J; X^T] d =
-    [-r; 0], (J^T J + X X^T + lam I) d = -J^T r, with lam =
-    STEP_DAMPING * trace(J^T J + X X^T).
+    Solves the normal equations of the augmented system [J; √w X^T] d =
+    [-r; 0], (J^T J + w X X^T + lam I) d = -J^T r, with the constraint
+    weight w = trace(J^T J)/n and lam = STEP_DAMPING * trace(J^T J +
+    w X X^T).  J scales with F, so w keeps both rows on one scale: the
+    step is the same for F and sF.  Where J vanishes, w is 1.  J^T J and
+    J^T r are both formed from one contiguous copy of J^T.
     """
-    normal = np.swapaxes(jac, -1, -2) @ jac + X[..., :, None] * X[..., None, :]
+    jac_t = np.ascontiguousarray(np.swapaxes(jac, -1, -2))
+    normal = jac_t @ jac
+    weight = np.trace(normal, axis1=-2, axis2=-1) / X.shape[-1]
+    weight = np.where(weight > 0.0, weight, 1.0)
+    normal += weight[..., None, None] * (X[..., :, None] * X[..., None, :])
     lam = STEP_DAMPING * np.trace(normal, axis1=-2, axis2=-1)
     normal += lam[..., None, None] * np.eye(X.shape[-1])
-    rhs = -np.einsum("...ij,...i->...j", jac, r)
-    return np.linalg.solve(normal, rhs[..., None])[..., 0]
+    return -np.linalg.solve(normal, jac_t @ r[..., None])[..., 0]
 
 
-def _line_search(c_mm, norm, X, step, rnorm):
+def _line_search(c_mm, norm, X, step, r, rnorm):
     """Newton's damped update: each seed's step is halved up to four times
     until the residual norm does not grow; seeds that never improve stay.
 
     Only seeds that have not yet improved are tried again, since a seed
-    that improved would repeat the same trial.  rnorm is overwritten.
+    that improved would repeat the same trial.  r and rnorm are
+    overwritten with the residuals and their norms at the returned
+    positions: an improved seed's come from its accepted trial.
     """
     best = X.copy()
     scale = np.ones(len(X))
@@ -205,10 +226,11 @@ def _line_search(c_mm, norm, X, step, rnorm):
     for _ in range(5):
         trial = X[todo] + scale[todo, None] * step[todo]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_norm = np.linalg.norm(_residual(c_mm, norm, trial), axis=-1)
+        trial_r = _residual(c_mm, norm, trial)
+        trial_norm = np.linalg.norm(trial_r, axis=-1)
         improved = trial_norm <= rnorm[todo]
-        best[todo[improved]] = trial[improved]
-        rnorm[todo[improved]] = trial_norm[improved]
+        won = todo[improved]
+        best[won], r[won], rnorm[won] = trial[improved], trial_r[improved], trial_norm[improved]
         scale[todo[~improved]] *= 0.5
         todo = todo[~improved]
         if not len(todo):

@@ -13,11 +13,16 @@ routes are cross-checked in the test-suite, never collapsed.  Their
 values share one quadratic-form kernel, y·a y = (y @ a)·y: a BLAS matmul
 and a two-operand contraction, which the σ quadrature runs on every node.
 
-Euclidean and Randers norms also carry their Legendre dual: the inverse
-u = ∂(½F*²)/∂μ of the Legendre map u ↦ μ = ĝ_u u, where
-F*(μ) = max{μ·y : F(y) = 1} is the dual norm on covectors.  For a
-Euclidean norm u = a⁻¹μ.  A Randers norm's dual is again of Randers
-type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 − b·b♯,
+Every norm has a Legendre map y ↦ μ = ĝ_y y = ½∇F²(y), the covector
+that the geodesic criterion and the flow read.  The base class forms it
+from the fundamental tensor; Euclidean and Randers norms carry it in
+closed form, μ = a y and μ = F(y)·(a y/α(y) + b), so a caller that needs
+μ alone builds no tensor.
+
+Euclidean and Randers norms also carry its inverse, the Legendre dual
+u = ∂(½F*²)/∂μ, where F*(μ) = max{μ·y : F(y) = 1} is the dual norm on
+covectors.  For a Euclidean norm u = a⁻¹μ.  A Randers norm's dual is
+again of Randers type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 − b·b♯,
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
 Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
@@ -78,6 +83,11 @@ class MinkowskiNorm:
         """C_ijk(y) = ¼ ∂³F²/∂y_i∂y_j∂y_k, batched."""
         return self._generic_cartan(y)
 
+    def legendre(self, y: np.ndarray) -> np.ndarray:
+        """μ = ĝ_y y = ½∇F²(y), the Legendre map, batched over leading axes of y."""
+        y = self._require_nonzero(y)
+        return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)
+
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
         """u = ∂(½F*²)/∂μ, batched over leading axes of μ.
 
@@ -129,6 +139,9 @@ class EuclideanNorm(MinkowskiNorm):
     def value(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
         return np.sqrt(_quadratic(y, self.a))
+
+    def legendre(self, y: np.ndarray) -> np.ndarray:
+        return self._require_nonzero(y) @ self.a
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
         return self._check_dim(mu).dot(self.a_inv)
@@ -188,6 +201,13 @@ class RandersNorm(MinkowskiNorm):
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.alpha(y) + self.beta(y)
+
+    def legendre(self, y: np.ndarray) -> np.ndarray:
+        """μ = F(y)·(a y/α + b): ½∇F² = F·∇F."""
+        y = self._require_nonzero(y)
+        p = y @ self.a
+        alpha = np.sqrt(np.einsum("...i,...i->...", y, p))[..., None]
+        return (alpha + (y @ self.b)[..., None]) * (p / alpha + self.b)
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
         mu = self._check_dim(mu)

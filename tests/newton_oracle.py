@@ -6,22 +6,25 @@ round tries every seed.  It takes the library's step,
 `geodesic_vectors._newton_step`, and the same hold: a seed whose step
 moves no coordinate by more than HOLD_STEP keeps that position from then
 on, its later steps discarded.  It evaluates the residual by the
-library's `_residual`, in m-coordinates.  Representative coordinates at
-most HOLD_STEP in magnitude are set to 0.0, as the library does.  Dedup,
-branches and the cap come from `cluster_oracle`.  The library must give
+library's `_residual`, in m-coordinates, and keeps each seed's residual
+from the trial that put it where it is; the Jacobian comes from the
+library's `_jacobian`.  Representative coordinates at most HOLD_STEP in
+magnitude are set to 0.0, as the library does.  Dedup, branches and the
+cap come from `cluster_oracle`.  The library must give
 exactly the same result.
 
 `find_geodesic_vectors_pinv` is the loop the library ran before its step
 became damped normal equations: the minimum-norm least-squares step
-pinv([J; X^T]) [-r; 0], and no hold, so a seed stops only at a bitwise
-fixed point.  It rounds differently, so the library must match it in
-counts, verdicts and branch partition, and in representatives within
-DEDUP_ANGLE.
+pinv([J; √w X^T]) [-r; 0], with the library's row weight w, and no
+hold, so a seed stops only at a bitwise fixed point.  It rounds
+differently, so the library must match it in counts, verdicts and branch
+partition, and in representatives within DEDUP_ANGLE.
 
-`jet_gate` recomputes the criterion residual with the norm's generic jet
-tensor in place of its closed form, and ad* from the block c[:, m, m]
-on the vector embedded in g: an independent route to the same quantity,
-which every representative the library keeps must pass.
+`jet_gate` recomputes the criterion residual with μ = ĝ X_m from the
+norm's generic jet tensor in place of its closed-form Legendre map, and
+ad* from the block c[:, m, m] on the vector embedded in g: an
+independent route to the same quantity, which every representative the
+library keeps must pass.
 """
 
 import cluster_oracle
@@ -32,8 +35,10 @@ from finslergeo import sphere
 
 
 def pinv_step(jac, X, r):
-    """The minimum-norm least-squares step of [J; X^T] d = [-r; 0]."""
-    aug = np.concatenate([jac, X[:, None, :]], axis=1)
+    """The minimum-norm least-squares step of [J; √w X^T] d = [-r; 0],
+    w = trace(J^T J)/n as the library weighs the constraint row."""
+    weight = np.einsum("...ij,...ij->...", jac, jac) / X.shape[-1]
+    aug = np.concatenate([jac, np.sqrt(weight)[:, None, None] * X[:, None, :]], axis=1)
     rhs = np.concatenate([-r, np.zeros((len(X), 1))], axis=1)
     return np.einsum("...ij,...j->...i", np.linalg.pinv(aug), rhs)
 
@@ -43,7 +48,8 @@ def jet_gate(dec, norm, Xm, tol):
     of m-coordinates Xm at or below tol; a NaN residual fails."""
     idx = list(dec.m_indices)
     c = dec.algebra.c[:, idx][:, :, idx]
-    gen = gv._criterion(c, gv._embed_m(dec, Xm), Xm, norm._generic_fundamental(Xm))[0]
+    mu = np.einsum("...ij,...j->...i", norm._generic_fundamental(Xm), Xm)
+    gen = gv._criterion(c, gv._embed_m(dec, Xm), mu)
     return np.linalg.norm(gen, axis=-1) <= tol
 
 
@@ -64,32 +70,35 @@ def find_geodesic_vectors_pinv(dec, norm, samples, tol):
 def _zero_set(dec, norm, samples, tol, step_of, hold):
     cm = c_mm(dec)
     X = sphere.seeds(len(dec.m_indices), samples)
-    r, jac = gv._residual_and_jacobian(cm, norm, X)
-    all_seeds_geodesic = bool(np.all(np.linalg.norm(r, axis=-1) <= tol))
+    r = gv._residual(cm, norm, X)
+    rnorm = np.linalg.norm(r, axis=-1)
+    all_seeds_geodesic = bool(np.all(rnorm <= tol))
     held = np.zeros(samples, dtype=bool)
     for _ in range(gv.NEWTON_ITERS):
-        rnorm = np.linalg.norm(r, axis=-1)
         if np.all(rnorm <= tol):
             break
-        step = step_of(jac, X, r)
+        step = step_of(gv._jacobian(cm, norm, X), X, r)
         scale = np.ones(len(X))
-        best = X
+        best, best_r, best_norm = X, r, rnorm
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_norm = np.linalg.norm(gv._residual(cm, norm, trial), axis=-1)
-            improved = trial_norm <= rnorm
+            trial_r = gv._residual(cm, norm, trial)
+            trial_norm = np.linalg.norm(trial_r, axis=-1)
+            improved = trial_norm <= best_norm
             best = np.where(improved[:, None], trial, best)
-            rnorm = np.where(improved, trial_norm, rnorm)
+            best_r = np.where(improved[:, None], trial_r, best_r)
+            best_norm = np.where(improved, trial_norm, best_norm)
             scale = np.where(improved, scale, scale * 0.5)
             if np.all(improved):
                 break
         if hold:
             best = np.where(held[:, None], X, best)
+            best_r = np.where(held[:, None], r, best_r)
+            best_norm = np.where(held, rnorm, best_norm)
             held |= np.all(np.abs(best - X) <= gv.HOLD_STEP, axis=-1)
-        X = best
-        r, jac = gv._residual_and_jacobian(cm, norm, X)
-    converged = np.linalg.norm(r, axis=-1) <= tol
+        X, r, rnorm = best, best_r, best_norm
+    converged = rnorm <= tol
     reps = cluster_oracle.dedup(X[converged], gv.DEDUP_ANGLE)
     labels = cluster_oracle.branch_labels(reps, gv.BRANCH_ANGLE)
     branch_count = len(set(labels))

@@ -439,8 +439,8 @@ def test_chart_work_does_not_grow_with_steps():
 
 def test_norm_tensor_built_once_per_path(monkeypatch):
     # timer-free cost guard: the flow steps μ with the closed-form dual, four
-    # calls a step, so the norm tensor is built once, for μ at the start, and
-    # F = norm(u) is read once, for the whole path, however long the path;
+    # calls a step, and takes μ at the start from the closed-form Legendre
+    # map, once, so the norm tensor is never built; F = norm(u) is read once, for the whole path, however long the path;
     # the stages apply ad* as one product with the structure constants, so
     # the matrix kernel lie.coadjoint is never formed
     kernel_calls = []
@@ -449,7 +449,7 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
 
     def norm_calls(model, T):
         norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
-        calls = {"fundamental_matrix": 0, "value": 0, "legendre_dual": 0}
+        calls = {"fundamental_matrix": 0, "value": 0, "legendre": 0, "legendre_dual": 0}
         for name in calls:
             original = getattr(norm, name)
 
@@ -468,8 +468,9 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
         for T in (0.05, 0.5):
             steps = round(T / 1.0e-3)
             assert norm_calls(model, T) == {
-                "fundamental_matrix": 1,
+                "fundamental_matrix": 0,
                 "value": 1,
+                "legendre": 1,
                 "legendre_dual": 4 * steps,
                 "coadjoint": 0,
             }

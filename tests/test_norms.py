@@ -279,17 +279,40 @@ def test_batched_matches_single():
 
 
 def test_legendre_dual_round_trip():
-    # μ = ĝ_u u is the Legendre map; the closed-form dual must invert it
+    # μ = ĝ_u u is the Legendre map: the closed form must equal ĝ_u u from
+    # the closed-form tensor and from the jet tensor, and the closed-form
+    # dual must invert it
     rng = np.random.RandomState(41)
-    worst_u = 0.0
+    worst_mu = worst_u = 0.0
     for trial in range(200):
         n = 2 + trial % 2
         norm = norms.EuclideanNorm(random_spd(rng, n)) if trial % 5 == 0 else random_randers(rng, n)
         us = np.stack([random_y(rng, n) for _ in range(8)])
-        mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(us), us)
+        mu = norm.legendre(us)
+        for g in (norm.fundamental_matrix(us), norm._generic_fundamental(us)):
+            other = np.einsum("...ij,...j->...i", g, us)
+            worst_mu = max(worst_mu, np.max(np.linalg.norm(mu - other, axis=-1) / np.linalg.norm(mu, axis=-1)))
         back = norm.legendre_dual(mu)
         worst_u = max(worst_u, np.max(np.linalg.norm(back - us, axis=-1) / np.linalg.norm(us, axis=-1)))
+    # measured 1.1e-14 against the closed-form tensor, whose terms cancel
+    # as ‖b‖_a nears 0.9, and 2.8e-15 against the jet tensor
+    assert worst_mu <= 2.0e-14
     assert worst_u <= 1.0e-13
+
+
+def test_legendre_default_is_the_tensor_route():
+    # a jet-defined norm takes the base-class Legendre map, ĝ_y y from its
+    # jet tensor, which central differences of ½F² confirm as ½∇F²
+    norm = quartic_norm()
+    rng = np.random.RandomState(43)
+    ys = np.stack([random_y(rng, 3) for _ in range(8)])
+    mu = norm.legendre(ys)
+    assert np.array_equal(mu, np.einsum("...ij,...j->...i", norm.fundamental_matrix(ys), ys))
+    h, eye = 1.0e-5, np.eye(3)
+    grad = np.stack([(norm.value(ys + h * e) ** 2 - norm.value(ys - h * e) ** 2) / (4.0 * h) for e in eye], axis=-1)
+    assert np.max(np.abs(mu - grad)) <= 1.0e-8
+    with pytest.raises(ZeroVector):
+        norm.legendre(np.zeros(3))
 
 
 def test_legendre_dual_needs_closed_form():
