@@ -48,29 +48,19 @@ def _run_geodesic_vectors(scen):
     return payload, {"residual": tol}, passed, {}
 
 
-def _structure_check(report, expect, tol):
+def _run_nat_reductive(scen):
+    # check-minkowski-lie is the natural-reductivity identity on its split m = g
+    p = scen.params
+    tol = p["tol"]
+    report = geodesic_vectors.check_naturally_reductive(scen.split, scen.norm, samples=p["samples"], seed=scen.seed)
     passed = report.max_residual <= tol
     payload = {
         "max_residual": report.max_residual,
         "check_passed": passed,
-        "expected_passed": expect,
+        "expected_passed": p["expect_passed"],
         "witness": report.witness,
     }
-    return payload, {"residual": tol}, passed == expect, {}
-
-
-def _run_nat_reductive(scen):
-    report = geodesic_vectors.check_naturally_reductive(
-        scen.split, scen.norm, samples=scen.params["samples"], seed=scen.seed
-    )
-    return _structure_check(report, scen.params["expect_passed"], scen.params["tol"])
-
-
-def _run_minkowski_lie(scen):
-    report = geodesic_vectors.check_minkowski_lie_algebra(
-        scen.split.algebra, scen.norm, samples=scen.params["samples"], seed=scen.seed
-    )
-    return _structure_check(report, scen.params["expect_passed"], scen.params["tol"])
+    return payload, {"residual": tol}, passed == p["expect_passed"], {}
 
 
 def _trajectory_table(path, points, velocities) -> dict:
@@ -157,7 +147,7 @@ def _run_berwald(scen):
 _TASK_RUNNERS = {
     "geodesic-vectors": _run_geodesic_vectors,
     "check-nat-reductive": _run_nat_reductive,
-    "check-minkowski-lie": _run_minkowski_lie,
+    "check-minkowski-lie": _run_nat_reductive,
     "integrate-geodesic": _run_integrate,
     "check-homogeneous": _run_homogeneous,
     "s-curvature": _run_s_curvature,

@@ -33,15 +33,9 @@ class RunReport:
 
 
 def plain(value):
-    """Recursively convert numpy scalars and arrays to plain Python."""
+    """Recursively convert numpy arrays to lists; runners cast their scalars."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
     if isinstance(value, dict):
         return {str(key): plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -68,12 +68,6 @@ def _sigma_identity(norm):
     return sigma, sigma * e_last / values[2], sphere.grid_size(n, level)
 
 
-def _body_tensors(model, norm, xs, ys):
-    """Body velocities u = A(x)·y and the norm's fundamental tensors there."""
-    u = np.einsum("...ij,...j->...i", model.body_jacobian(xs), ys)
-    return u, norm.fundamental_matrix(u)
-
-
 def _tau_from_tensors(norm, g):
     sigma, err, _ = _sigma_identity(norm)
     tau = 0.5 * np.log(np.linalg.det(g)) - np.log(sigma)
@@ -92,8 +86,8 @@ def s_curvature(model, norm, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     model.check_chart(x)
-    u, g = _body_tensors(model, norm, x, y)
-    return float(_s_from_tensors(model.algebra, norm, u, g))
+    u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
+    return float(_s_from_tensors(model.algebra, norm, u, norm.fundamental_matrix(u)))
 
 
 def s_along_path(algebra, norm, ts, u) -> PathDistortion:

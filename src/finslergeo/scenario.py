@@ -11,13 +11,17 @@ it reads the reductive split g = h + m, and the parameters it takes.
 Parsing checks `params` against that table: an undeclared key, a value
 of the wrong kind or one out of range is a ValidationError, and so is a
 top-level key other than the seven of `_TOP_LEVEL_KEYS`, so an
-expectation placed beside `params` is never silently dropped.  Two
-rules span keys: `berwald` pairs at least two directions, and a
-horizon `T` is a whole number of `step`s, so a run ends where asked.
+expectation placed beside `params` is never silently dropped; a norm
+block takes `kind` and `a` (and `b` for Randers), an inline model block
+`dim` and `structure_constants`, and nothing else.  The split is decided
+here once: a task that does not read it takes neither `m_indices` nor
+`h_indices`, so its split is m = g in basis order.  Two rules span
+keys: `berwald` pairs at least two directions, and a horizon `T` is a
+whole number of `step`s, so a run ends where asked.
 `Scenario.params` holds the typed values with defaults filled in;
 `Scenario.raw` keeps the parameters exactly as given (with the seed and
-the split made explicit) and is what run reports digest, so identical
-scenarios hash identically.
+the split made explicit, m = g included) and is what run reports digest,
+so identical scenarios hash identically; only a split task's re-parses.
 """
 
 import glob
@@ -134,7 +138,14 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _reject_undeclared(block: dict, declared: tuple, where: str) -> None:
+    unknown = [key for key in block if key not in declared]
+    if unknown:
+        raise ValidationError(f"{where}: unknown key {unknown[0]!r}; it takes: {', '.join(declared)}")
+
+
 def _inline_algebra(block: dict) -> lie.LieAlgebraData:
+    _reject_undeclared(block, ("dim", "structure_constants"), "model block")
     dim = _require(block, "dim", int, "model block")
     if isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"model block: dim must be a positive integer, got {dim!r}")
@@ -192,6 +203,7 @@ def _parse_norm(block: dict, dim: int, where: str) -> norms.MinkowskiNorm:
     kind = _require(block, "kind", str, "norm block")
     if kind not in ("euclidean", "randers"):
         raise ValidationError(f"norm block: unknown kind {kind!r}; use 'euclidean' or 'randers'")
+    _reject_undeclared(block, ("kind", "a", "b") if kind == "randers" else ("kind", "a"), f"norm block ({kind})")
     a = _norm_entries(block, "a", (dim, dim), "matrix", where)
     if kind == "euclidean":
         return norms.EuclideanNorm(a)
@@ -249,11 +261,7 @@ def _typed(key: str, param: Param, value, dim: int):
 def _typed_params(task: str, params: dict, model, dim: int) -> dict:
     """params checked against the task's table, with defaults filled in."""
     declared = TASKS[task].params
-    for key in params:
-        if key not in declared:
-            raise ValidationError(
-                f"params: task {task!r} has no parameter {key!r}; it takes: {', '.join(declared)}"
-            )
+    _reject_undeclared(params, tuple(declared), f"params: task {task!r}")
     out = {}
     for key, param in declared.items():
         if key in params:
@@ -333,11 +341,7 @@ def parse_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
-    if unknown:
-        raise ValidationError(
-            f"scenario: unknown top-level key {unknown[0]!r}; allowed keys: {', '.join(_TOP_LEVEL_KEYS)}"
-        )
+    _reject_undeclared(data, _TOP_LEVEL_KEYS, "scenario")
     task = _require(data, "task", str, "scenario")
     if task not in TASKS:
         raise ValidationError(f"scenario: unknown task {task!r}; available: {', '.join(TASKS)}")
@@ -364,13 +368,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     m_indices = _parse_indices(data.get("m_indices", list(range(1, algebra.dim + 1))), algebra.dim, "m_indices")
     h_indices = _parse_indices(data.get("h_indices", []), algebra.dim, "h_indices")
     if sorted(m_indices + h_indices) != list(range(algebra.dim)):
-        raise ValidationError(
-            f"scenario: m_indices and h_indices must partition 1..{algebra.dim}"
-        )
-    if h_indices and not spec.reads_split:
+        raise ValidationError(f"scenario: m_indices and h_indices must partition 1..{algebra.dim}")
+    given = [key for key in ("m_indices", "h_indices") if key in data]
+    if given and not spec.reads_split:
         split_tasks = ", ".join(name for name, other in TASKS.items() if other.reads_split)
         raise ValidationError(
-            f"scenario: task {task!r} works on the whole algebra; h_indices is read only by {split_tasks}"
+            f"scenario: task {task!r} works on m = g in basis order and takes no {' or '.join(given)}; "
+            f"only {split_tasks} read the split"
         )
     _check_split(algebra.c, m_indices, h_indices)
     if task == "geodesic-vectors" and not 2 <= len(m_indices) <= 4:

@@ -50,7 +50,7 @@ def chart_value2_jet(model, norm, x, yj: jets.Jet) -> jets.Jet:
 def jet_chart_tensor(model, norm, x, y) -> np.ndarray:
     """g_ij(x, y) as half the y-Hessian of F(x, ·)², batched."""
     x = np.asarray(x, dtype=float)
-    y = gf._require_nonzero_tangent(y)
+    y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     eye = np.eye(n)
     yb = np.broadcast_to(y[..., None, None, :], y.shape[:-1] + (n, n, n))
@@ -86,7 +86,7 @@ def _spray_raw(model, norm, x, y):
 
 def spray_coefficients(model, norm, x, y) -> SprayEvaluation:
     x = np.asarray(x, dtype=float)
-    y = gf._require_nonzero_tangent(y)
+    y = np.asarray(y, dtype=float)
     coeffs, g = _spray_raw(model, norm, x, y)
     try:
         np.linalg.cholesky(g)

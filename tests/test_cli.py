@@ -624,3 +624,79 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: FileNotFoundError:"), captured.err
     assert not out.exists()
+
+
+H3_RANDERS = {"kind": "randers", "a": I3, "b": [0.2, 0.0, 0.1]}
+INLINE_SU2 = {"dim": 3, "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ({"task": 5, "model": "su2", "norm": {"kind": "euclidean", "a": I3}}, "ParseError"),
+        ({"task": "check-minkowski-lie", "model": {"dim": 3, "structure_constants": [[1, 2, 3]]},
+          "norm": {"kind": "euclidean", "a": I3}}, "ParseError"),
+        ({"task": "check-minkowski-lie", "model": "su2", "norm": {"kind": "finsler", "a": I3}}, "ValidationError"),
+        ([{"task": "check-minkowski-lie"}], "ParseError"),
+        ({"task": "check-minkowski-lie", "model": "su2", "norm": {"kind": "euclidean", "a": I3}, "params": [1]},
+         "ParseError"),
+        ({"task": "check-minkowski-lie", "model": "su2",
+          "norm": {"kind": "euclidean", "a": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+         "NotPositiveDefinite"),
+        ({"task": "check-homogeneous", "model": "heisenberg3", "norm": H3_RANDERS,
+          "params": {"X": [0.0, 0.0, 0.0]}}, "ZeroVector"),
+        ({"task": "integrate-geodesic", "model": "su2", "norm": {"kind": "euclidean", "a": I3},
+          "params": {"y0": [0.0, 0.0, 0.0], "T": 0.1, "step": 0.01}}, "ZeroVector"),
+    ],
+    ids=["task-not-a-string", "constant-not-a-4-list", "unknown-norm-kind", "top-level-not-an-object",
+         "params-not-an-object", "a-not-symmetric", "homogeneous-zero-X", "integrate-zero-y0"],
+)
+def test_error_paths_exit_one(tmp_path, capsys, data, error):
+    code = cli.main(["--scenario", write_scenario(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {error}:"), err
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"task": "check-minkowski-lie", "model": "su2", "norm": {"kind": "euclidean", "a": I3, "b": [0.5, 0, 0]}},
+         "'b'"),
+        ({"task": "check-minkowski-lie", "model": "su2", "norm": {"kind": "euclidean", "a": I3, "bogus": 1}},
+         "'bogus'"),
+        ({"task": "check-homogeneous", "model": "heisenberg3", "norm": dict(H3_RANDERS, bogus=1),
+          "params": {"X": [1.0, 0.0, 0.0]}}, "'bogus'"),
+        ({"task": "check-minkowski-lie", "model": dict(INLINE_SU2, name="su2"),
+          "norm": {"kind": "euclidean", "a": I3}}, "'name'"),
+    ],
+    ids=["euclidean-b", "euclidean-bogus", "randers-bogus", "inline-model-name"],
+)
+def test_undeclared_block_key_exits_one(tmp_path, capsys, data, key):
+    # the key would be dropped: a Euclidean b, or a model name beside inline constants
+    code = cli.main(["--scenario", write_scenario(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ValidationError:") and key in err, err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"task": "check-minkowski-lie", "model": "su2", "norm": {"kind": "euclidean", "a": I3},
+         "m_indices": [3, 1, 2]},
+        {"task": "integrate-geodesic", "model": "heisenberg3", "norm": H3_RANDERS,
+         "params": {"y0": [0.3, 0.8, 0.5], "T": 0.1, "step": 0.01}, "m_indices": [2, 3, 1]},
+        {"task": "berwald", "model": "su2", "norm": {"kind": "euclidean", "a": I3}, "m_indices": [1, 2, 3],
+         "h_indices": []},
+    ],
+    ids=["minkowski-lie-permuted", "integrate-permuted", "berwald-identity-split"],
+)
+def test_split_keys_rejected_by_whole_algebra_tasks(tmp_path, capsys, data):
+    # these tasks read m = g in basis order; a split they would ignore is an error
+    code = cli.main(["--scenario", write_scenario(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ValidationError:"), err
+    given = [key for key in ("m_indices", "h_indices") if key in data]
+    assert all(key in err for key in given), err

@@ -8,6 +8,12 @@ structure constants, a and b together, c'[i, j, k] = Q_pi Q_qj c[p, q, r]
 Q_rk, a' = QᵀaQ and b' = Qᵀb, and maps the zero set onto itself; the
 seeds do not rotate with it, so only the verdicts, the branch counts and
 whether every seed is geodesic are pinned.
+
+Rescaling time, y0 → λ·y0, T → T/λ and step → step/λ, scales u and μ by
+λ and leaves every group increment θ_i as it was: F is 1-homogeneous and
+ad* is bilinear.  For λ a power of two every scaling is exact, so the
+group path is bitwise the same and the body velocities and F are bitwise
+λ times theirs; for λ = 3 the path moves by rounding alone.
 """
 
 import copy
@@ -18,6 +24,7 @@ import numpy as np
 import pytest
 
 from finslergeo import cli, norms, scenario
+from finslergeo import geodesic_flow as gf
 from finslergeo import geodesic_vectors as gv
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
@@ -94,3 +101,86 @@ def test_orthonormal_change_of_basis_keeps_every_verdict():
             assert got.passed == want.passed
             for key in ("branch_count", "all_sampled_vectors_geodesic"):
                 assert got.payload[key] == want.payload[key], key
+
+
+_A = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.5]]
+_RANDERS = {"kind": "randers", "a": _A, "b": [0.3, 0.1, 0.2]}
+
+
+def time_cases():
+    """The bundled integrate-geodesic and check-homogeneous scenarios, cut
+    to 500 steps, and generic Euclidean and Randers metrics on H3 and SU(2)."""
+    items = [scenario.load_scenario(path) for path in scenario.bundled_scenarios()]
+    items = [data for data in items if data["task"] in ("integrate-geodesic", "check-homogeneous")]
+    assert len(items) == 4
+    for data in items:
+        data["params"]["T"] = min(data["params"]["T"], 500 * data["params"]["step"])
+    flow = {"T": 0.5, "step": 1.0e-3}
+    return items + [
+        {"task": "integrate-geodesic", "model": "su2", "norm": _RANDERS, "params": {"y0": [0.6, -0.3, 0.5], **flow}},
+        {"task": "integrate-geodesic", "model": "heisenberg3", "norm": {"kind": "euclidean", "a": _A},
+         "params": {"y0": [0.3, 0.8, 0.5], **flow}},
+        {"task": "check-homogeneous", "model": "su2", "norm": _RANDERS,
+         "params": {"X": [0.6, -0.3, 0.5], "expect_passed": False, **flow}},
+        {"task": "check-homogeneous", "model": "heisenberg3", "norm": _RANDERS,
+         "params": {"X": [0.3, 0.8, 0.5], "expect_passed": False, **flow}},
+    ]
+
+
+def time_scaled(data, lam):
+    out = copy.deepcopy(data)
+    params = out["params"]
+    key = "y0" if "y0" in params else "X"
+    params[key] = [lam * v for v in params[key]]
+    params["T"] /= lam
+    params["step"] /= lam
+    return out
+
+
+def time_pair(data, lam):
+    """The run report and, for integrate-geodesic, the path of the scenario
+    and of its time-rescaled twin; a check-homogeneous payload holds its
+    measurements."""
+    out = []
+    for item in (data, time_scaled(data, lam)):
+        scen = scenario.scenario_from_dict(copy.deepcopy(item))
+        p = scen.params
+        path = None
+        if scen.task == "integrate-geodesic":
+            path = gf.integrate_geodesic(scen.model, scen.norm, p["x0"], p["y0"], T=p["T"], step=p["step"])
+        out.append((cli.run_scenario(scen), path))
+    (want, base), (got, twin) = out
+    assert got.passed == want.passed
+    if "check_passed" in want.payload:
+        assert got.payload["check_passed"] == want.payload["check_passed"]
+    return want.payload, got.payload, base, twin
+
+
+@pytest.mark.parametrize("lam", [2.0**-3, 2.0**2, 2.0**5])
+def test_time_rescaling_by_a_power_of_two_is_exact(lam):
+    for data in time_cases():
+        want, got, base, twin = time_pair(data, lam)
+        if base is not None:
+            assert np.array_equal(twin.points, base.points)
+            assert np.array_equal(twin.body, lam * base.body)
+            assert np.array_equal(twin.F_values, lam * base.F_values)
+            assert np.array_equal(lam * twin.ts, base.ts)
+        else:
+            assert got["sup_distance"] == want["sup_distance"]
+            assert got["residual_norm"] == lam * lam * want["residual_norm"]
+
+
+def test_time_rescaling_by_three_moves_by_rounding():
+    # step/3 and 3·y0 round, so each step's θ moves by a few ulps and the
+    # path drifts like a random walk: within eps·√N of the path's scale
+    eps = np.finfo(float).eps
+    for data in time_cases():
+        want, got, base, twin = time_pair(data, 3.0)
+        drift = eps * np.sqrt(gf.step_count(data["params"]["T"], data["params"]["step"]))
+        if base is not None:
+            assert np.max(np.abs(twin.points - base.points)) <= drift * max(1.0, np.max(np.abs(base.points)))
+            assert np.max(np.abs(twin.body - 3.0 * base.body)) <= 4.0 * drift * np.max(np.abs(3.0 * base.body))
+        else:
+            assert abs(got["sup_distance"] - want["sup_distance"]) <= drift * max(1.0, want["sup_distance"])
+            # the residual is formed once, at X, and cancels: a few dozen ulps of it
+            assert abs(got["residual_norm"] - 9.0 * want["residual_norm"]) <= 64.0 * eps * 9.0 * want["residual_norm"]

@@ -42,8 +42,8 @@ def busemann_sigma(model, norm, x) -> VolumeFactor:
 
 def tau_batch(model, norm, xs, ys):
     """tau and the relative sigma error at each (x, y), batched."""
-    _, g = s_curvature._body_tensors(model, norm, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-    return s_curvature._tau_from_tensors(norm, g)
+    u = np.einsum("...ij,...j->...i", model.body_jacobian(np.asarray(xs, dtype=float)), np.asarray(ys, dtype=float))
+    return s_curvature._tau_from_tensors(norm, norm.fundamental_matrix(u))
 
 
 def distortion(model, norm, x, y) -> DistortionSample:
