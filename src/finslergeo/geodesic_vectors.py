@@ -17,6 +17,10 @@ Newton step reads the tensor, through the Jacobian J = ad*_X·g + K,
 where column k of K is ad*_{e_k} μ: μ has derivative g, since the Cartan
 term 2·C_{X_m}(X_m, ·, ·) vanishes when a slot is radial.  A
 finite-difference cross-check of this identity lives in the test-suite.
+The Jacobian and the step run with the seed axis innermost, each sum
+over the n ≤ 4 coordinates an elementwise `ordered_dot`, and solve their
+normal equations by a Cholesky factorisation unrolled over n, so a
+seed's step is the same in a batch of any size.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ import numpy as np
 
 from . import lie, sphere
 from .errors import DegenerateVector
+from .norms import ordered_dot
 
 NEWTON_ITERS = 25
 # Tikhonov damping of the Newton step's normal equations, as a share of
@@ -34,7 +39,8 @@ NEWTON_ITERS = 25
 # rank deficient (on the circle X3 = 0 of H3 with
 # a = I, b3 = 0 its singular values are 1.3, 1 and 0, and the last is
 # 1.3e-7 at X3 = 1e-7), so the undamped normal equations are singular
-# there and np.linalg.solve raises.  Damped, the step is the minimum-norm
+# there and a pivot of `_spd_solve`'s Cholesky factorisation is 0, which
+# raises LinAlgError.  Damped, the step is the minimum-norm
 # least-squares step to 1e-12 absolute near such a curve, and to about
 # 1e-11 relative at generic seeds.
 STEP_DAMPING = 1.0e-12
@@ -113,11 +119,24 @@ def _residual(c_mm, norm, Xm):
 
 
 def _jacobian(c_mm, norm, Xm):
-    """The residual's exact Jacobian in m-coordinates, batched."""
-    coad = lie.coadjoint(c_mm, Xm)
+    """The residual's exact Jacobian in m-coordinates, batched.
+
+    Formed on (n, n, batch) arrays, the batch axis innermost, with every
+    sum over n an `ordered_dot`, so a row is the same alone as in any
+    batch; μ = ĝ X is taken from the same tensor.  The result is the
+    (..., n, n) view of that array, which `_newton_step` reads back.
+    """
+    n = Xm.shape[-1]
+    xt = np.ascontiguousarray(Xm.reshape(-1, n).T)
+    g = norm.fundamental_matrix(Xm).reshape(-1, n, n).transpose(1, 2, 0)
+    mu = ordered_dot(g, xt[:, None])
+    # ad*_X, entry (j, l) = c[i, j, l] X^i; ad*_X·ĝ sums its column l
+    # times row l of ĝ
+    coad = ordered_dot(c_mm[..., None], xt[:, None, None])
     # ∂_X(ad*_X μ) at fixed μ: column k is ad*_{e_k} μ, whose entry j is
-    # c[k, j, q] μ_q, the coadjoint matrix of μ on the transposed constants
-    return coad @ norm.fundamental_matrix(Xm) + lie.coadjoint(c_mm.transpose(2, 1, 0), norm.legendre(Xm))
+    # c[k, j, q] μ_q
+    jac = ordered_dot([*coad.transpose(1, 0, 2)[:, :, None], *c_mm.transpose(2, 1, 0)[..., None]], [*g, *mu])
+    return jac.transpose(2, 0, 1).reshape(Xm.shape + (n,))
 
 
 def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVectorSet:
@@ -134,7 +153,8 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     least-squares solution of J d = -r with X.d = 0, the constraint row
     weighted by w = trace(J^T J)/n, taken from the normal equations
     (J^T J + w X X^T + lam I) d = -J^T r with a Tikhonov lam of
-    STEP_DAMPING times their trace, and then halved by the line search.
+    STEP_DAMPING times their trace, solved by Cholesky, and then halved
+    by the line search.
     A seed whose step moves no coordinate by more than HOLD_STEP = 2^-52
     has stopped to rounding: it leaves the batch and keeps its position
     and residual.  Seeds whose residual ends below tol are candidates.
@@ -198,17 +218,55 @@ def _newton_step(jac, X, r):
     [-r; 0], (J^T J + w X X^T + lam I) d = -J^T r, with the constraint
     weight w = trace(J^T J)/n and lam = STEP_DAMPING * trace(J^T J +
     w X X^T).  J scales with F, so w keeps both rows on one scale: the
-    step is the same for F and sF.  Where J vanishes, w is 1.  J^T J and
-    J^T r are both formed from one contiguous copy of J^T.
+    step is the same for F and sF.  Where J vanishes, w is 1.  The
+    system is formed and solved by `_spd_solve` on arrays with the batch
+    axis innermost: J is read as the (n, n, batch) array `_jacobian`
+    builds, with no copy, and each row is the same alone as in a batch.
     """
-    jac_t = np.ascontiguousarray(np.swapaxes(jac, -1, -2))
-    normal = jac_t @ jac
-    weight = np.trace(normal, axis1=-2, axis2=-1) / X.shape[-1]
+    n = X.shape[-1]
+    jt = jac.transpose(1, 2, 0)
+    normal = ordered_dot(jt[:, :, None], jt[:, None])
+    weight = _trace(normal) / n
     weight = np.where(weight > 0.0, weight, 1.0)
-    normal += weight[..., None, None] * (X[..., :, None] * X[..., None, :])
-    lam = STEP_DAMPING * np.trace(normal, axis1=-2, axis2=-1)
-    normal += lam[..., None, None] * np.eye(X.shape[-1])
-    return -np.linalg.solve(normal, jac_t @ r[..., None])[..., 0]
+    xt = np.ascontiguousarray(X.T)
+    outer = xt[:, None] * xt
+    outer *= weight
+    normal += outer
+    lam = STEP_DAMPING * _trace(normal)
+    for i in range(n):
+        normal[i, i] += lam
+    return _spd_solve(normal, -ordered_dot(jt, r.T[:, None])).T
+
+
+def _trace(a):
+    """The trace of an (n, n, batch) array, its terms added in index order."""
+    return sum((a[i, i] for i in range(1, len(a))), a[0, 0])
+
+
+def _spd_solve(a, b):
+    """x with a x = b for symmetric positive definite a, batch axis last:
+    a is (n, n, batch) and b is (n, batch); a and b are overwritten.
+
+    A Cholesky factorisation a = L L^T unrolled over n, with the forward
+    substitution folded into it and the back substitution after it, all
+    in elementwise operations.  Raises LinAlgError where a pivot is <= 0,
+    as np.linalg.solve does on an exactly singular matrix; a NaN column
+    gives NaN.
+    """
+    n = len(b)
+    for j in range(n):
+        if (a[j, j] <= 0.0).any():
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        np.sqrt(a[j, j], out=a[j, j])
+        col = a[j + 1 :, j]
+        col /= a[j, j]
+        a[j + 1 :, j + 1 :] -= col[:, None] * col
+        b[j] /= a[j, j]
+        b[j + 1 :] -= col * b[j]
+    for j in reversed(range(n)):
+        b[j] /= a[j, j]
+        b[:j] -= a[j, :j] * b[j]
+    return b
 
 
 def _line_search(c_mm, norm, X, step, r, rnorm):

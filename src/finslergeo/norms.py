@@ -12,6 +12,10 @@ Randers norms additionally carry closed forms used by hot loops; the two
 routes are cross-checked in the test-suite, never collapsed.  Their
 values share one quadratic-form kernel, y·a y = (y @ a)·y: a BLAS matmul
 and a two-operand contraction, which the σ quadrature runs on every node.
+Both closed-form tensors are laid out with the batch axis innermost, as
+the (..., n, n) view of an (n, n, batch) array; the Randers one takes
+each sum over n as an `ordered_dot` of elementwise products, so it is
+the same for a vector alone as inside any batch.
 
 Every norm has a Legendre map y ↦ μ = ĝ_y y = ½∇F²(y), the covector
 that the geodesic criterion and the flow read.  The base class forms it
@@ -46,6 +50,22 @@ def _check_spd(mat: np.ndarray, what: str) -> None:
         np.linalg.cholesky(mat - shift)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
+
+
+def ordered_dot(us, vs):
+    """Σ_k us[k]·vs[k] over the pairs of two sequences, broadcast, with the
+    products added in index order into one array.
+
+    Over a short axis of n ≤ 4 this replaces a BLAS product or a numpy
+    reduction, whose order of additions can change with the batch size:
+    every entry of a batch then rounds as it would alone.
+    """
+    pairs = zip(us, vs)
+    u, v = next(pairs)
+    out = u * v
+    for u, v in pairs:
+        out += u * v
+    return out
 
 
 def _quadratic(y: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -150,8 +170,11 @@ class EuclideanNorm(MinkowskiNorm):
         return jets.quadform(self.a, yj)
 
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
+        """a at every vector, laid out as the Randers tensor is: the
+        (..., n, n) view of an (n, n, batch) array."""
         y = self._require_nonzero(y)
-        return np.broadcast_to(self.a, y.shape[:-1] + (self.dim, self.dim)).copy()
+        g = np.repeat(self.a[:, :, None], y.size // self.dim, axis=-1)
+        return g.transpose(2, 0, 1).reshape(y.shape + (self.dim,))
 
     def cartan(self, y: np.ndarray) -> np.ndarray:
         y = self._require_nonzero(y)
@@ -165,10 +188,11 @@ class RandersNorm(MinkowskiNorm):
     Strong convexity is exactly ‖b‖_a < 1, checked at construction.  The
     closed forms below are the direct derivatives of (α+β)²:
 
-      g  = (F/α)·a + b⊗b + (b⊗p + p⊗b)/α − (β/α³)·p⊗p,   p = a y
-      C  = ½·Sym₃(u ⊗ h),   u = b/α − (β/α³)p,   h = a − p⊗p/α²
+      g  = (F/α)·(a − q⊗q) + l⊗l,   q = a y/α,   l = q + b
+      C  = ½·Sym₃(u ⊗ h),   u = b/α − (β/α³)p,   h = a − p⊗p/α²,   p = a y
 
-    where Sym₃ symmetrizes over the three slots.
+    where Sym₃ symmetrizes over the three slots.  l is ∇F, so the
+    Legendre map is μ = F·l, and a − q⊗q annihilates y, so g y = F·l.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -222,17 +246,23 @@ class RandersNorm(MinkowskiNorm):
         return f * f
 
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
+        """g in ℓ-form, computed on an (n, n, batch) array with the batch
+        axis innermost and returned as its (..., n, n) view; each sum over
+        n is an `ordered_dot`, so a vector's g is the same alone as in a
+        batch."""
         y = self._require_nonzero(y)
-        p = y @ self.a
-        alpha = np.sqrt(np.einsum("...i,...i->...", y, p))[..., None, None]
-        beta = (y @ self.b)[..., None, None]
-        pp = p[..., :, None] * p[..., None, :]
-        bp = self.b[..., :, None] * p[..., None, :]
-        g = (1.0 + beta / alpha) * self.a
-        g = g + self.b[:, None] * self.b[None, :]
-        g = g + (bp + np.swapaxes(bp, -1, -2)) / alpha
-        g = g - (beta / alpha**3) * pp
-        return g
+        n = self.dim
+        yt = np.ascontiguousarray(y.reshape(-1, n).T)
+        p = ordered_dot(self.a[:, :, None], yt[:, None])
+        alpha = np.sqrt(ordered_dot(yt, p))
+        beta = ordered_dot(self.b, yt)
+        q = p / alpha
+        l = q + self.b[:, None]
+        g = q[:, None] * q
+        np.subtract(self.a[:, :, None], g, out=g)
+        g *= (alpha + beta) / alpha
+        g += l[:, None] * l
+        return g.transpose(2, 0, 1).reshape(y.shape + (n,))
 
     def cartan(self, y: np.ndarray) -> np.ndarray:
         y = self._require_nonzero(y)

@@ -279,11 +279,17 @@ def _typed_params(task: str, params: dict, model, dim: int) -> dict:
         )
     if "T" in out:
         try:
-            geodesic_flow.step_count(out["T"], out["step"])
+            steps = geodesic_flow.step_count(out["T"], out["step"])
         except ValueError:
             raise ValidationError(
                 f"params: 'T' = {out['T']!r} is not a whole number of steps of 'step' = {out['step']!r}"
             ) from None
+        # the profile samples every stride-th step: it must end at T
+        if "stride" in out and steps % out["stride"]:
+            raise ValidationError(
+                f"params: 'stride' = {out['stride']} does not divide the {steps} steps of 'T'/'step', "
+                "so the profile would end short of T"
+            )
     return out
 
 

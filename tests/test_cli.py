@@ -125,6 +125,10 @@ def test_missing_required_param_exits_one(tmp_path, capsys):
         ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.05, "step": 0.02}, "'T'"),
         # an int beyond the float range
         ("check-homogeneous", {"X": [1.0, 0.0, 0.0], "T": 10**400}, "'T'"),
+        # a stride that does not divide the steps: a one-row profile under
+        # the default stride 50, or one that ends at t = 0.009 short of T
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.01, "step": 1.0e-3}, "'stride'"),
+        ("s-curvature", {"y0": [0.6, -0.3, 0.5], "T": 0.01, "step": 1.0e-3, "stride": 3}, "'stride'"),
     ],
 )
 def test_mistyped_number_exits_one(tmp_path, capsys, task, params, key):

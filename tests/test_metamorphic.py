@@ -3,7 +3,10 @@ scenario whose geodesic vectors are known to move with it.
 
 Scaling F → sF (a → s²a, b → s·b) keeps every geodesic vector and scales
 the criterion residual by s², so with tol → s²·tol the solver must find
-the same zero set.  An orthonormal change of basis Q transforms the
+the same zero set.  The structure checks of the same scenarios scale
+alike: their residual is s² times its own, so with tol → s²·tol every
+verdict holds, while the Berwald parallelogram defect is scale-free and
+keeps its tolerance.  An orthonormal change of basis Q transforms the
 structure constants, a and b together, c'[i, j, k] = Q_pi Q_qj c[p, q, r]
 Q_rk, a' = QᵀaQ and b' = Qᵀb, and maps the zero set onto itself; the
 seeds do not rotate with it, so only the verdicts, the branch counts and
@@ -17,6 +20,7 @@ group path is bitwise the same and the body velocities and F are bitwise
 """
 
 import copy
+import dataclasses
 import os
 import sys
 
@@ -60,6 +64,37 @@ def test_zero_set_is_scale_free(name, s):
     assert (found.converged_total, found.branch_count) == BUNDLED_COUNTS[name]
     assert found.branch_count == scen.params["expect_branches"]
     assert len(found.representatives) and np.all(found.residual_norms <= tol)
+
+
+STRUCTURE_AND_BERWALD = sorted(
+    os.path.basename(path) for path in scenario.bundled_scenarios()
+    if path.endswith(("_nat_reductive.json", "_minkowski_lie.json", "_berwald.json"))
+)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_AND_BERWALD)
+@pytest.mark.parametrize("s", [1.0e-3, 1.0e4])
+def test_structure_and_berwald_verdicts_are_scale_free(name, s):
+    scen = bundled(name)
+    want = cli.run_scenario(scen)
+    params = dict(scen.params)
+    if scen.task != "berwald":
+        params["tol"] = s * s * params["tol"]
+    got = cli.run_scenario(dataclasses.replace(scen, norm=scaled(scen.norm, s), params=params))
+    assert got.passed == want.passed
+    eps = np.finfo(float).eps
+    if scen.task == "berwald":
+        assert got.payload["is_berwald"] == want.payload["is_berwald"]
+        # a failing defect moved by at most 2.6 eps relative over these cases
+        if not want.payload["is_berwald"]:
+            defect = want.payload["max_parallelogram_defect"]
+            assert abs(got.payload["max_parallelogram_defect"] - defect) <= 8.0 * eps * defect
+    else:
+        assert got.payload["check_passed"] == want.payload["check_passed"]
+        # a failing residual over s² moved by at most 0.73 eps relative
+        if not want.payload["check_passed"]:
+            residual = want.payload["max_residual"]
+            assert abs(got.payload["max_residual"] / (s * s) - residual) <= 4.0 * eps * residual
 
 
 def rotated(data, q):

@@ -278,6 +278,23 @@ def test_batched_matches_single():
         assert abs(vals[k] - norm.value(ys[k])) < 1.0e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_randers_tensor_rows_do_not_depend_on_the_batch(n):
+    # every sum over n is elementwise and in index order, so a vector's g
+    # is bitwise the same alone, as (1, n), in (7, n) and in (2, 3, n)
+    rng = np.random.RandomState(11 + n)
+    norm = random_randers(rng, n)
+    ys = np.stack([random_y(rng, n) for _ in range(7)])
+    batch, grid = norm.fundamental_matrix(ys), norm.fundamental_matrix(ys[:6].reshape(2, 3, n))
+    assert batch.shape == (7, n, n) and grid.shape == (2, 3, n, n)
+    for k in range(7):
+        alone, row = norm.fundamental_matrix(ys[k]), norm.fundamental_matrix(ys[k : k + 1])
+        assert alone.shape == (n, n) and row.shape == (1, n, n)
+        assert row[0].tobytes() == alone.tobytes() and batch[k].tobytes() == alone.tobytes()
+        if k < 6:
+            assert grid[k // 3, k % 3].tobytes() == alone.tobytes()
+
+
 def test_legendre_dual_round_trip():
     # μ = ĝ_u u is the Legendre map: the closed form must equal ĝ_u u from
     # the closed-form tensor and from the jet tensor, and the closed-form
@@ -294,8 +311,8 @@ def test_legendre_dual_round_trip():
             worst_mu = max(worst_mu, np.max(np.linalg.norm(mu - other, axis=-1) / np.linalg.norm(mu, axis=-1)))
         back = norm.legendre_dual(mu)
         worst_u = max(worst_u, np.max(np.linalg.norm(back - us, axis=-1) / np.linalg.norm(us, axis=-1)))
-    # measured 1.1e-14 against the closed-form tensor, whose terms cancel
-    # as ‖b‖_a nears 0.9, and 2.8e-15 against the jet tensor
+    # measured 2.0e-15 against the closed-form ℓ-form tensor, whose g y is
+    # F·l by construction, and 2.8e-15 against the jet tensor
     assert worst_mu <= 2.0e-14
     assert worst_u <= 1.0e-13
 

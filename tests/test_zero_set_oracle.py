@@ -15,7 +15,9 @@ also where b vanishes on an eigenspace of a and a circle joins them; on
 u(2) = su(2) ⊕ R each representative must have its su(2) part parallel
 to that of ξ = aX/α(X) + b; and on H3 each must lie on the e3 axis or on the cone
 (aX)_3 + α(X)·b_3 = 0, with ±e3 found, and the branches of that exact
-set must number what every H3 zero-set scenario expects.
+set must number what every H3 zero-set scenario expects.  The step's
+Cholesky kernel `_spd_solve` is held to np.linalg.solve, and a seed's
+Jacobian and step must be bitwise the same alone and in any batch.
 """
 
 import copy
@@ -159,6 +161,70 @@ def test_damped_step_is_the_minimum_norm_step(monkeypatch):
     monkeypatch.setattr(gv, "STEP_DAMPING", 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         gv._newton_step(jac, X, r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spd_kernel_matches_linalg_solve(n):
+    rng = np.random.RandomState(n)
+    q, _ = np.linalg.qr(rng.standard_normal((1024, n, n)))
+    lam = 10.0 ** rng.uniform(0.0, 3.0, (1024, n))
+    a = np.einsum("mij,mj,mkj->mik", q, lam, q)
+    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    b = rng.standard_normal((1024, n))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    got = gv._spd_solve(a.transpose(1, 2, 0).copy(), b.T.copy()).T
+    # both solves are backward stable, so a row may move by about n·κ·eps
+    # relative, κ = max λ / min λ; measured at most 0.79 of that
+    kappa = lam.max(axis=1) / lam.min(axis=1)
+    rel = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+    assert np.all(rel <= 2.0 * n * kappa * np.finfo(float).eps)
+
+
+def test_spd_kernel_raises_on_an_exactly_singular_matrix():
+    # an exact zero pivot anywhere in the batch raises, as in
+    # np.linalg.solve; a NaN matrix gives NaN in its own column alone
+    good = np.eye(3)
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(singular, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        gv._spd_solve(np.stack([good, singular, good], axis=-1), np.ones((3, 3)))
+    x = gv._spd_solve(np.stack([good, np.full((3, 3), np.nan), 4.0 * good], axis=-1), np.ones((3, 3)))
+    assert np.all(np.isnan(x[:, 1])) and np.array_equal(x[:, [0, 2]], [[1.0, 0.25]] * 3)
+
+
+def su2_rotated():
+    """su(2) in the basis of a fixed random rotation, whose structure
+    constants are no longer 0 and ±1, so their products round."""
+    q, _ = np.linalg.qr(np.random.RandomState(2).standard_normal((3, 3)))
+    c = np.einsum("pi,qj,pqr,rk->ijk", q, q, lie.su2().c, q)
+    return lie.ReductiveDecomposition(lie.LieAlgebraData(3, c), (0, 1, 2))
+
+
+BATCH_CASES = {
+    **CASES,
+    "su2-rotated-randers": (su2_rotated(), norms.RandersNorm(np.diag([1.0, 2.0, 1.5]), np.array([0.3, 0.1, 0.2]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_newton_rows_do_not_depend_on_the_batch(case):
+    # every sum over n in the Jacobian and the step is elementwise and in
+    # index order, so a seed's rows are bitwise the same alone, in a
+    # batch of 7 and in the batch of all 1024 seeds
+    dec, norm = BATCH_CASES[case]
+    cm = newton_oracle.c_mm(dec)
+    X = sphere.seeds(len(dec.m_indices), 1024)
+    r = gv._residual(cm, norm, X)
+    jac = gv._jacobian(cm, norm, X)
+    step = gv._newton_step(jac, X, r)
+    for i in range(0, 1024, 73):
+        assert gv._jacobian(cm, norm, X[i]).tobytes() == jac[i].tobytes()
+        for rows in (np.array([i]), np.arange(i - 3, i + 4) % 1024):
+            sub = gv._jacobian(cm, norm, X[rows])
+            at = list(rows).index(i)
+            assert sub[at].tobytes() == jac[i].tobytes()
+            assert gv._newton_step(sub, X[rows], r[rows])[at].tobytes() == step[i].tobytes()
 
 
 def test_newton_step_where_the_jacobian_vanishes():
