@@ -33,9 +33,9 @@ u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs(algebra, u, g)` evaluates
 that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
-vectors are the equilibria of the flow.  Every ad* here is one product
-(u ⊗ μ)·K, with K[(i, k), j] = c[i, j, k] formed once per path; the
-matrix kernel `lie.coadjoint` serves `geodesic_vectors`.
+vectors are the equilibria of the flow; this module forms no such
+residual, `geodesic_vectors.residual_batch` does.  Every ad* here is one
+product (u ⊗ μ)·K, with K[(i, k), j] = c[i, j, k] formed once per path.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -67,12 +67,6 @@ class GeodesicPath:
     points: np.ndarray
     body: np.ndarray  # body velocities u = A(x)·y
     F_values: np.ndarray
-
-
-@dataclass
-class HomogeneousGeodesicReport:
-    sup_distance: float
-    residual_norm: float
 
 
 def chart_fundamental_tensor(model: GroupModel, norm, x, y) -> np.ndarray:
@@ -218,24 +212,20 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     return GeodesicPath(ts=ts, points=elements, body=vel[0], F_values=F)
 
 
-def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -> HomogeneousGeodesicReport:
+def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -> float:
     """Integrate from (e, X) and compare with the orbit of exp(tX).
 
     The comparison is on the group: the sup-distance over [0, T] between
     the path's group elements and exp(tX), both in the model's
     representation (chart coordinates on H3, unit quaternions on SU(2)),
-    is the measurement a caller holds against its tolerance.  No sample
-    is read off in the chart, so an orbit may wind past the chart's edge
-    and through the antipode.  The criterion residual ad*_X(ĝ_X X), with
-    ĝ_X X from the norm's Legendre map, rides along so callers can
-    confirm the two measurements agree.
+    is returned, the measurement a caller holds against its tolerance.
+    No sample is read off in the chart, so an orbit may wind past the
+    chart's edge and through the antipode.
     """
     X = np.asarray(X, dtype=float)
     path = integrate_geodesic(model, norm, model.identity(), X, T=T, step=step)
     orbit = orbit_curve(model, X, path.ts)
-    sup = float(np.max(np.abs(path.points - orbit)))
-    residual = _coadjoint(_ad_kernel(model.algebra.c), X, norm.legendre(X))
-    return HomogeneousGeodesicReport(sup_distance=sup, residual_norm=float(np.linalg.norm(residual)))
+    return float(np.max(np.abs(path.points - orbit)))
 
 
 def _reduced_spray(model: GroupModel, norm, x, y) -> np.ndarray:

@@ -115,9 +115,9 @@ def test_criterion_03_su2_biinvariant_geodesic_orbits():
     for k in range(20):
         X = rng.randn(3)
         X = X / np.linalg.norm(X)
-        report = geodesic_flow.is_homogeneous_geodesic(model, norm, X, T=2.0, step=1.0e-3)
-        assert report.sup_distance <= 1.0e-5
-        sups.append(report.sup_distance)
+        sup = geodesic_flow.is_homogeneous_geodesic(model, norm, X, T=2.0, step=1.0e-3)
+        assert sup <= 1.0e-5
+        sups.append(sup)
     ok = max_residual < 1.0e-10 and max(sups) < 1.0e-5
     _verdict(3, ok, time.perf_counter() - start, 60.0)
 
@@ -162,7 +162,7 @@ def test_criterion_04_h3_branches_confirmed_by_grid_and_orbits():
         rep_sups[k] = np.max(np.abs(path.points[:, k] - ts[:, None] * X))
     assert float(np.max(rep_sups)) <= 1.0e-5
     for X in (reps[np.argmax(on_plane)], reps[np.argmax(on_axis)]):
-        assert geodesic_flow.is_homogeneous_geodesic(model, norm, X, T=2.0, step=1.0e-3).sup_distance <= 1.0e-5
+        assert geodesic_flow.is_homogeneous_geodesic(model, norm, X, T=2.0, step=1.0e-3) <= 1.0e-5
 
     rng = np.random.RandomState(4)
     bad = []

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -406,6 +407,46 @@ def test_check_verdicts_flip_at_the_measured_value(capsys):
             assert json.loads(capsys.readouterr().out)["payload"][flag] is holds, path
         checked += 1
     assert checked == 8
+
+
+# every (task, expect_<name>) pair the scenario table declares
+EXPECTATIONS = [
+    (task, key) for task, spec in scenario.TASKS.items() for key in spec.params if key.startswith("expect_")
+]
+
+
+@pytest.mark.parametrize("task, key", EXPECTATIONS)
+def test_each_declared_expectation_decides_the_verdict(monkeypatch, task, key):
+    # the real runner runs once on a bundled scenario with no expectation;
+    # the verdict then follows its outcome alone
+    assert len(EXPECTATIONS) == 7
+    data = next(d for d in map(scenario.load_scenario, sorted(scenario.bundled_scenarios())) if d["task"] == task)
+    data["params"] = {k: v for k, v in data["params"].items() if not k.startswith("expect_")}
+    payload, tolerances, base, outcome, tables = cli._TASK_RUNNERS[task](scenario.scenario_from_dict(copy.deepcopy(data)))
+    assert base is True
+    name = key[len("expect_"):]
+    value = outcome[name]
+    flipped = not value if scenario.TASKS[task].params[key].kind == "flag" else value + 1
+    monkeypatch.setitem(cli._TASK_RUNNERS, task, lambda scen: (dict(payload), tolerances, base, outcome, tables))
+    for given, verdict in ((value, True), (flipped, False)):
+        data["params"][key] = given
+        report = cli.run_scenario(scenario.scenario_from_dict(copy.deepcopy(data)))
+        assert report.passed is verdict
+        assert report.payload["expected_" + name] == given
+        assert type(report.payload["expected_" + name]) is type(given)
+
+
+def test_witness_only_on_a_failing_structure_check(capsys):
+    # the worst sample of a passing check is rounding noise, so it is no witness
+    for name, holds in (("su2_biinvariant_minkowski_lie", True), ("h3_euclidean_minkowski_lie", False)):
+        assert cli.main(["--scenario", bundled(name), "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["check_passed"] is holds
+        if holds:
+            assert payload["witness"] is None
+        else:
+            assert sorted(payload["witness"]) == ["u", "v", "x", "y"]
+            assert all(len(payload["witness"][k]) == 3 for k in "xyuv")
 
 
 def assert_s_at_start_is_row_zero(report):
