@@ -34,8 +34,9 @@ that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
 vectors are the equilibria of the flow; this module forms no such
-residual, `geodesic_vectors.residual_batch` does.  Every ad* here is one
-product (u ⊗ μ)·K, with K[(i, k), j] = c[i, j, k] formed once per path.
+residual, `geodesic_vectors.residual_batch` does.  Every ad* here is two
+matrix–vector products, ad*_u μ = (K_t·μ)·u with K_t[j, i, k] = c[i, j, k];
+the flow forms K_t once per call and applies it to one path's μ and u.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -82,25 +83,13 @@ def chart_fundamental_tensor(model: GroupModel, norm, x, y) -> np.ndarray:
     return np.einsum("...pi,...pq,...qj->...ij", a, ghat, a)
 
 
-def _ad_kernel(c) -> np.ndarray:
-    """K[(i, k), j] = c[i, j, k]: the structure constants, or a block of
-    them such as c[:, m, m], as the matrix that `_coadjoint` multiplies."""
-    n, p, q = c.shape
-    return c.transpose(0, 2, 1).reshape(n * q, p)
-
-
-def _coadjoint(kernel, u, mu) -> np.ndarray:
-    """ad*_u μ = (u ⊗ μ)·K, batched, with K = `_ad_kernel(c)`: one
-    product of the flattened outer product with K."""
-    outer = u[..., :, None] * mu[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (-1,)).dot(kernel)
-
-
 def euler_poincare_rhs(algebra, u, g) -> np.ndarray:
     """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u, where g
-    is the norm's fundamental tensor ĝ_u."""
+    is the norm's fundamental tensor ĝ_u; ad*_u μ = (K_t·μ)·u as two
+    stacked matrix products."""
     mu = np.einsum("...ij,...j->...i", g, u)
-    return np.linalg.solve(g, _coadjoint(_ad_kernel(algebra.c), u, mu)[..., None])[..., 0]
+    k_mu = (algebra.c.transpose(1, 0, 2) @ mu[..., None, :, None])[..., 0]
+    return np.linalg.solve(g, k_mu @ u[..., None])[..., 0]
 
 
 def step_count(T: float, step: float) -> int:
@@ -127,18 +116,49 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
     return points, velocities
 
 
+def _step_path(kernel, norm, vel, step: float) -> np.ndarray:
+    """Step one path from its start velocity vel[0, 0] and return F = norm(u)
+    at every sample.
+
+    vel is the path's (4, nsteps + 1, n) view of the stage velocities;
+    every stage writes its row.  μ = norm.legendre(u) is taken here, and
+    each ad*_u μ is (K_t·μ)·u with kernel = K_t, on (n,) vectors.
+    """
+    half, sixth = 0.5 * step, step / 6.0
+    u = vel[0, 0]
+    mu = norm.legendre(u)
+    # a diverging path runs to its end as inf or nan, which the caller's
+    # drift check rejects
+    with np.errstate(all="ignore"):
+        for i in range(vel.shape[1] - 1):
+            k1 = kernel.dot(mu).dot(u)
+            m = mu + half * k1
+            u2 = vel[1, i] = norm.legendre_dual(m)
+            k2 = kernel.dot(m).dot(u2)
+            m = mu + half * k2
+            u3 = vel[2, i] = norm.legendre_dual(m)
+            k3 = kernel.dot(m).dot(u3)
+            m = mu + step * k3
+            u4 = vel[3, i] = norm.legendre_dual(m)
+            k4 = kernel.dot(m).dot(u4)
+            mu = mu + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = vel[0, i + 1] = norm.legendre_dual(mu)
+        return norm.value(vel[0])
+
+
 def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -> GeodesicPath:
     """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time.
 
-    μ = ĝ_u u is formed once, by the norm's Legendre map, from the start
-    velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes from the
-    norm's Legendre dual, which the norm must implement.  μ advances by classical RK4 with stage
-    values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
+    μ = ĝ_u u is formed once per path, by the norm's Legendre map, from
+    the start velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes
+    from the norm's Legendre dual of one covector, which the norm must
+    implement.  μ advances by classical RK4 with stage values M_1 = μ,
+    M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, on the batch flattened to rows, and stores the body and stage
-    velocities of every step in one array.  The
-    group element advances by the 4th-order RKMK step on the stage
-    velocities, g_i = g_{i−1}·exp(θ_i) with
+    that, one path at a time on (n,) vectors, and stores the body and
+    stage velocities of every step in one array.  The group element
+    advances by the 4th-order RKMK step on the stage velocities,
+    g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
     This is the classical RKMK4 in the one-commutator form of
     Munthe-Kaas and Owren (Phil. Trans. R. Soc. A 357, 1999), with the
@@ -150,46 +170,31 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     Hillis–Steele scan of ⌈log₂ N⌉ batched products, which also keeps
     the rounding of a long path at O(log N) products.
 
-    Batched over leading axes of (x0, y0); all trajectories advance in
-    lockstep.  T must be a whole number of steps (`step_count`).  x0
-    must lie in the model's chart (ChartDomain otherwise); the path
-    itself may leave it.  Raises StepRejected when, at any step
-    of the whole path, the relative drift of F = norm(u) across that step
-    exceeds 1e-3 or F is not finite.  The path holds the group elements,
-    the body velocities u(μ) as stepped, and F_values = F of them; no
-    sample is read off in the chart.
+    Batched over leading axes of (x0, y0); each path is stepped on its
+    own, so it is the same, bit for bit, alone and in any batch.  T must
+    be a whole number of steps (`step_count`).  x0 must lie in the
+    model's chart (ChartDomain otherwise); the path itself may leave it.
+    Raises StepRejected when, at any step of the whole path, the relative
+    drift of F = norm(u) across that step exceeds 1e-3 or F is not
+    finite.  The path holds the group elements, the body velocities u(μ)
+    as stepped, and F_values = F of them; no sample is read off in the
+    chart.
     """
     nsteps = step_count(T, step)
     x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
     model.check_chart(x)
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    mu = norm.legendre(u)
     shape = u.shape
-    u, mu = u.reshape(-1, shape[-1]), mu.reshape(-1, shape[-1])
-    kernel = _ad_kernel(model.algebra.c)
+    rows = u.reshape(-1, shape[-1])
+    kernel = np.ascontiguousarray(model.algebra.c.transpose(1, 0, 2))
     # vel[:, i] holds U_1 at sample i and U_2, U_3, U_4 of step i + 1
-    vel = np.empty((4, nsteps + 1) + u.shape)
-    vel[0, 0] = u
-    half, sixth = 0.5 * step, step / 6.0
-
-    # a diverging path runs to its end as inf or nan, which the drift
-    # check below rejects
-    with np.errstate(all="ignore"):
-        for i in range(nsteps):
-            k1 = _coadjoint(kernel, u, mu)
-            m = mu + half * k1
-            u2 = vel[1, i] = norm.legendre_dual(m)
-            k2 = _coadjoint(kernel, u2, m)
-            m = mu + half * k2
-            u3 = vel[2, i] = norm.legendre_dual(m)
-            k3 = _coadjoint(kernel, u3, m)
-            m = mu + step * k3
-            u4 = vel[3, i] = norm.legendre_dual(m)
-            k4 = _coadjoint(kernel, u4, m)
-            mu = mu + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u = vel[0, i + 1] = norm.legendre_dual(mu)
-        vel = vel.reshape((4, nsteps + 1) + shape)
-        F = norm.value(vel[0])
+    vel = np.empty((4, nsteps + 1) + rows.shape)
+    vel[0, 0] = rows
+    F = np.empty((nsteps + 1, len(rows)))
+    for p in range(len(rows)):
+        F[:, p] = _step_path(kernel, norm, vel[:, :, p], step)
+    vel = vel.reshape((4, nsteps + 1) + shape)
+    F = F.reshape((nsteps + 1,) + shape[:-1])
 
     # written so that a non-finite F fails the comparison
     if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
@@ -198,7 +203,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
         )
     u1, u2, u3, u4 = vel[:, :-1]
     commutator = lie.bracket(model.algebra, u1, u4)
-    theta = sixth * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
+    theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
     # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
     # of the (up to) 2·stride increments that end at step i
     acc = model.to_group(theta)

@@ -30,7 +30,8 @@ again of Randers type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 −
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
 Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
-geodesic flow steps μ with it.
+geodesic flow steps one path's μ with it, so the dual takes one
+covector of shape (n,) and raises ValueError on any other shape.
 """
 
 import numpy as np
@@ -109,12 +110,19 @@ class MinkowskiNorm:
         return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        """u = ∂(½F*²)/∂μ, batched over leading axes of μ.
+        """u = ∂(½F*²)/∂μ for one covector μ of shape (n,).
 
         u inverts the Legendre map: μ = ĝ_u u gives back u.  Only norms
-        with a closed-form dual implement it.
+        with a closed-form dual implement it, on `_covector(mu)`.
         """
         raise NotImplementedError
+
+    def _covector(self, mu: np.ndarray) -> np.ndarray:
+        """μ as one covector of shape (n,); ValueError on a batch."""
+        mu = self._check_dim(mu)
+        if mu.ndim != 1:
+            raise ValueError(f"legendre_dual takes one covector of shape ({self.dim},), not {mu.shape}")
+        return mu
 
     def _require_nonzero(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
@@ -164,7 +172,7 @@ class EuclideanNorm(MinkowskiNorm):
         return self._require_nonzero(y) @ self.a
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        return self._check_dim(mu).dot(self.a_inv)
+        return self._covector(mu).dot(self.a_inv)
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -234,10 +242,12 @@ class RandersNorm(MinkowskiNorm):
         return (alpha + (y @ self.b)[..., None]) * (p / alpha + self.b)
 
     def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        mu = self._check_dim(mu)
-        h_mu = mu.dot(self.dual_h)
-        root = np.sqrt(np.add.reduce(mu * h_mu, axis=-1, keepdims=True))
-        return (root + mu.dot(self.dual_w)[..., None]) * (h_mu / root + self.dual_w)
+        """u = (s/√(μ·Hμ))·Hμ + s·W with s = F*(μ), for one covector."""
+        mu = self._covector(mu)
+        h = mu.dot(self.dual_h)
+        root = np.sqrt(mu.dot(h))
+        s = root + mu.dot(self.dual_w)
+        return (s / root) * h + s * self.dual_w
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))

@@ -37,8 +37,12 @@ def sequential_path(model, norm, x0, y0, T, step):
     def coadjoint(u, m):
         return np.einsum("ijk,...i,...k->...j", c, u, m)
 
+    def dual(m):
+        # the norm's dual takes one covector at a time
+        return np.apply_along_axis(norm.legendre_dual, -1, m)
+
     def stage(m):
-        um = norm.legendre_dual(m)
+        um = dual(m)
         return um, coadjoint(um, m)
 
     x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
@@ -55,7 +59,7 @@ def sequential_path(model, norm, x0, y0, T, step):
         theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * bracket
         g = model.multiply(g, model.to_group(theta))
         mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u = norm.legendre_dual(mu)
+        u = dual(mu)
         elements.append(g)
         body.append(u)
     return np.array(elements), np.array(body)

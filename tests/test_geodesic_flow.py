@@ -477,8 +477,8 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
 
 
 def test_two_axis_batch_matches_single_paths():
-    # a (2, 3) batch is flattened to rows for the loop and comes back in
-    # its own shape, each path as a single call gives it
+    # a (2, 3) batch is stepped one path at a time and comes back in its
+    # own shape, each path bit for bit as a single call gives it
     rng = np.random.RandomState(3)
     a = np.diag([1.0, 2.0, 3.0])
     for model in (groups.Heisenberg3(), groups.SU2()):
@@ -494,9 +494,33 @@ def test_two_axis_batch_matches_single_paths():
                     one = gf.integrate_geodesic(model, norm, x0[i, j], y0[i, j], T=0.5, step=1.0e-2)
                     assert np.array_equal(path.ts, one.ts)
                     for name in ("points", "body", "F_values"):
-                        want = getattr(one, name)
-                        got = getattr(path, name)[:, i, j]
-                        assert np.max(np.abs(got - want)) <= 1.0e-15 * np.max(np.abs(want))
+                        assert np.array_equal(getattr(path, name)[:, i, j], getattr(one, name))
+
+
+def test_dual_takes_one_covector_per_call():
+    # timer-free cost guard: the step loop hands the dual one (n,) covector
+    # at a time, four calls a step per path, so a (2, 3) batch makes six
+    # times the calls of one path
+    a = np.diag([1.0, 2.0, 3.0])
+    rng = np.random.RandomState(7)
+    x0 = 0.3 * rng.standard_normal((2, 3, 3))
+    y0 = rng.standard_normal((2, 3, 3))
+    for model in (groups.Heisenberg3(), groups.SU2()):
+        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.2]))):
+            shapes = []
+            original = norm.legendre_dual
+
+            def counted(mu, _original=original):
+                shapes.append(np.shape(mu))
+                return _original(mu)
+
+            norm.legendre_dual = counted
+            gf.integrate_geodesic(model, norm, x0[0, 0], y0[0, 0], T=0.05, step=1.0e-3)
+            single = len(shapes)
+            gf.integrate_geodesic(model, norm, x0, y0, T=0.05, step=1.0e-3)
+            assert single == 4 * 50
+            assert len(shapes) - single == 6 * single
+            assert set(shapes) == {(3,)}
 
 
 @pytest.mark.parametrize("T, step", [(0.1, 0.5), (1.0, 0.3), (0.05, 0.02)])
@@ -731,7 +755,7 @@ def imported_names(tree):
 
 
 def test_flow_does_not_import_geodesic_vectors():
-    # the flow forms every ad* itself, as (u ⊗ μ)·K, not from the criterion module
+    # the flow forms every ad* itself, as (K_t·μ)·u, not from the criterion module
     with open(gf.__file__, encoding="utf-8") as handle:
         names = imported_names(ast.parse(handle.read()))
     assert "lie" in names

@@ -106,10 +106,11 @@ DERIVATION_SPLITS = {2: ((0, 1), (2, 3)), 3: ((0, 1, 2), (3,)), 4: ((0, 1, 2, 3)
 
 @pytest.mark.parametrize("m_dim", [2, 3, 4])
 def test_criterion_matches_three_operand_einsum(m_dim):
-    # lie.coadjoint applied to μ, and the flow's applied ad*, against
-    # (ad*_u μ)_j = c[i, j, k] u^i μ_k as one einsum, on c, c[:, m, m] and
-    # c[m, m, m] of a split algebra; the flow's ad* is held to the scale
-    # |u|·|μ|·max|c| of the sum, as the einsum itself rounds under cancellation
+    # lie.coadjoint applied to μ against (ad*_u μ)_j = c[i, j, k] u^i μ_k
+    # as one einsum, on c, c[:, m, m] and c[m, m, m] of a split algebra; the
+    # flow's ad* (K_t·μ)·u, read through euler_poincare_rhs with a diagonal
+    # ĝ, on the whole of c, held to the scale |u|·|μ|·max|c| of the sum, as
+    # the einsum itself rounds under cancellation
     alg = derivation_h3()
     m, h = DERIVATION_SPLITS[m_dim]
     assert lie.jacobi_residual(alg)[0] == 0.0
@@ -124,10 +125,14 @@ def test_criterion_matches_three_operand_einsum(m_dim):
             got = (lie.coadjoint(block, u) @ mu[..., None])[..., 0]
             assert got.shape == want.shape
             assert np.all(np.linalg.norm(got - want, axis=-1) <= 1.0e-14 * np.linalg.norm(want, axis=-1))
-            flow = geodesic_flow._coadjoint(geodesic_flow._ad_kernel(block), u, mu)
-            scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(mu, axis=-1) * np.max(np.abs(block))
-            assert flow.shape == want.shape
-            assert np.all(np.linalg.norm(flow - want, axis=-1) <= 1.0e-15 * scale)
+        g = np.einsum("...i,ij->...ij", rng.uniform(1.0, 2.0, shape + (4,)), np.eye(4))
+        u = rng.standard_normal(shape + (4,))
+        mu = np.einsum("...ij,...j->...i", g, u)
+        want = np.einsum("ijk,...i,...k->...j", alg.c, u, mu)
+        flow = np.einsum("...ij,...j->...i", g, geodesic_flow.euler_poincare_rhs(alg, u, g))
+        scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(mu, axis=-1) * np.max(np.abs(alg.c))
+        assert flow.shape == want.shape
+        assert np.all(np.linalg.norm(flow - want, axis=-1) <= 1.0e-15 * scale)
 
 
 def test_solver_recovers_h3_branches():

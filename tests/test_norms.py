@@ -309,7 +309,7 @@ def test_legendre_dual_round_trip():
         for g in (norm.fundamental_matrix(us), norm._generic_fundamental(us)):
             other = np.einsum("...ij,...j->...i", g, us)
             worst_mu = max(worst_mu, np.max(np.linalg.norm(mu - other, axis=-1) / np.linalg.norm(mu, axis=-1)))
-        back = norm.legendre_dual(mu)
+        back = np.stack([norm.legendre_dual(m) for m in mu])
         worst_u = max(worst_u, np.max(np.linalg.norm(back - us, axis=-1) / np.linalg.norm(us, axis=-1)))
     # measured 2.0e-15 against the closed-form ℓ-form tensor, whose g y is
     # F·l by construction, and 2.8e-15 against the jet tensor
@@ -330,6 +330,19 @@ def test_legendre_default_is_the_tensor_route():
     assert np.max(np.abs(mu - grad)) <= 1.0e-8
     with pytest.raises(ZeroVector):
         norm.legendre(np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (8, 3), (8, 2), (1, 3), (2, 1, 3)])
+def test_legendre_dual_takes_one_covector(shape):
+    # the flow passes one covector per call; a batch would let μ·Hμ contract
+    # the wrong axis of a (3, 3) array, so every batch is refused
+    rng = np.random.RandomState(47)
+    n = shape[-1]
+    mu = rng.standard_normal(shape)
+    for norm in (norms.EuclideanNorm(random_spd(rng, n)), random_randers(rng, n)):
+        with pytest.raises(ValueError, match="one covector"):
+            norm.legendre_dual(mu)
+        assert norm.legendre_dual(mu.reshape(-1, n)[0]).shape == (n,)
 
 
 def test_legendre_dual_needs_closed_form():
