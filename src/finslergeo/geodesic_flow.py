@@ -34,9 +34,14 @@ that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
 vectors are the equilibria of the flow; this module forms no such
-residual, `geodesic_vectors.residual_batch` does.  Every ad* here is two
-matrix–vector products, ad*_u μ = (K_t·μ)·u with K_t[j, i, k] = c[i, j, k];
-the flow forms K_t once per call and applies it to one path's μ and u.
+residual, `geodesic_vectors.residual_batch` does.  The step loop runs on
+Python floats: its ad*_u μ sums the algebra's nonzero structure
+constants, (ad*_u μ)_j = Σ c[i, j, k]·μ_k·u^i over the terms (j, i, k, c)
+that `integrate_geodesic` lists once per call (6 for su(2), 2 for h3,
+none for an abelian algebra), and the norm's dual takes and returns n
+floats, so a step makes no numpy call.  `euler_poincare_rhs` reads the
+same ad* as two stacked matrix products, (K_t·μ)·u with
+K_t[j, i, k] = c[i, j, k].
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -116,33 +121,64 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
     return points, velocities
 
 
-def _step_path(kernel, norm, vel, step: float) -> np.ndarray:
+def _drift_rejected() -> StepRejected:
+    return StepRejected(f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size")
+
+
+def _step_path(terms, norm, vel, step: float) -> np.ndarray:
     """Step one path from its start velocity vel[0, 0] and return F = norm(u)
     at every sample.
 
-    vel is the path's (4, nsteps + 1, n) view of the stage velocities;
-    every stage writes its row.  μ = norm.legendre(u) is taken here, and
-    each ad*_u μ is (K_t·μ)·u with kernel = K_t, on (n,) vectors.
+    vel is the path's (4, nsteps + 1, n) view of the stage velocities,
+    written once the loop is done.  μ = norm.legendre(u) is taken here;
+    the loop then runs on lists of n Python floats, and each ad*_u μ
+    sums `terms`, the algebra's nonzero (j, i, k, c[i, j, k]).
     """
     half, sixth = 0.5 * step, step / 6.0
-    u = vel[0, 0]
-    mu = norm.legendre(u)
+    dual = norm.legendre_dual
+    n = vel.shape[-1]
+
+    def coadjoint(u, m):
+        out = [0.0] * n
+        for j, i, k, c in terms:
+            out[j] += c * m[k] * u[i]
+        return out
+
+    u = vel[0, 0].tolist()
+    mu = norm.legendre(vel[0, 0]).tolist()
+    body, stages = [u], ([], [], [])
+    u2s, u3s, u4s = stages
+    try:
+        for _ in range(vel.shape[1] - 1):
+            k1 = coadjoint(u, mu)
+            m = [a + half * b for a, b in zip(mu, k1)]
+            u2 = dual(m)
+            k2 = coadjoint(u2, m)
+            m = [a + half * b for a, b in zip(mu, k2)]
+            u3 = dual(m)
+            k3 = coadjoint(u3, m)
+            m = [a + step * b for a, b in zip(mu, k3)]
+            u4 = dual(m)
+            k4 = coadjoint(u4, m)
+            mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
+            u = dual(mu)
+            body.append(u)
+            u2s.append(u2)
+            u3s.append(u3)
+            u4s.append(u4)
+    except (ZeroDivisionError, ValueError) as exc:
+        # in floats x/0.0 and the square root of a negative raise where
+        # numpy gives inf or nan: a diverging step, rejected as the drift
+        # check rejects one; a ValueError other than the math module's
+        # domain error, such as the dual's shape error, is no such step
+        if isinstance(exc, ValueError) and exc.args != ("math domain error",):
+            raise
+        raise _drift_rejected() from exc
+    vel[0] = body
+    vel[1:, :-1] = stages
     # a diverging path runs to its end as inf or nan, which the caller's
     # drift check rejects
     with np.errstate(all="ignore"):
-        for i in range(vel.shape[1] - 1):
-            k1 = kernel.dot(mu).dot(u)
-            m = mu + half * k1
-            u2 = vel[1, i] = norm.legendre_dual(m)
-            k2 = kernel.dot(m).dot(u2)
-            m = mu + half * k2
-            u3 = vel[2, i] = norm.legendre_dual(m)
-            k3 = kernel.dot(m).dot(u3)
-            m = mu + step * k3
-            u4 = vel[3, i] = norm.legendre_dual(m)
-            k4 = kernel.dot(m).dot(u4)
-            mu = mu + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u = vel[0, i + 1] = norm.legendre_dual(mu)
         return norm.value(vel[0])
 
 
@@ -155,9 +191,10 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     implement.  μ advances by classical RK4 with stage values M_1 = μ,
     M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, one path at a time on (n,) vectors, and stores the body and
-    stage velocities of every step in one array.  The group element
-    advances by the 4th-order RKMK step on the stage velocities,
+    that, one path at a time on Python floats, and stores the body and
+    stage velocities of every step in one array once it is done.  The
+    group element advances by the 4th-order RKMK step on the stage
+    velocities,
     g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
     This is the classical RKMK4 in the one-commutator form of
@@ -176,7 +213,8 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     model's chart (ChartDomain otherwise); the path itself may leave it.
     Raises StepRejected when, at any step of the whole path, the relative
     drift of F = norm(u) across that step exceeds 1e-3 or F is not
-    finite.  The path holds the group elements, the body velocities u(μ)
+    finite, or when a step divides by zero or takes the square root of a
+    negative.  The path holds the group elements, the body velocities u(μ)
     as stepped, and F_values = F of them; no sample is read off in the
     chart.
     """
@@ -186,21 +224,20 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
     shape = u.shape
     rows = u.reshape(-1, shape[-1])
-    kernel = np.ascontiguousarray(model.algebra.c.transpose(1, 0, 2))
+    c = model.algebra.c
+    terms = [(j, i, k, c[i, j, k].item()) for i, j, k in np.argwhere(c).tolist()]
     # vel[:, i] holds U_1 at sample i and U_2, U_3, U_4 of step i + 1
     vel = np.empty((4, nsteps + 1) + rows.shape)
     vel[0, 0] = rows
     F = np.empty((nsteps + 1, len(rows)))
     for p in range(len(rows)):
-        F[:, p] = _step_path(kernel, norm, vel[:, :, p], step)
+        F[:, p] = _step_path(terms, norm, vel[:, :, p], step)
     vel = vel.reshape((4, nsteps + 1) + shape)
     F = F.reshape((nsteps + 1,) + shape[:-1])
 
     # written so that a non-finite F fails the comparison
     if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
-        raise StepRejected(
-            f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size"
-        )
+        raise _drift_rejected()
     u1, u2, u3, u4 = vel[:, :-1]
     commutator = lie.bracket(model.algebra, u1, u4)
     theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator

@@ -9,13 +9,14 @@ exactly when the norm is induced by an inner product.
 The generic derivative path evaluates F² on nested truncated jets, so
 both tensors are exact up to floating-point accumulation.  Euclidean and
 Randers norms additionally carry closed forms used by hot loops; the two
-routes are cross-checked in the test-suite, never collapsed.  Their
-values share one quadratic-form kernel, y·a y = (y @ a)·y: a BLAS matmul
-and a two-operand contraction, which the σ quadrature runs on every node.
-Both closed-form tensors are laid out with the batch axis innermost, as
-the (..., n, n) view of an (n, n, batch) array; the Randers one takes
-each sum over n as an `ordered_dot` of elementwise products, so it is
-the same for a vector alone as inside any batch.
+routes are cross-checked in the test-suite, never collapsed.  The closed
+forms read a batch in the batch-last layout, row k holding coordinate k
+of every vector, and take each sum over n as an `ordered_dot` of
+elementwise products, never a BLAS product: a vector's value, Legendre
+covector and tensor are then the same, bit for bit, alone as inside any
+batch.  Their values share one quadratic-form kernel, y·a y, which the
+σ quadrature runs on every node.  Both closed-form tensors are the
+(..., n, n) view of an (n, n, batch) array.
 
 Every norm has a Legendre map y ↦ μ = ĝ_y y = ½∇F²(y), the covector
 that the geodesic criterion and the flow read.  The base class forms it
@@ -30,9 +31,17 @@ again of Randers type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 −
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
 Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
-geodesic flow steps one path's μ with it, so the dual takes one
-covector of shape (n,) and raises ValueError on any other shape.
+geodesic flow steps one path's μ with it on Python floats, so the dual
+takes one covector, a sequence of n numbers, and returns a list of n
+floats; it raises ValueError on a batch.  Each sum over n is
+`sum(map(mul, μ, column))` against columns of a⁻¹, H and W that the norm
+holds as tuples, so a call makes no numpy call when μ is a list of
+floats.  In floats x/0.0 raises ZeroDivisionError and the square root of
+a negative raises ValueError, where numpy gives inf or nan.
 """
+
+import math
+from operator import mul
 
 import numpy as np
 
@@ -69,10 +78,28 @@ def ordered_dot(us, vs):
     return out
 
 
+def _batch_last(y: np.ndarray) -> np.ndarray:
+    """The vectors of y, batched over leading axes, as the rows of a
+    contiguous (n, batch) array: row k is coordinate k of every vector.
+    A batch stored that way already, as the σ quadrature's nodes are, is
+    not copied."""
+    return np.ascontiguousarray(y.reshape(-1, y.shape[-1]).T)
+
+
+def _times(a: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    """y @ a on the batch-last rows yt: row j is Σ_k a[k, j]·yt[k]."""
+    return ordered_dot(a[:, :, None], yt[:, None])
+
+
 def _quadratic(y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """y·a y over the last axis of y, batched: the matmul y @ a, then one
-    two-operand contraction with y."""
-    return np.einsum("...i,...i->...", y @ a, y)
+    """y·a y over the last axis of y, batched, in the nested form
+    Σ_i y_i·(a_ii·y_i + Σ_{j>i} (a_ij + a_ji)·y_j) on the batch-last
+    rows, each sum an `ordered_dot` of (batch,) rows: about half the
+    products of (y @ a)·y, and no (n, batch) temporary."""
+    yt = _batch_last(y)
+    s = (a + a.T).tolist()
+    inner = (ordered_dot([0.5 * row[i], *row[i + 1 :]], yt[i:]) for i, row in enumerate(s))
+    return ordered_dot(yt, inner).reshape(y.shape[:-1])
 
 
 class MinkowskiNorm:
@@ -109,20 +136,24 @@ class MinkowskiNorm:
         y = self._require_nonzero(y)
         return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)
 
-    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        """u = ∂(½F*²)/∂μ for one covector μ of shape (n,).
+    def legendre_dual(self, mu) -> list:
+        """u = ∂(½F*²)/∂μ for one covector μ, a sequence of n numbers, as a
+        list of n Python floats.
 
         u inverts the Legendre map: μ = ĝ_u u gives back u.  Only norms
         with a closed-form dual implement it, on `_covector(mu)`.
         """
         raise NotImplementedError
 
-    def _covector(self, mu: np.ndarray) -> np.ndarray:
-        """μ as one covector of shape (n,); ValueError on a batch."""
+    def _covector(self, mu) -> list:
+        """μ as a list of n floats; ValueError on a batch.  A list of
+        floats, as the geodesic flow passes, is taken as it is."""
+        if type(mu) is list and len(mu) == self.dim and type(mu[0]) is float:
+            return mu
         mu = self._check_dim(mu)
         if mu.ndim != 1:
             raise ValueError(f"legendre_dual takes one covector of shape ({self.dim},), not {mu.shape}")
-        return mu
+        return mu.tolist()
 
     def _require_nonzero(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
@@ -162,17 +193,21 @@ class EuclideanNorm(MinkowskiNorm):
         _check_spd(a, "a")
         super().__init__(a.shape[0])
         self.a = a
-        self.a_inv = np.linalg.inv(a)
+        self._dual_columns = tuple(map(tuple, np.linalg.inv(a).T.tolist()))
 
     def value(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
         return np.sqrt(_quadratic(y, self.a))
 
     def legendre(self, y: np.ndarray) -> np.ndarray:
-        return self._require_nonzero(y) @ self.a
+        """μ = a y, on the batch-last layout."""
+        y = self._require_nonzero(y)
+        return _times(self.a, _batch_last(y)).T.reshape(y.shape)
 
-    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
-        return self._covector(mu).dot(self.a_inv)
+    def legendre_dual(self, mu) -> list:
+        """u = a⁻¹μ, for one covector."""
+        mu = self._covector(mu)
+        return [sum(map(mul, mu, col)) for col in self._dual_columns]
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -220,8 +255,11 @@ class RandersNorm(MinkowskiNorm):
                 b_norm=self.b_norm,
             )
         lam = 1.0 - self.b @ self.b_sharp
-        self.dual_h = (np.linalg.inv(a) + np.outer(self.b_sharp, self.b_sharp) / lam) / lam
-        self.dual_w = -self.b_sharp / lam
+        dual_h = (np.linalg.inv(a) + np.outer(self.b_sharp, self.b_sharp) / lam) / lam
+        self._dual_columns = tuple(map(tuple, dual_h.T.tolist()))
+        self._dual_shift = tuple((-self.b_sharp / lam).tolist())
+        # y @ [a | b] gives a y and β = b·y in one pass
+        self._a_b = np.column_stack([a, b])
 
     def alpha(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
@@ -229,25 +267,33 @@ class RandersNorm(MinkowskiNorm):
 
     def beta(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
-        return y @ self.b
+        return ordered_dot(self.b, _batch_last(y)).reshape(y.shape[:-1])
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.alpha(y) + self.beta(y)
 
     def legendre(self, y: np.ndarray) -> np.ndarray:
-        """μ = F(y)·(a y/α + b): ½∇F² = F·∇F."""
+        """μ = F(y)·(a y/α + b): ½∇F² = F·∇F, on the batch-last layout,
+        where β = b·y rides as one more row of a y."""
         y = self._require_nonzero(y)
-        p = y @ self.a
-        alpha = np.sqrt(np.einsum("...i,...i->...", y, p))[..., None]
-        return (alpha + (y @ self.b)[..., None]) * (p / alpha + self.b)
+        yt = _batch_last(y)
+        rows = _times(self._a_b, yt)
+        p, f = rows[:-1], rows[-1]
+        alpha = np.sqrt(ordered_dot(yt, p))
+        f += alpha
+        p /= alpha
+        p += self.b[:, None]
+        p *= f
+        return p.T.reshape(y.shape)
 
-    def legendre_dual(self, mu: np.ndarray) -> np.ndarray:
+    def legendre_dual(self, mu) -> list:
         """u = (s/√(μ·Hμ))·Hμ + s·W with s = F*(μ), for one covector."""
         mu = self._covector(mu)
-        h = mu.dot(self.dual_h)
-        root = np.sqrt(mu.dot(h))
-        s = root + mu.dot(self.dual_w)
-        return (s / root) * h + s * self.dual_w
+        h = [sum(map(mul, mu, col)) for col in self._dual_columns]
+        root = math.sqrt(sum(map(mul, mu, h)))
+        s = root + sum(map(mul, mu, self._dual_shift))
+        scale = s / root
+        return [scale * hj + s * wj for hj, wj in zip(h, self._dual_shift)]
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))
@@ -262,8 +308,8 @@ class RandersNorm(MinkowskiNorm):
         batch."""
         y = self._require_nonzero(y)
         n = self.dim
-        yt = np.ascontiguousarray(y.reshape(-1, n).T)
-        p = ordered_dot(self.a[:, :, None], yt[:, None])
+        yt = _batch_last(y)
+        p = _times(self.a, yt)
         alpha = np.sqrt(ordered_dot(yt, p))
         beta = ordered_dot(self.b, yt)
         q = p / alpha

@@ -33,8 +33,13 @@ def level_for(dim: int, min_nodes: int) -> int:
 
 @lru_cache(maxsize=None)
 def quad_grid(dim: int, level: int):
-    """Nodes (N, dim) and weights (N,) integrating over S^{dim-1}; read-only."""
+    """Nodes (N, dim) and weights (N,) integrating over S^{dim-1}; read-only.
+
+    The nodes are stored batch-last, as the transpose of a contiguous
+    (dim, N) array, the layout in which the norms evaluate a batch, so a
+    norm reads them without a copy."""
     nodes, weights = _build_grid(dim, level)
+    nodes = np.asfortranarray(nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

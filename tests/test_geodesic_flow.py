@@ -1,6 +1,7 @@
 """Chart tensors, spray oracle checks, flow integration, Berwald verdicts."""
 
 import ast
+import math
 
 import numpy as np
 import pytest
@@ -243,23 +244,48 @@ def test_group_reconstruction_fourth_order():
 def test_prefix_product_matches_sequential_steps():
     # the path is one log-depth prefix product of the step increments; the
     # oracle multiplies each increment onto g as soon as its step is taken
-    norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
+    a = np.diag([1.0, 2.0, 3.0])
     rng = np.random.RandomState(41)
     x0 = 0.5 * rng.standard_normal((5, 3))
     y0 = rng.standard_normal((5, 3))
     step = 4.0e-3
     for model in (groups.Heisenberg3(), groups.SU2()):
-        for nsteps in (1, 2, 3, 7, 64, 250):
-            # one path, then five in lockstep
-            for start, velocity in ((x0[0], y0[0]), (x0, y0)):
-                path = gf.integrate_geodesic(model, norm, start, velocity, T=nsteps * step, step=step)
-                elements, body = sequential_path(model, norm, start, velocity, T=nsteps * step, step=step)
-                assert path.points.shape == elements.shape
-                assert np.max(np.abs(path.points - elements)) <= 1.0e-13
-                assert np.max(np.abs(path.body - body)) <= 1.0e-14
-                if isinstance(model, groups.SU2):
-                    lengths = np.linalg.norm(path.points, axis=-1)
-                    assert np.max(np.abs(lengths - 1.0)) <= 1.0e-13
+        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5]))):
+            for nsteps in (1, 2, 3, 7, 64, 250):
+                # one path, then five in lockstep
+                for start, velocity in ((x0[0], y0[0]), (x0, y0)):
+                    path = gf.integrate_geodesic(model, norm, start, velocity, T=nsteps * step, step=step)
+                    elements, body = sequential_path(model, norm, start, velocity, T=nsteps * step, step=step)
+                    assert path.points.shape == elements.shape
+                    assert np.max(np.abs(path.points - elements)) <= 1.0e-13
+                    assert np.max(np.abs(path.body - body)) <= 1.0e-14
+                    if isinstance(model, groups.SU2):
+                        lengths = np.linalg.norm(path.points, axis=-1)
+                        assert np.max(np.abs(lengths - 1.0)) <= 1.0e-13
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_abelian_prefix_product_is_the_straight_line(dim):
+    # an abelian algebra has no nonzero structure constant: ad* is 0, so μ
+    # never moves, every stage velocity is the dual of the start μ, and the
+    # path is x0 + t·u; the sequential oracle gives the same path
+    rng = np.random.RandomState(43 + dim)
+    model = groups.Abelian(dim)
+    a = np.diag(np.arange(1.0, dim + 1.0))
+    x0 = rng.standard_normal((3, dim))
+    y0 = rng.standard_normal((3, dim))
+    step, nsteps = 1.0e-2, 100
+    for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, 0.4 * rng.standard_normal(dim) / dim)):
+        path = gf.integrate_geodesic(model, norm, x0, y0, T=nsteps * step, step=step)
+        elements, body = sequential_path(model, norm, x0, y0, T=nsteps * step, step=step)
+        assert np.max(np.abs(path.points - elements)) <= 1.0e-13
+        assert np.max(np.abs(path.body - body)) <= 1.0e-14
+        for p in range(3):
+            u = norm.legendre_dual(norm.legendre(y0[p]))
+            assert np.max(np.abs(np.asarray(u) - y0[p])) <= 1.0e-14 * np.max(np.abs(y0[p]))
+            assert all(path.body[i, p].tolist() == u for i in range(1, nsteps + 1))
+            straight = x0[p] + path.ts[:, None] * np.asarray(u)
+            assert np.max(np.abs(path.points[:, p] - straight)) <= 1.0e-13
 
 
 def test_zermelo_navigation_paths_are_exact():
@@ -379,7 +405,7 @@ def dual_breaking_after(k):
         calls += 1
         u = _EUCLIDEAN_DUAL(self, mu)
         if calls > k:
-            return u * np.nan
+            return [np.nan] * len(u)
         return u
 
     return legendre_dual
@@ -404,6 +430,54 @@ def test_non_finite_dual_exits_one(monkeypatch, capsys):
     path = next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
     assert cli.main(["--scenario", path]) == 1
     assert "StepRejected" in capsys.readouterr().err
+
+
+def dual_failing_after(k, failure):
+    """EuclideanNorm.legendre_dual whose (k+1)-th call on meets `failure`: a
+    float division by zero, the square root of a negative, or an overflow
+    to inf, each as Python float arithmetic gives it."""
+    calls = 0
+
+    def legendre_dual(self, mu):
+        nonlocal calls
+        calls += 1
+        u = _EUCLIDEAN_DUAL(self, mu)
+        if calls > k:
+            if failure == "divide":
+                return [x / 0.0 for x in u]
+            if failure == "sqrt":
+                return [math.sqrt(-1.0 - abs(x)) for x in u]
+            return [x * 1.0e308 * 1.0e308 for x in u]
+        return u
+
+    return legendre_dual
+
+
+@pytest.mark.parametrize("failure", ["divide", "sqrt", "overflow"])
+def test_float_arithmetic_failure_is_rejected(monkeypatch, capsys, failure):
+    # where numpy gave inf or nan, Python floats raise ZeroDivisionError or
+    # a math-domain ValueError; both end as the drift check's rejection,
+    # and an overflow to inf reaches the drift check itself
+    metric = su2_euclid()
+    for k in (0, 1, 42, 399):
+        monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_failing_after(k, failure))
+        with pytest.raises(StepRejected, match="drifted more than"):
+            gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_failing_after(42, failure))
+    path = next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
+    assert cli.main(["--scenario", path]) == 1
+    assert "StepRejected" in capsys.readouterr().err
+
+
+def test_shape_error_of_the_dual_is_not_a_rejection(monkeypatch):
+    # only the two float-arithmetic errors map to StepRejected: a dual
+    # that raises its batch error still raises it
+    def legendre_dual(self, mu):
+        return _EUCLIDEAN_DUAL(self, np.stack([mu, mu]))
+
+    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", legendre_dual)
+    with pytest.raises(ValueError, match="one covector"):
+        gf.integrate_geodesic(*su2_euclid(), np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
 
 
 def test_chart_work_does_not_grow_with_steps():

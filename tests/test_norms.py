@@ -295,6 +295,29 @@ def test_randers_tensor_rows_do_not_depend_on_the_batch(n):
             assert grid[k // 3, k % 3].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_value_and_legendre_rows_do_not_depend_on_the_batch(n):
+    # value, alpha, beta and the Legendre map take each sum over n in
+    # index order on the batch-last rows, never a BLAS product, so of 600
+    # random vectors each is bitwise the same alone as in the batch
+    rng = np.random.RandomState(31 + n)
+    ys = rng.standard_normal((600, n)) * rng.uniform(0.1, 10.0, (600, 1))
+    randers = random_randers(rng, n)
+    cases = [
+        (norms.EuclideanNorm(random_spd(rng, n)), ("value", "legendre")),
+        (randers, ("value", "alpha", "beta", "legendre")),
+    ]
+    for norm, names in cases:
+        for name in names:
+            method = getattr(norm, name)
+            batch, grid = method(ys), method(ys.reshape(20, 30, n))
+            assert grid.shape == (20, 30) + batch.shape[1:]
+            for k in range(600):
+                alone = method(ys[k])
+                assert batch[k].tobytes() == alone.tobytes()
+                assert grid[k // 30, k % 30].tobytes() == alone.tobytes()
+
+
 def test_legendre_dual_round_trip():
     # μ = ĝ_u u is the Legendre map: the closed form must equal ĝ_u u from
     # the closed-form tensor and from the jet tensor, and the closed-form
@@ -342,7 +365,8 @@ def test_legendre_dual_takes_one_covector(shape):
     for norm in (norms.EuclideanNorm(random_spd(rng, n)), random_randers(rng, n)):
         with pytest.raises(ValueError, match="one covector"):
             norm.legendre_dual(mu)
-        assert norm.legendre_dual(mu.reshape(-1, n)[0]).shape == (n,)
+        u = norm.legendre_dual(mu.reshape(-1, n)[0])
+        assert len(u) == n and all(type(x) is float for x in u)
 
 
 def test_legendre_dual_needs_closed_form():
@@ -355,8 +379,9 @@ def test_legendre_dual_needs_closed_form():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadratic_matches_three_operand_einsum(n):
-    # the quadratic form is a matmul and a two-operand contraction; the
-    # three-operand einsum sums the same products in another order
+    # the quadratic form is a nested sum of elementwise products on the
+    # batch-last rows; the three-operand einsum sums the products of
+    # y_i·a_ij·y_j in another order
     rng = np.random.RandomState(70 + n)
     a = random_spd(rng, n)
     eps = np.finfo(float).eps
