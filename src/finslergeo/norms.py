@@ -34,8 +34,8 @@ Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
 geodesic flow steps one path's μ with it on Python floats, so the dual
 takes one covector, a sequence of n numbers, and returns a list of n
 floats; it raises ValueError on a batch.  Each sum over n is
-`sum(map(mul, μ, column))` against columns of a⁻¹, H and W that the norm
-holds as tuples, so a call makes no numpy call when μ is a list of
+`sum(map(mul, μ, column))` against the columns of a⁻¹ or H, or W, that
+the norm holds as tuples, so a call makes no numpy call when μ is a list of
 floats.  In floats x/0.0 raises ZeroDivisionError and the square root of
 a negative raises ValueError, where numpy gives inf or nan.
 """
