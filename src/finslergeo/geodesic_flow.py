@@ -34,14 +34,10 @@ that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
 vectors are the equilibria of the flow; this module forms no such
-residual, `geodesic_vectors.residual_batch` does.  The step loop runs on
-Python floats: its ad*_u μ sums the algebra's nonzero structure
-constants, (ad*_u μ)_j = Σ c[i, j, k]·μ_k·u^i over the terms (j, i, k, c)
-that `integrate_geodesic` lists once per call (6 for su(2), 2 for h3,
-none for an abelian algebra), and the norm's dual takes and returns n
-floats, so a step makes no numpy call.  `euler_poincare_rhs` reads the
-same ad* as two stacked matrix products, (K_t·μ)·u with
-K_t[j, i, k] = c[i, j, k].
+residual, `geodesic_vectors.residual_batch` does.  Every ad* here is
+`lie.add_coadjoint` over the algebra's `lie.terms`.  The step loop runs
+on Python floats, and the norm's dual takes and returns n floats, so a
+step makes no numpy call.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -61,6 +57,7 @@ import numpy as np
 from . import lie, sphere
 from .errors import StepRejected
 from .groups import GroupModel, orbit_curve
+from .norms import ordered_dot
 
 DRIFT_LIMIT = 1.0e-3
 
@@ -90,11 +87,11 @@ def chart_fundamental_tensor(model: GroupModel, norm, x, y) -> np.ndarray:
 
 def euler_poincare_rhs(algebra, u, g) -> np.ndarray:
     """u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u), batched over leading axes of u, where g
-    is the norm's fundamental tensor ĝ_u; ad*_u μ = (K_t·μ)·u as two
-    stacked matrix products."""
-    mu = np.einsum("...ij,...j->...i", g, u)
-    k_mu = (algebra.c.transpose(1, 0, 2) @ mu[..., None, :, None])[..., 0]
-    return np.linalg.solve(g, k_mu @ u[..., None])[..., 0]
+    is the norm's fundamental tensor ĝ_u; μ and ad*_u μ are summed in
+    index order on batch-last rows."""
+    mu = ordered_dot(g.T, u.T[:, None])
+    rate = lie.add_coadjoint(lie.terms(algebra.c), u.T, mu, np.zeros(u.T.shape))
+    return np.linalg.solve(g, rate.T[..., None])[..., 0]
 
 
 def step_count(T: float, step: float) -> int:
@@ -131,35 +128,28 @@ def _step_path(terms, norm, vel, step: float) -> np.ndarray:
 
     vel is the path's (4, nsteps + 1, n) view of the stage velocities,
     written once the loop is done.  μ = norm.legendre(u) is taken here;
-    the loop then runs on lists of n Python floats, and each ad*_u μ
-    sums `terms`, the algebra's nonzero (j, i, k, c[i, j, k]).
+    the loop then runs on lists of n Python floats, and each ad*_u μ is
+    `lie.add_coadjoint` over `terms`, the algebra's `lie.terms`.
     """
     half, sixth = 0.5 * step, step / 6.0
-    dual = norm.legendre_dual
+    dual, coadjoint = norm.legendre_dual, lie.add_coadjoint
     n = vel.shape[-1]
-
-    def coadjoint(u, m):
-        out = [0.0] * n
-        for j, i, k, c in terms:
-            out[j] += c * m[k] * u[i]
-        return out
-
     u = vel[0, 0].tolist()
     mu = norm.legendre(vel[0, 0]).tolist()
     body, stages = [u], ([], [], [])
     u2s, u3s, u4s = stages
     try:
         for _ in range(vel.shape[1] - 1):
-            k1 = coadjoint(u, mu)
+            k1 = coadjoint(terms, u, mu, [0.0] * n)
             m = [a + half * b for a, b in zip(mu, k1)]
             u2 = dual(m)
-            k2 = coadjoint(u2, m)
+            k2 = coadjoint(terms, u2, m, [0.0] * n)
             m = [a + half * b for a, b in zip(mu, k2)]
             u3 = dual(m)
-            k3 = coadjoint(u3, m)
+            k3 = coadjoint(terms, u3, m, [0.0] * n)
             m = [a + step * b for a, b in zip(mu, k3)]
             u4 = dual(m)
-            k4 = coadjoint(u4, m)
+            k4 = coadjoint(terms, u4, m, [0.0] * n)
             mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
             u = dual(mu)
             body.append(u)
@@ -224,8 +214,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
     shape = u.shape
     rows = u.reshape(-1, shape[-1])
-    c = model.algebra.c
-    terms = [(j, i, k, c[i, j, k].item()) for i, j, k in np.argwhere(c).tolist()]
+    terms = lie.terms(model.algebra.c)
     # vel[:, i] holds U_1 at sample i and U_2, U_3, U_4 of step i + 1
     vel = np.empty((4, nsteps + 1) + rows.shape)
     vel[0, 0] = rows

@@ -17,10 +17,9 @@ Newton step reads the tensor, through the Jacobian J = ad*_X·g + K,
 where column k of K is ad*_{e_k} μ: μ has derivative g, since the Cartan
 term 2·C_{X_m}(X_m, ·, ·) vanishes when a slot is radial.  A
 finite-difference cross-check of this identity lives in the test-suite.
-The Jacobian and the step run with the seed axis innermost, each sum
-over the n ≤ 4 coordinates an elementwise `ordered_dot`, and solve their
-normal equations by a Cholesky factorisation unrolled over n, so a
-seed's step is the same in a batch of any size.
+Every ad* is `lie.add_coadjoint` on batch-last rows, and the step solves
+its normal equations by a Cholesky factorisation unrolled over n, so a
+seed's residual and step are the same in a batch of any size.
 """
 
 from dataclasses import dataclass
@@ -78,11 +77,11 @@ def _embed_m(dec: lie.ReductiveDecomposition, Xm: np.ndarray) -> np.ndarray:
     return out
 
 
-def _criterion(c, X, mu):
-    """r = ad*_X μ, batched, with μ = g_{X_m} X_m from the norm's Legendre map:
-    r_j = g(X_m, [X, e_j]_m).  c is c[:, m, m] for X in g, c[m, m, m] for X
-    in m, c[m, h, m] for r on h."""
-    return np.einsum("...jk,...k->...j", lie.coadjoint(c, X), mu)
+def _criterion(terms, X, mu):
+    """r = ad*_X μ over the terms of c[:, m, m] for X in g, or of c[m, m, m]
+    for X in m, batched, with μ = g_{X_m} X_m from the norm's Legendre
+    map: r_j = g(X_m, [X, e_j]_m)."""
+    return lie.add_coadjoint(terms, X.T, mu.T, np.zeros(mu.T.shape)).T
 
 
 def ad_h_breach(dec, norm):
@@ -95,7 +94,8 @@ def ad_h_breach(dec, norm):
     m, h = list(dec.m_indices), list(dec.h_indices)
     y = _sample_nonzero(np.random.RandomState(0), 64, len(m))
     mu = norm.legendre(y)
-    r = _criterion(dec.algebra.c[np.ix_(m, h, m)], y, mu)
+    terms = lie.terms(dec.algebra.c[np.ix_(m, h, m)])
+    r = lie.add_coadjoint(terms, y.T, mu.T, np.zeros((len(h), len(y)))).T
     scale = 1.0e-10 * np.max(np.abs(dec.algebra.c)) * np.linalg.norm(mu, axis=-1) * np.linalg.norm(y, axis=-1)
     excess = np.abs(r) - scale[:, None]
     s, a = np.unravel_index(int(np.argmax(excess)), excess.shape)
@@ -109,33 +109,29 @@ def residual_batch(dec, norm, Xs) -> np.ndarray:
     ym = Xs[..., idx]
     if np.any(np.linalg.norm(ym, axis=-1) == 0.0):
         raise DegenerateVector("criterion needs a nonzero m-component")
-    c = dec.algebra.c[:, idx][:, :, idx]
-    return _criterion(c, Xs, norm.legendre(ym))
+    return _criterion(lie.terms(dec.algebra.c[:, idx][:, :, idx]), Xs, norm.legendre(ym))
 
 
-def _residual(c_mm, norm, Xm):
-    """Residual at m-coordinates Xm, from c_mm = c[m, m, m]."""
-    return _criterion(c_mm, Xm, norm.legendre(Xm))
+def _residual(terms, norm, Xm):
+    """Residual at m-coordinates Xm, from the terms of c[m, m, m]."""
+    return _criterion(terms, Xm, norm.legendre(Xm))
 
 
-def _jacobian(c_mm, norm, Xm):
-    """The residual's exact Jacobian in m-coordinates, batched.
+def _jacobian(terms, norm, Xm):
+    """The residual's exact Jacobian in m-coordinates, batched, from the
+    terms of c[m, m, m]: ad*_X·ĝ plus the columns ad*_{e_i} μ, μ = ĝ X.
 
     Formed on (n, n, batch) arrays, the batch axis innermost, with every
-    sum over n an `ordered_dot`, so a row is the same alone as in any
-    batch; μ = ĝ X is taken from the same tensor.  The result is the
-    (..., n, n) view of that array, which `_newton_step` reads back.
+    sum over n in index order, so a row is the same alone as in any
+    batch; the result is their (..., n, n) view, read by `_newton_step`.
     """
     n = Xm.shape[-1]
     xt = np.ascontiguousarray(Xm.reshape(-1, n).T)
     g = norm.fundamental_matrix(Xm).reshape(-1, n, n).transpose(1, 2, 0)
     mu = ordered_dot(g, xt[:, None])
-    # ad*_X, entry (j, l) = c[i, j, l] X^i; ad*_X·ĝ sums its column l
-    # times row l of ĝ
-    coad = ordered_dot(c_mm[..., None], xt[:, None, None])
-    # ∂_X(ad*_X μ) at fixed μ: column k is ad*_{e_k} μ, whose entry j is
-    # c[k, j, q] μ_q
-    jac = ordered_dot([*coad.transpose(1, 0, 2)[:, :, None], *c_mm.transpose(2, 1, 0)[..., None]], [*g, *mu])
+    jac = lie.add_coadjoint(terms, xt, g, np.zeros(g.shape))
+    # on the identity's rows, (n, 1) each, ad*_{e_i} μ lands in column i
+    lie.add_coadjoint(terms, np.eye(n)[:, :, None], mu, jac)
     return jac.transpose(2, 0, 1).reshape(Xm.shape + (n,))
 
 
@@ -175,10 +171,10 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     that fail to converge are only counted.
     """
     idx = list(dec.m_indices)
-    c_mm = dec.algebra.c[np.ix_(idx, idx, idx)]
+    terms = lie.terms(dec.algebra.c[np.ix_(idx, idx, idx)])
     X = sphere.seeds(len(idx), samples)
     # r holds the residuals of the moving seeds, in their order
-    r = _residual(c_mm, norm, X)
+    r = _residual(terms, norm, X)
     rnorm = np.linalg.norm(r, axis=-1)
     all_seeds_geodesic = bool(np.all(rnorm <= tol))
     moving = np.arange(samples)
@@ -186,9 +182,9 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
         if np.all(rnorm <= tol) or not len(moving):
             break
         here = X[moving]
-        step = _newton_step(_jacobian(c_mm, norm, here), here, r)
+        step = _newton_step(_jacobian(terms, norm, here), here, r)
         part = rnorm[moving]
-        best = _line_search(c_mm, norm, here, step, r, part)
+        best = _line_search(terms, norm, here, step, r, part)
         X[moving], rnorm[moving] = best, part
         keep = np.any(np.abs(best - here) > HOLD_STEP, axis=-1)
         moving, r = moving[keep], r[keep]
@@ -202,7 +198,7 @@ def find_geodesic_vectors(dec, norm, samples: int, tol: float) -> GeodesicVector
     reps = np.where(np.abs(reps) <= HOLD_STEP, 0.0, reps)
     return GeodesicVectorSet(
         representatives=_embed_m(dec, reps),
-        residual_norms=np.linalg.norm(_residual(c_mm, norm, reps), axis=-1),
+        residual_norms=np.linalg.norm(_residual(terms, norm, reps), axis=-1),
         branch_labels=[f"branch-{rank + 1}" for rank in ranks.tolist()],
         seeds_total=samples,
         converged_total=int(converged.sum()),
@@ -269,7 +265,7 @@ def _spd_solve(a, b):
     return b
 
 
-def _line_search(c_mm, norm, X, step, r, rnorm):
+def _line_search(terms, norm, X, step, r, rnorm):
     """Newton's damped update: each seed's step is halved up to four times
     until the residual norm does not grow; seeds that never improve stay.
 
@@ -284,7 +280,7 @@ def _line_search(c_mm, norm, X, step, r, rnorm):
     for _ in range(5):
         trial = X[todo] + scale[todo, None] * step[todo]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_r = _residual(c_mm, norm, trial)
+        trial_r = _residual(terms, norm, trial)
         trial_norm = np.linalg.norm(trial_r, axis=-1)
         improved = trial_norm <= rnorm[todo]
         won = todo[improved]

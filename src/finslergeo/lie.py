@@ -4,6 +4,9 @@ Conventions: c[i, j, k] is the e_k coefficient of [e_i, e_j], so the
 bracket of coordinate vectors is X^i Y^j c[i, j, k].  Indices are
 0-based here; scenario files use 1-based indices and are shifted at the
 parsing boundary.
+
+ad*_u μ, (ad*_u μ)_j = c[i, j, k] u^i μ_k, has one route: `add_coadjoint`
+over the nonzero terms that `terms` lists, for the flow and the criterion.
 """
 
 from dataclasses import dataclass
@@ -46,12 +49,19 @@ def bracket(alg: LieAlgebraData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,...i,...j->...k", alg.c, X, Y)
 
 
-def coadjoint(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Matrix of ad*_u, (ad*_u μ)_j = c[i, j, k] u^i μ_k, batched, as one
-    matmul; c may be a block such as c[:, m, m], or c[m, m, m] for u in m."""
-    n, p, q = c.shape
-    flat = u @ c.reshape(n, p * q)
-    return flat.reshape(flat.shape[:-1] + (p, q))
+def terms(c: np.ndarray) -> list:
+    """The nonzero entries of c, or of a block such as c[:, m, m], as
+    (j, i, k, c[i, j, k]) in C order of (i, j, k): 6 for su(2), 2 for h3."""
+    return [(j, i, k, c[i, j, k].item()) for i, j, k in np.argwhere(c).tolist()]
+
+
+def add_coadjoint(terms: list, u, mu, out):
+    """ad*_u μ added into out, which is returned: out[j] += c·μ_k·u^i for
+    each (j, i, k, c) of `terms`, in order, on rows of Python floats or of
+    arrays that broadcast; no two rows of out may share memory."""
+    for j, i, k, c in terms:
+        out[j] += c * mu[k] * u[i]
+    return out
 
 
 def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:
@@ -59,7 +69,7 @@ def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != alg.dim:
         raise DimensionMismatch(alg.dim, X.shape[-1])
-    return np.swapaxes(coadjoint(alg.c, X), -1, -2)
+    return np.einsum("ijk,...i->...kj", alg.c, X)
 
 
 def jacobi_residual(alg: LieAlgebraData):

@@ -321,15 +321,20 @@ class RandersNorm(MinkowskiNorm):
         return g.transpose(2, 0, 1).reshape(y.shape + (n,))
 
     def cartan(self, y: np.ndarray) -> np.ndarray:
+        """C = ½·Sym₃(u ⊗ h) on the batch-last rows, as `fundamental_matrix`
+        is formed; the (..., n, n, n) view of an (n, n, n, batch) array."""
         y = self._require_nonzero(y)
-        p = y @ self.a
-        alpha2 = np.einsum("...i,...i->...", y, p)[..., None]
+        n = self.dim
+        yt = _batch_last(y)
+        p = _times(self.a, yt)
+        alpha2 = ordered_dot(yt, p)
         alpha = np.sqrt(alpha2)
-        beta = (y @ self.b)[..., None]
-        u = self.b / alpha - (beta / (alpha2 * alpha)) * p
-        h = self.a - p[..., :, None] * p[..., None, :] / alpha2[..., None]
-        uh = u[..., :, None, None] * h[..., None, :, :]
-        return 0.5 * (uh + np.moveaxis(uh, -3, -2) + np.moveaxis(uh, -3, -1))
+        beta = ordered_dot(self.b, yt)
+        u = self.b[:, None] / alpha - (beta / (alpha2 * alpha)) * p
+        h = self.a[:, :, None] - p[:, None] * p / alpha2
+        uh = u[:, None, None] * h
+        c = 0.5 * (uh + uh.transpose(1, 0, 2, 3) + uh.transpose(1, 2, 0, 3))
+        return c.transpose(3, 0, 1, 2).reshape(y.shape + (n, n))
 
 
 class CustomNorm(MinkowskiNorm):

@@ -22,7 +22,7 @@ partition, and in representatives within DEDUP_ANGLE.
 
 `jet_gate` recomputes the criterion residual with μ = ĝ X_m from the
 norm's generic jet tensor in place of its closed-form Legendre map, and
-ad* from the block c[:, m, m] on the vector embedded in g: an
+ad* from the terms of the block c[:, m, m] on the vector embedded in g: an
 independent route to the same quantity, which every representative the
 library keeps must pass.
 """
@@ -31,7 +31,7 @@ import cluster_oracle
 import numpy as np
 
 from finslergeo import geodesic_vectors as gv
-from finslergeo import sphere
+from finslergeo import lie, sphere
 
 
 def pinv_step(jac, X, r):
@@ -47,16 +47,17 @@ def jet_gate(dec, norm, Xm, tol):
     """Whether the generic jet tensor also puts the residual at each row
     of m-coordinates Xm at or below tol; a NaN residual fails."""
     idx = list(dec.m_indices)
-    c = dec.algebra.c[:, idx][:, :, idx]
+    terms = lie.terms(dec.algebra.c[:, idx][:, :, idx])
     mu = np.einsum("...ij,...j->...i", norm._generic_fundamental(Xm), Xm)
-    gen = gv._criterion(c, gv._embed_m(dec, Xm), mu)
+    gen = gv._criterion(terms, gv._embed_m(dec, Xm), mu)
     return np.linalg.norm(gen, axis=-1) <= tol
 
 
-def c_mm(dec):
-    """The m-block c[m, m, m] of the structure constants."""
+def m_terms(dec):
+    """The nonzero terms of the m-block c[m, m, m] of the structure
+    constants, as `lie.terms` lists them."""
     idx = list(dec.m_indices)
-    return dec.algebra.c[np.ix_(idx, idx, idx)]
+    return lie.terms(dec.algebra.c[np.ix_(idx, idx, idx)])
 
 
 def find_geodesic_vectors(dec, norm, samples, tol):
@@ -68,22 +69,22 @@ def find_geodesic_vectors_pinv(dec, norm, samples, tol):
 
 
 def _zero_set(dec, norm, samples, tol, step_of, hold):
-    cm = c_mm(dec)
+    terms = m_terms(dec)
     X = sphere.seeds(len(dec.m_indices), samples)
-    r = gv._residual(cm, norm, X)
+    r = gv._residual(terms, norm, X)
     rnorm = np.linalg.norm(r, axis=-1)
     all_seeds_geodesic = bool(np.all(rnorm <= tol))
     held = np.zeros(samples, dtype=bool)
     for _ in range(gv.NEWTON_ITERS):
         if np.all(rnorm <= tol):
             break
-        step = step_of(gv._jacobian(cm, norm, X), X, r)
+        step = step_of(gv._jacobian(terms, norm, X), X, r)
         scale = np.ones(len(X))
         best, best_r, best_norm = X, r, rnorm
         for _ in range(5):
             trial = X + scale[:, None] * step
             trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_r = gv._residual(cm, norm, trial)
+            trial_r = gv._residual(terms, norm, trial)
             trial_norm = np.linalg.norm(trial_r, axis=-1)
             improved = trial_norm <= best_norm
             best = np.where(improved[:, None], trial, best)
@@ -107,7 +108,7 @@ def _zero_set(dec, norm, samples, tol, step_of, hold):
     reps = np.where(np.abs(reps) <= gv.HOLD_STEP, 0.0, reps)
     return gv.GeodesicVectorSet(
         representatives=gv._embed_m(dec, reps),
-        residual_norms=np.linalg.norm(gv._residual(cm, norm, reps), axis=-1),
+        residual_norms=np.linalg.norm(gv._residual(terms, norm, reps), axis=-1),
         branch_labels=labels,
         seeds_total=samples,
         converged_total=int(converged.sum()),

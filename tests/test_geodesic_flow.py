@@ -515,11 +515,11 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
     # timer-free cost guard: the flow steps μ with the closed-form dual, four
     # calls a step, and takes μ at the start from the closed-form Legendre
     # map, once, so the norm tensor is never built; F = norm(u) is read once, for the whole path, however long the path;
-    # the stages apply ad* as one product with the structure constants, so
-    # the matrix kernel lie.coadjoint is never formed
+    # each of the four stages a step takes ad* from the shared contraction
+    # lie.add_coadjoint, once
     kernel_calls = []
-    original_kernel = lie.coadjoint
-    monkeypatch.setattr(lie, "coadjoint", lambda c, u: kernel_calls.append(1) or original_kernel(c, u))
+    original_kernel = lie.add_coadjoint
+    monkeypatch.setattr(lie, "add_coadjoint", lambda *args: kernel_calls.append(1) or original_kernel(*args))
 
     def norm_calls(model, T):
         norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
@@ -536,7 +536,7 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
         gf.integrate_geodesic(
             model, norm, np.array([0.1, 0.2, -0.3]), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3
         )
-        return dict(calls, coadjoint=len(kernel_calls))
+        return dict(calls, add_coadjoint=len(kernel_calls))
 
     for model in (groups.Heisenberg3(), groups.SU2()):
         for T in (0.05, 0.5):
@@ -546,7 +546,7 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
                 "value": 1,
                 "legendre": 1,
                 "legendre_dual": 4 * steps,
-                "coadjoint": 0,
+                "add_coadjoint": 4 * steps,
             }
 
 
@@ -569,6 +569,27 @@ def test_two_axis_batch_matches_single_paths():
                     assert np.array_equal(path.ts, one.ts)
                     for name in ("points", "body", "F_values"):
                         assert np.array_equal(getattr(path, name)[:, i, j], getattr(one, name))
+
+
+def test_euler_poincare_rows_do_not_depend_on_the_batch():
+    # μ = ĝ_u u and ad*_u μ are summed in index order on batch-last rows,
+    # and the solve takes one matrix at a time, so of 1024 random u each
+    # rate is bitwise the same alone, in a batch of 7 and in the whole
+    # batch; in a rotated basis the products of su(2)'s constants round
+    rng = np.random.RandomState(29)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rotated = lie.LieAlgebraData(3, np.einsum("pi,qj,pqr,rk->ijk", q, q, lie.su2().c, q))
+    a = np.diag([1.0, 2.0, 1.5])
+    us = rng.standard_normal((1024, 3))
+    for algebra in (lie.heisenberg3(), lie.su2(), rotated):
+        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, 0.1, 0.2]))):
+            rate = gf.euler_poincare_rhs(algebra, us, norm.fundamental_matrix(us))
+            for i in range(0, 1024, 73):
+                one = gf.euler_poincare_rhs(algebra, us[i], norm.fundamental_matrix(us[i]))
+                assert one.tobytes() == rate[i].tobytes()
+                rows = np.arange(i - 3, i + 4) % 1024
+                sub = gf.euler_poincare_rhs(algebra, us[rows], norm.fundamental_matrix(us[rows]))
+                assert sub[3].tobytes() == rate[i].tobytes()
 
 
 def test_dual_takes_one_covector_per_call():
@@ -829,7 +850,7 @@ def imported_names(tree):
 
 
 def test_flow_does_not_import_geodesic_vectors():
-    # the flow forms every ad* itself, as (K_t·μ)·u, not from the criterion module
+    # the flow takes every ad* from lie.add_coadjoint, not from the criterion module
     with open(gf.__file__, encoding="utf-8") as handle:
         names = imported_names(ast.parse(handle.read()))
     assert "lie" in names

@@ -83,7 +83,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(10):
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
-        jac = gv._jacobian(newton_oracle.c_mm(dec), norm, x)
+        jac = gv._jacobian(newton_oracle.m_terms(dec), norm, x)
         for k in range(3):
             plus = gv.residual_batch(dec, norm, gv._embed_m(dec, x + h * eye[k]))
             minus = gv.residual_batch(dec, norm, gv._embed_m(dec, x - h * eye[k]))
@@ -106,25 +106,42 @@ DERIVATION_SPLITS = {2: ((0, 1), (2, 3)), 3: ((0, 1, 2), (3,)), 4: ((0, 1, 2, 3)
 
 @pytest.mark.parametrize("m_dim", [2, 3, 4])
 def test_criterion_matches_three_operand_einsum(m_dim):
-    # lie.coadjoint applied to μ against (ad*_u μ)_j = c[i, j, k] u^i μ_k
-    # as one einsum, on c, c[:, m, m] and c[m, m, m] of a split algebra; the
-    # flow's ad* (K_t·μ)·u, read through euler_poincare_rhs with a diagonal
-    # ĝ, on the whole of c, held to the scale |u|·|μ|·max|c| of the sum, as
-    # the einsum itself rounds under cancellation
+    # lie.add_coadjoint over lie.terms against (ad*_u μ)_j = c[i, j, k] u^i μ_k
+    # as one einsum, on c, c[:, m, m], c[m, m, m] and c[m, h, m] of a split
+    # algebra and on an abelian algebra, whose term list is empty; on
+    # batch-last rows, and on lists of floats, each float result bitwise
+    # its row; the flow's ad*, read through euler_poincare_rhs with a
+    # diagonal ĝ, on the whole of c, held to the scale |u|·|μ|·max|c| of
+    # the sum, as the einsum itself rounds under cancellation
     alg = derivation_h3()
     m, h = DERIVATION_SPLITS[m_dim]
     assert lie.jacobi_residual(alg)[0] == 0.0
     scenario._check_split(alg.c, m, h)
-    blocks = (alg.c, alg.c[:, m][:, :, m], alg.c[np.ix_(m, m, m)])
+    on_h = alg.c[np.ix_(m, h, m)]
+    blocks = (alg.c, alg.c[:, m][:, :, m], alg.c[np.ix_(m, m, m)], on_h, lie.abelian(m_dim).c)
+    assert lie.terms(blocks[-1]) == []
     rng = np.random.RandomState(m_dim)
     for shape in ((), (5,), (4096,)):
         for block in blocks:
+            terms = lie.terms(block)
             u = rng.standard_normal(shape + block.shape[:1])
             mu = rng.standard_normal(shape + block.shape[2:])
             want = np.einsum("ijk,...i,...k->...j", block, u, mu)
-            got = (lie.coadjoint(block, u) @ mu[..., None])[..., 0]
+            rows = np.zeros(block.shape[1:2] + shape)
+            lie.add_coadjoint(terms, np.moveaxis(u, -1, 0), np.moveaxis(mu, -1, 0), rows)
+            got = np.moveaxis(rows, 0, -1)
             assert got.shape == want.shape
-            assert np.all(np.linalg.norm(got - want, axis=-1) <= 1.0e-14 * np.linalg.norm(want, axis=-1))
+            if block is on_h:
+                # r on e4 is -u1μ1 - 2u2μ2, and - 3u3μ3 when e3 is in m: it cancels
+                bound = 1.0e-15 * np.linalg.norm(u, axis=-1) * np.linalg.norm(mu, axis=-1) * np.max(np.abs(alg.c))
+            else:
+                bound = 1.0e-14 * np.linalg.norm(want, axis=-1)
+            assert np.all(np.linalg.norm(got - want, axis=-1) <= bound)
+            flat_u, flat_mu, flat_got = (a.reshape(int(np.prod(shape)), a.shape[-1]) for a in (u, mu, got))
+            for p in range(0, len(flat_u), 61):
+                floats = lie.add_coadjoint(terms, flat_u[p].tolist(), flat_mu[p].tolist(), [0.0] * block.shape[1])
+                assert all(type(x) is float for x in floats)
+                assert np.array(floats).tobytes() == flat_got[p].tobytes()
         g = np.einsum("...i,ij->...ij", rng.uniform(1.0, 2.0, shape + (4,)), np.eye(4))
         u = rng.standard_normal(shape + (4,))
         mu = np.einsum("...ij,...j->...i", g, u)

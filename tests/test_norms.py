@@ -297,15 +297,16 @@ def test_randers_tensor_rows_do_not_depend_on_the_batch(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_value_and_legendre_rows_do_not_depend_on_the_batch(n):
-    # value, alpha, beta and the Legendre map take each sum over n in
-    # index order on the batch-last rows, never a BLAS product, so of 600
-    # random vectors each is bitwise the same alone as in the batch
+    # value, alpha, beta, the Legendre map and the Randers Cartan tensor
+    # take each sum over n in index order on the batch-last rows, never a
+    # BLAS product, so of 600 random vectors each is bitwise the same
+    # alone as in the batch
     rng = np.random.RandomState(31 + n)
     ys = rng.standard_normal((600, n)) * rng.uniform(0.1, 10.0, (600, 1))
     randers = random_randers(rng, n)
     cases = [
         (norms.EuclideanNorm(random_spd(rng, n)), ("value", "legendre")),
-        (randers, ("value", "alpha", "beta", "legendre")),
+        (randers, ("value", "alpha", "beta", "legendre", "cartan")),
     ]
     for norm, names in cases:
         for name in names:

@@ -138,12 +138,12 @@ def _circle(x3, count=64):
 
 def test_damped_step_is_the_minimum_norm_step(monkeypatch):
     dec, norm = CASES["h3-randers-b3-zero"]
-    cm = newton_oracle.c_mm(dec)
+    terms = newton_oracle.m_terms(dec)
     # the circle X3 = 0 lies in this zero set; there [J; √w X^T] has
     # singular values (1.3, 0.75, 0), and at X3 = 1e-7 its third is 1.3e-7
     for x3 in (0.0, 1.0e-7):
         X = _circle(x3)
-        r, jac = gv._residual(cm, norm, X), gv._jacobian(cm, norm, X)
+        r, jac = gv._residual(terms, norm, X), gv._jacobian(terms, norm, X)
         step = gv._newton_step(jac, X, r)
         assert np.max(np.abs(step - newton_oracle.pinv_step(jac, X, r))) <= 1.0e-12
     # elsewhere the damping moves the step by up to about lam / s_min^2
@@ -151,13 +151,13 @@ def test_damped_step_is_the_minimum_norm_step(monkeypatch):
     # 2048 seeds s_min >= 4.4e-4, and the move is 1.2e-11 in the median
     # and 3.6e-6 at worst
     X = sphere.seeds(3, 2048)
-    r, jac = gv._residual(cm, norm, X), gv._jacobian(cm, norm, X)
+    r, jac = gv._residual(terms, norm, X), gv._jacobian(terms, norm, X)
     step, want = gv._newton_step(jac, X, r), newton_oracle.pinv_step(jac, X, r)
     assert np.all(np.linalg.norm(step - want, axis=-1) <= 1.0e-5 * np.linalg.norm(want, axis=-1))
     # undamped, the normal equations on the circle are exactly singular,
     # so the damping may not be dropped
     X = _circle(0.0)
-    r, jac = gv._residual(cm, norm, X), gv._jacobian(cm, norm, X)
+    r, jac = gv._residual(terms, norm, X), gv._jacobian(terms, norm, X)
     monkeypatch.setattr(gv, "STEP_DAMPING", 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         gv._newton_step(jac, X, r)
@@ -209,20 +209,22 @@ BATCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_newton_rows_do_not_depend_on_the_batch(case):
-    # every sum over n in the Jacobian and the step is elementwise and in
-    # index order, so a seed's rows are bitwise the same alone, in a
-    # batch of 7 and in the batch of all 1024 seeds
+    # every sum over n in the residual, the Jacobian and the step is
+    # elementwise and in index order, so a seed's rows are bitwise the same
+    # alone, in a batch of 7 and in the batch of all 1024 seeds
     dec, norm = BATCH_CASES[case]
-    cm = newton_oracle.c_mm(dec)
+    terms = newton_oracle.m_terms(dec)
     X = sphere.seeds(len(dec.m_indices), 1024)
-    r = gv._residual(cm, norm, X)
-    jac = gv._jacobian(cm, norm, X)
+    r = gv._residual(terms, norm, X)
+    jac = gv._jacobian(terms, norm, X)
     step = gv._newton_step(jac, X, r)
     for i in range(0, 1024, 73):
-        assert gv._jacobian(cm, norm, X[i]).tobytes() == jac[i].tobytes()
+        assert gv._residual(terms, norm, X[i]).tobytes() == r[i].tobytes()
+        assert gv._jacobian(terms, norm, X[i]).tobytes() == jac[i].tobytes()
         for rows in (np.array([i]), np.arange(i - 3, i + 4) % 1024):
-            sub = gv._jacobian(cm, norm, X[rows])
+            sub = gv._jacobian(terms, norm, X[rows])
             at = list(rows).index(i)
+            assert gv._residual(terms, norm, X[rows])[at].tobytes() == r[i].tobytes()
             assert sub[at].tobytes() == jac[i].tobytes()
             assert gv._newton_step(sub, X[rows], r[rows])[at].tobytes() == step[i].tobytes()
 
@@ -233,8 +235,8 @@ def test_newton_step_where_the_jacobian_vanishes():
     # and falls back to 1, so the step is 0 and not a singular solve
     dec, norm = u2(), norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0, 1.5]))
     X = np.array([[0.0, 0.0, 0.0, 1.0]])
-    cm = newton_oracle.c_mm(dec)
-    r, jac = gv._residual(cm, norm, X), gv._jacobian(cm, norm, X)
+    terms = newton_oracle.m_terms(dec)
+    r, jac = gv._residual(terms, norm, X), gv._jacobian(terms, norm, X)
     assert not np.any(r) and not np.any(jac)
     assert np.array_equal(gv._newton_step(jac, X, r), np.zeros((1, 4)))
 
@@ -402,9 +404,9 @@ def test_newton_batch_shrinks_to_the_moving_seeds(monkeypatch):
     sizes = []
     jacobian = gv._jacobian
 
-    def counted(c_mm, norm, Xm):
+    def counted(terms, norm, Xm):
         sizes.append(len(Xm))
-        return jacobian(c_mm, norm, Xm)
+        return jacobian(terms, norm, Xm)
 
     monkeypatch.setattr(gv, "_jacobian", counted)
     found = gv.find_geodesic_vectors(
