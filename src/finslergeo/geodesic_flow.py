@@ -34,10 +34,17 @@ that velocity form from the norm tensor g = ĝ_u, with no x-derivative
 of the chart metric, for the S-curvature and the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
 vectors are the equilibria of the flow; this module forms no such
-residual, `geodesic_vectors.residual_batch` does.  Every ad* here is
-`lie.add_coadjoint` over the algebra's `lie.terms`.  The step loop runs
-on Python floats, and the norm's dual takes and returns n floats, so a
-step makes no numpy call.
+residual, `geodesic_vectors.residual_batch` does.  Every ad* here sums
+over the algebra's `lie.terms` in their order: `lie.add_coadjoint` on
+array rows, and `lie.coadjoint_lines` in the step loop.  That loop is
+one Python function per norm class, dimension and (j, i, k) pattern of
+the terms, assembled from the ad* lines and the norm's dual lines
+(`norms.MinkowskiNorm.dual_lines`) and compiled on first use.  It steps
+a whole path on local floats, every sum written out, and calls nothing
+but the square root and, once a step, the append of its velocities.
+Its text holds indices only; the coefficients and the norm's constants
+are passed to it as values, so norms of one class share it whatever
+their data.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -50,6 +57,7 @@ is computed by that congruence alone; the route that differentiates
 F(x, ·)² with jets is a test oracle (tests/chart_spray.py).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +65,7 @@ import numpy as np
 from . import lie, sphere
 from .errors import StepRejected
 from .groups import GroupModel, orbit_curve
-from .norms import ordered_dot
+from .norms import compiled, ordered_dot
 
 DRIFT_LIMIT = 1.0e-3
 
@@ -122,50 +130,87 @@ def _drift_rejected() -> StepRejected:
     return StepRejected(f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size")
 
 
+def _kernel_lines(kind, n: int, pattern: tuple) -> list:
+    """The step loop of one path as one Python function, on local floats.
+
+    It takes the step count, h, h/2 and h/6, the start u and μ, the ad*
+    coefficients c0, c1, … of `pattern` (`lie.coadjoint_lines`) and the
+    constants of the norm's dual (kind.dual_lines), and returns one tuple
+    per step: u at its end, then U_2, U_3 and U_4.  Every ad* term and
+    every dual sum is written out; only integers reach the text.
+    """
+    names, final = kind.dual_lines(n, "mu", "u")
+    coefficients = [f"c{t}" for t in range(len(pattern))]
+
+    def floats(prefix):
+        return [f"{prefix}{j}" for j in range(n)]
+
+    def dual(mu, u):
+        return kind.dual_lines(n, mu, u)[1]
+
+    def advance(out, scale, rate):
+        return [f"{m} = mu{j} + {scale} * {rate}{j}" for j, m in enumerate(floats(out))]
+
+    params = ["nsteps", "step", "half", "sixth", *floats("u"), *floats("mu"), *coefficients, *names]
+    body = [
+        *lie.coadjoint_lines(pattern, n, "u", "mu", "K1_"),
+        *advance("M", "half", "K1_"),
+        *dual("M", "U2_"),
+        *lie.coadjoint_lines(pattern, n, "U2_", "M", "K2_"),
+        *advance("M", "half", "K2_"),
+        *dual("M", "U3_"),
+        *lie.coadjoint_lines(pattern, n, "U3_", "M", "K3_"),
+        *advance("M", "step", "K3_"),
+        *dual("M", "U4_"),
+        *lie.coadjoint_lines(pattern, n, "U4_", "M", "K4_"),
+        *(f"mu{j} = mu{j} + sixth * (K1_{j} + two * K2_{j} + two * K3_{j} + K4_{j})" for j in range(n)),
+        *final,
+        f"record(({', '.join(floats('u') + floats('U2_') + floats('U3_') + floats('U4_'))},))",
+    ]
+    return [
+        f"def step_path({', '.join(params)}):",
+        "    rows = []",
+        "    record = rows.append",
+        "    for _ in range(nsteps):",
+        *("        " + line for line in body),
+        "    return rows",
+    ]
+
+
+@functools.cache
+def _kernel(kind, n: int, pattern: tuple):
+    """The compiled step loop for norms of class `kind` on n-dim algebras
+    whose ad* terms have the (j, i, k) `pattern`, built on first use."""
+    filename = f"<finslergeo.geodesic_flow step loop: {kind.__name__}, n={n}, {len(pattern)} ad* terms>"
+    return compiled(_kernel_lines(kind, n, pattern), "step_path", filename)
+
+
 def _step_path(terms, norm, vel, step: float) -> np.ndarray:
     """Step one path from its start velocity vel[0, 0] and return F = norm(u)
     at every sample.
 
     vel is the path's (4, nsteps + 1, n) view of the stage velocities,
-    written once the loop is done.  μ = norm.legendre(u) is taken here;
-    the loop then runs on lists of n Python floats, and each ad*_u μ is
-    `lie.add_coadjoint` over `terms`, the algebra's `lie.terms`.
+    written once the loop is done.  μ = norm.legendre(u) is taken here,
+    before the loop, and the loop is the `_kernel` of the norm's class and
+    the pattern of `terms`, the algebra's `lie.terms`, called with their
+    coefficients and the norm's `dual_constants`.
     """
-    half, sixth = 0.5 * step, step / 6.0
-    dual, coadjoint = norm.legendre_dual, lie.add_coadjoint
-    n = vel.shape[-1]
-    u = vel[0, 0].tolist()
-    mu = norm.legendre(vel[0, 0]).tolist()
-    body, stages = [u], ([], [], [])
-    u2s, u3s, u4s = stages
+    nsteps, n = vel.shape[1] - 1, vel.shape[-1]
+    mu = norm._covector(norm.legendre(vel[0, 0]))
+    kernel = _kernel(type(norm), n, tuple(term[:3] for term in terms))
+    args = (nsteps, step, 0.5 * step, step / 6.0, *vel[0, 0].tolist(), *mu)
+    args += (*(term[3] for term in terms), *norm.dual_constants)
     try:
-        for _ in range(vel.shape[1] - 1):
-            k1 = coadjoint(terms, u, mu, [0.0] * n)
-            m = [a + half * b for a, b in zip(mu, k1)]
-            u2 = dual(m)
-            k2 = coadjoint(terms, u2, m, [0.0] * n)
-            m = [a + half * b for a, b in zip(mu, k2)]
-            u3 = dual(m)
-            k3 = coadjoint(terms, u3, m, [0.0] * n)
-            m = [a + step * b for a, b in zip(mu, k3)]
-            u4 = dual(m)
-            k4 = coadjoint(terms, u4, m, [0.0] * n)
-            mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
-            u = dual(mu)
-            body.append(u)
-            u2s.append(u2)
-            u3s.append(u3)
-            u4s.append(u4)
+        rows = kernel(*args)
     except (ZeroDivisionError, ValueError) as exc:
         # in floats x/0.0 and the square root of a negative raise where
         # numpy gives inf or nan: a diverging step, rejected as the drift
-        # check rejects one; a ValueError other than the math module's
-        # domain error, such as the dual's shape error, is no such step
-        if isinstance(exc, ValueError) and exc.args != ("math domain error",):
-            raise
+        # check rejects one; μ is unpacked before the loop, whose only
+        # ValueError is then math.sqrt's
         raise _drift_rejected() from exc
-    vel[0] = body
-    vel[1:, :-1] = stages
+    rows = np.array(rows).reshape(nsteps, 4, n)
+    vel[0, 1:] = rows[:, 0]
+    vel[1:, :-1] = rows[:, 1:].transpose(1, 0, 2)
     # a diverging path runs to its end as inf or nan, which the caller's
     # drift check rejects
     with np.errstate(all="ignore"):
@@ -178,11 +223,12 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     μ = ĝ_u u is formed once per path, by the norm's Legendre map, from
     the start velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes
     from the norm's Legendre dual of one covector, which the norm must
-    implement.  μ advances by classical RK4 with stage values M_1 = μ,
-    M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
+    implement (`dual_lines`).  μ advances by classical RK4 with stage
+    values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, one path at a time on Python floats, and stores the body and
-    stage velocities of every step in one array once it is done.  The
+    that, one path at a time in its generated function (`_kernel`) on
+    Python floats, and stores the body and stage velocities of every step
+    in one array once it is done.  The
     group element advances by the 4th-order RKMK step on the stage
     velocities,
     g_i = g_{i−1}·exp(θ_i) with

@@ -5,8 +5,11 @@ bracket of coordinate vectors is X^i Y^j c[i, j, k].  Indices are
 0-based here; scenario files use 1-based indices and are shifted at the
 parsing boundary.
 
-ad*_u μ, (ad*_u μ)_j = c[i, j, k] u^i μ_k, has one route: `add_coadjoint`
-over the nonzero terms that `terms` lists, for the flow and the criterion.
+ad*_u μ, (ad*_u μ)_j = c[i, j, k] u^i μ_k, has one term order, that of
+the nonzero terms `terms` lists: `add_coadjoint` sums over them on array
+rows, for the criterion and the Euler–Poincaré rate, and
+`coadjoint_lines` writes the same sums out as Python lines, for the
+geodesic flow's generated step loop.
 """
 
 from dataclasses import dataclass
@@ -57,11 +60,30 @@ def terms(c: np.ndarray) -> list:
 
 def add_coadjoint(terms: list, u, mu, out):
     """ad*_u μ added into out, which is returned: out[j] += c·μ_k·u^i for
-    each (j, i, k, c) of `terms`, in order, on rows of Python floats or of
-    arrays that broadcast; no two rows of out may share memory."""
+    each (j, i, k, c) of `terms`, in order, on rows that broadcast; no two
+    rows of out may share memory.  Production passes it array rows only;
+    the step loop takes the same sums from `coadjoint_lines`."""
     for j, i, k, c in terms:
         out[j] += c * mu[k] * u[i]
     return out
+
+
+def coadjoint_lines(pattern, n: int, u: str, mu: str, out: str) -> list:
+    """Python lines that set the floats {out}0…{out}{n−1} to ad*_u μ,
+    with u in the floats {u}0, {u}1, … and μ in {mu}0, {mu}1, …, where
+    u, mu and out are the name prefixes passed in.
+
+    pattern holds the (j, i, k) of `terms`, in order; the coefficient of
+    its t-th entry is read from the name c{t}, and 0.0 from the name
+    zero, both bound by the caller, so the lines carry indices only.
+    Each component is the sum zero + c·μ_k·u^i + … in term order, as
+    `add_coadjoint` adds into a zero row, so a −0.0 product rounds to
+    +0.0 as it does there.
+    """
+    parts = [["zero"] for _ in range(n)]
+    for t, (j, i, k) in enumerate(pattern):
+        parts[j].append(f"c{t} * {mu}{k} * {u}{i}")
+    return [f"{out}{j} = {' + '.join(part)}" for j, part in enumerate(parts)]
 
 
 def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:

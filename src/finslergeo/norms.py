@@ -30,18 +30,22 @@ covectors.  For a Euclidean norm u = a⁻¹μ.  A Randers norm's dual is
 again of Randers type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 − b·b♯,
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
-Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  The
-geodesic flow steps one path's μ with it on Python floats, so the dual
-takes one covector, a sequence of n numbers, and returns a list of n
-floats; it raises ValueError on a batch.  Each sum over n is
-`sum(map(mul, μ, column))` against the columns of a⁻¹ or H, or W, that
-the norm holds as tuples, so a call makes no numpy call when μ is a list of
-floats.  In floats x/0.0 raises ZeroDivisionError and the square root of
-a negative raises ValueError, where numpy gives inf or nan.
+Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  Each
+such norm writes its dual once, as Python lines on n floats
+(`dual_lines`): the lines depend on n alone and read the columns of a⁻¹
+or H, and W, from names whose values the norm holds in
+`dual_constants`.  The geodesic flow pastes them into its generated
+step loop, and `legendre_dual(μ)`, for one covector, is compiled from
+the same lines.  Each sum over n is 0.0 + μ_0·w_0 + μ_1·w_1 + … in
+index order, as `sum()` adds from its start 0, so a −0.0 product rounds
+to +0.0, and the square root is `math.sqrt`; in floats
+x/0.0 raises ZeroDivisionError and the square root of a negative raises
+ValueError, where numpy gives inf or nan.
 """
 
+import functools
+import linecache
 import math
-from operator import mul
 
 import numpy as np
 
@@ -76,6 +80,39 @@ def ordered_dot(us, vs):
     for u, v in pairs:
         out += u * v
     return out
+
+
+def compiled(lines: list, name: str, filename: str):
+    """The function `name` that `lines`, one def statement, define,
+    compiled under `filename`, which tracebacks then name and quote.
+
+    Besides its own, the text reads three names, bound here: sqrt is
+    `math.sqrt`, and zero and two are the floats 0.0 and 2.0, so no float
+    literal is written into it and float arithmetic never meets an int.
+    """
+    source = "\n".join(lines) + "\n"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt, "zero": 0.0, "two": 2.0}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _dot_line(mu: str, names: list) -> str:
+    """zero + mu0·names[0] + mu1·names[1] + …: the sum that `sum()` forms
+    from its start 0, which converts to 0.0 exactly."""
+    return "zero + " + " + ".join(f"{mu}{j} * {name}" for j, name in enumerate(names))
+
+
+@functools.cache
+def _legendre_dual(kind, n: int):
+    """kind.legendre_dual's arithmetic for n floats, compiled from
+    kind.dual_lines."""
+    names, lines = kind.dual_lines(n, "mu", "u")
+    mus, us = ([f"{x}{j}" for j in range(n)] for x in ("mu", "u"))
+    head = f"def legendre_dual({', '.join(mus + names)}):"
+    body = [*lines, f"return [{', '.join(us)}]"]
+    filename = f"<finslergeo.norms {kind.__name__}.legendre_dual, n={n}>"
+    return compiled([head, *("    " + line for line in body)], "legendre_dual", filename)
 
 
 def _batch_last(y: np.ndarray) -> np.ndarray:
@@ -136,20 +173,30 @@ class MinkowskiNorm:
         y = self._require_nonzero(y)
         return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)
 
-    def legendre_dual(self, mu) -> list:
-        """u = ∂(½F*²)/∂μ for one covector μ, a sequence of n numbers, as a
-        list of n Python floats.
+    @classmethod
+    def dual_lines(cls, n: int, mu: str, u: str) -> tuple:
+        """(names, lines): Python lines that set the floats u0…u{n−1} to
+        u = ∂(½F*²)/∂μ of the covector in the floats mu0…mu{n−1}, where
+        mu and u are the prefixes passed in.
 
-        u inverts the Legendre map: μ = ĝ_u u gives back u.  Only norms
-        with a closed-form dual implement it, on `_covector(mu)`.
+        The lines read the norm's constants under `names`, whose values
+        the norm holds, in that order, in `dual_constants`, and otherwise
+        only the names `compiled` binds; the caller binds the names.  They
+        depend on n alone, never on the norm's data.  Only norms with a
+        closed-form dual implement them.
         """
         raise NotImplementedError
 
+    def legendre_dual(self, mu) -> list:
+        """u = ∂(½F*²)/∂μ for one covector μ, a sequence of n numbers, as a
+        list of n Python floats, from the norm's `dual_lines`.
+
+        u inverts the Legendre map: μ = ĝ_u u gives back u.
+        """
+        return _legendre_dual(type(self), self.dim)(*self._covector(mu), *self.dual_constants)
+
     def _covector(self, mu) -> list:
-        """μ as a list of n floats; ValueError on a batch.  A list of
-        floats, as the geodesic flow passes, is taken as it is."""
-        if type(mu) is list and len(mu) == self.dim and type(mu[0]) is float:
-            return mu
+        """μ as a list of n floats; ValueError on a batch."""
         mu = self._check_dim(mu)
         if mu.ndim != 1:
             raise ValueError(f"legendre_dual takes one covector of shape ({self.dim},), not {mu.shape}")
@@ -193,7 +240,8 @@ class EuclideanNorm(MinkowskiNorm):
         _check_spd(a, "a")
         super().__init__(a.shape[0])
         self.a = a
-        self._dual_columns = tuple(map(tuple, np.linalg.inv(a).T.tolist()))
+        # the columns of a⁻¹, one after the other
+        self.dual_constants = tuple(np.linalg.inv(a).T.ravel().tolist())
 
     def value(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)
@@ -204,10 +252,11 @@ class EuclideanNorm(MinkowskiNorm):
         y = self._require_nonzero(y)
         return _times(self.a, _batch_last(y)).T.reshape(y.shape)
 
-    def legendre_dual(self, mu) -> list:
-        """u = a⁻¹μ, for one covector."""
-        mu = self._covector(mu)
-        return [sum(map(mul, mu, col)) for col in self._dual_columns]
+    @classmethod
+    def dual_lines(cls, n: int, mu: str, u: str) -> tuple:
+        """u = a⁻¹μ, u_i = μ·(column i of a⁻¹)."""
+        columns = [[f"ai{i}_{j}" for j in range(n)] for i in range(n)]
+        return sum(columns, []), [f"{u}{i} = {_dot_line(mu, col)}" for i, col in enumerate(columns)]
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         return jets.quadform(self.a, yj)
@@ -256,8 +305,8 @@ class RandersNorm(MinkowskiNorm):
             )
         lam = 1.0 - self.b @ self.b_sharp
         dual_h = (np.linalg.inv(a) + np.outer(self.b_sharp, self.b_sharp) / lam) / lam
-        self._dual_columns = tuple(map(tuple, dual_h.T.tolist()))
-        self._dual_shift = tuple((-self.b_sharp / lam).tolist())
+        # the columns of H, one after the other, then W
+        self.dual_constants = tuple(dual_h.T.ravel().tolist() + (-self.b_sharp / lam).tolist())
         # y @ [a | b] gives a y and β = b·y in one pass
         self._a_b = np.column_stack([a, b])
 
@@ -286,14 +335,20 @@ class RandersNorm(MinkowskiNorm):
         p *= f
         return p.T.reshape(y.shape)
 
-    def legendre_dual(self, mu) -> list:
-        """u = (s/√(μ·Hμ))·Hμ + s·W with s = F*(μ), for one covector."""
-        mu = self._covector(mu)
-        h = [sum(map(mul, mu, col)) for col in self._dual_columns]
-        root = math.sqrt(sum(map(mul, mu, h)))
-        s = root + sum(map(mul, mu, self._dual_shift))
-        scale = s / root
-        return [scale * hj + s * wj for hj, wj in zip(h, self._dual_shift)]
+    @classmethod
+    def dual_lines(cls, n: int, mu: str, u: str) -> tuple:
+        """u = (s/√(μ·Hμ))·Hμ + s·W with s = F*(μ), on the temporaries
+        h0…h{n−1} = Hμ, root, s and scale."""
+        columns = [[f"H{i}_{j}" for j in range(n)] for i in range(n)]
+        w = [f"W{j}" for j in range(n)]
+        lines = [f"h{i} = {_dot_line(mu, col)}" for i, col in enumerate(columns)]
+        lines += [
+            f"root = sqrt({_dot_line(mu, [f'h{j}' for j in range(n)])})",
+            f"s = root + ({_dot_line(mu, w)})",
+            "scale = s / root",
+        ]
+        lines += [f"{u}{j} = scale * h{j} + s * W{j}" for j in range(n)]
+        return sum(columns, []) + w, lines
 
     def value2_jet(self, yj: jets.Jet) -> jets.Jet:
         alpha = jets.sqrt(jets.quadform(self.a, yj))

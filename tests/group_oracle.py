@@ -12,6 +12,12 @@ plain loop: each RK4 step on the body momentum μ is followed at once by
 g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
 along step by step, with no prefix product.
 
+float_step_path(terms, norm, vel, step) is the step loop of one path as
+a plain loop on lists of Python floats: each RK4 step makes four
+`lie.add_coadjoint` calls over the algebra's terms and four
+`norm.legendre_dual` calls, with the same sums in the same order as the
+flow's generated loop, which must match it bit for bit.
+
 h3_body_momentum(a, mu0, ts) is the exact body momentum of the
 Euclidean metric a on H3, in closed form.  su2_euler_top(inertia, u0, ts)
 is the exact body velocity of a diagonal Euclidean metric on SU(2), the
@@ -20,7 +26,7 @@ Euler top, from Jacobi's elliptic functions.
 
 import numpy as np
 
-from finslergeo import groups
+from finslergeo import groups, lie
 
 
 def multiply(model, p, q):
@@ -63,6 +69,37 @@ def sequential_path(model, norm, x0, y0, T, step):
         elements.append(g)
         body.append(u)
     return np.array(elements), np.array(body)
+
+
+def float_step_path(terms, norm, vel, step):
+    """Fill one path's (4, nsteps + 1, n) stage velocities vel from
+    vel[0, 0], as `geodesic_flow._step_path` does, and return F = norm(u)
+    at every sample."""
+    half, sixth = 0.5 * step, step / 6.0
+    dual, coadjoint = norm.legendre_dual, lie.add_coadjoint
+    n = vel.shape[-1]
+    u = vel[0, 0].tolist()
+    mu = norm.legendre(vel[0, 0]).tolist()
+    body, stages = [u], ([], [], [])
+    for _ in range(vel.shape[1] - 1):
+        k1 = coadjoint(terms, u, mu, [0.0] * n)
+        m = [a + half * b for a, b in zip(mu, k1)]
+        u2 = dual(m)
+        k2 = coadjoint(terms, u2, m, [0.0] * n)
+        m = [a + half * b for a, b in zip(mu, k2)]
+        u3 = dual(m)
+        k3 = coadjoint(terms, u3, m, [0.0] * n)
+        m = [a + step * b for a, b in zip(mu, k3)]
+        u4 = dual(m)
+        k4 = coadjoint(terms, u4, m, [0.0] * n)
+        mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
+        u = dual(mu)
+        body.append(u)
+        for rows, v in zip(stages, (u2, u3, u4)):
+            rows.append(v)
+    vel[0] = body
+    vel[1:, :-1] = stages
+    return norm.value(vel[0])
 
 
 def dleft(model, p, v, base=None):

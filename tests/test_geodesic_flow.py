@@ -2,6 +2,7 @@
 
 import ast
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from finslergeo import cli, geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
-from group_oracle import h3_body_momentum, multiply, sequential_path, su2_euler_top
+from group_oracle import float_step_path, h3_body_momentum, multiply, sequential_path, su2_euler_top
 from randers_oracle import navigation_randers
 
 # the tolerances the check-homogeneous and berwald tasks judge by
@@ -393,55 +394,81 @@ def test_su2_body_path_matches_the_euler_top():
         assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
-_EUCLIDEAN_DUAL = norms.EuclideanNorm.legendre_dual
+class Hooked:
+    """A closed-form norm whose dual lines end with one more line, which
+    passes the dual's n floats through hook(u0, …, u{n−1}), bound as one
+    more constant, and takes back what it returns: one call per dual
+    evaluation, four a step in the flow's loop."""
+
+    def __init__(self, *data, hook):
+        super().__init__(*data)
+        self.dual_constants += (hook,)
+
+    @classmethod
+    def dual_lines(cls, n, mu, u):
+        names, lines = super().dual_lines(n, mu, u)
+        floats = ", ".join(f"{u}{j}" for j in range(n))
+        return names + ["hook"], lines + [f"{floats}, = hook({floats})"]
 
 
-def dual_breaking_after(k):
-    """EuclideanNorm.legendre_dual that returns nan from its (k+1)-th call on."""
+class HookedEuclidean(Hooked, norms.EuclideanNorm):
+    pass
+
+
+class HookedRanders(Hooked, norms.RandersNorm):
+    pass
+
+
+def breaking_after(k):
+    """A dual hook that returns nan from its (k+1)-th call on."""
     calls = 0
 
-    def legendre_dual(self, mu):
+    def hook(*u):
         nonlocal calls
         calls += 1
-        u = _EUCLIDEAN_DUAL(self, mu)
         if calls > k:
             return [np.nan] * len(u)
         return u
 
-    return legendre_dual
+    return hook
 
 
-def test_non_finite_dual_is_rejected(monkeypatch):
+def test_non_finite_dual_is_rejected():
     # nan fails every comparison, so the drift check must reject it rather
-    # than let it pass; 100 steps make 400 dual calls, and k = 399 breaks
-    # only the last sample
-    metric = su2_euclid()
+    # than let it pass; 100 steps make 400 dual evaluations, and k = 399
+    # breaks only the last sample
+    model = groups.SU2()
     for k in (0, 1, 42, 399):
-        monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(k))
+        norm = HookedEuclidean(np.eye(3), hook=breaking_after(k))
         with pytest.raises(StepRejected):
-            gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
-    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(400))
-    path = gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+            gf.integrate_geodesic(model, norm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    norm = HookedEuclidean(np.eye(3), hook=breaking_after(400))
+    path = gf.integrate_geodesic(model, norm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
     assert np.isfinite(path.points).all()
 
 
+def bundled_with_hook(monkeypatch, hook):
+    """The bundled SU(2) integrate scenario, whose Euclidean norm is parsed
+    as a HookedEuclidean with `hook`."""
+    monkeypatch.setattr(norms, "EuclideanNorm", lambda a: HookedEuclidean(a, hook=hook))
+    return next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
+
+
 def test_non_finite_dual_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_breaking_after(42))
-    path = next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
+    path = bundled_with_hook(monkeypatch, breaking_after(42))
     assert cli.main(["--scenario", path]) == 1
     assert "StepRejected" in capsys.readouterr().err
 
 
-def dual_failing_after(k, failure):
-    """EuclideanNorm.legendre_dual whose (k+1)-th call on meets `failure`: a
-    float division by zero, the square root of a negative, or an overflow
-    to inf, each as Python float arithmetic gives it."""
+def failing_after(k, failure):
+    """A dual hook whose (k+1)-th call on meets `failure`: a float division
+    by zero, the square root of a negative, or an overflow to inf, each as
+    Python float arithmetic gives it."""
     calls = 0
 
-    def legendre_dual(self, mu):
+    def hook(*u):
         nonlocal calls
         calls += 1
-        u = _EUCLIDEAN_DUAL(self, mu)
         if calls > k:
             if failure == "divide":
                 return [x / 0.0 for x in u]
@@ -450,7 +477,7 @@ def dual_failing_after(k, failure):
             return [x * 1.0e308 * 1.0e308 for x in u]
         return u
 
-    return legendre_dual
+    return hook
 
 
 @pytest.mark.parametrize("failure", ["divide", "sqrt", "overflow"])
@@ -458,26 +485,118 @@ def test_float_arithmetic_failure_is_rejected(monkeypatch, capsys, failure):
     # where numpy gave inf or nan, Python floats raise ZeroDivisionError or
     # a math-domain ValueError; both end as the drift check's rejection,
     # and an overflow to inf reaches the drift check itself
-    metric = su2_euclid()
+    model = groups.SU2()
     for k in (0, 1, 42, 399):
-        monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_failing_after(k, failure))
+        norm = HookedEuclidean(np.eye(3), hook=failing_after(k, failure))
         with pytest.raises(StepRejected, match="drifted more than"):
-            gf.integrate_geodesic(*metric, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
-    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", dual_failing_after(42, failure))
-    path = next(p for p in scenario.bundled_scenarios() if p.endswith("su2_biinvariant_integrate.json"))
+            gf.integrate_geodesic(model, norm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    path = bundled_with_hook(monkeypatch, failing_after(42, failure))
     assert cli.main(["--scenario", path]) == 1
     assert "StepRejected" in capsys.readouterr().err
 
 
-def test_shape_error_of_the_dual_is_not_a_rejection(monkeypatch):
-    # only the two float-arithmetic errors map to StepRejected: a dual
-    # that raises its batch error still raises it
-    def legendre_dual(self, mu):
-        return _EUCLIDEAN_DUAL(self, np.stack([mu, mu]))
+def test_value_error_in_the_loop_is_rejected_whatever_its_text():
+    # μ is unpacked before the loop, so a ValueError inside it is the square
+    # root's, and maps to StepRejected without reading its text, which
+    # differs between Python versions
+    def hook(*u):
+        raise ValueError("expected a nonnegative input")
 
-    monkeypatch.setattr(norms.EuclideanNorm, "legendre_dual", legendre_dual)
+    norm = HookedEuclidean(np.eye(3), hook=hook)
+    with pytest.raises(StepRejected, match="drifted more than") as raised:
+        gf.integrate_geodesic(groups.SU2(), norm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    assert isinstance(raised.value.__cause__, ValueError)
+
+
+def test_shape_error_of_the_dual_is_not_a_rejection(monkeypatch):
+    # only the two float-arithmetic errors of the loop map to StepRejected:
+    # a start covector that is a batch raises its batch error, before the
+    # loop, where μ is unpacked into floats
+    legendre = norms.EuclideanNorm.legendre
+    monkeypatch.setattr(norms.EuclideanNorm, "legendre", lambda self, y: np.stack([legendre(self, y)] * 2))
     with pytest.raises(ValueError, match="one covector"):
         gf.integrate_geodesic(*su2_euclid(), np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+
+
+def test_step_loop_matches_the_float_oracle_bit_for_bit():
+    # the generated loop against the plain loop of add_coadjoint and
+    # legendre_dual calls on lists of floats: body and stage velocities and
+    # F, on algebras with 2, 6, 12 and no ad* terms, Euclidean norms with
+    # a diagonal and a full a, and Randers norms; a start along an axis
+    # makes ±0.0 products, which both must round the same way
+    rng = np.random.RandomState(61)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    u2 = np.zeros((4, 4, 4))
+    u2[:3, :3, :3] = lie.su2().c
+    algebras = [
+        lie.heisenberg3().c,
+        lie.su2().c,
+        np.einsum("pi,qj,pqr,rk->ijk", q, q, lie.su2().c, q),
+        u2,
+        np.zeros((2, 2, 2)),
+        np.zeros((4, 4, 4)),
+    ]
+    for c in algebras:
+        n = len(c)
+        terms = lie.terms(c)
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + np.eye(n)
+        cases = [
+            norms.EuclideanNorm(np.diag(np.arange(1.0, n + 1.0))),
+            norms.EuclideanNorm(a),
+            norms.RandersNorm(a, 0.3 * rng.standard_normal(n) / n),
+            norms.RandersNorm(np.diag(np.arange(1.0, n + 1.0)), 0.4 * np.eye(n)[n - 1]),
+        ]
+        for norm in cases:
+            for start in (rng.standard_normal(n), np.eye(n)[0], -0.5 * np.eye(n)[n - 1]):
+                got, want = np.zeros((2, 4, 151, n))
+                got[0, 0] = want[0, 0] = start
+                F = gf._step_path(terms, norm, got, 1.0e-2)
+                assert np.array_equal(F, float_step_path(terms, norm, want, 1.0e-2))
+                assert np.array_equal(got, want)
+                # bytes, so that a zero's sign counts too
+                assert got.tobytes() == want.tobytes()
+
+
+def test_step_loop_compiled_once_per_pattern_and_norm_class():
+    # timer-free cost guard: the loop is compiled once per norm class,
+    # dimension and ad* pattern, so two Randers norms with different data
+    # on SU(2), and paths of two lengths, share one compiled loop; its text
+    # holds indices only, and no float literal
+    gf._kernel.cache_clear()
+    model = groups.SU2()
+    first = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
+    second = norms.RandersNorm(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.1], [0.0, 0.1, 1.5]]), np.array([-0.1, 0.4, 0.2]))
+    for norm in (first, second):
+        for T in (0.05, 0.5):
+            gf.integrate_geodesic(model, norm, np.zeros(3), np.array([0.5, -0.4, 0.6]), T=T, step=1.0e-3)
+    info = gf._kernel.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (1, 1, 3)
+    gf.integrate_geodesic(model, norms.EuclideanNorm(np.eye(3)), np.zeros(3), np.array([0.5, -0.4, 0.6]), T=0.05, step=1.0e-3)
+    gf.integrate_geodesic(groups.Heisenberg3(), first, np.zeros(3), np.array([0.5, -0.4, 0.6]), T=0.05, step=1.0e-3)
+    assert gf._kernel.cache_info().currsize == 3
+    def float_literals(lines):
+        tree = ast.parse("\n".join(lines))
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+
+    for kind in (norms.EuclideanNorm, norms.RandersNorm):
+        assert not float_literals(kind.dual_lines(3, "mu", "u")[1])
+        for c in (lie.su2().c, lie.heisenberg3().c, np.zeros((4, 4, 4))):
+            pattern = tuple(term[:3] for term in lie.terms(c))
+            assert not float_literals(gf._kernel_lines(kind, len(c), pattern))
+
+
+def test_step_loop_tracebacks_name_the_generated_code():
+    # the generated loop has a filename of its own, and its text is
+    # registered with linecache, so a traceback quotes the failing line
+    gf._kernel.cache_clear()
+    norm = HookedRanders(np.eye(3), np.array([0.3, 0.0, 0.2]), hook=failing_after(0, "divide"))
+    with pytest.raises(StepRejected) as raised:
+        gf.integrate_geodesic(groups.SU2(), norm, np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
+    frames = traceback.extract_tb(raised.value.__cause__.__traceback__)
+    loop = next(frame for frame in frames if frame.filename.startswith("<finslergeo.geodesic_flow step loop"))
+    assert "HookedRanders, n=3, 6 ad* terms" in loop.filename
+    assert loop.line == "U2_0, U2_1, U2_2, = hook(U2_0, U2_1, U2_2)"
 
 
 def test_chart_work_does_not_grow_with_steps():
@@ -512,19 +631,25 @@ def test_chart_work_does_not_grow_with_steps():
 
 
 def test_norm_tensor_built_once_per_path(monkeypatch):
-    # timer-free cost guard: the flow steps μ with the closed-form dual, four
-    # calls a step, and takes μ at the start from the closed-form Legendre
-    # map, once, so the norm tensor is never built; F = norm(u) is read once, for the whole path, however long the path;
-    # each of the four stages a step takes ad* from the shared contraction
-    # lie.add_coadjoint, once
+    # timer-free cost guard: the flow steps μ with the norm's closed-form
+    # dual lines, four evaluations a step, and takes μ at the start from the
+    # closed-form Legendre map, once, so the norm tensor is never built;
+    # F = norm(u) is read once, for the whole path, however long the path;
+    # every ad* and every dual is written out in the loop, which calls
+    # neither lie.add_coadjoint nor legendre_dual
     kernel_calls = []
     original_kernel = lie.add_coadjoint
     monkeypatch.setattr(lie, "add_coadjoint", lambda *args: kernel_calls.append(1) or original_kernel(*args))
 
     def norm_calls(model, T):
-        norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
-        calls = {"fundamental_matrix": 0, "value": 0, "legendre": 0, "legendre_dual": 0}
-        for name in calls:
+        calls = {"fundamental_matrix": 0, "value": 0, "legendre": 0, "legendre_dual": 0, "dual": 0}
+
+        def hook(*u):
+            calls["dual"] += 1
+            return u
+
+        norm = HookedRanders(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]), hook=hook)
+        for name in ("fundamental_matrix", "value", "legendre", "legendre_dual"):
             original = getattr(norm, name)
 
             def counted(y, _name=name, _original=original):
@@ -545,8 +670,9 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
                 "fundamental_matrix": 0,
                 "value": 1,
                 "legendre": 1,
-                "legendre_dual": 4 * steps,
-                "add_coadjoint": 4 * steps,
+                "legendre_dual": 0,
+                "dual": 4 * steps,
+                "add_coadjoint": 0,
             }
 
 
@@ -593,29 +719,28 @@ def test_euler_poincare_rows_do_not_depend_on_the_batch():
 
 
 def test_dual_takes_one_covector_per_call():
-    # timer-free cost guard: the step loop hands the dual one (n,) covector
-    # at a time, four calls a step per path, so a (2, 3) batch makes six
-    # times the calls of one path
+    # timer-free cost guard: the step loop evaluates the dual on one
+    # covector's n floats at a time, four evaluations a step per path, so a
+    # (2, 3) batch makes six times the evaluations of one path
     a = np.diag([1.0, 2.0, 3.0])
     rng = np.random.RandomState(7)
     x0 = 0.3 * rng.standard_normal((2, 3, 3))
     y0 = rng.standard_normal((2, 3, 3))
+    shapes = []
+
+    def hook(*u):
+        shapes.append(tuple(type(x) for x in u))
+        return u
+
     for model in (groups.Heisenberg3(), groups.SU2()):
-        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.2]))):
-            shapes = []
-            original = norm.legendre_dual
-
-            def counted(mu, _original=original):
-                shapes.append(np.shape(mu))
-                return _original(mu)
-
-            norm.legendre_dual = counted
+        for norm in (HookedEuclidean(a, hook=hook), HookedRanders(a, np.array([0.3, -0.4, 0.2]), hook=hook)):
+            shapes.clear()
             gf.integrate_geodesic(model, norm, x0[0, 0], y0[0, 0], T=0.05, step=1.0e-3)
             single = len(shapes)
             gf.integrate_geodesic(model, norm, x0, y0, T=0.05, step=1.0e-3)
             assert single == 4 * 50
             assert len(shapes) - single == 6 * single
-            assert set(shapes) == {(3,)}
+            assert set(shapes) == {(float, float, float)}
 
 
 @pytest.mark.parametrize("T, step", [(0.1, 0.5), (1.0, 0.3), (0.05, 0.02)])
@@ -850,7 +975,7 @@ def imported_names(tree):
 
 
 def test_flow_does_not_import_geodesic_vectors():
-    # the flow takes every ad* from lie.add_coadjoint, not from the criterion module
+    # the flow takes every ad* from lie's term order, not from the criterion module
     with open(gf.__file__, encoding="utf-8") as handle:
         names = imported_names(ast.parse(handle.read()))
     assert "lie" in names

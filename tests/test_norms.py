@@ -1,5 +1,7 @@
 """Norm tensors against finite-difference and hand oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,49 @@ def test_legendre_dual_takes_one_covector(shape):
             norm.legendre_dual(mu)
         u = norm.legendre_dual(mu.reshape(-1, n)[0])
         assert len(u) == n and all(type(x) is float for x in u)
+
+
+def plain_dot(xs, ys):
+    """Σ x·y over lists of floats, added in index order from 0, as `sum()`
+    adds before Python 3.12, whose float sums are compensated."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
+def hand_written_dual(norm, mu):
+    """The Legendre dual as sums over lists of floats, each sum over n a
+    `plain_dot` against a column of a⁻¹ or H, or W, formed from the
+    norm's a and b."""
+    mu = np.asarray(mu, dtype=float).tolist()
+    if isinstance(norm, norms.RandersNorm):
+        b_sharp = np.linalg.solve(norm.a, norm.b)
+        lam = 1.0 - norm.b @ b_sharp
+        columns = ((np.linalg.inv(norm.a) + np.outer(b_sharp, b_sharp) / lam) / lam).T.tolist()
+        shift = (-b_sharp / lam).tolist()
+        h = [plain_dot(mu, col) for col in columns]
+        root = math.sqrt(plain_dot(mu, h))
+        s = root + plain_dot(mu, shift)
+        scale = s / root
+        return [scale * hj + s * wj for hj, wj in zip(h, shift)]
+    return [plain_dot(mu, col) for col in np.linalg.inv(norm.a).T.tolist()]
+
+
+def test_legendre_dual_is_the_hand_written_sum():
+    # the dual is compiled from the norm's dual lines, which the flow's step
+    # loop pastes in too: it must be the plain sums bit for bit, on random
+    # covectors and on the axes, where ±0.0 products occur
+    rng = np.random.RandomState(53)
+    for trial in range(60):
+        n = 2 + trial % 3
+        a = random_spd(rng, n)
+        cases = [norms.EuclideanNorm(a), norms.EuclideanNorm(np.diag(np.diag(a))), random_randers(rng, n)]
+        covectors = [rng.standard_normal(n), np.eye(n)[trial % n], -np.eye(n)[(trial + 1) % n]]
+        for norm in cases:
+            for mu in covectors:
+                # bytes, so that a zero's sign counts too
+                assert np.array(norm.legendre_dual(mu)).tobytes() == np.array(hand_written_dual(norm, mu)).tobytes()
 
 
 def test_legendre_dual_needs_closed_form():
