@@ -8,13 +8,13 @@ geodesic equations are
 
     ġ = g·u,    μ̇ = ad*_u μ,    (ad*_u μ)_j = c_ij^k u^i μ_k.
 
-The flow is stepped in this Lie–Poisson form.  u is read off μ by the
-norm's Legendre dual, u = ∂(½F*²)/∂μ, which Euclidean and Randers norms
-carry in closed form (see `norms`), so a step needs no norm tensor and
-no linear solve, and μ at the start comes from the norm's Legendre map
-`norm.legendre(u)`, closed form as well: a path builds no ĝ.  μ is
-integrated with classical fixed-step Runge-Kutta.  μ̇ does not involve
-g, so the step loop advances μ alone.  Each step's group increment is
+The flow is stepped in this Lie–Poisson form, one path per call.  u is
+read off μ by the norm's Legendre dual, u = ∂(½F*²)/∂μ, which Euclidean
+and Randers norms write out (see `norms`), so a step needs no norm
+tensor and no linear solve, and μ at the start comes from the norm's
+Legendre map `norm.legendre(u)`, closed form as well: a path builds no
+ĝ.  μ is integrated with classical fixed-step Runge-Kutta.  μ̇ does not
+involve g, so the step loop advances μ alone.  Each step's group increment is
 the Runge–Kutta–Munthe-Kaas exponential built from its stage velocities
 (Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000), and
 once the loop is done the whole path g_i = g_0·exp(θ_1)⋯exp(θ_i) is
@@ -39,9 +39,10 @@ over the algebra's `lie.terms` in their order: `lie.add_coadjoint` on
 array rows, and `lie.coadjoint_lines` in the step loop.  That loop is
 one Python function per norm class, dimension and (j, i, k) pattern of
 the terms, assembled from the ad* lines and the norm's dual lines
-(`norms.MinkowskiNorm.dual_lines`) and compiled on first use.  It steps
-a whole path on local floats, every sum written out, and calls nothing
-but the square root and, once a step, the append of its velocities.
+(`norms.MinkowskiNorm.dual_lines`) and compiled on first use by
+`compiled`.  It steps the path on local floats, every sum written out,
+and calls nothing but the square root and, once a step, the append of
+its velocities.
 Its text holds indices only; the coefficients and the norm's constants
 are passed to it as values, so norms of one class share it whatever
 their data.
@@ -58,6 +59,8 @@ F(x, ·)² with jets is a test oracle (tests/chart_spray.py).
 """
 
 import functools
+import linecache
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +68,7 @@ import numpy as np
 from . import lie, sphere
 from .errors import StepRejected
 from .groups import GroupModel, orbit_curve
-from .norms import compiled, ordered_dot
+from .norms import ordered_dot
 
 DRIFT_LIMIT = 1.0e-3
 
@@ -124,6 +127,21 @@ def chart_coordinates(model: GroupModel, path: GeodesicPath, x0, y0):
     velocities = np.linalg.solve(model.body_jacobian(points), path.body[..., None])[..., 0]
     velocities[0] = y0
     return points, velocities
+
+
+def compiled(lines: list, name: str, filename: str):
+    """The function `name` that `lines`, one def statement, define,
+    compiled under `filename`, which tracebacks then name and quote.
+
+    Besides its own, the text reads three names, bound here: sqrt is
+    `math.sqrt`, and zero and two are the floats 0.0 and 2.0, so no float
+    literal is written into it and float arithmetic never meets an int.
+    """
+    source = "\n".join(lines) + "\n"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt, "zero": 0.0, "two": 2.0}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def _drift_rejected() -> StepRejected:
@@ -185,20 +203,20 @@ def _kernel(kind, n: int, pattern: tuple):
     return compiled(_kernel_lines(kind, n, pattern), "step_path", filename)
 
 
-def _step_path(terms, norm, vel, step: float) -> np.ndarray:
-    """Step one path from its start velocity vel[0, 0] and return F = norm(u)
-    at every sample.
+def _step_path(terms, norm, u0: np.ndarray, nsteps: int, step: float) -> np.ndarray:
+    """Step one path from its start body velocity u0 and return the
+    generated loop's rows as one (nsteps, 4, n) array: row i holds u at
+    the end of step i + 1, then that step's U_2, U_3 and U_4.
 
-    vel is the path's (4, nsteps + 1, n) view of the stage velocities,
-    written once the loop is done.  μ = norm.legendre(u) is taken here,
-    before the loop, and the loop is the `_kernel` of the norm's class and
-    the pattern of `terms`, the algebra's `lie.terms`, called with their
-    coefficients and the norm's `dual_constants`.
+    μ = norm.legendre(u0) is taken here, before the loop, and the loop is
+    the `_kernel` of the norm's class and the pattern of `terms`, the
+    algebra's `lie.terms`, called with their coefficients and the norm's
+    `dual_constants`.
     """
-    nsteps, n = vel.shape[1] - 1, vel.shape[-1]
-    mu = norm._covector(norm.legendre(vel[0, 0]))
+    n = len(u0)
+    mu = norm.legendre(u0).tolist()
     kernel = _kernel(type(norm), n, tuple(term[:3] for term in terms))
-    args = (nsteps, step, 0.5 * step, step / 6.0, *vel[0, 0].tolist(), *mu)
+    args = (nsteps, step, 0.5 * step, step / 6.0, *u0.tolist(), *mu)
     args += (*(term[3] for term in terms), *norm.dual_constants)
     try:
         rows = kernel(*args)
@@ -208,29 +226,23 @@ def _step_path(terms, norm, vel, step: float) -> np.ndarray:
         # check rejects one; μ is unpacked before the loop, whose only
         # ValueError is then math.sqrt's
         raise _drift_rejected() from exc
-    rows = np.array(rows).reshape(nsteps, 4, n)
-    vel[0, 1:] = rows[:, 0]
-    vel[1:, :-1] = rows[:, 1:].transpose(1, 0, 2)
-    # a diverging path runs to its end as inf or nan, which the caller's
-    # drift check rejects
-    with np.errstate(all="ignore"):
-        return norm.value(vel[0])
+    return np.array(rows).reshape(nsteps, 4, n)
 
 
 def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -> GeodesicPath:
-    """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time.
+    """Fixed-step integration of ġ = g·u, μ̇ = ad*_u μ, forward in time,
+    for the one path from (x0, y0).
 
-    μ = ĝ_u u is formed once per path, by the norm's Legendre map, from
-    the start velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes
-    from the norm's Legendre dual of one covector, which the norm must
-    implement (`dual_lines`).  μ advances by classical RK4 with stage
-    values M_1 = μ, M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
+    μ = ĝ_u u is formed once, by the norm's Legendre map, from the start
+    velocity u = A(x0)·y0; from then on u(μ) = ∂(½F*²)/∂μ comes from the
+    norm's Legendre dual, which the norm must write out (`dual_lines`).
+    μ advances by classical RK4 with stage values M_1 = μ,
+    M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
     k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, one path at a time in its generated function (`_kernel`) on
-    Python floats, and stores the body and stage velocities of every step
-    in one array once it is done.  The
-    group element advances by the 4th-order RKMK step on the stage
-    velocities,
+    that, in its generated function (`_kernel`) on Python floats, and
+    hands back the body and stage velocities of every step once it is
+    done.  The group element advances by the 4th-order RKMK step on the
+    stage velocities,
     g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
     This is the classical RKMK4 in the one-commutator form of
@@ -243,37 +255,32 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     Hillis–Steele scan of ⌈log₂ N⌉ batched products, which also keeps
     the rounding of a long path at O(log N) products.
 
-    Batched over leading axes of (x0, y0); each path is stepped on its
-    own, so it is the same, bit for bit, alone and in any batch.  T must
-    be a whole number of steps (`step_count`).  x0 must lie in the
+    x0 and y0 are vectors of shape (n,); anything else raises ValueError.
+    T must be a whole number of steps (`step_count`).  x0 must lie in the
     model's chart (ChartDomain otherwise); the path itself may leave it.
-    Raises StepRejected when, at any step of the whole path, the relative
-    drift of F = norm(u) across that step exceeds 1e-3 or F is not
-    finite, or when a step divides by zero or takes the square root of a
-    negative.  The path holds the group elements, the body velocities u(μ)
-    as stepped, and F_values = F of them; no sample is read off in the
-    chart.
+    Raises StepRejected when, at any step, the relative drift of
+    F = norm(u) across that step exceeds 1e-3 or F is not finite, or when
+    a step divides by zero or takes the square root of a negative.  The
+    path holds the group elements, the body velocities u(μ) as stepped,
+    and F_values = F of them; no sample is read off in the chart.
     """
     nsteps = step_count(T, step)
-    x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    if x.shape != (model.dim,) or y.shape != (model.dim,):
+        raise ValueError(
+            f"integrate_geodesic steps one path: x0 and y0 must have shape ({model.dim},), not {x.shape} and {y.shape}"
+        )
     model.check_chart(x)
-    u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    shape = u.shape
-    rows = u.reshape(-1, shape[-1])
-    terms = lie.terms(model.algebra.c)
-    # vel[:, i] holds U_1 at sample i and U_2, U_3, U_4 of step i + 1
-    vel = np.empty((4, nsteps + 1) + rows.shape)
-    vel[0, 0] = rows
-    F = np.empty((nsteps + 1, len(rows)))
-    for p in range(len(rows)):
-        F[:, p] = _step_path(terms, norm, vel[:, :, p], step)
-    vel = vel.reshape((4, nsteps + 1) + shape)
-    F = F.reshape((nsteps + 1,) + shape[:-1])
-
-    # written so that a non-finite F fails the comparison
+    u0 = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
+    rows = _step_path(lie.terms(model.algebra.c), norm, u0, nsteps, step)
+    body = np.concatenate([u0[None], rows[:, 0]])
+    # a diverging path runs to its end as inf or nan, which the drift
+    # check rejects; written so that a non-finite F fails the comparison
+    with np.errstate(all="ignore"):
+        F = norm.value(body)
     if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
         raise _drift_rejected()
-    u1, u2, u3, u4 = vel[:, :-1]
+    u1, (u2, u3, u4) = body[:-1], rows[:, 1:].transpose(1, 0, 2)
     commutator = lie.bracket(model.algebra, u1, u4)
     theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
     # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
@@ -286,7 +293,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     g0 = model.to_group(x)
     elements = np.concatenate([g0[None], model.multiply(g0, acc)])
     ts = np.arange(nsteps + 1) * step
-    return GeodesicPath(ts=ts, points=elements, body=vel[0], F_values=F)
+    return GeodesicPath(ts=ts, points=elements, body=body, F_values=F)
 
 
 def is_homogeneous_geodesic(model: GroupModel, norm, X, T: float, step: float) -> float:

@@ -60,9 +60,10 @@ def terms(c: np.ndarray) -> list:
 
 def add_coadjoint(terms: list, u, mu, out):
     """ad*_u μ added into out, which is returned: out[j] += c·μ_k·u^i for
-    each (j, i, k, c) of `terms`, in order, on rows that broadcast; no two
-    rows of out may share memory.  Production passes it array rows only;
-    the step loop takes the same sums from `coadjoint_lines`."""
+    each (j, i, k, c) of `terms`, in order, on rows that broadcast, or on
+    Python floats; no two rows of out may share memory.  Production
+    passes it the (batch,) rows of batch-last arrays only; the geodesic
+    flow's step loop takes the same sums from `coadjoint_lines`."""
     for j, i, k, c in terms:
         out[j] += c * mu[k] * u[i]
     return out

@@ -31,21 +31,16 @@ again of Randers type, F* = √(μ·Hμ) + μ·W with b♯ = a⁻¹b, λ = 1 −
 H = (a⁻¹ + b♯b♯ᵀ/λ)/λ and W = −b♯/λ: the support function of the
 indicatrix ellipsoid, which is Zermelo's navigation form (Bao, Robles and
 Shen, J. Differential Geom. 66, 2004), so u = F*·(Hμ/√(μ·Hμ) + W).  Each
-such norm writes its dual once, as Python lines on n floats
+such norm carries its dual as text only, Python lines on n floats
 (`dual_lines`): the lines depend on n alone and read the columns of a⁻¹
 or H, and W, from names whose values the norm holds in
 `dual_constants`.  The geodesic flow pastes them into its generated
-step loop, and `legendre_dual(μ)`, for one covector, is compiled from
-the same lines.  Each sum over n is 0.0 + μ_0·w_0 + μ_1·w_1 + … in
-index order, as `sum()` adds from its start 0, so a −0.0 product rounds
-to +0.0, and the square root is `math.sqrt`; in floats
-x/0.0 raises ZeroDivisionError and the square root of a negative raises
-ValueError, where numpy gives inf or nan.
+step loop, the one place that runs them.  Each sum over n is
+0.0 + μ_0·w_0 + μ_1·w_1 + … in index order, as `sum()` adds from its
+start 0, so a −0.0 product rounds to +0.0, and the square root is
+`math.sqrt`; in floats x/0.0 raises ZeroDivisionError and the square
+root of a negative raises ValueError, where numpy gives inf or nan.
 """
-
-import functools
-import linecache
-import math
 
 import numpy as np
 
@@ -82,37 +77,10 @@ def ordered_dot(us, vs):
     return out
 
 
-def compiled(lines: list, name: str, filename: str):
-    """The function `name` that `lines`, one def statement, define,
-    compiled under `filename`, which tracebacks then name and quote.
-
-    Besides its own, the text reads three names, bound here: sqrt is
-    `math.sqrt`, and zero and two are the floats 0.0 and 2.0, so no float
-    literal is written into it and float arithmetic never meets an int.
-    """
-    source = "\n".join(lines) + "\n"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt, "zero": 0.0, "two": 2.0}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
 def _dot_line(mu: str, names: list) -> str:
     """zero + mu0·names[0] + mu1·names[1] + …: the sum that `sum()` forms
     from its start 0, which converts to 0.0 exactly."""
     return "zero + " + " + ".join(f"{mu}{j} * {name}" for j, name in enumerate(names))
-
-
-@functools.cache
-def _legendre_dual(kind, n: int):
-    """kind.legendre_dual's arithmetic for n floats, compiled from
-    kind.dual_lines."""
-    names, lines = kind.dual_lines(n, "mu", "u")
-    mus, us = ([f"{x}{j}" for j in range(n)] for x in ("mu", "u"))
-    head = f"def legendre_dual({', '.join(mus + names)}):"
-    body = [*lines, f"return [{', '.join(us)}]"]
-    filename = f"<finslergeo.norms {kind.__name__}.legendre_dual, n={n}>"
-    return compiled([head, *("    " + line for line in body)], "legendre_dual", filename)
 
 
 def _batch_last(y: np.ndarray) -> np.ndarray:
@@ -181,26 +149,11 @@ class MinkowskiNorm:
 
         The lines read the norm's constants under `names`, whose values
         the norm holds, in that order, in `dual_constants`, and otherwise
-        only the names `compiled` binds; the caller binds the names.  They
-        depend on n alone, never on the norm's data.  Only norms with a
-        closed-form dual implement them.
+        only the names `geodesic_flow.compiled` binds; the caller binds
+        the names.  They depend on n alone, never on the norm's data.
+        Only norms with a closed-form dual implement them.
         """
         raise NotImplementedError
-
-    def legendre_dual(self, mu) -> list:
-        """u = ∂(½F*²)/∂μ for one covector μ, a sequence of n numbers, as a
-        list of n Python floats, from the norm's `dual_lines`.
-
-        u inverts the Legendre map: μ = ĝ_u u gives back u.
-        """
-        return _legendre_dual(type(self), self.dim)(*self._covector(mu), *self.dual_constants)
-
-    def _covector(self, mu) -> list:
-        """μ as a list of n floats; ValueError on a batch."""
-        mu = self._check_dim(mu)
-        if mu.ndim != 1:
-            raise ValueError(f"legendre_dual takes one covector of shape ({self.dim},), not {mu.shape}")
-        return mu.tolist()
 
     def _require_nonzero(self, y: np.ndarray) -> np.ndarray:
         y = self._check_dim(y)

@@ -12,10 +12,14 @@ plain loop: each RK4 step on the body momentum μ is followed at once by
 g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
 along step by step, with no prefix product.
 
-float_step_path(terms, norm, vel, step) is the step loop of one path as
-a plain loop on lists of Python floats: each RK4 step makes four
+legendre_dual(norm) is the norm's Legendre dual of one covector: its
+`dual_lines` compiled by the flow's `compiled` into a function of n
+floats, so the tests run the text that the step loop pastes in.
+
+float_step_path(terms, norm, u0, nsteps, step) is the step loop of one
+path as a plain loop on lists of Python floats: each RK4 step makes four
 `lie.add_coadjoint` calls over the algebra's terms and four
-`norm.legendre_dual` calls, with the same sums in the same order as the
+`legendre_dual(norm)` calls, with the same sums in the same order as the
 flow's generated loop, which must match it bit for bit.
 
 h3_body_momentum(a, mu0, ts) is the exact body momentum of the
@@ -26,7 +30,7 @@ Euler top, from Jacobi's elliptic functions.
 
 import numpy as np
 
-from finslergeo import groups, lie
+from finslergeo import geodesic_flow, groups, lie
 
 
 def multiply(model, p, q):
@@ -37,23 +41,25 @@ def multiply(model, p, q):
 
 
 def sequential_path(model, norm, x0, y0, T, step):
-    """(group elements, body velocities) of the step-by-step RKMK4 path."""
+    """(group elements, body velocities) of the step-by-step RKMK4 path
+    from one (x0, y0)."""
     c = model.algebra.c
 
     def coadjoint(u, m):
         return np.einsum("ijk,...i,...k->...j", c, u, m)
 
+    one_covector = legendre_dual(norm)
+
     def dual(m):
-        # the norm's dual takes one covector at a time
-        return np.apply_along_axis(norm.legendre_dual, -1, m)
+        return np.array(one_covector(m))
 
     def stage(m):
         um = dual(m)
         return um, coadjoint(um, m)
 
-    x, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(x0, y0))
-    u = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(u), u)
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    u = model.body_jacobian(x) @ y
+    mu = norm.fundamental_matrix(u) @ u
     g = model.to_group(x)
     elements, body = [g], [u]
     for _ in range(max(1, int(round(T / step)))):
@@ -71,17 +77,30 @@ def sequential_path(model, norm, x0, y0, T, step):
     return np.array(elements), np.array(body)
 
 
-def float_step_path(terms, norm, vel, step):
-    """Fill one path's (4, nsteps + 1, n) stage velocities vel from
-    vel[0, 0], as `geodesic_flow._step_path` does, and return F = norm(u)
-    at every sample."""
+def legendre_dual(norm):
+    """u = ∂(½F*²)/∂μ for one covector μ, a sequence of n numbers, as a
+    list of n Python floats, from the norm's `dual_lines`."""
+    kind, n = type(norm), norm.dim
+    names, lines = kind.dual_lines(n, "mu", "u")
+    mus, us = ([f"{x}{j}" for j in range(n)] for x in ("mu", "u"))
+    head = f"def legendre_dual({', '.join(mus + names)}):"
+    body = [*lines, f"return [{', '.join(us)}]"]
+    filename = f"<{kind.__name__} Legendre dual, n={n}>"
+    dual = geodesic_flow.compiled([head, *("    " + line for line in body)], "legendre_dual", filename)
+    return lambda mu: dual(*np.asarray(mu, dtype=float).tolist(), *norm.dual_constants)
+
+
+def float_step_path(terms, norm, u0, nsteps, step):
+    """The (nsteps, 4, n) rows of one path from the body velocity u0, as
+    `geodesic_flow._step_path` returns them: row i holds u at the end of
+    step i + 1, then U_2, U_3 and U_4."""
     half, sixth = 0.5 * step, step / 6.0
-    dual, coadjoint = norm.legendre_dual, lie.add_coadjoint
-    n = vel.shape[-1]
-    u = vel[0, 0].tolist()
-    mu = norm.legendre(vel[0, 0]).tolist()
-    body, stages = [u], ([], [], [])
-    for _ in range(vel.shape[1] - 1):
+    dual, coadjoint = legendre_dual(norm), lie.add_coadjoint
+    n = len(u0)
+    u = np.asarray(u0, dtype=float).tolist()
+    mu = norm.legendre(u0).tolist()
+    rows = []
+    for _ in range(nsteps):
         k1 = coadjoint(terms, u, mu, [0.0] * n)
         m = [a + half * b for a, b in zip(mu, k1)]
         u2 = dual(m)
@@ -94,12 +113,8 @@ def float_step_path(terms, norm, vel, step):
         k4 = coadjoint(terms, u4, m, [0.0] * n)
         mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
         u = dual(mu)
-        body.append(u)
-        for rows, v in zip(stages, (u2, u3, u4)):
-            rows.append(v)
-    vel[0] = body
-    vel[1:, :-1] = stages
-    return norm.value(vel[0])
+        rows.append([u, u2, u3, u4])
+    return np.array(rows)
 
 
 def dleft(model, p, v, base=None):

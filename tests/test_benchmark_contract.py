@@ -48,12 +48,12 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_counts_trajectory_steps():
-    # geodesic_flow.step_us divides by this count: steps times the paths
-    # advanced in lockstep, whatever the representation of a path's points
+    # geodesic_flow.step_us divides by this count: the steps of the one
+    # path a call integrates, whatever the representation of its points
     norm = norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0]))
-    y0 = np.random.RandomState(3).standard_normal((5, 3))
+    y0 = np.random.RandomState(3).standard_normal(3)
     with tracer.Tracer() as probe:
-        geodesic_flow.integrate_geodesic(groups.SU2(), norm, np.zeros((5, 3)), y0, T=0.1, step=0.01)
+        geodesic_flow.integrate_geodesic(groups.SU2(), norm, np.zeros(3), y0, T=0.5, step=0.01)
     assert tracer.layer_totals(probe.spans)["geodesic_flow.integrate"]["steps"] == 50
 
 

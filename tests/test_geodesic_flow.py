@@ -12,7 +12,7 @@ from finslergeo import cli, geodesic_vectors, groups, lie, norms, scenario
 from finslergeo.errors import ChartDomain, StepRejected, ZeroVector
 
 import chart_spray
-from group_oracle import float_step_path, h3_body_momentum, multiply, sequential_path, su2_euler_top
+from group_oracle import float_step_path, h3_body_momentum, legendre_dual, multiply, sequential_path, su2_euler_top
 from randers_oracle import navigation_randers
 
 # the tolerances the check-homogeneous and berwald tasks judge by
@@ -253,8 +253,7 @@ def test_prefix_product_matches_sequential_steps():
     for model in (groups.Heisenberg3(), groups.SU2()):
         for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.5]))):
             for nsteps in (1, 2, 3, 7, 64, 250):
-                # one path, then five in lockstep
-                for start, velocity in ((x0[0], y0[0]), (x0, y0)):
+                for start, velocity in zip(x0, y0):
                     path = gf.integrate_geodesic(model, norm, start, velocity, T=nsteps * step, step=step)
                     elements, body = sequential_path(model, norm, start, velocity, T=nsteps * step, step=step)
                     assert path.points.shape == elements.shape
@@ -277,16 +276,17 @@ def test_abelian_prefix_product_is_the_straight_line(dim):
     y0 = rng.standard_normal((3, dim))
     step, nsteps = 1.0e-2, 100
     for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, 0.4 * rng.standard_normal(dim) / dim)):
-        path = gf.integrate_geodesic(model, norm, x0, y0, T=nsteps * step, step=step)
-        elements, body = sequential_path(model, norm, x0, y0, T=nsteps * step, step=step)
-        assert np.max(np.abs(path.points - elements)) <= 1.0e-13
-        assert np.max(np.abs(path.body - body)) <= 1.0e-14
-        for p in range(3):
-            u = norm.legendre_dual(norm.legendre(y0[p]))
-            assert np.max(np.abs(np.asarray(u) - y0[p])) <= 1.0e-14 * np.max(np.abs(y0[p]))
-            assert all(path.body[i, p].tolist() == u for i in range(1, nsteps + 1))
-            straight = x0[p] + path.ts[:, None] * np.asarray(u)
-            assert np.max(np.abs(path.points[:, p] - straight)) <= 1.0e-13
+        dual = legendre_dual(norm)
+        for start, velocity in zip(x0, y0):
+            path = gf.integrate_geodesic(model, norm, start, velocity, T=nsteps * step, step=step)
+            elements, body = sequential_path(model, norm, start, velocity, T=nsteps * step, step=step)
+            assert np.max(np.abs(path.points - elements)) <= 1.0e-13
+            assert np.max(np.abs(path.body - body)) <= 1.0e-14
+            u = dual(norm.legendre(velocity))
+            assert np.max(np.abs(np.asarray(u) - velocity)) <= 1.0e-14 * np.max(np.abs(velocity))
+            assert all(path.body[i].tolist() == u for i in range(1, nsteps + 1))
+            straight = start + path.ts[:, None] * np.asarray(u)
+            assert np.max(np.abs(path.points - straight)) <= 1.0e-13
 
 
 def test_zermelo_navigation_paths_are_exact():
@@ -510,18 +510,18 @@ def test_value_error_in_the_loop_is_rejected_whatever_its_text():
 
 def test_shape_error_of_the_dual_is_not_a_rejection(monkeypatch):
     # only the two float-arithmetic errors of the loop map to StepRejected:
-    # a start covector that is a batch raises its batch error, before the
-    # loop, where μ is unpacked into floats
+    # a start covector that is a batch unpacks into the wrong number of
+    # floats, and the loop's call raises its TypeError before any step
     legendre = norms.EuclideanNorm.legendre
     monkeypatch.setattr(norms.EuclideanNorm, "legendre", lambda self, y: np.stack([legendre(self, y)] * 2))
-    with pytest.raises(ValueError, match="one covector"):
+    with pytest.raises(TypeError, match="step_path"):
         gf.integrate_geodesic(*su2_euclid(), np.zeros(3), np.array([0.6, -0.3, 0.5]), T=0.1, step=1.0e-3)
 
 
 def test_step_loop_matches_the_float_oracle_bit_for_bit():
     # the generated loop against the plain loop of add_coadjoint and
-    # legendre_dual calls on lists of floats: body and stage velocities and
-    # F, on algebras with 2, 6, 12 and no ad* terms, Euclidean norms with
+    # calls of the compiled dual lines on lists of floats: body and stage
+    # velocities, on algebras with 2, 6, 12 and no ad* terms, Euclidean norms with
     # a diagonal and a full a, and Randers norms; a start along an axis
     # makes ±0.0 products, which both must round the same way
     rng = np.random.RandomState(61)
@@ -549,10 +549,9 @@ def test_step_loop_matches_the_float_oracle_bit_for_bit():
         ]
         for norm in cases:
             for start in (rng.standard_normal(n), np.eye(n)[0], -0.5 * np.eye(n)[n - 1]):
-                got, want = np.zeros((2, 4, 151, n))
-                got[0, 0] = want[0, 0] = start
-                F = gf._step_path(terms, norm, got, 1.0e-2)
-                assert np.array_equal(F, float_step_path(terms, norm, want, 1.0e-2))
+                got = gf._step_path(terms, norm, start, 150, 1.0e-2)
+                want = float_step_path(terms, norm, start, 150, 1.0e-2)
+                assert got.shape == (150, 4, n)
                 assert np.array_equal(got, want)
                 # bytes, so that a zero's sign counts too
                 assert got.tobytes() == want.tobytes()
@@ -636,20 +635,20 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
     # closed-form Legendre map, once, so the norm tensor is never built;
     # F = norm(u) is read once, for the whole path, however long the path;
     # every ad* and every dual is written out in the loop, which calls
-    # neither lie.add_coadjoint nor legendre_dual
+    # neither lie.add_coadjoint nor a norm method
     kernel_calls = []
     original_kernel = lie.add_coadjoint
     monkeypatch.setattr(lie, "add_coadjoint", lambda *args: kernel_calls.append(1) or original_kernel(*args))
 
     def norm_calls(model, T):
-        calls = {"fundamental_matrix": 0, "value": 0, "legendre": 0, "legendre_dual": 0, "dual": 0}
+        calls = {"fundamental_matrix": 0, "value": 0, "legendre": 0, "dual": 0}
 
         def hook(*u):
             calls["dual"] += 1
             return u
 
         norm = HookedRanders(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]), hook=hook)
-        for name in ("fundamental_matrix", "value", "legendre", "legendre_dual"):
+        for name in ("fundamental_matrix", "value", "legendre"):
             original = getattr(norm, name)
 
             def counted(y, _name=name, _original=original):
@@ -670,31 +669,9 @@ def test_norm_tensor_built_once_per_path(monkeypatch):
                 "fundamental_matrix": 0,
                 "value": 1,
                 "legendre": 1,
-                "legendre_dual": 0,
                 "dual": 4 * steps,
                 "add_coadjoint": 0,
             }
-
-
-def test_two_axis_batch_matches_single_paths():
-    # a (2, 3) batch is stepped one path at a time and comes back in its
-    # own shape, each path bit for bit as a single call gives it
-    rng = np.random.RandomState(3)
-    a = np.diag([1.0, 2.0, 3.0])
-    for model in (groups.Heisenberg3(), groups.SU2()):
-        for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, np.array([0.3, -0.4, 0.2]))):
-            x0 = 0.3 * rng.standard_normal((2, 3, 3))
-            y0 = rng.standard_normal((2, 3, 3))
-            path = gf.integrate_geodesic(model, norm, x0, y0, T=0.5, step=1.0e-2)
-            assert path.points.shape == (51, 2, 3, model.to_group(np.zeros(3)).shape[-1])
-            assert path.body.shape == (51, 2, 3, 3)
-            assert path.F_values.shape == (51, 2, 3)
-            for i in range(2):
-                for j in range(3):
-                    one = gf.integrate_geodesic(model, norm, x0[i, j], y0[i, j], T=0.5, step=1.0e-2)
-                    assert np.array_equal(path.ts, one.ts)
-                    for name in ("points", "body", "F_values"):
-                        assert np.array_equal(getattr(path, name)[:, i, j], getattr(one, name))
 
 
 def test_euler_poincare_rows_do_not_depend_on_the_batch():
@@ -720,12 +697,11 @@ def test_euler_poincare_rows_do_not_depend_on_the_batch():
 
 def test_dual_takes_one_covector_per_call():
     # timer-free cost guard: the step loop evaluates the dual on one
-    # covector's n floats at a time, four evaluations a step per path, so a
-    # (2, 3) batch makes six times the evaluations of one path
+    # covector's n floats at a time, four evaluations a step
     a = np.diag([1.0, 2.0, 3.0])
     rng = np.random.RandomState(7)
-    x0 = 0.3 * rng.standard_normal((2, 3, 3))
-    y0 = rng.standard_normal((2, 3, 3))
+    x0 = 0.3 * rng.standard_normal(3)
+    y0 = rng.standard_normal(3)
     shapes = []
 
     def hook(*u):
@@ -735,12 +711,29 @@ def test_dual_takes_one_covector_per_call():
     for model in (groups.Heisenberg3(), groups.SU2()):
         for norm in (HookedEuclidean(a, hook=hook), HookedRanders(a, np.array([0.3, -0.4, 0.2]), hook=hook)):
             shapes.clear()
-            gf.integrate_geodesic(model, norm, x0[0, 0], y0[0, 0], T=0.05, step=1.0e-3)
-            single = len(shapes)
             gf.integrate_geodesic(model, norm, x0, y0, T=0.05, step=1.0e-3)
-            assert single == 4 * 50
-            assert len(shapes) - single == 6 * single
+            assert len(shapes) == 4 * 50
             assert set(shapes) == {(float, float, float)}
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (8, 3), (8, 2), (1, 3), (2, 1, 3)])
+def test_flow_steps_one_path(shape):
+    # one call steps one path: a batch of starts, as x0, as y0 or as the
+    # orbit check's X, is refused, a batch of one too, and one vector of
+    # the same numbers is stepped
+    rng = np.random.RandomState(47)
+    n = shape[-1]
+    batch = 0.3 * rng.standard_normal(shape)
+    one = batch.reshape(-1, n)[0]
+    norm = norms.RandersNorm(np.eye(n), 0.2 * np.eye(n)[0])
+    for model in (groups.Heisenberg3(), groups.SU2()) if n == 3 else (groups.Abelian(n),):
+        for x0, y0 in ((batch, one), (one, batch), (batch, batch)):
+            with pytest.raises(ValueError, match="steps one path"):
+                gf.integrate_geodesic(model, norm, x0, y0, T=0.05, step=1.0e-2)
+        with pytest.raises(ValueError, match="steps one path"):
+            gf.is_homogeneous_geodesic(model, norm, batch, T=0.05, step=1.0e-2)
+        path = gf.integrate_geodesic(model, norm, one, one, T=0.05, step=1.0e-2)
+        assert path.body.shape == (6, n) and path.F_values.shape == (6,)
 
 
 @pytest.mark.parametrize("T, step", [(0.1, 0.5), (1.0, 0.3), (0.05, 0.02)])
@@ -762,12 +755,13 @@ def test_step_count_absorbs_the_rounding_of_t_over_step():
 
 
 def casimir_path(model):
-    # μ = ĝ_u u recomputed from the stored body velocities of a Randers path
+    # μ = ĝ_u u recomputed from the stored body velocities of two Randers
+    # paths, as the columns of a (steps + 1, 2, n) array
     norm = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, -0.4, 0.5]))
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
     y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
-    path = gf.integrate_geodesic(model, norm, x0, y0, T=1.0, step=1.0e-3)
-    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(path.body), path.body)
+    body = np.stack([gf.integrate_geodesic(model, norm, x, y, T=1.0, step=1.0e-3).body for x, y in zip(x0, y0)], axis=1)
+    mu = np.einsum("...ij,...j->...i", norm.fundamental_matrix(body), body)
     assert np.max(np.abs(mu - mu[0])) > 0.1
     return mu
 
@@ -915,15 +909,17 @@ def test_reduced_flow_matches_chart_spray():
     x0 = np.array([[0.0, 0.0, 0.0], [0.4, -0.7, 0.3]])
     y0 = np.array([[0.5, 0.8, -0.6], [-0.6, 0.4, 0.7]])
     for model, norm in oracle_cases():
-        path = gf.integrate_geodesic(model, norm, x0, y0, T=0.5, step=1.0e-3)
-        points, velocities = gf.chart_coordinates(model, path, x0, y0)
+        # the oracle steps both paths in one batch; the flow, one per call
         oracle = chart_spray.integrate_chart_spray(model, norm, x0, y0, T=0.5, step=1.0e-3)
         oracle_points, oracle_velocities = gf.chart_coordinates(model, oracle, x0, y0)
-        assert np.max(np.abs(path.points - oracle.points)) <= 1.0e-10
-        assert np.max(np.abs(points - oracle_points)) <= 1.0e-10
-        assert np.max(np.abs(velocities - oracle_velocities)) <= 1.0e-10
-        assert np.max(np.abs(path.F_values - oracle.F_values)) <= 1.0e-10
-        assert np.max(np.abs(points[-1] - x0)) > 0.1
+        for p, (x, y) in enumerate(zip(x0, y0)):
+            path = gf.integrate_geodesic(model, norm, x, y, T=0.5, step=1.0e-3)
+            points, velocities = gf.chart_coordinates(model, path, x, y)
+            assert np.max(np.abs(path.points - oracle.points[:, p])) <= 1.0e-10
+            assert np.max(np.abs(points - oracle_points[:, p])) <= 1.0e-10
+            assert np.max(np.abs(velocities - oracle_velocities[:, p])) <= 1.0e-10
+            assert np.max(np.abs(path.F_values - oracle.F_values[:, p])) <= 1.0e-10
+            assert np.max(np.abs(points[-1] - x)) > 0.1
 
 
 def test_berwald_verdict_matches_chart_spray():
@@ -997,7 +993,8 @@ def test_body_velocity_frozen_from_geodesic_vectors():
         dec = lie.ReductiveDecomposition(model.algebra, m_indices=(0, 1, 2))
         reps = geodesic_vectors.find_geodesic_vectors(dec, norm, samples=1024, tol=1.0e-9).representatives
         assert len(reps) > 0
-        path = gf.integrate_geodesic(model, norm, np.zeros_like(reps), reps, T=0.2, step=1.0e-3)
-        points, velocities = gf.chart_coordinates(model, path, np.zeros_like(reps), reps)
-        u = np.einsum("...ij,...j->...i", model.body_jacobian(points), velocities)
-        assert np.max(np.abs(gf.euler_poincare_rhs(model.algebra, u, norm.fundamental_matrix(u)))) <= 1.0e-12
+        for X in reps:
+            path = gf.integrate_geodesic(model, norm, np.zeros(3), X, T=0.2, step=1.0e-3)
+            points, velocities = gf.chart_coordinates(model, path, np.zeros(3), X)
+            u = np.einsum("...ij,...j->...i", model.body_jacobian(points), velocities)
+            assert np.max(np.abs(gf.euler_poincare_rhs(model.algebra, u, norm.fundamental_matrix(u)))) <= 1.0e-12
