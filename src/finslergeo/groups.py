@@ -149,12 +149,11 @@ class SU2(GroupModel):
 
     def _renormalize(self, q):
         norm = np.linalg.norm(q, axis=-1, keepdims=True)
-        if np.any(np.abs(norm - 1.0) > _QUAT_DRIFT):
-            q = q / norm
-        return q
+        return np.where(np.abs(norm - 1.0) > _QUAT_DRIFT, q / norm, q)
 
     def multiply(self, p, q):
-        """The quaternion product p·q, renormalized when it leaves the unit sphere."""
+        """The quaternion product p·q, each row renormalized when it alone
+        leaves the unit sphere, so a row's bytes do not depend on the batch."""
         return self._renormalize(_hamilton(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
 
     def body_jacobian(self, x):

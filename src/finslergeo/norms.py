@@ -6,10 +6,11 @@ y-Hessian of F², a direction-dependent inner product; its Cartan tensor
 is a quarter of the third y-derivative of F² and vanishes identically
 exactly when the norm is induced by an inner product.
 
-The generic derivative path evaluates F² on nested truncated jets, so
-both tensors are exact up to floating-point accumulation.  Euclidean and
-Randers norms additionally carry closed forms used by hot loops; the two
-routes are cross-checked in the test-suite, never collapsed.  The closed
+Euclidean and Randers norms carry their tensors, Legendre map and dual
+in closed form, and no other route.  A `CustomNorm`, F² given on jets,
+takes its tensors from nested truncated jets, exact up to floating-point
+accumulation; the tests run that jet route on Euclidean and Randers data
+as the oracle of the closed forms (tests/jet_norms.py).  The closed
 forms read a batch in the batch-last layout, row k holding coordinate k
 of every vector, and take each sum over n as an `ordered_dot` of
 elementwise products, never a BLAS product: a vector's value, Legendre
@@ -19,10 +20,10 @@ batch.  Their values share one quadratic-form kernel, y·a y, which the
 (..., n, n) view of an (n, n, batch) array.
 
 Every norm has a Legendre map y ↦ μ = ĝ_y y = ½∇F²(y), the covector
-that the geodesic criterion and the flow read.  The base class forms it
-from the fundamental tensor; Euclidean and Randers norms carry it in
-closed form, μ = a y and μ = F(y)·(a y/α(y) + b), so a caller that needs
-μ alone builds no tensor.
+that the geodesic criterion and the flow read.  Euclidean and Randers
+norms carry it in closed form, μ = a y and μ = F(y)·(a y/α(y) + b), so a
+caller that needs μ alone builds no tensor; a `CustomNorm` forms it from
+its jet tensor.
 
 Euclidean and Randers norms also carry its inverse, the Legendre dual
 u = ∂(½F*²)/∂μ, where F*(μ) = max{μ·y : F(y) = 1} is the dual norm on
@@ -108,13 +109,15 @@ def _quadratic(y: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 class MinkowskiNorm:
-    """Base class: value routes plus jet-based derivative machinery."""
+    """Base class: the dimension and y ≠ 0 checks, and the jet route to
+    the tensors of a norm that gives F² on jets."""
 
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    # subclasses implement value(y) for plain arrays and value2_jet(yj)
-    # for jet vectors; everything else is derived here
+    # subclasses implement value(y), fundamental_matrix, cartan and
+    # legendre; one that implements value2_jet(yj) can take its tensors
+    # from _generic_fundamental and _generic_cartan
 
     def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -127,19 +130,6 @@ class MinkowskiNorm:
         if y.shape[-1] != self.dim:
             raise DimensionMismatch(self.dim, y.shape[-1])
         return y
-
-    def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
-        """g_ij(y) = ½ ∂²F²/∂y_i∂y_j, batched over leading axes of y."""
-        return self._generic_fundamental(y)
-
-    def cartan(self, y: np.ndarray) -> np.ndarray:
-        """C_ijk(y) = ¼ ∂³F²/∂y_i∂y_j∂y_k, batched."""
-        return self._generic_cartan(y)
-
-    def legendre(self, y: np.ndarray) -> np.ndarray:
-        """μ = ĝ_y y = ½∇F²(y), the Legendre map, batched over leading axes of y."""
-        y = self._require_nonzero(y)
-        return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)
 
     @classmethod
     def dual_lines(cls, n: int, mu: str, u: str) -> tuple:
@@ -162,6 +152,7 @@ class MinkowskiNorm:
         return y
 
     def _generic_fundamental(self, y: np.ndarray) -> np.ndarray:
+        """g_ij(y) = ½ ∂²F²/∂y_i∂y_j, batched over leading axes of y."""
         y = self._require_nonzero(y)
         n = self.dim
         eye = np.eye(n)
@@ -173,6 +164,7 @@ class MinkowskiNorm:
         return 0.5 * f2.coeff(0b11)
 
     def _generic_cartan(self, y: np.ndarray) -> np.ndarray:
+        """C_ijk(y) = ¼ ∂³F²/∂y_i∂y_j∂y_k, batched."""
         y = self._require_nonzero(y)
         n = self.dim
         eye = np.eye(n)
@@ -210,9 +202,6 @@ class EuclideanNorm(MinkowskiNorm):
         """u = a⁻¹μ, u_i = μ·(column i of a⁻¹)."""
         columns = [[f"ai{i}_{j}" for j in range(n)] for i in range(n)]
         return sum(columns, []), [f"{u}{i} = {_dot_line(mu, col)}" for i, col in enumerate(columns)]
-
-    def value2_jet(self, yj: jets.Jet) -> jets.Jet:
-        return jets.quadform(self.a, yj)
 
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
         """a at every vector, laid out as the Randers tensor is: the
@@ -260,7 +249,6 @@ class RandersNorm(MinkowskiNorm):
         dual_h = (np.linalg.inv(a) + np.outer(self.b_sharp, self.b_sharp) / lam) / lam
         # the columns of H, one after the other, then W
         self.dual_constants = tuple(dual_h.T.ravel().tolist() + (-self.b_sharp / lam).tolist())
-        # y @ [a | b] gives a y and β = b·y in one pass
         self._a_b = np.column_stack([a, b])
 
     def alpha(self, y: np.ndarray) -> np.ndarray:
@@ -274,14 +262,19 @@ class RandersNorm(MinkowskiNorm):
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.alpha(y) + self.beta(y)
 
-    def legendre(self, y: np.ndarray) -> np.ndarray:
-        """μ = F(y)·(a y/α + b): ½∇F² = F·∇F, on the batch-last layout,
-        where β = b·y rides as one more row of a y."""
-        y = self._require_nonzero(y)
+    def _parts(self, y: np.ndarray) -> tuple:
+        """(p, α², β): p = a y, α² = y·p and β = b·y on the batch-last
+        rows of y, from one pass of y @ [a | b], β its last row."""
         yt = _batch_last(y)
         rows = _times(self._a_b, yt)
-        p, f = rows[:-1], rows[-1]
-        alpha = np.sqrt(ordered_dot(yt, p))
+        p, beta = rows[:-1], rows[-1]
+        return p, ordered_dot(yt, p), beta
+
+    def legendre(self, y: np.ndarray) -> np.ndarray:
+        """μ = F(y)·(a y/α + b): ½∇F² = F·∇F, on the batch-last layout."""
+        y = self._require_nonzero(y)
+        p, alpha2, f = self._parts(y)
+        alpha = np.sqrt(alpha2)
         f += alpha
         p /= alpha
         p += self.b[:, None]
@@ -303,46 +296,33 @@ class RandersNorm(MinkowskiNorm):
         lines += [f"{u}{j} = scale * h{j} + s * W{j}" for j in range(n)]
         return sum(columns, []) + w, lines
 
-    def value2_jet(self, yj: jets.Jet) -> jets.Jet:
-        alpha = jets.sqrt(jets.quadform(self.a, yj))
-        beta = jets.dot(yj, jets.Jet.constant(np.broadcast_to(self.b, yj.c.shape[:-1]), yj.order))
-        f = alpha + beta
-        return f * f
-
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
         """g in ℓ-form, computed on an (n, n, batch) array with the batch
         axis innermost and returned as its (..., n, n) view; each sum over
         n is an `ordered_dot`, so a vector's g is the same alone as in a
         batch."""
         y = self._require_nonzero(y)
-        n = self.dim
-        yt = _batch_last(y)
-        p = _times(self.a, yt)
-        alpha = np.sqrt(ordered_dot(yt, p))
-        beta = ordered_dot(self.b, yt)
+        p, alpha2, beta = self._parts(y)
+        alpha = np.sqrt(alpha2)
         q = p / alpha
         l = q + self.b[:, None]
         g = q[:, None] * q
         np.subtract(self.a[:, :, None], g, out=g)
         g *= (alpha + beta) / alpha
         g += l[:, None] * l
-        return g.transpose(2, 0, 1).reshape(y.shape + (n,))
+        return g.transpose(2, 0, 1).reshape(y.shape + (self.dim,))
 
     def cartan(self, y: np.ndarray) -> np.ndarray:
         """C = ½·Sym₃(u ⊗ h) on the batch-last rows, as `fundamental_matrix`
         is formed; the (..., n, n, n) view of an (n, n, n, batch) array."""
         y = self._require_nonzero(y)
-        n = self.dim
-        yt = _batch_last(y)
-        p = _times(self.a, yt)
-        alpha2 = ordered_dot(yt, p)
+        p, alpha2, beta = self._parts(y)
         alpha = np.sqrt(alpha2)
-        beta = ordered_dot(self.b, yt)
         u = self.b[:, None] / alpha - (beta / (alpha2 * alpha)) * p
         h = self.a[:, :, None] - p[:, None] * p / alpha2
         uh = u[:, None, None] * h
         c = 0.5 * (uh + uh.transpose(1, 0, 2, 3) + uh.transpose(1, 2, 0, 3))
-        return c.transpose(3, 0, 1, 2).reshape(y.shape + (n, n))
+        return c.transpose(3, 0, 1, 2).reshape(y.shape + (self.dim, self.dim))
 
 
 class CustomNorm(MinkowskiNorm):
@@ -379,3 +359,10 @@ class CustomNorm(MinkowskiNorm):
             ) from None
         return g
 
+    def cartan(self, y: np.ndarray) -> np.ndarray:
+        return self._generic_cartan(y)
+
+    def legendre(self, y: np.ndarray) -> np.ndarray:
+        """μ = ĝ_y y = ½∇F²(y) from the jet tensor, batched."""
+        y = self._require_nonzero(y)
+        return np.einsum("...ij,...j->...i", self.fundamental_matrix(y), y)

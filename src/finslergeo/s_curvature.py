@@ -53,7 +53,7 @@ def _sigma_identity(norm):
     n = norm.dim
     if n not in (2, 3, 4):
         raise ValueError(f"sphere quadrature covers dimensions 2..4, got {n}")
-    level = max(sphere.level_for(n, MIN_NODES), 2)
+    level = sphere.level_for(n, MIN_NODES)
     values = [_indicatrix_integral(norm, lv) for lv in (level - 2, level - 1, level)]
     if not np.all(np.isfinite(values)):
         raise QuadratureDivergence("indicatrix integral is not finite; norm is not usable")

@@ -20,6 +20,7 @@ directions, where the library tests the parallelogram law.
 
 from dataclasses import dataclass
 
+import jet_norms
 import numpy as np
 
 from finslergeo import geodesic_flow as gf
@@ -44,7 +45,7 @@ def chart_value2_jet(model, norm, x, yj: jets.Jet) -> jets.Jet:
     extra = yj.c.ndim - 2 - a.ndim + 2  # batch axes yj carries beyond x's
     if extra > 0:
         a = a.reshape(a.shape[:-2] + (1,) * extra + a.shape[-2:])
-    return norm.value2_jet(jets.matvec(a, yj))
+    return jet_norms.of(norm).value2_jet(jets.matvec(a, yj))
 
 
 def jet_chart_tensor(model, norm, x, y) -> np.ndarray:

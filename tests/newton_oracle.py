@@ -21,13 +21,14 @@ differently, so the library must match it in counts, verdicts and branch
 partition, and in representatives within DEDUP_ANGLE.
 
 `jet_gate` recomputes the criterion residual with μ = ĝ X_m from the
-norm's generic jet tensor in place of its closed-form Legendre map, and
-ad* from the terms of the block c[:, m, m] on the vector embedded in g: an
-independent route to the same quantity, which every representative the
-library keeps must pass.
+jet tensor of the norm's data (`jet_norms.of`) in place of its
+closed-form Legendre map, and ad* from the terms of the block c[:, m, m]
+on the vector embedded in g: an independent route to the same quantity,
+which every representative the library keeps must pass.
 """
 
 import cluster_oracle
+import jet_norms
 import numpy as np
 
 from finslergeo import geodesic_vectors as gv
@@ -44,11 +45,11 @@ def pinv_step(jac, X, r):
 
 
 def jet_gate(dec, norm, Xm, tol):
-    """Whether the generic jet tensor also puts the residual at each row
-    of m-coordinates Xm at or below tol; a NaN residual fails."""
+    """Whether the jet tensor also puts the residual at each row of
+    m-coordinates Xm at or below tol; a NaN residual fails."""
     idx = list(dec.m_indices)
     terms = lie.terms(dec.algebra.c[:, idx][:, :, idx])
-    mu = np.einsum("...ij,...j->...i", norm._generic_fundamental(Xm), Xm)
+    mu = np.einsum("...ij,...j->...i", jet_norms.of(norm)._generic_fundamental(Xm), Xm)
     gen = gv._criterion(terms, gv._embed_m(dec, Xm), mu)
     return np.linalg.norm(gen, axis=-1) <= tol
 

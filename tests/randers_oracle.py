@@ -10,14 +10,15 @@ Riemannian data:
   g_{y_m}(y_m, w) = ã(y_m, w)·F(y_m)/√ã(y_m, y_m) + ã(X, w)·F(y_m)
 
 with w = [y, z]_m.  The left side is evaluated through the norm's
-generic jet tensor, the right side assembled from ã alone; their
+jet tensor (`jet_norms`), the right side assembled from ã alone; their
 agreement is what makes the F- and ã-criteria co-vanish when
 ã(X, w) = 0.
 """
 
+import jet_norms
 import numpy as np
 
-from finslergeo import lie, norms
+from finslergeo import lie
 from finslergeo.errors import DegenerateVector
 
 
@@ -41,7 +42,7 @@ def randers_residual_identity(dec, a, Xfield, y, z):
     if np.linalg.norm(ym) == 0.0:
         raise DegenerateVector("identity needs a nonzero m-component")
     w = lie.bracket(dec.algebra, y, np.asarray(z, dtype=float))[idx]
-    norm = norms.RandersNorm(a, a @ Xfield)
+    norm = jet_norms.RandersNorm(a, a @ Xfield)
     g = norm._generic_fundamental(ym)
     lhs = float(ym @ g @ w)
     alpha = float(np.sqrt(ym @ a @ ym))

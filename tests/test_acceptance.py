@@ -22,6 +22,7 @@ from finslergeo import (
     scenario,
 )
 
+import jet_norms
 from randers_oracle import randers_residual_identity
 from volume_oracle import busemann_sigma, tau_batch
 
@@ -94,7 +95,7 @@ def test_criterion_02_cartan_symmetry_and_radial_vanishing():
             worst_sym = max(worst_sym, float(np.max(np.abs(c - np.transpose(c, axes)))))
         radial = np.einsum("...ijk,...i->...jk", c, ys)
         worst_radial = max(worst_radial, float(np.max(np.abs(radial))))
-    riem = norms.EuclideanNorm(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    riem = jet_norms.EuclideanNorm(np.array([[2.0, 0.3], [0.3, 1.0]]))
     ys = np.random.RandomState(22).randn(50, 2)
     riem_c = norms.MinkowskiNorm._generic_cartan(riem, ys)
     ok = worst_sym < 1.0e-10 and worst_radial < 1.0e-10 and float(np.max(np.abs(riem_c))) < 1.0e-12

@@ -76,6 +76,22 @@ def test_su2_quaternion_scalar_part():
         assert abs(q[0] - np.cos(0.5 * w * t)) < 1.0e-12
 
 
+def test_su2_multiply_renormalizes_row_by_row():
+    # a product row is divided by its norm only when it alone leaves the
+    # unit sphere, so its bytes are the same alone as next to a row that
+    # drifts
+    model = su2()
+    rng = np.random.RandomState(81)
+    for _ in range(200):
+        p = model.to_group(rng.standard_normal((2, 3)))
+        q = model.to_group(rng.standard_normal((2, 3)))
+        p[1] *= 1.0 + 1.0e-12
+        both = model.multiply(p, q)
+        for k in range(2):
+            assert both[k].tobytes() == model.multiply(p[k], q[k]).tobytes()
+        assert abs(np.linalg.norm(both[1]) - 1.0) <= groups._QUAT_DRIFT
+
+
 def test_su2_chart_domain():
     model = su2()
     with pytest.raises(ChartDomain):

@@ -14,6 +14,7 @@ from finslergeo.errors import (
     ZeroVector,
 )
 
+import jet_norms
 from group_oracle import legendre_dual
 
 
@@ -147,10 +148,10 @@ def test_randers_closed_form_vs_jet_path():
         norm = random_randers(rng, n)
         y = random_y(rng, n)
         closed = norm.fundamental_matrix(y)
-        generic = norms.MinkowskiNorm._generic_fundamental(norm, y)
+        generic = norms.MinkowskiNorm._generic_fundamental(jet_norms.of(norm), y)
         assert np.max(np.abs(closed - generic)) < 1.0e-12
         c_closed = norm.cartan(y)
-        c_generic = norms.MinkowskiNorm._generic_cartan(norm, y)
+        c_generic = norms.MinkowskiNorm._generic_cartan(jet_norms.of(norm), y)
         assert np.max(np.abs(c_closed - c_generic)) < 1.0e-12
 
 
@@ -176,7 +177,7 @@ def test_randers_cartan_vs_fd_oracle():
 def test_euclidean_tensors_exact():
     rng = np.random.RandomState(5)
     a = random_spd(rng, 3)
-    norm = norms.EuclideanNorm(a)
+    norm = jet_norms.EuclideanNorm(a)
     for _ in range(20):
         y = random_y(rng, 3)
         assert np.max(np.abs(norm.fundamental_matrix(y) - a)) == 0.0
@@ -190,8 +191,8 @@ def test_euclidean_tensors_exact():
 def test_euler_identities():
     rng = np.random.RandomState(13)
     pool = [
-        norms.EuclideanNorm(random_spd(rng, 2)),
-        random_randers(rng, 3),
+        jet_norms.EuclideanNorm(random_spd(rng, 2)),
+        jet_norms.of(random_randers(rng, 3)),
         quartic_norm(),
     ]
     for norm in pool:
@@ -323,6 +324,55 @@ def test_value_and_legendre_rows_do_not_depend_on_the_batch(n):
                 assert grid[k // 30, k % 30].tobytes() == alone.tobytes()
 
 
+def test_closed_form_norms_carry_no_jet_form():
+    # Euclidean and Randers norms carry their closed forms only; F² on
+    # jets is the tests' oracle (jet_norms), and the base class has no
+    # tensor or Legendre map for a subclass to fall back on
+    for cls in (norms.EuclideanNorm, norms.RandersNorm):
+        assert "value2_jet" not in vars(cls)
+    for name in ("fundamental_matrix", "cartan", "legendre"):
+        assert name not in vars(norms.MinkowskiNorm)
+        for cls in (norms.EuclideanNorm, norms.RandersNorm, norms.CustomNorm):
+            assert name in vars(cls)
+
+
+def randers_from_separate_sums(norm, y):
+    """μ, g and C of a Randers norm with p = a y from `_times(a, ·)` and
+    β = b·y from `ordered_dot(b, ·)`, each summed on its own."""
+    yt = norms._batch_last(y)
+    p = norms._times(norm.a, yt)
+    alpha2 = norms.ordered_dot(yt, p)
+    beta = norms.ordered_dot(norm.b, yt)
+    alpha = np.sqrt(alpha2)
+    q = p / alpha
+    l = q + norm.b[:, None]
+    mu = l * (beta + alpha)
+    g = (norm.a[:, :, None] - q[:, None] * q) * ((alpha + beta) / alpha) + l[:, None] * l
+    u = norm.b[:, None] / alpha - (beta / (alpha2 * alpha)) * p
+    uh = u[:, None, None] * (norm.a[:, :, None] - p[:, None] * p / alpha2)
+    c = 0.5 * (uh + uh.transpose(1, 0, 2, 3) + uh.transpose(1, 2, 0, 3))
+    n = norm.dim
+    return {
+        "legendre": mu.T.reshape(y.shape),
+        "fundamental_matrix": g.transpose(2, 0, 1).reshape(y.shape + (n,)),
+        "cartan": c.transpose(3, 0, 1, 2).reshape(y.shape + (n, n)),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_randers_one_pass_matches_separate_sums(n):
+    # legendre, fundamental_matrix and cartan take p, α² and β from one
+    # pass of y @ [a | b]; β as its last row must round as b·y alone
+    rng = np.random.RandomState(90 + n)
+    norm = random_randers(rng, n)
+    for shape in ((n,), (1, n), (64, n), (4, 5, n)):
+        y = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+        want = randers_from_separate_sums(norm, y)
+        for name, value in want.items():
+            got = getattr(norm, name)(y)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes()
+
+
 def test_legendre_dual_round_trip():
     # μ = ĝ_u u is the Legendre map: the closed form must equal ĝ_u u from
     # the closed-form tensor and from the jet tensor, and the dual, compiled
@@ -334,7 +384,7 @@ def test_legendre_dual_round_trip():
         norm = norms.EuclideanNorm(random_spd(rng, n)) if trial % 5 == 0 else random_randers(rng, n)
         us = np.stack([random_y(rng, n) for _ in range(8)])
         mu = norm.legendre(us)
-        for g in (norm.fundamental_matrix(us), norm._generic_fundamental(us)):
+        for g in (norm.fundamental_matrix(us), jet_norms.of(norm)._generic_fundamental(us)):
             other = np.einsum("...ij,...j->...i", g, us)
             worst_mu = max(worst_mu, np.max(np.linalg.norm(mu - other, axis=-1) / np.linalg.norm(mu, axis=-1)))
         dual = legendre_dual(norm)

@@ -96,6 +96,13 @@ def test_quadrature_divergence_on_nonfinite_values():
         busemann_sigma(*metric, np.zeros(2))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_node_budget_level_has_two_coarser_levels(n):
+    # the refinement check compares the budget's level with the two below
+    # it, so that level is 2 or more in every supported dimension
+    assert sphere.level_for(n, s_curvature.MIN_NODES) >= 2
+
+
 def test_sigma_rejects_unsupported_dimension():
     metric = flat_metric(norms.EuclideanNorm(np.eye(5)), dim=5)
     with pytest.raises(ValueError):
