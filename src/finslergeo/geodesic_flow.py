@@ -14,15 +14,15 @@ and Randers norms write out (see `norms`), so a step needs no norm
 tensor and no linear solve, and μ at the start comes from the norm's
 Legendre map `norm.legendre(u)`, closed form as well: a path builds no
 ĝ.  μ is integrated with classical fixed-step Runge-Kutta.  μ̇ does not
-involve g, so the step loop advances μ alone.  Each step's group increment is
-the Runge–Kutta–Munthe-Kaas exponential built from its stage velocities
-(Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000), and
-once the loop is done the whole path g_i = g_0·exp(θ_1)⋯exp(θ_i) is
-formed on the group itself by one prefix product of log depth
-(Blelloch, CMU-CS-90-190, 1990), so a path may wind past the edge of
-any chart.  A path holds group elements and body velocities only;
-chart coordinates and chart velocities y = A(x)⁻¹u are read off by
-`chart_coordinates`, for the report that prints them.
+involve g, so each step advances μ first, and then g ← g·exp(θ) by the
+Runge–Kutta–Munthe-Kaas increment θ built from its stage velocities
+(Munthe-Kaas, BIT 38, 1998; Iserles et al., Acta Numerica 2000), on the
+group itself, so a path may wind past the edge of any chart.  On H3 and
+the vector group that law adds, and the running sum is compensated
+(Kahan, CACM 8, 1965): a path of N steps rounds like one sum of its
+increments, not like N sums.  A path holds group elements and body
+velocities only; chart coordinates and chart velocities y = A(x)⁻¹u are
+read off by `chart_coordinates`, for the report that prints them.
 F = norm(u) is a first integral of the exact flow, so its drift along a
 numerical path, read once the loop is done, measures integration error.
 The norm owns the check y ≠ 0: u = A(x)·y is 0 exactly when y is, and
@@ -37,15 +37,17 @@ vectors are the equilibria of the flow; this module forms no such
 residual, `geodesic_vectors.residual_batch` does.  Every ad* here sums
 over the algebra's `lie.terms` in their order: `lie.add_coadjoint` on
 array rows, and `lie.coadjoint_lines` in the step loop.  That loop is
-one Python function per norm class, dimension and (j, i, k) pattern of
-the terms, assembled from the ad* lines and the norm's dual lines
-(`norms.MinkowskiNorm.dual_lines`) and compiled on first use by
-`compiled`.  It steps the path on local floats, every sum written out,
-and calls nothing but the square root and, once a step, the append of
-its velocities.
-Its text holds indices only; the coefficients and the norm's constants
-are passed to it as values, so norms of one class share it whatever
-their data.
+one Python function per norm class, group model class, dimension and
+(j, i, k) pattern of the terms, assembled from the ad* and bracket lines
+(`lie`), the norm's dual lines (`norms.MinkowskiNorm.dual_lines`) and
+the model's group law (`groups.GroupModel.group_lines`), and compiled
+on first use by `compiled`.  It steps the whole path on local floats,
+every sum written out, and calls nothing but the square root, the
+cosine and sine of SU(2)'s exponential and, once a step, the extend of
+one array('d') by that step's u and g.
+Its text holds indices only; the coefficients and the norm's and the
+model's constants are passed to it as values, so norms of one class
+share it whatever their data.
 
 A chart metric is Berwald when its spray G(x, y) is quadratic in y.
 `berwald_test` measures that by the parallelogram law, on the reduced
@@ -61,6 +63,7 @@ F(x, ·)² with jets is a test oracle (tests/chart_spray.py).
 import functools
 import linecache
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +136,14 @@ def compiled(lines: list, name: str, filename: str):
     """The function `name` that `lines`, one def statement, define,
     compiled under `filename`, which tracebacks then name and quote.
 
-    Besides its own, the text reads three names, bound here: sqrt is
-    `math.sqrt`, and zero and two are the floats 0.0 and 2.0, so no float
-    literal is written into it and float arithmetic never meets an int.
+    Besides its own, the text reads these names, bound here: sqrt, cos
+    and sin are `math`'s, and zero, half, one and two are the floats 0.0,
+    0.5, 1.0 and 2.0, so no float literal is written into it and float
+    arithmetic never meets an int.
     """
     source = "\n".join(lines) + "\n"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt, "zero": 0.0, "two": 2.0}
+    namespace = {"sqrt": math.sqrt, "cos": math.cos, "sin": math.sin, "zero": 0.0, "half": 0.5, "one": 1.0, "two": 2.0}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
@@ -148,16 +152,20 @@ def _drift_rejected() -> StepRejected:
     return StepRejected(f"metric value drifted more than {DRIFT_LIMIT:g} in one step; refine the step size")
 
 
-def _kernel_lines(kind, n: int, pattern: tuple) -> list:
-    """The step loop of one path as one Python function, on local floats.
+def _kernel_lines(kind, model_kind, n: int, pattern: tuple) -> list:
+    """The whole path of one geodesic as one Python function, on local floats.
 
-    It takes the step count, h, h/2 and h/6, the start u and μ, the ad*
-    coefficients c0, c1, … of `pattern` (`lie.coadjoint_lines`) and the
-    constants of the norm's dual (kind.dual_lines), and returns one tuple
-    per step: u at its end, then U_2, U_3 and U_4.  Every ad* term and
-    every dual sum is written out; only integers reach the text.
+    It takes the array('d') to fill, the step count, h, h/2, h/6 and
+    h²/12, the start u and μ, the start group element g (model_kind's
+    `group_lines`), the ad* coefficients c0, c1, … of `pattern`
+    (`lie.coadjoint_lines`), the constants of the norm's dual
+    (kind.dual_lines) and those of the group law, and extends the array
+    by one row per sample: u, then g, at the start and at the end of
+    every step.  Every ad* term, bracket, dual sum and product is written
+    out; only integers reach the text.
     """
     names, final = kind.dual_lines(n, "mu", "u")
+    group, group_names, start, group_step = model_kind.group_lines(n, "theta")
     coefficients = [f"c{t}" for t in range(len(pattern))]
 
     def floats(prefix):
@@ -169,64 +177,75 @@ def _kernel_lines(kind, n: int, pattern: tuple) -> list:
     def advance(out, scale, rate):
         return [f"{m} = mu{j} + {scale} * {rate}{j}" for j, m in enumerate(floats(out))]
 
-    params = ["nsteps", "step", "half", "sixth", *floats("u"), *floats("mu"), *coefficients, *names]
+    params = ["rows", "nsteps", "step", "half_step", "sixth_step", "twelfth_step2"]
+    params += [*floats("u"), *floats("mu"), *group, *coefficients, *names, *group_names]
+    record = f"record(({', '.join(floats('u') + group)},))"
     body = [
         *lie.coadjoint_lines(pattern, n, "u", "mu", "K1_"),
-        *advance("M", "half", "K1_"),
+        *advance("M", "half_step", "K1_"),
         *dual("M", "U2_"),
         *lie.coadjoint_lines(pattern, n, "U2_", "M", "K2_"),
-        *advance("M", "half", "K2_"),
+        *advance("M", "half_step", "K2_"),
         *dual("M", "U3_"),
         *lie.coadjoint_lines(pattern, n, "U3_", "M", "K3_"),
         *advance("M", "step", "K3_"),
         *dual("M", "U4_"),
         *lie.coadjoint_lines(pattern, n, "U4_", "M", "K4_"),
-        *(f"mu{j} = mu{j} + sixth * (K1_{j} + two * K2_{j} + two * K3_{j} + K4_{j})" for j in range(n)),
+        *lie.bracket_lines(pattern, n, "u", "U4_", "B"),
+        *(
+            f"theta{j} = sixth_step * (u{j} + two * U2_{j} + two * U3_{j} + U4_{j}) + twelfth_step2 * B{j}"
+            for j in range(n)
+        ),
+        *group_step,
+        *(f"mu{j} = mu{j} + sixth_step * (K1_{j} + two * K2_{j} + two * K3_{j} + K4_{j})" for j in range(n)),
         *final,
-        f"record(({', '.join(floats('u') + floats('U2_') + floats('U3_') + floats('U4_'))},))",
+        record,
     ]
     return [
         f"def step_path({', '.join(params)}):",
-        "    rows = []",
-        "    record = rows.append",
+        *("    " + line for line in start),
+        "    record = rows.extend",
+        "    " + record,
         "    for _ in range(nsteps):",
         *("        " + line for line in body),
-        "    return rows",
     ]
 
 
 @functools.cache
-def _kernel(kind, n: int, pattern: tuple):
-    """The compiled step loop for norms of class `kind` on n-dim algebras
-    whose ad* terms have the (j, i, k) `pattern`, built on first use."""
-    filename = f"<finslergeo.geodesic_flow step loop: {kind.__name__}, n={n}, {len(pattern)} ad* terms>"
-    return compiled(_kernel_lines(kind, n, pattern), "step_path", filename)
+def _kernel(kind, model_kind, n: int, pattern: tuple):
+    """The compiled path of norms of class `kind` on groups of class
+    `model_kind`, whose n-dim algebras have ad* terms of the (j, i, k)
+    `pattern`, built on first use."""
+    terms = f"{len(pattern)} ad* terms"
+    filename = f"<finslergeo.geodesic_flow step loop: {kind.__name__}, n={n}, {terms}, {model_kind.__name__} law>"
+    return compiled(_kernel_lines(kind, model_kind, n, pattern), "step_path", filename)
 
 
-def _step_path(terms, norm, u0: np.ndarray, nsteps: int, step: float) -> np.ndarray:
-    """Step one path from its start body velocity u0 and return the
-    generated loop's rows as one (nsteps, 4, n) array: row i holds u at
-    the end of step i + 1, then that step's U_2, U_3 and U_4.
+def _step_path(model: GroupModel, terms, norm, g0: np.ndarray, u0: np.ndarray, nsteps: int, step: float) -> np.ndarray:
+    """Step one path from the group element g0 and the body velocity u0,
+    and return the generated function's rows as one (nsteps + 1, n + m)
+    array, m the width of g0: row i holds u, then g, after i steps.
 
     μ = norm.legendre(u0) is taken here, before the loop, and the loop is
-    the `_kernel` of the norm's class and the pattern of `terms`, the
-    algebra's `lie.terms`, called with their coefficients and the norm's
-    `dual_constants`.
+    the `_kernel` of the norm's class, the model's class and the pattern
+    of `terms`, the algebra's `lie.terms`, called with their coefficients,
+    the norm's `dual_constants` and the model's `group_constants`.
     """
     n = len(u0)
     mu = norm.legendre(u0).tolist()
-    kernel = _kernel(type(norm), n, tuple(term[:3] for term in terms))
-    args = (nsteps, step, 0.5 * step, step / 6.0, *u0.tolist(), *mu)
-    args += (*(term[3] for term in terms), *norm.dual_constants)
+    kernel = _kernel(type(norm), type(model), n, tuple(term[:3] for term in terms))
+    rows = array("d")
+    args = (rows, nsteps, step, 0.5 * step, step / 6.0, step * step / 12.0, *u0.tolist(), *mu, *g0.tolist())
+    args += (*(term[3] for term in terms), *norm.dual_constants, *model.group_constants)
     try:
-        rows = kernel(*args)
+        kernel(*args)
     except (ZeroDivisionError, ValueError) as exc:
-        # in floats x/0.0 and the square root of a negative raise where
-        # numpy gives inf or nan: a diverging step, rejected as the drift
-        # check rejects one; μ is unpacked before the loop, whose only
-        # ValueError is then math.sqrt's
+        # in floats x/0.0, the square root of a negative and the cosine
+        # of an infinity raise where numpy gives inf or nan: a diverging
+        # step, rejected as the drift check rejects one; μ is unpacked
+        # before the loop, whose only ValueErrors are then math's
         raise _drift_rejected() from exc
-    return np.array(rows).reshape(nsteps, 4, n)
+    return np.frombuffer(rows).reshape(nsteps + 1, -1)
 
 
 def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -> GeodesicPath:
@@ -238,11 +257,8 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     norm's Legendre dual, which the norm must write out (`dual_lines`).
     μ advances by classical RK4 with stage values M_1 = μ,
     M_2 = μ + ½hk_1, M_3 = μ + ½hk_2, M_4 = μ + hk_3 and
-    k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The step loop does only
-    that, in its generated function (`_kernel`) on Python floats, and
-    hands back the body and stage velocities of every step once it is
-    done.  The group element advances by the 4th-order RKMK step on the
-    stage velocities,
+    k_i = ad*_{U_i} M_i, where U_i = u(M_i).  The group element advances
+    in the same step by the 4th-order RKMK step on the stage velocities,
     g_i = g_{i−1}·exp(θ_i) with
     θ_i = h/6·(U_1 + 2U_2 + 2U_3 + U_4) + h²/12·[U_1, U_4].
     This is the classical RKMK4 in the one-commutator form of
@@ -250,19 +266,21 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
     bracket's sign flipped for right multiplication; its stage
     commutators drop out because μ̇ does not depend on g.  Keeping only
     ½[Θ_i, U_i] of dexp⁻¹ in each stage would be third order: the dropped
-    (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).  After the loop every θ_i is formed
-    at once, and g_0·exp(θ_1)⋯exp(θ_i) for all i comes from a
-    Hillis–Steele scan of ⌈log₂ N⌉ batched products, which also keeps
-    the rounding of a long path at O(log N) products.
+    (1/12)[Θ_i, [Θ_i, U_i]] is O(h³).  The whole path runs in one
+    generated function (`_kernel`) on Python floats, with the model's
+    group law written out (`groups.GroupModel.group_lines`): on H3 and
+    the vector group a compensated sum, so the rounding of a long path
+    stays that of one sum.
 
     x0 and y0 are vectors of shape (n,); anything else raises ValueError.
     T must be a whole number of steps (`step_count`).  x0 must lie in the
     model's chart (ChartDomain otherwise); the path itself may leave it.
     Raises StepRejected when, at any step, the relative drift of
     F = norm(u) across that step exceeds 1e-3 or F is not finite, or when
-    a step divides by zero or takes the square root of a negative.  The
-    path holds the group elements, the body velocities u(μ) as stepped,
-    and F_values = F of them; no sample is read off in the chart.
+    a step divides by zero, or takes the square root of a negative or
+    the cosine of an infinity.  The path holds the group elements, the
+    body velocities u(μ) as stepped, and F_values = F of them; no sample
+    is read off in the chart.
     """
     nsteps = step_count(T, step)
     x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
@@ -272,26 +290,14 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
         )
     model.check_chart(x)
     u0 = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    rows = _step_path(lie.terms(model.algebra.c), norm, u0, nsteps, step)
-    body = np.concatenate([u0[None], rows[:, 0]])
+    rows = _step_path(model, lie.terms(model.algebra.c), norm, model.to_group(x), u0, nsteps, step)
+    body, elements = rows[:, : model.dim], rows[:, model.dim :]
     # a diverging path runs to its end as inf or nan, which the drift
     # check rejects; written so that a non-finite F fails the comparison
     with np.errstate(all="ignore"):
         F = norm.value(body)
     if not np.all(np.abs(F[1:] - F[:-1]) <= DRIFT_LIMIT * np.abs(F[:-1])):
         raise _drift_rejected()
-    u1, (u2, u3, u4) = body[:-1], rows[:, 1:].transpose(1, 0, 2)
-    commutator = lie.bracket(model.algebra, u1, u4)
-    theta = (step / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * commutator
-    # Hillis–Steele scan: after the pass at a stride, acc[i] is the product
-    # of the (up to) 2·stride increments that end at step i
-    acc = model.to_group(theta)
-    stride = 1
-    while stride < nsteps:
-        acc[stride:] = model.multiply(acc[:-stride], acc[stride:])
-        stride *= 2
-    g0 = model.to_group(x)
-    elements = np.concatenate([g0[None], model.multiply(g0, acc)])
     ts = np.arange(nsteps + 1) * step
     return GeodesicPath(ts=ts, points=elements, body=body, F_values=F)
 

@@ -16,6 +16,16 @@ enters it from chart coordinates, `multiply` is the group law on it, and
 the group, orbits of one-parameter subgroups are compared with them
 there, and chart coordinates are read off only for output.
 
+Each model also writes its right step g ← g·exp(θ) out as Python lines
+on floats (`group_lines`), which the geodesic flow pastes into its
+generated step loop, the one place that runs them.  H3 and the vector
+group add: their steps are compensated sums (Kahan, CACM 8, 1965), so a
+path of N steps rounds like one sum, not like N.  SU(2) takes cos and
+sin of |θ|/2, writes the Hamilton product out, and renormalizes the
+product as `multiply` does.  Like the norms' dual lines, the text holds
+indices only; the constants it reads are names (see
+`geodesic_flow.compiled`), and a model's own are in `group_constants`.
+
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
 x corresponds to the algebra vector A(x)·v, and the left-invariant
@@ -31,11 +41,29 @@ _QUAT_DRIFT = 1.0e-13
 _SU2_CHART_RADIUS = 2.0 * np.pi - 0.05
 
 
+def _compensated_lines(step: list) -> list:
+    """g{j} += step[j] for each j, with g{j} the correctly rounded value
+    of the running sum and e{j} its carried rounding error: a two-sum
+    of g and the step (Knuth, TAOCP 2, §4.2.2), its error added to e,
+    and a fast two-sum that folds e back into g."""
+    lines = []
+    for j, x in enumerate(step):
+        lines += [
+            f"total = g{j} + {x}",
+            f"back = total - g{j}",
+            f"e{j} = e{j} + ((g{j} - (total - back)) + ({x} - back))",
+            f"g{j} = total + e{j}",
+            f"e{j} = e{j} - (g{j} - total)",
+        ]
+    return lines
+
+
 class GroupModel:
     """Common interface for the built-in models."""
 
     name = "abstract"
     dim = 0
+    group_constants = ()
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -62,6 +90,20 @@ class GroupModel:
         """Chart coordinates of group elements, batched."""
         return np.array(g, dtype=float)
 
+    @classmethod
+    def group_lines(cls, n: int, theta: str) -> tuple:
+        """(g, names, start, lines) for g ← g·exp(θ) on floats, with θ in
+        {theta}0…{theta}{n−1}: g names the floats that hold the group
+        element, names the constants the lines read, whose values the
+        model holds in `group_constants`, start the lines run once before
+        the first step, and lines the step itself.
+
+        This default serves an additive law: g is the chart point, and
+        each step adds θ as a compensated sum.
+        """
+        g = [f"g{j}" for j in range(n)]
+        return g, [], [f"e{j} = zero" for j in range(n)], _compensated_lines([f"{theta}{j}" for j in range(n)])
+
 
 class Heisenberg3(GroupModel):
     """(a,b,c)·(a',b',c') = (a+a', b+b', c+c'+½(ab'−a'b)); global chart."""
@@ -78,6 +120,14 @@ class Heisenberg3(GroupModel):
         out = p + q
         out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
         return out
+
+    @classmethod
+    def group_lines(cls, n, theta):
+        """The law above with q = θ: a compensated sum of θ, its last
+        component plus ½(g₀θ₁ − g₁θ₀)."""
+        g, names, start, _ = super().group_lines(n, theta)
+        central = f"central = {theta}2 + half * (g0 * {theta}1 - g1 * {theta}0)"
+        return g, names, start, [central, *_compensated_lines([f"{theta}0", f"{theta}1", "central"])]
 
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)
@@ -117,6 +167,7 @@ class SU2(GroupModel):
 
     name = "su2"
     dim = 3
+    group_constants = (_QUAT_DRIFT,)
 
     def __init__(self):
         self.algebra = lie.su2()
@@ -155,6 +206,28 @@ class SU2(GroupModel):
         """The quaternion product p·q, each row renormalized when it alone
         leaves the unit sphere, so a row's bytes do not depend on the batch."""
         return self._renormalize(_hamilton(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
+
+    @classmethod
+    def group_lines(cls, n, theta):
+        """g·q with q = exp(θ) = (cos(r/2), sin(r/2)/r·θ), r = |θ|, whose
+        factor is ½ at θ = 0, then `_renormalize`'s rule on the product."""
+        t0, t1, t2 = (f"{theta}{j}" for j in range(3))
+        lines = [
+            f"radius = sqrt({t0} * {t0} + {t1} * {t1} + {t2} * {t2})",
+            "w = cos(half * radius)",
+            "factor = sin(half * radius) / radius if radius > zero else half",
+            f"x = factor * {t0}",
+            f"y = factor * {t1}",
+            f"z = factor * {t2}",
+            "p0 = g0 * w - g1 * x - g2 * y - g3 * z",
+            "p1 = g0 * x + g1 * w + g2 * z - g3 * y",
+            "p2 = g0 * y - g1 * z + g2 * w + g3 * x",
+            "p3 = g0 * z + g1 * y - g2 * x + g3 * w",
+            "length = sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)",
+            "length = length if abs(length - one) > drift else one",
+            *(f"g{j} = p{j} / length" for j in range(4)),
+        ]
+        return [f"g{j}" for j in range(4)], ["drift"], [], lines
 
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)

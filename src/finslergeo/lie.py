@@ -9,7 +9,8 @@ ad*_u μ, (ad*_u μ)_j = c[i, j, k] u^i μ_k, has one term order, that of
 the nonzero terms `terms` lists: `add_coadjoint` sums over them on array
 rows, for the criterion and the Euler–Poincaré rate, and
 `coadjoint_lines` writes the same sums out as Python lines, for the
-geodesic flow's generated step loop.
+geodesic flow's generated step loop.  That loop takes the bracket from
+the same terms, through `bracket_lines`.
 """
 
 from dataclasses import dataclass
@@ -85,6 +86,17 @@ def coadjoint_lines(pattern, n: int, u: str, mu: str, out: str) -> list:
     for t, (j, i, k) in enumerate(pattern):
         parts[j].append(f"c{t} * {mu}{k} * {u}{i}")
     return [f"{out}{j} = {' + '.join(part)}" for j, part in enumerate(parts)]
+
+
+def bracket_lines(pattern, n: int, x: str, y: str, out: str) -> list:
+    """Python lines that set the floats {out}0…{out}{n−1} to [X, Y], with
+    X in {x}0, {x}1, … and Y in {y}0, {y}1, …: each (j, i, k) of
+    `pattern` adds c{t}·X^i·Y^j into component k, after zero, in term
+    order, as `coadjoint_lines` adds its terms."""
+    parts = [["zero"] for _ in range(n)]
+    for t, (j, i, k) in enumerate(pattern):
+        parts[k].append(f"c{t} * {x}{i} * {y}{j}")
+    return [f"{out}{k} = {' + '.join(part)}" for k, part in enumerate(parts)]
 
 
 def ad(alg: LieAlgebraData, X: np.ndarray) -> np.ndarray:

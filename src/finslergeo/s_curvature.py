@@ -42,10 +42,15 @@ class PathDistortion:
 
 
 def _indicatrix_integral(norm, level: int) -> float:
-    """(1/n) * integral of F(theta)^(-n) over the unit sphere, one grid level."""
+    """(1/n) * integral of F(theta)^(-n) over the unit sphere, one grid
+    level; F^(-n) is n − 1 products of 1/F, not numpy's general power."""
     n = norm.dim
     nodes, weights = sphere.quad_grid(n, level)
-    return float((norm.value(nodes) ** (-float(n))) @ weights / n)
+    inverse = 1.0 / norm.value(nodes)
+    power = inverse
+    for _ in range(n - 1):
+        power = power * inverse
+    return float(power @ weights / n)
 
 
 def _sigma_identity(norm):

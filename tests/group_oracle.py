@@ -8,9 +8,11 @@ A(x) = d(L_{x^{-1}})_x.  The tests check it against finite differences
 of `multiply` before the left-invariance tests rely on it.
 
 sequential_path(model, norm, x0, y0, T, step) is the geodesic integrator as a
-plain loop: each RK4 step on the body momentum μ is followed at once by
-g ← g·exp(θ) with its RKMK increment θ, so the group element is carried
-along step by step, with no prefix product.
+plain numpy loop: each RK4 step on the body momentum μ is followed at once
+by g ← g·exp(θ) with its RKMK increment θ, through the model's own
+`multiply` and `to_group`.  The flow carries g step by step in the same
+order, with the group law written out on floats, so the two differ by
+rounding alone.
 
 legendre_dual(norm) is the norm's Legendre dual of one covector: its
 `dual_lines` compiled by the flow's `compiled` into a function of n
@@ -20,7 +22,12 @@ float_step_path(terms, norm, u0, nsteps, step) is the step loop of one
 path as a plain loop on lists of Python floats: each RK4 step makes four
 `lie.add_coadjoint` calls over the algebra's terms and four
 `legendre_dual(norm)` calls, with the same sums in the same order as the
-flow's generated loop, which must match it bit for bit.
+flow's generated loop, whose body velocities must match it bit for bit.
+
+group_step(model) is one step g ← g·exp(θ) of the model's `group_lines`,
+compiled by the flow's `compiled` into a function of g and θ, with the
+compensation of an additive law starting at zero, so the tests run the
+text that the flow pastes in.
 
 h3_body_momentum(a, mu0, ts) is the exact body momentum of the
 Euclidean metric a on H3, in closed form.  su2_euler_top(inertia, u0, ts)
@@ -90,16 +97,31 @@ def legendre_dual(norm):
     return lambda mu: dual(*np.asarray(mu, dtype=float).tolist(), *norm.dual_constants)
 
 
+def group_step(model):
+    """g·exp(θ) for one group element g and one θ, sequences of numbers,
+    as a list of Python floats, from the model's `group_lines`."""
+    kind, n = type(model), model.dim
+    g, names, start, lines = kind.group_lines(n, "theta")
+    thetas = [f"theta{j}" for j in range(n)]
+    head = f"def group_step({', '.join(g + thetas + names)}):"
+    body = [*start, *lines, f"return [{', '.join(g)}]"]
+    filename = f"<{kind.__name__} group step, n={n}>"
+    step = geodesic_flow.compiled([head, *("    " + line for line in body)], "group_step", filename)
+    return lambda g, theta: step(
+        *np.asarray(g, dtype=float).tolist(), *np.asarray(theta, dtype=float).tolist(), *model.group_constants
+    )
+
+
 def float_step_path(terms, norm, u0, nsteps, step):
-    """The (nsteps, 4, n) rows of one path from the body velocity u0, as
-    `geodesic_flow._step_path` returns them: row i holds u at the end of
-    step i + 1, then U_2, U_3 and U_4."""
+    """The (nsteps + 1, n) body velocities of one path from u0, as the
+    first n columns of `geodesic_flow._step_path`'s rows: row i holds u
+    after i steps."""
     half, sixth = 0.5 * step, step / 6.0
     dual, coadjoint = legendre_dual(norm), lie.add_coadjoint
     n = len(u0)
     u = np.asarray(u0, dtype=float).tolist()
     mu = norm.legendre(u0).tolist()
-    rows = []
+    rows = [u]
     for _ in range(nsteps):
         k1 = coadjoint(terms, u, mu, [0.0] * n)
         m = [a + half * b for a, b in zip(mu, k1)]
@@ -113,7 +135,7 @@ def float_step_path(terms, norm, u0, nsteps, step):
         k4 = coadjoint(terms, u4, m, [0.0] * n)
         mu = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(mu, k1, k2, k3, k4)]
         u = dual(mu)
-        rows.append([u, u2, u3, u4])
+        rows.append(u)
     return np.array(rows)
 
 

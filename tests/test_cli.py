@@ -393,7 +393,9 @@ CHECK_METRICS = {
 
 
 def test_check_verdicts_flip_at_the_measured_value(capsys):
-    # metric <= tol: the flag holds at tol = metric and fails one ulp below
+    # metric <= tol: the flag holds at tol = metric and fails one ulp below;
+    # a metric of exactly 0 has a negative tol one ulp below, which the
+    # scenario check refuses, so no tol under the metric passes there either
     checked = 0
     for path in scenario.bundled_scenarios():
         if scenario.load_scenario(path)["task"] not in CHECK_METRICS:
@@ -402,9 +404,13 @@ def test_check_verdicts_flip_at_the_measured_value(capsys):
         report = json.loads(capsys.readouterr().out)
         metric, flag = CHECK_METRICS[report["task"]]
         value = report["payload"][metric]
-        for tol, holds in ((value, True), (np.nextafter(value, 0.0), False)):
-            cli.main(["--scenario", path, "--format", "machine", "--tol", repr(float(tol))])
-            assert json.loads(capsys.readouterr().out)["payload"][flag] is holds, path
+        for tol, holds in ((value, True), (np.nextafter(value, -np.inf), False)):
+            code = cli.main(["--scenario", path, "--format", "machine", "--tol", repr(float(tol))])
+            out = capsys.readouterr().out
+            if tol < 0.0:
+                assert (code, out) == (1, ""), path
+            else:
+                assert json.loads(out)["payload"][flag] is holds, path
         checked += 1
     assert checked == 8
 

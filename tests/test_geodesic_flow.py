@@ -243,8 +243,9 @@ def test_group_reconstruction_fourth_order():
 
 
 def test_prefix_product_matches_sequential_steps():
-    # the path is one log-depth prefix product of the step increments; the
-    # oracle multiplies each increment onto g as soon as its step is taken
+    # the flow carries g step by step with the group law written out on
+    # floats, compensated on H3; the oracle multiplies each increment onto
+    # g with the model's numpy law as soon as its step is taken
     a = np.diag([1.0, 2.0, 3.0])
     rng = np.random.RandomState(41)
     x0 = 0.5 * rng.standard_normal((5, 3))
@@ -262,6 +263,16 @@ def test_prefix_product_matches_sequential_steps():
                     if isinstance(model, groups.SU2):
                         lengths = np.linalg.norm(path.points, axis=-1)
                         assert np.max(np.abs(lengths - 1.0)) <= 1.0e-13
+
+
+def test_compensated_sum_keeps_the_bundled_h3_orbit():
+    # the bundled 2000-step H3 orbit check: on H3 g is a running sum of
+    # the step increments, and a compensated sum keeps it within an ulp of
+    # exp(tX) = tX, as the log-depth product it replaced did; a plain sum
+    # drifts to about 1e-13
+    path = next(p for p in scenario.bundled_scenarios() if p.endswith("h3_euclidean_homogeneous.json"))
+    report = cli.run_scenario(scenario.parse_scenario(path))
+    assert report.payload["sup_distance"] <= 2.2e-16
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -484,7 +495,8 @@ def failing_after(k, failure):
 def test_float_arithmetic_failure_is_rejected(monkeypatch, capsys, failure):
     # where numpy gave inf or nan, Python floats raise ZeroDivisionError or
     # a math-domain ValueError; both end as the drift check's rejection,
-    # and an overflow to inf reaches the drift check itself
+    # and an overflow to inf reaches the drift check itself, or the cosine
+    # of SU(2)'s exponential, whose ValueError ends the same way
     model = groups.SU2()
     for k in (0, 1, 42, 399):
         norm = HookedEuclidean(np.eye(3), hook=failing_after(k, failure))
@@ -497,8 +509,8 @@ def test_float_arithmetic_failure_is_rejected(monkeypatch, capsys, failure):
 
 def test_value_error_in_the_loop_is_rejected_whatever_its_text():
     # μ is unpacked before the loop, so a ValueError inside it is the square
-    # root's, and maps to StepRejected without reading its text, which
-    # differs between Python versions
+    # root's or the cosine's, and maps to StepRejected without reading its
+    # text, which differs between Python versions
     def hook(*u):
         raise ValueError("expected a nonnegative input")
 
@@ -520,23 +532,26 @@ def test_shape_error_of_the_dual_is_not_a_rejection(monkeypatch):
 
 def test_step_loop_matches_the_float_oracle_bit_for_bit():
     # the generated loop against the plain loop of add_coadjoint and
-    # calls of the compiled dual lines on lists of floats: body and stage
+    # calls of the compiled dual lines on lists of floats: body
     # velocities, on algebras with 2, 6, 12 and no ad* terms, Euclidean norms with
     # a diagonal and a full a, and Randers norms; a start along an axis
-    # makes ±0.0 products, which both must round the same way
+    # makes ±0.0 products, which both must round the same way.  The
+    # group columns ride along: h3 and su(2) step on their own groups,
+    # and the others on the vector group, whose additive law the body
+    # velocities never read
     rng = np.random.RandomState(61)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     u2 = np.zeros((4, 4, 4))
     u2[:3, :3, :3] = lie.su2().c
     algebras = [
-        lie.heisenberg3().c,
-        lie.su2().c,
-        np.einsum("pi,qj,pqr,rk->ijk", q, q, lie.su2().c, q),
-        u2,
-        np.zeros((2, 2, 2)),
-        np.zeros((4, 4, 4)),
+        (groups.Heisenberg3(), lie.heisenberg3().c),
+        (groups.SU2(), lie.su2().c),
+        (groups.Abelian(3), np.einsum("pi,qj,pqr,rk->ijk", q, q, lie.su2().c, q)),
+        (groups.Abelian(4), u2),
+        (groups.Abelian(2), np.zeros((2, 2, 2))),
+        (groups.Abelian(4), np.zeros((4, 4, 4))),
     ]
-    for c in algebras:
+    for model, c in algebras:
         n = len(c)
         terms = lie.terms(c)
         m = rng.standard_normal((n, n))
@@ -549,19 +564,23 @@ def test_step_loop_matches_the_float_oracle_bit_for_bit():
         ]
         for norm in cases:
             for start in (rng.standard_normal(n), np.eye(n)[0], -0.5 * np.eye(n)[n - 1]):
-                got = gf._step_path(terms, norm, start, 150, 1.0e-2)
+                g0 = model.to_group(rng.standard_normal(n))
+                rows = gf._step_path(model, terms, norm, g0, start, 150, 1.0e-2)
+                assert rows.shape == (151, n + len(g0))
+                assert rows[0].tolist() == start.tolist() + g0.tolist()
+                got = rows[:, :n]
                 want = float_step_path(terms, norm, start, 150, 1.0e-2)
-                assert got.shape == (150, 4, n)
                 assert np.array_equal(got, want)
                 # bytes, so that a zero's sign counts too
-                assert got.tobytes() == want.tobytes()
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_step_loop_compiled_once_per_pattern_and_norm_class():
     # timer-free cost guard: the loop is compiled once per norm class,
-    # dimension and ad* pattern, so two Randers norms with different data
-    # on SU(2), and paths of two lengths, share one compiled loop; its text
-    # holds indices only, and no float literal
+    # group model class, dimension and ad* pattern, so two Randers norms
+    # with different data on SU(2), and paths of two lengths, share one
+    # compiled loop, and a model class of its own on the same algebra gets
+    # its own; its text holds indices only, and no float literal
     gf._kernel.cache_clear()
     model = groups.SU2()
     first = norms.RandersNorm(np.diag([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.2]))
@@ -574,15 +593,30 @@ def test_step_loop_compiled_once_per_pattern_and_norm_class():
     gf.integrate_geodesic(model, norms.EuclideanNorm(np.eye(3)), np.zeros(3), np.array([0.5, -0.4, 0.6]), T=0.05, step=1.0e-3)
     gf.integrate_geodesic(groups.Heisenberg3(), first, np.zeros(3), np.array([0.5, -0.4, 0.6]), T=0.05, step=1.0e-3)
     assert gf._kernel.cache_info().currsize == 3
+
+    class Quaternions(groups.SU2):
+        pass
+
+    gf.integrate_geodesic(Quaternions(), first, np.zeros(3), np.array([0.5, -0.4, 0.6]), T=0.05, step=1.0e-3)
+    assert gf._kernel.cache_info().currsize == 4
+
     def float_literals(lines):
         tree = ast.parse("\n".join(lines))
         return [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, float)]
 
+    models = (
+        (groups.SU2, lie.su2().c),
+        (groups.Heisenberg3, lie.heisenberg3().c),
+        (groups.Abelian, np.zeros((4, 4, 4))),
+    )
+    for model_kind, c in models:
+        g, names, start, lines = model_kind.group_lines(len(c), "theta")
+        assert not float_literals(start + lines)
     for kind in (norms.EuclideanNorm, norms.RandersNorm):
         assert not float_literals(kind.dual_lines(3, "mu", "u")[1])
-        for c in (lie.su2().c, lie.heisenberg3().c, np.zeros((4, 4, 4))):
+        for model_kind, c in models:
             pattern = tuple(term[:3] for term in lie.terms(c))
-            assert not float_literals(gf._kernel_lines(kind, len(c), pattern))
+            assert not float_literals(gf._kernel_lines(kind, model_kind, len(c), pattern))
 
 
 def test_step_loop_tracebacks_name_the_generated_code():

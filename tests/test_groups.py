@@ -6,7 +6,7 @@ import pytest
 from finslergeo import geodesic_flow, groups, lie, norms, s_curvature
 from finslergeo.errors import ChartDomain, DimensionMismatch, ZeroVector
 
-from group_oracle import dleft, multiply
+from group_oracle import dleft, group_step, multiply
 
 
 def h3():
@@ -90,6 +90,57 @@ def test_su2_multiply_renormalizes_row_by_row():
         for k in range(2):
             assert both[k].tobytes() == model.multiply(p[k], q[k]).tobytes()
         assert abs(np.linalg.norm(both[1]) - 1.0) <= groups._QUAT_DRIFT
+
+
+def assert_step_matches_the_law(model, step, g, theta, ulps):
+    """The generated step g·exp(θ), `step` = group_step(model), within
+    `ulps` units in the last place of g's largest coordinate from
+    model.multiply(g, model.to_group(θ))."""
+    got = np.asarray(step(g, theta))
+    want = model.multiply(g, model.to_group(theta))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= ulps * np.spacing(np.max(np.abs(want)))
+    return got
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_group_lines_match_the_group_law(dim):
+    # one step of each model's generated law against its own numpy law, at
+    # θ = 0, |θ| just below 2π, and random θ of three sizes; the vector
+    # group and H3 add θ (H3 with its central term), SU(2) multiplies by
+    # exp(θ), and H3 and SU(2) exist at dim 3 only
+    rng = np.random.RandomState(90 + dim)
+    models = [groups.Abelian(dim)] + ([h3(), su2()] if dim == 3 else [])
+    for model in models:
+        step = group_step(model)
+        for scale in (0.0, 1.0e-3, 1.0, 2.0 * np.pi - 1.0e-6):
+            for _ in range(50):
+                g = model.to_group(rng.standard_normal(dim) * rng.choice([1.0e-2, 1.0, 5.0]))
+                theta = rng.standard_normal(dim)
+                theta *= scale / np.linalg.norm(theta)
+                assert_step_matches_the_law(model, step, g, theta, ulps=4)
+        zero = np.zeros(dim)
+        g = model.to_group(rng.standard_normal(dim))
+        assert np.array_equal(step(g, zero), model.multiply(g, model.to_group(zero)))
+
+
+def test_su2_group_lines_renormalize_as_multiply_does():
+    # a product that leaves the unit sphere by more than the drift bound
+    # is divided by its length in both laws; one that stays within it is
+    # left as it is
+    model = su2()
+    step = group_step(model)
+    rng = np.random.RandomState(92)
+    for drift in (1.0e-12, 1.0e-15):
+        for _ in range(50):
+            g = model.to_group(rng.standard_normal(3)) * (1.0 + drift)
+            theta = rng.standard_normal(3)
+            product = groups._hamilton(g, model.to_group(theta))
+            renormalized = abs(np.linalg.norm(product) - 1.0) > groups._QUAT_DRIFT
+            assert renormalized == (drift > groups._QUAT_DRIFT)
+            got = assert_step_matches_the_law(model, step, g, theta, ulps=2)
+            if renormalized:
+                assert abs(np.linalg.norm(got) - 1.0) <= groups._QUAT_DRIFT
 
 
 def test_su2_chart_domain():

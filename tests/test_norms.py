@@ -275,12 +275,11 @@ def test_batched_matches_single():
     gb = norm.fundamental_matrix(ys)
     cb = norm.cartan(ys)
     for k in range(7):
-        # reduction order differs between batched and single einsum paths
-        assert np.max(np.abs(gb[k] - norm.fundamental_matrix(ys[k]))) < 1.0e-13
-        assert np.max(np.abs(cb[k] - norm.cartan(ys[k]))) < 1.0e-13
+        assert np.array_equal(gb[k], norm.fundamental_matrix(ys[k]))
+        assert np.array_equal(cb[k], norm.cartan(ys[k]))
     vals = norm.value(ys)
     for k in range(7):
-        assert abs(vals[k] - norm.value(ys[k])) < 1.0e-14
+        assert vals[k] == norm.value(ys[k])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
