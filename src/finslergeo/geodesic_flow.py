@@ -31,11 +31,11 @@ The norm owns the check y ≠ 0: u = A(x)·y is 0 exactly when y is, and
 The Cartan tensor vanishes when a slot is radial, so μ̇ = ĝ_u u̇ and
 u̇ = ĝ_u⁻¹ ad*_u(ĝ_u u).  `euler_poincare_rhs(algebra, u, g)` evaluates
 that velocity form from the norm tensor g = ĝ_u, with no x-derivative
-of the chart metric, for the S-curvature and the Berwald test.  With
+of the chart metric, for the Berwald test.  With
 m = g, ad*_X(ĝ_X X) is the paper's criterion residual, so geodesic
 vectors are the equilibria of the flow; this module forms no such
 residual, `geodesic_vectors.residual_batch` does.  Every ad* here sums
-over the algebra's `lie.terms` in their order: `lie.add_coadjoint` on
+over the algebra's terms (`lie.LieAlgebraData.terms`) in their order: `lie.add_coadjoint` on
 array rows, and `lie.coadjoint_lines` in the step loop.  That loop is
 one Python function per norm class, group model class, dimension and
 (j, i, k) pattern of the terms, assembled from the ad* and bracket lines
@@ -104,7 +104,7 @@ def euler_poincare_rhs(algebra, u, g) -> np.ndarray:
     is the norm's fundamental tensor ĝ_u; μ and ad*_u μ are summed in
     index order on batch-last rows."""
     mu = ordered_dot(g.T, u.T[:, None])
-    rate = lie.add_coadjoint(lie.terms(algebra.c), u.T, mu, np.zeros(u.T.shape))
+    rate = lie.add_coadjoint(algebra.terms, u.T, mu, np.zeros(u.T.shape))
     return np.linalg.solve(g, rate.T[..., None])[..., 0]
 
 
@@ -228,8 +228,9 @@ def _step_path(model: GroupModel, terms, norm, g0: np.ndarray, u0: np.ndarray, n
 
     μ = norm.legendre(u0) is taken here, before the loop, and the loop is
     the `_kernel` of the norm's class, the model's class and the pattern
-    of `terms`, the algebra's `lie.terms`, called with their coefficients,
-    the norm's `dual_constants` and the model's `group_constants`.
+    of `terms`, the algebra's `LieAlgebraData.terms`, called with their
+    coefficients, the norm's `dual_constants` and the model's
+    `group_constants`.
     """
     n = len(u0)
     mu = norm.legendre(u0).tolist()
@@ -290,7 +291,7 @@ def integrate_geodesic(model: GroupModel, norm, x0, y0, T: float, step: float) -
         )
     model.check_chart(x)
     u0 = np.einsum("...ij,...j->...i", model.body_jacobian(x), y)
-    rows = _step_path(model, lie.terms(model.algebra.c), norm, model.to_group(x), u0, nsteps, step)
+    rows = _step_path(model, model.algebra.terms, norm, model.to_group(x), u0, nsteps, step)
     body, elements = rows[:, : model.dim], rows[:, model.dim :]
     # a diverging path runs to its end as inf or nan, which the drift
     # check rejects; written so that a non-finite F fails the comparison

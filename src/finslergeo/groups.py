@@ -11,20 +11,22 @@ covers every element but the antipode −1, and chart inputs must lie
 strictly inside radius 2π.
 
 Each model holds group elements in its own representation: `to_group`
-enters it from chart coordinates, `multiply` is the group law on it, and
-`to_chart` leaves it again.  Geodesic paths are assembled and stored on
-the group, orbits of one-parameter subgroups are compared with them
-there, and chart coordinates are read off only for output.
+enters it from chart coordinates and `to_chart` leaves it again.
+Geodesic paths are assembled and stored on the group, orbits of
+one-parameter subgroups are compared with them there, and chart
+coordinates are read off only for output.
 
-Each model also writes its right step g ← g·exp(θ) out as Python lines
-on floats (`group_lines`), which the geodesic flow pastes into its
-generated step loop, the one place that runs them.  H3 and the vector
-group add: their steps are compensated sums (Kahan, CACM 8, 1965), so a
-path of N steps rounds like one sum, not like N.  SU(2) takes cos and
-sin of |θ|/2, writes the Hamilton product out, and renormalizes the
-product as `multiply` does.  Like the norms' dual lines, the text holds
-indices only; the constants it reads are names (see
-`geodesic_flow.compiled`), and a model's own are in `group_constants`.
+The group law exists only as the right step g ← g·exp(θ) written out
+as Python lines on floats (`group_lines`), which the geodesic flow
+pastes into its generated step loop, the one place that runs them; the
+tests hold them to the same law on arrays (tests/group_oracle.py).  H3
+and the vector group add: their steps are compensated sums (Kahan, CACM
+8, 1965), so a path of N steps rounds like one sum, not like N.  SU(2)
+takes cos and sin of |θ|/2, writes the Hamilton product out, and
+divides the product by its length when that is more than `_QUAT_DRIFT`
+from 1.  Like the norms' dual lines, the text holds indices only; the
+constants it reads are names (see `geodesic_flow.compiled`), and a
+model's own are in `group_constants`.
 
 The body Jacobian A(x) is the differential of left translation by
 x^{-1} at x.  It trivializes the tangent bundle: a chart velocity v at
@@ -68,10 +70,6 @@ class GroupModel:
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def multiply(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The group product p·q of group elements, batched and broadcast."""
-        raise NotImplementedError
-
     def body_jacobian(self, x: np.ndarray) -> np.ndarray:
         """A(x) = d(L_{x^{-1}})_x, batched over leading axes of x."""
         raise NotImplementedError
@@ -114,13 +112,6 @@ class Heisenberg3(GroupModel):
     def __init__(self):
         self.algebra = lie.heisenberg3()
 
-    def multiply(self, p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        out = p + q
-        out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
-        return out
-
     @classmethod
     def group_lines(cls, n, theta):
         """The law above with q = θ: a compensated sum of θ, its last
@@ -138,28 +129,6 @@ class Heisenberg3(GroupModel):
         out[..., 2, 0] = 0.5 * x[..., 1]
         out[..., 2, 1] = -0.5 * x[..., 0]
         return out
-
-
-def _quaternion_table() -> np.ndarray:
-    """T[a, b, c]: the e_c coefficient of e_a·e_b for the basis 1, i, j, k."""
-    table = np.zeros((4, 4, 4))
-    table[0, 0, 0] = 1.0
-    for a in (1, 2, 3):
-        table[0, a, a] = table[a, 0, a] = 1.0
-        table[a, a, 0] = -1.0
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        table[a, b, c] = 1.0
-        table[b, a, c] = -1.0
-    return table.reshape(4, 16)
-
-
-_QUAT_TABLE = _quaternion_table()
-
-
-def _hamilton(q, r):
-    """Quaternion product q·r, batched, as two small matrix products."""
-    left = (q @ _QUAT_TABLE).reshape(q.shape[:-1] + (4, 4))
-    return (r[..., None, :] @ left)[..., 0, :]
 
 
 class SU2(GroupModel):
@@ -198,19 +167,11 @@ class SU2(GroupModel):
             raise ChartDomain("group element is at the antipode of the chart")
         return out
 
-    def _renormalize(self, q):
-        norm = np.linalg.norm(q, axis=-1, keepdims=True)
-        return np.where(np.abs(norm - 1.0) > _QUAT_DRIFT, q / norm, q)
-
-    def multiply(self, p, q):
-        """The quaternion product p·q, each row renormalized when it alone
-        leaves the unit sphere, so a row's bytes do not depend on the batch."""
-        return self._renormalize(_hamilton(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
-
     @classmethod
     def group_lines(cls, n, theta):
         """g·q with q = exp(θ) = (cos(r/2), sin(r/2)/r·θ), r = |θ|, whose
-        factor is ½ at θ = 0, then `_renormalize`'s rule on the product."""
+        factor is ½ at θ = 0; the product is divided by its length only
+        when that is more than `drift` from 1."""
         t0, t1, t2 = (f"{theta}{j}" for j in range(3))
         lines = [
             f"radius = sqrt({t0} * {t0} + {t1} * {t1} + {t2} * {t2})",
@@ -274,9 +235,6 @@ class Abelian(GroupModel):
     def __init__(self, dim: int = 3):
         self.dim = dim
         self.algebra = lie.abelian(dim)
-
-    def multiply(self, p, q):
-        return np.asarray(p, dtype=float) + np.asarray(q, dtype=float)
 
     def body_jacobian(self, x):
         x = np.asarray(x, dtype=float)

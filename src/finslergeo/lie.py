@@ -6,13 +6,15 @@ bracket of coordinate vectors is X^i Y^j c[i, j, k].  Indices are
 parsing boundary.
 
 ad*_u μ, (ad*_u μ)_j = c[i, j, k] u^i μ_k, has one term order, that of
-the nonzero terms `terms` lists: `add_coadjoint` sums over them on array
+the nonzero terms `terms` lists, which an algebra keeps for its whole
+c (`LieAlgebraData.terms`): `add_coadjoint` sums over them on array
 rows, for the criterion and the Euler–Poincaré rate, and
 `coadjoint_lines` writes the same sums out as Python lines, for the
 geodesic flow's generated step loop.  That loop takes the bracket from
 the same terms, through `bracket_lines`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ class LieAlgebraData:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if self.c.shape != (self.dim,) * 3:
             raise DimensionMismatch(self.dim, self.c.shape[0], "structure constants")
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """`terms(c)` of the whole algebra, taken on first use and kept."""
+        return tuple(terms(self.c))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ batch.  Their values share one quadratic-form kernel, y·a y, which the
 σ quadrature runs on every node.  Both closed-form tensors are the
 (..., n, n) view of an (n, n, batch) array.
 
+Euclidean and Randers norms also carry `distortion_terms(y, w)`: at
+batched y ≠ 0 (the caller checks y, as `legendre` does) and covectors w
+with w·y = 0, ½ ln det ĝ_y and I_y(ĝ_y⁻¹w), I = ∂(½ ln det ĝ) the mean
+Cartan torsion, in closed form (see `s_curvature`), with no tensor.
+
 Every norm has a Legendre map y ↦ μ = ĝ_y y = ½∇F²(y), the covector
 that the geodesic criterion and the flow read.  Euclidean and Randers
 norms carry it in closed form, μ = a y and μ = F(y)·(a y/α(y) + b), so a
@@ -203,6 +208,11 @@ class EuclideanNorm(MinkowskiNorm):
         columns = [[f"ai{i}_{j}" for j in range(n)] for i in range(n)]
         return sum(columns, []), [f"{u}{i} = {_dot_line(mu, col)}" for i, col in enumerate(columns)]
 
+    def distortion_terms(self, y, w):
+        """(½ ln det a, 0) at every vector: ĝ is a, and C vanishes."""
+        shape = np.shape(y)[:-1]
+        return np.full(shape, 0.5 * np.log(np.linalg.det(self.a))), np.zeros(shape)
+
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
         """a at every vector, laid out as the Randers tensor is: the
         (..., n, n) view of an (n, n, batch) array."""
@@ -295,6 +305,19 @@ class RandersNorm(MinkowskiNorm):
         ]
         lines += [f"{u}{j} = scale * h{j} + s * W{j}" for j in range(n)]
         return sum(columns, []) + w, lines
+
+    def distortion_terms(self, y, w):
+        """((n+1)/2·ln(F/α) + ½ ln det a, (n+1)·α/(2F²)·b♯·w) on the
+        batch-last rows: det ĝ = (F/α)^(n+1)·det a, and ĝ⁻¹I is
+        (n+1)·α/(2F²)·b♯ plus a multiple of y, which w·y = 0 removes."""
+        n = self.dim
+        _, alpha2, beta = self._parts(y)
+        alpha = np.sqrt(alpha2)
+        f = alpha + beta
+        half_log_det = 0.5 * (n + 1) * np.log1p(beta / alpha) + 0.5 * np.log(np.linalg.det(self.a))
+        rate = 0.5 * (n + 1) * alpha / (f * f) * ordered_dot(self.b_sharp, _batch_last(w))
+        shape = np.shape(y)[:-1]
+        return half_log_det.reshape(shape), rate.reshape(shape)
 
     def fundamental_matrix(self, y: np.ndarray) -> np.ndarray:
         """g in ℓ-form, computed on an (n, n, batch) array with the batch

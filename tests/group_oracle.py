@@ -1,4 +1,12 @@
-"""Chart-level group law and left translation oracle for the group-model tests.
+"""The group law on numpy arrays, and chart-level oracles for the group-model tests.
+
+group_product(model, p, q) is the group law of each built-in model on
+its group elements, batched and broadcast: a sum on the vector group,
+a sum with the central term ½(ab' − a'b) on H3, and the Hamilton
+product on SU(2), each row divided by its length when it alone leaves
+the unit sphere by more than `groups._QUAT_DRIFT`.  The library holds
+the law only as the lines of `GroupModel.group_lines`, which the tests
+judge against this one.
 
 multiply(model, p, q) is the product of chart points p and q, composed
 on the group as log(exp(p)·exp(q)).  dleft(model, p, v, base) is the
@@ -9,8 +17,8 @@ of `multiply` before the left-invariance tests rely on it.
 
 sequential_path(model, norm, x0, y0, T, step) is the geodesic integrator as a
 plain numpy loop: each RK4 step on the body momentum μ is followed at once
-by g ← g·exp(θ) with its RKMK increment θ, through the model's own
-`multiply` and `to_group`.  The flow carries g step by step in the same
+by g ← g·exp(θ) with its RKMK increment θ, through `group_product`
+and the model's `to_group`.  The flow carries g step by step in the same
 order, with the group law written out on floats, so the two differ by
 rounding alone.
 
@@ -40,9 +48,50 @@ import numpy as np
 from finslergeo import geodesic_flow, groups, lie
 
 
+def _quaternion_table() -> np.ndarray:
+    """T[a, b, c]: the e_c coefficient of e_a·e_b for the basis 1, i, j, k."""
+    table = np.zeros((4, 4, 4))
+    table[0, 0, 0] = 1.0
+    for a in (1, 2, 3):
+        table[0, a, a] = table[a, 0, a] = 1.0
+        table[a, a, 0] = -1.0
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        table[a, b, c] = 1.0
+        table[b, a, c] = -1.0
+    return table.reshape(4, 16)
+
+
+_QUAT_TABLE = _quaternion_table()
+
+
+def hamilton(q, r):
+    """Quaternion product q·r, batched, as two small matrix products."""
+    left = (q @ _QUAT_TABLE).reshape(q.shape[:-1] + (4, 4))
+    return (r[..., None, :] @ left)[..., 0, :]
+
+
+def _renormalize(q):
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.where(np.abs(norm - 1.0) > groups._QUAT_DRIFT, q / norm, q)
+
+
+def group_product(model, p, q):
+    """The group product p·q of group elements, batched and broadcast."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if isinstance(model, groups.SU2):
+        # each row renormalized when it alone leaves the unit sphere, so a
+        # row's bytes do not depend on the batch
+        return _renormalize(hamilton(p, q))
+    out = p + q
+    if isinstance(model, groups.Heisenberg3):
+        out[..., 2] += 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+    return out
+
+
 def multiply(model, p, q):
     """Chart point of exp(p)·exp(q), batched; ChartDomain when it leaves the chart."""
-    out = model.to_chart(model.multiply(model.to_group(p), model.to_group(q)))
+    out = model.to_chart(group_product(model, model.to_group(p), model.to_group(q)))
     model.check_chart(out)
     return out
 
@@ -76,7 +125,7 @@ def sequential_path(model, norm, x0, y0, T, step):
         u4, k4 = stage(mu + step * k3)
         bracket = np.einsum("ijk,...i,...j->...k", c, u, u4)
         theta = (step / 6.0) * (u + 2.0 * u2 + 2.0 * u3 + u4) + (step * step / 12.0) * bracket
-        g = model.multiply(g, model.to_group(theta))
+        g = group_product(model, g, model.to_group(theta))
         mu = mu + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u = dual(mu)
         elements.append(g)

@@ -86,6 +86,15 @@ def test_coadjoint_is_dual_to_the_bracket():
             assert np.max(np.abs((np.swapaxes(ad, -1, -2) @ mu[..., None])[..., 0] - coad)) <= 1.0e-14
 
 
+def test_algebra_takes_its_terms_once():
+    # not at construction, so validating a scenario does no more work, but
+    # on first read, which every later read returns
+    for alg in (lie.heisenberg3(), lie.su2(), lie.abelian(3), lie.LieAlgebraData(4, su2_plus_line())):
+        assert "terms" not in vars(alg)
+        assert alg.terms == tuple(lie.terms(alg.c))
+        assert alg.terms is alg.terms
+
+
 def test_jacobi_residual_builtins():
     for alg in (lie.heisenberg3(), lie.su2(), lie.abelian(4), lie.LieAlgebraData(4, su2_plus_line())):
         mag, _ = lie.jacobi_residual(alg)

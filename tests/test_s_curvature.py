@@ -1,15 +1,17 @@
 """Volume factor oracles, distortion identities, S-curvature vanishing."""
 
+import os
+
 import numpy as np
 import pytest
 
 from finslergeo import geodesic_flow as gf
-from finslergeo import geodesic_vectors, groups, lie, norms, s_curvature, scenario, sphere
+from finslergeo import cli, geodesic_vectors, groups, lie, norms, reports, s_curvature, scenario, sphere
 from finslergeo.errors import QuadratureDivergence, ZeroVector
 
 from group_oracle import dleft, multiply
 from randers_oracle import navigation_randers, random_randers
-from volume_oracle import busemann_sigma, distortion
+from volume_oracle import busemann_sigma, distortion, s_from_tensors, tau_from_tensors
 
 
 def flat_metric(norm, dim=3):
@@ -307,3 +309,91 @@ def test_bundled_zermelo_pair_is_the_navigation_metric():
             assert np.array_equal(scen.norm.a, a) and np.array_equal(scen.norm.b, b)
             tasks.add((scen.task, scen.params.get("expect_vanishing"), scen.params.get("expect_berwald")))
     assert tasks == {("s-curvature", True, None), ("berwald", None, False)}
+
+
+def six_algebras():
+    """aff(1), su(2), h3, su(2) ⊕ R, h3 ⊕ R and the diamond algebra
+    [e1, e2] = e3, [e1, e3] = −e2, [e2, e3] = e4: dimensions 2, 3 and 4."""
+
+    def algebra(n, brackets):
+        c = np.zeros((n, n, n))
+        for i, j, k, value in brackets:
+            c[i, j, k], c[j, i, k] = value, -value
+        return lie.LieAlgebraData(n, c)
+
+    def plus_r(alg):
+        return lie.LieAlgebraData(4, np.pad(alg.c, (0, 1)))
+
+    return [
+        algebra(2, [(0, 1, 1, 1.0)]),
+        lie.su2(),
+        lie.heisenberg3(),
+        plus_r(lie.su2()),
+        plus_r(lie.heisenberg3()),
+        algebra(4, [(0, 1, 2, 1.0), (0, 2, 1, -1.0), (1, 2, 3, 1.0)]),
+    ]
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+def test_closed_forms_match_the_tensor_route():
+    # ½ ln det ĝ and S from each norm's closed form (`distortion_terms`,
+    # at w = ad*_u μ) against det ĝ and S = I_u(u̇) from the norm's
+    # tensors (volume_oracle), on six algebras, for a random Euclidean
+    # and a random Randers norm with ‖b‖_a < 0.9, 30 of each per algebra,
+    # at F-unit vectors u (S is 1-homogeneous in u); relative to
+    # max(1, |value|), the worst mismatches here are 1.3e-15 and 4.4e-15
+    rng = np.random.RandomState(41)
+    worst_log_det = worst_s = 0.0
+    for algebra in six_algebras():
+        n = algebra.dim
+        assert lie.jacobi_residual(algebra)[0] == 0.0
+        for _ in range(30):
+            m = rng.standard_normal((n, n))
+            a = m @ m.T + n * rng.uniform(0.2, 1.0) * np.eye(n)
+            direction = rng.standard_normal(n)
+            b_sharp = direction / np.sqrt(direction @ a @ direction) * rng.uniform(0.05, 0.9)
+            for norm in (norms.EuclideanNorm(a), norms.RandersNorm(a, a @ b_sharp)):
+                u = rng.standard_normal((20, n))
+                u /= norm.value(u)[:, None]
+                g = norm.fundamental_matrix(u)
+                log_det, s = s_curvature._distortion_terms(algebra, norm, u)
+                worst_log_det = max(worst_log_det, relative_error(log_det, 0.5 * np.log(np.linalg.det(g))))
+                worst_s = max(worst_s, relative_error(s, s_from_tensors(algebra, norm, u, g)))
+    assert worst_log_det <= 4.0e-15
+    assert worst_s <= 1.0e-14
+
+
+def test_distortion_builds_no_norm_tensor(monkeypatch):
+    # tau and S come from the norms' closed forms alone: with
+    # fundamental_matrix and cartan raising on both norm classes, a
+    # path's profile still matches the tensor route taken before, and the
+    # four bundled s-curvature scenarios pass with the reports they give
+    # unpatched
+    paths = [p for p in scenario.bundled_scenarios() if "scurvature" in os.path.basename(p)]
+    assert len(paths) == 4
+    before = [reports.machine_report(cli.run_scenario(scenario.parse_scenario(p))) for p in paths]
+    profiles = []
+    for model, norm in (randers_su2(), randers_h3(), (groups.SU2(), norms.EuclideanNorm(np.diag([1.0, 2.0, 3.0])))):
+        path = gf.integrate_geodesic(model, norm, np.zeros(3), np.array([0.5, 0.8, -0.6]), T=0.05, step=5.0e-3)
+        g = norm.fundamental_matrix(path.body)
+        want = tau_from_tensors(norm, g)[0], s_from_tensors(model.algebra, norm, path.body, g)
+        profiles.append((model, norm, path, *want))
+
+    def refuse(self, y):
+        raise AssertionError("the distortion route builds no norm tensor")
+
+    for kind in (norms.EuclideanNorm, norms.RandersNorm):
+        for name in ("fundamental_matrix", "cartan"):
+            monkeypatch.setattr(kind, name, refuse)
+    for model, norm, path, taus, s_values in profiles:
+        profile = s_curvature.s_along_path(model.algebra, norm, path.ts, path.body)
+        assert np.max(np.abs(profile.taus - taus)) <= 1.0e-14
+        assert np.max(np.abs(profile.s_values - s_values)) <= 1.0e-14
+        assert s_curvature.s_curvature(model, norm, np.zeros(3), np.array([0.5, 0.8, -0.6])) == profile.s_values[0]
+    for p, want in zip(paths, before):
+        report = cli.run_scenario(scenario.parse_scenario(p))
+        assert report.passed
+        assert reports.machine_report(report) == want
